@@ -123,11 +123,12 @@ func maxCornerPoint(pts []Point, id int) Point {
 // TestUpdateCarryAllocsBelowRebuild is the allocation gate on the
 // untouched-cell carry-over path: inserting a dominated far-corner point
 // changes no existing cell's result, so the incremental maintenance must
-// carry labels instead of re-interning — its allocation count is bounded by
-// the lazy index build over distinct results, several times below a full
-// rebuild's per-cell interning. A factor-3 regression here means the carry
-// path broke and updates went back to paying rebuild-shaped costs (measured
-// headroom is ~4-5x across sizes).
+// carry labels instead of re-interning. Only the few edge cells the point
+// joins intern anything; every run after the first re-derives from the same
+// set and so forks its claimed tables, paying one private index build (one
+// allocation, however many results). A factor-3 regression here means the
+// carry path broke and updates went back to paying rebuild-shaped costs
+// (measured headroom at n=96 is ~24x for quadrant and ~35x for global).
 func TestUpdateCarryAllocsBelowRebuild(t *testing.T) {
 	pts := genPoints(t, 96, dataset.Independent, 31)
 	set, err := BuildSet(pts, UpdateOptions{})
@@ -166,35 +167,53 @@ func TestUpdateCarryAllocsBelowRebuild(t *testing.T) {
 	}
 }
 
-// benchUpdate measures steady-state write maintenance: each op pair inserts a
-// fresh point and deletes it again, always applied to the same base set, so
-// the measured cost is one full maintenance pass per Apply without the set
-// drifting in size.
-func benchUpdate(b *testing.B, opts UpdateOptions) {
+// benchUpdate measures steady-state write maintenance: each iteration
+// inserts a fresh point and deletes it again, one full maintenance pass per
+// Apply without the set drifting in size.
+//
+// Unchained, every pair starts from the same base set, so after the first
+// iteration each insert forks the base's claimed tables: its first append
+// copies the arena and its first intern rebuilds a private dedup index.
+// Chained, each op derives from the previous op's set and the set compacts
+// every 20 ops, as the server's coalesce leader drives it, so every op
+// claims its predecessor's tables and grows their arenas in place.
+func benchUpdate(b *testing.B, opts UpdateOptions, chained bool) {
 	pts := genPoints(b, 256, dataset.Independent, 23)
-	set, err := BuildSet(pts, opts)
+	base, err := BuildSet(pts, opts)
 	if err != nil {
 		b.Fatal(err)
+	}
+	set, ops := base, 0
+	apply := func(op Op) {
+		next, err := set.Apply(op, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		set = next
+		if ops++; chained && ops%20 == 0 {
+			set = set.CompactArenas()
+		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if !chained {
+			set = base
+		}
 		id := 1000000 + i
-		p := geom.Pt2(id, float64(i%97)/97, float64((i*37)%89)/89)
-		next, err := set.Apply(InsertOp(p), opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := next.Apply(DeleteOp(id), opts); err != nil {
-			b.Fatal(err)
-		}
+		apply(InsertOp(geom.Pt2(id, float64(i%97)/97, float64((i*37)%89)/89)))
+		apply(DeleteOp(id))
 	}
 }
 
 func BenchmarkUpdateIncremental(b *testing.B) {
-	benchUpdate(b, UpdateOptions{})
+	benchUpdate(b, UpdateOptions{}, false)
+}
+
+func BenchmarkUpdateChained(b *testing.B) {
+	benchUpdate(b, UpdateOptions{}, true)
 }
 
 func BenchmarkUpdateFullRebuild(b *testing.B) {
-	benchUpdate(b, UpdateOptions{FullRebuild: true})
+	benchUpdate(b, UpdateOptions{FullRebuild: true}, false)
 }

@@ -1,12 +1,16 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
+	"repro/internal/faultinject"
 	"repro/internal/geom"
+	"repro/internal/store"
 )
 
 // TestUpdateChainMatchesRebuild chains randomized WithInsert/WithDelete
@@ -382,5 +386,91 @@ func TestApplyBatchMatchesSequential(t *testing.T) {
 	}
 	if allRej != set {
 		t.Fatal("all-rejected batch must return the receiver unchanged")
+	}
+}
+
+// TestFailedBatchRetryPersistsLikeRebuild pins claim-or-fork ownership of the
+// interned tables at the batch level. A batch whose second op fails has
+// already claimed every result table of the base set in its first op; the
+// retried batch from the same base must fork them, and a batch chained after
+// it claims the fork's tables in turn. The base and both surviving sets must
+// persist to exactly the bytes of a fresh build of their points.
+func TestFailedBatchRetryPersistsLikeRebuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	const domain = 12
+	pts := make([]geom.Point, 0, 16)
+	for i := 0; i < 16; i++ {
+		pts = append(pts, geom.Pt2(i, float64(rng.Intn(domain)), float64(rng.Intn(domain))))
+	}
+	base, err := BuildSet(pts, chainOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := []Op{InsertOp(geom.Pt2(100, 3, 3)), DeleteOp(pts[0].ID), InsertOp(geom.Pt2(101, 5, 1))}
+
+	// Arm the failpoint while the first op is under way: that op completes,
+	// and the second op's maintenance pass fails.
+	t.Cleanup(faultinject.Deactivate)
+	failing := chainOpts
+	failing.ObserveKind = func(string, time.Duration) {
+		if !faultinject.Enabled() {
+			if err := faultinject.Activate("core.update.incremental=error:mid-batch#1"); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	if _, _, err := base.ApplyBatch(ops, failing); !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("batch error = %v, want the injected mid-batch failure", err)
+	}
+	if got := faultinject.Hits("core.update.incremental"); got != 1 {
+		t.Fatalf("failpoint fired %d times, want once", got)
+	}
+	faultinject.Deactivate()
+	assertPersistsLikeRebuild(t, base, "base after the failed batch")
+
+	retried, _, err := base.ApplyBatch(ops, chainOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertPersistsLikeRebuild(t, retried, "retried batch")
+	chained, _, err := retried.ApplyBatch([]Op{DeleteOp(100), InsertOp(geom.Pt2(102, 0, 9))}, chainOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertPersistsLikeRebuild(t, chained, "batch chained after the retry")
+}
+
+// assertPersistsLikeRebuild compares the store bytes of a set's quadrant and
+// dynamic diagrams, and its global diagram cell for cell, against a fresh
+// BuildSet of the same points.
+func assertPersistsLikeRebuild(t *testing.T, set *DiagramSet, ctx string) {
+	t.Helper()
+	fresh, err := BuildSet(set.Points, chainOpts)
+	if err != nil {
+		t.Fatalf("%s: rebuild: %v", ctx, err)
+	}
+	var got, want bytes.Buffer
+	if err := store.WriteEpoch(&got, set.Quadrant.Cells(), 7); err != nil {
+		t.Fatalf("%s: %v", ctx, err)
+	}
+	if err := store.WriteEpoch(&want, fresh.Quadrant.Cells(), 7); err != nil {
+		t.Fatalf("%s: %v", ctx, err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("%s: quadrant store bytes differ from a fresh build's", ctx)
+	}
+	got.Reset()
+	want.Reset()
+	if err := store.WriteDynamicEpoch(&got, set.Dynamic.d, 7); err != nil {
+		t.Fatalf("%s: %v", ctx, err)
+	}
+	if err := store.WriteDynamicEpoch(&want, fresh.Dynamic.d, 7); err != nil {
+		t.Fatalf("%s: %v", ctx, err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("%s: dynamic store bytes differ from a fresh build's", ctx)
+	}
+	if !set.Global.Equal(fresh.Global) {
+		t.Fatalf("%s: global diagram differs from a fresh build's", ctx)
 	}
 }

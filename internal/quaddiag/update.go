@@ -27,10 +27,11 @@ import (
 //     cells need the Theorem 1 identity, not a copy-based derivation).
 //
 // Both are copy-on-write over the interned table: the new diagram's interner
-// is seeded from the old table (shared arena, no copying), unaffected cells
-// carry their labels over in O(1), and only affected cells pay an intern.
-// Results no longer referenced by any cell stay in the shared arena as
-// garbage; the periodic full rebuild (or any fresh Build*) compacts it.
+// is seeded from the old table (claiming it, so the shared arena grows in
+// place past the old table's length), unaffected cells carry their labels
+// over in O(1), and only affected cells pay an intern. Results no longer
+// referenced by any cell stay in the shared arena as garbage; CompactArena
+// (or any fresh Build*) drops it.
 //
 // Both return a new Diagram; the receiver is unchanged.
 

@@ -20,46 +20,58 @@
 //     offsets. Result(label) is two loads and a subslice.
 //
 // Copy-on-write maintenance (diagram insert/delete) seeds a new Interner
-// from an existing Table with NewInternerFrom: the arena prefix is shared
-// (capacity-clamped, so appends copy instead of clobbering), untouched cells
-// keep their old labels for free, and only touched cells pay an intern.
+// from an existing Table with NewInternerFrom. Old labels stay valid, so
+// untouched cells carry their labels over for free and only touched cells
+// pay an intern. Successive generations form a lineage that grows one arena
+// in place, under claim-or-fork ownership:
 //
-// Dedup across generations never rescans the arena. Each frozen table keeps
-// the hash index of the results IT added (an immutable freeze-time copy of
-// its interner's overlay) plus a pointer to the table it was seeded from, so
-// a seeded interner resolves content by walking that chain — O(chain depth)
-// map probes per intern instead of an O(arena) index rebuild per update. The
-// chain is flattened into one index every maxIndexDepth generations, so both
-// the walk and the retained history stay bounded.
+//   - Claim. The first NewInternerFrom(t) wins t's atomic claim flag and
+//     appends to t's arena and offsets in place, past their length. Every
+//     table sees only its own [0:len) prefix — Result, IDs and Offsets all
+//     return length-clamped slices — so readers of t and of every older
+//     generation never observe the appends. Interner.Table hands the
+//     capacity past the new length on to the table it freezes, whose first
+//     seed claims it in turn. A write thus allocates in proportion to the
+//     results it adds, not to the arena.
+//   - Fork. Any later seed of an already-claimed table (a failed batch
+//     retried from the same base, a test deriving twice) gets length-clamped
+//     slices, so its first append copies the arena, and it builds a private
+//     dedup index in one O(results) pass on its first intern.
+//
+// Dedup never rescans the arena per update. Each lineage owns one
+// open-addressing index: a power-of-two array of uint64 slots, each holding
+// a result's 32-bit content fingerprint (high half) and its label+1 (low
+// half, 0 = empty). Lookups probe linearly from the fingerprint and compare
+// content only on a fingerprint match; the array doubles at 3/4 load by
+// re-placing slots from their stored fingerprints, never rehashing content.
+// The index travels with the arena: Interner.Table hands it to the frozen
+// table and the claimant takes it over. Tables that arrive without one
+// (NewTable, CompactLabels, a fork's seed) build it lazily on first intern.
 package resultset
 
-import "sync"
-
-// maxIndexDepth bounds the index chain: a freeze that would exceed it builds
-// a flat index instead (amortizing the O(results) scan over that many
-// updates) and drops the chain.
-const maxIndexDepth = 16
+import (
+	"slices"
+	"sync/atomic"
+)
 
 // Table is a frozen interned result table: result label l spans
 // ids[offsets[l]:offsets[l+1]].
 type Table struct {
+	// The table is the [0:len) prefix of ids and offsets. Their capacity
+	// past len belongs to the lineage: only the interner that claims the
+	// table writes there.
 	ids     []int32
 	offsets []uint32 // len = NumResults()+1, offsets[0] == 0, ascending
-
-	// Hash index chain, used only by interners seeded from this table.
-	// local maps content hash -> labels this generation added (for a flat
-	// table: every label); base is the seed table whose index covers the
-	// rest. Both are immutable after construction; flatOnce lazily builds
-	// local for flat tables that were assembled without one (NewTable).
-	local    map[uint64][]uint32
-	base     *Table
-	depth    int
-	flatOnce sync.Once
+	// index is the lineage's dedup index, covering at least this table's
+	// results; it passes to the claimant, and nil means build on first use.
+	index   []uint64
+	claimed atomic.Bool
 }
 
 // NewTable assembles a table from raw CSR arrays, validating the structural
 // invariants (used by deserializers; Interner-built tables hold them by
-// construction). The slices are retained, not copied.
+// construction). The slices are retained, not copied; their capacity is
+// clamped, so growing the table never writes into the caller's memory.
 func NewTable(offsets []uint32, ids []int32) (*Table, bool) {
 	if len(offsets) == 0 || offsets[0] != 0 {
 		return nil, false
@@ -72,7 +84,7 @@ func NewTable(offsets []uint32, ids []int32) (*Table, bool) {
 	if int(offsets[len(offsets)-1]) != len(ids) {
 		return nil, false
 	}
-	return &Table{ids: ids, offsets: offsets}, true
+	return &Table{ids: clamp(ids), offsets: clamp(offsets)}, true
 }
 
 // NumResults returns the number of distinct interned results.
@@ -96,61 +108,39 @@ func (t *Table) Len(label uint32) int {
 func (t *Table) ArenaLen() int { return len(t.ids) }
 
 // Offsets exposes the raw offsets array for serialization. Read-only.
-func (t *Table) Offsets() []uint32 { return t.offsets }
+func (t *Table) Offsets() []uint32 { return clamp(t.offsets) }
 
 // IDs exposes the raw arena for serialization. Read-only.
-func (t *Table) IDs() []int32 { return t.ids }
+func (t *Table) IDs() []int32 { return clamp(t.ids) }
 
 // PayloadBytes returns the bytes held by the table's payload (arena plus
 // offsets), for space accounting.
 func (t *Table) PayloadBytes() int { return 4*len(t.ids) + 4*len(t.offsets) }
 
-// ensureFlatIndex builds the full hash index of a flat table that was
-// assembled without one (NewTable, or a pre-chaining serialization round
-// trip). Safe for concurrent callers; a no-op on tables that already carry
-// their index.
-func (t *Table) ensureFlatIndex() {
-	t.flatOnce.Do(func() {
-		if t.local != nil || t.base != nil {
-			return
-		}
-		m := make(map[uint64][]uint32, t.NumResults())
-		for l := 0; l < t.NumResults(); l++ {
-			h := hashIDs(t.Result(uint32(l)))
-			m[h] = append(m[h], uint32(l))
-		}
-		t.local = m
-	})
-}
+// clamp caps a slice at its length, so an append through it copies.
+func clamp[E any](s []E) []E { return s[:len(s):len(s)] }
 
-// fnv-1a over the little-endian bytes of each id.
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
-func hashIDs(ids []int32) uint64 {
-	h := uint64(fnvOffset)
+// fingerprint hashes a result's content to the 32 bits an index slot keeps:
+// a multiply-xor pass over the ids, finished with splitmix64's mixer so the
+// low bits, which pick the probe start, depend on every id.
+func fingerprint(ids []int32) uint32 {
+	h := uint64(len(ids))
 	for _, id := range ids {
-		x := uint32(id)
-		h = (h ^ uint64(x&0xff)) * fnvPrime
-		h = (h ^ uint64((x>>8)&0xff)) * fnvPrime
-		h = (h ^ uint64((x>>16)&0xff)) * fnvPrime
-		h = (h ^ uint64(x>>24)) * fnvPrime
+		h = (h ^ uint64(uint32(id))) * 0x9e3779b97f4a7c15
 	}
-	return h
+	h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
+	h = (h ^ h>>27) * 0x94d049bb133111eb
+	return uint32(h ^ h>>31)
 }
 
-func equalIDs(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
+// place stores slot s at the first free position of its probe sequence.
+func place(index []uint64, s uint64) {
+	mask := uint64(len(index) - 1)
+	i := s >> 32 & mask
+	for index[i] != 0 {
+		i = (i + 1) & mask
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	index[i] = s
 }
 
 // LiveArena returns the arena usage of a table as seen by a label array:
@@ -177,7 +167,7 @@ func LiveArena(labels []uint32, t *Table) (live, total int) {
 // produce — compaction is a pure copy, no hashing or recomputation.
 //
 // The input is not modified; the returned table shares nothing with t, so
-// dropping t releases its garbage.
+// dropping t releases its garbage. It starts a new lineage without an index.
 func CompactLabels(labels []uint32, t *Table) ([]uint32, *Table) {
 	remap := make([]uint32, t.NumResults()) // old label -> new label + 1
 	live, _ := LiveArena(labels, t)
@@ -201,8 +191,7 @@ func CompactLabels(labels []uint32, t *Table) ([]uint32, *Table) {
 type Interner struct {
 	ids     []int32
 	offsets []uint32
-	base    *Table              // seed table; its index chain covers the seeded labels
-	overlay map[uint64][]uint32 // content hash -> labels interned by THIS interner
+	index   []uint64 // fingerprint<<32 | label+1 per slot; nil until first Intern
 }
 
 // NewInterner returns an empty interner.
@@ -210,46 +199,63 @@ func NewInterner() *Interner {
 	return &Interner{offsets: []uint32{0}}
 }
 
-// NewInternerFrom seeds an interner with every result of an existing table.
-// The arena is shared, not copied: the slices are capacity-clamped so the
-// first append reallocates instead of overwriting the source table. Existing
-// labels stay valid, so copy-on-write callers can carry unchanged cells'
-// labels over verbatim and intern only the cells they touched. Dedup against
-// the seeded results rides the table's index chain — seeding costs two
-// struct allocations, never a scan.
+// NewInternerFrom seeds an interner with every result of an existing table;
+// existing labels stay valid, so copy-on-write callers can carry unchanged
+// cells' labels over verbatim and intern only the cells they touched. The
+// first seed of a table claims it and grows its arena and index in place;
+// any later seed forks: its first append copies the arena and its first
+// intern builds a private index. Either way seeding itself is one struct
+// allocation and never a scan, and the table is never modified.
 func NewInternerFrom(t *Table) *Interner {
-	return &Interner{
-		ids:     t.ids[:len(t.ids):len(t.ids)],
-		offsets: t.offsets[:len(t.offsets):len(t.offsets)],
-		base:    t,
+	if t.claimed.CompareAndSwap(false, true) {
+		return &Interner{ids: t.ids, offsets: t.offsets, index: t.index}
 	}
+	return &Interner{ids: clamp(t.ids), offsets: clamp(t.offsets)}
 }
 
 // Intern returns the label of ids, appending it to the arena if its content
 // has not been seen before. nil and empty slices intern to the same label.
 func (in *Interner) Intern(ids []int32) uint32 {
-	h := hashIDs(ids)
-	for t := in.base; t != nil; t = t.base {
-		t.ensureFlatIndex()
-		for _, l := range t.local[h] {
-			if equalIDs(in.Result(l), ids) {
-				return l
-			}
-		}
+	if in.index == nil {
+		in.buildIndex()
 	}
-	for _, l := range in.overlay[h] {
-		if equalIDs(in.Result(l), ids) {
-			return l
+	fp := fingerprint(ids)
+	mask := uint64(len(in.index) - 1)
+	i := uint64(fp) & mask
+	for s := in.index[i]; s != 0; s = in.index[i] {
+		if uint32(s>>32) == fp && slices.Equal(in.Result(uint32(s)-1), ids) {
+			return uint32(s) - 1
 		}
+		i = (i + 1) & mask
 	}
-	label := uint32(len(in.offsets) - 1)
+	label := uint32(in.NumResults())
 	in.ids = append(in.ids, ids...)
 	in.offsets = append(in.offsets, uint32(len(in.ids)))
-	if in.overlay == nil {
-		in.overlay = make(map[uint64][]uint32)
+	in.index[i] = uint64(fp)<<32 | uint64(label+1)
+	if 4*in.NumResults() > 3*len(in.index) {
+		grown := make([]uint64, 2*len(in.index))
+		for _, s := range in.index {
+			if s != 0 {
+				place(grown, s)
+			}
+		}
+		in.index = grown
 	}
-	in.overlay[h] = append(in.overlay[h], label)
 	return label
+}
+
+// buildIndex indexes every result the interner holds, in one pass, sized so
+// the next intern fits under the 3/4 load bound.
+func (in *Interner) buildIndex() {
+	n := in.NumResults()
+	size := 8
+	for 3*size < 4*(n+1) {
+		size *= 2
+	}
+	in.index = make([]uint64, size)
+	for l := 0; l < n; l++ {
+		place(in.index, uint64(fingerprint(in.Result(uint32(l))))<<32|uint64(l+1))
+	}
 }
 
 // Result returns the id list of an already-interned label. Like
@@ -262,43 +268,13 @@ func (in *Interner) Result(label uint32) []int32 {
 // NumResults returns the number of distinct results interned so far.
 func (in *Interner) NumResults() int { return len(in.offsets) - 1 }
 
-// frozenOverlay returns an immutable snapshot of the overlay: a fresh map
-// with capacity-clamped bucket slices, so the interner's later appends
-// reallocate instead of mutating state a frozen table (possibly read
-// concurrently) can see.
-func (in *Interner) frozenOverlay() map[uint64][]uint32 {
-	if in.overlay == nil {
-		return nil
-	}
-	m := make(map[uint64][]uint32, len(in.overlay))
-	for h, ls := range in.overlay {
-		m[h] = ls[:len(ls):len(ls)]
-	}
-	return m
-}
-
-// Table freezes the interner's current contents into an immutable Table.
-// The arena is shared; the interner may keep interning afterwards without
-// invalidating the returned table. The table carries the interner's overlay
-// as its index segment, chained to the seed table — unless the chain has
-// reached maxIndexDepth, in which case the whole index is rebuilt flat.
+// Table freezes the interner's current contents into an immutable Table
+// that carries the arena's spare capacity and the index with it, for its
+// claimant. The interner may keep interning afterwards, but as a fork: its
+// next append copies the arena and its next intern rebuilds an index, so it
+// never writes into memory the frozen table handed on.
 func (in *Interner) Table() *Table {
-	t := &Table{
-		ids:     in.ids[:len(in.ids):len(in.ids)],
-		offsets: in.offsets[:len(in.offsets):len(in.offsets)],
-	}
-	if in.base == nil || in.base.depth+1 > maxIndexDepth {
-		// Flat freeze. A fresh build's overlay already indexes every label;
-		// a flattening freeze rescans once to fold the chain away.
-		if in.base == nil {
-			t.local = in.frozenOverlay()
-		}
-		// Otherwise leave local nil: ensureFlatIndex rebuilds on first use,
-		// so a table nothing ever interns from never pays the scan.
-		return t
-	}
-	t.base = in.base
-	t.depth = in.base.depth + 1
-	t.local = in.frozenOverlay()
+	t := &Table{ids: in.ids, offsets: in.offsets, index: in.index}
+	in.ids, in.offsets, in.index = clamp(in.ids), clamp(in.offsets), nil
 	return t
 }

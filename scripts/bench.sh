@@ -12,6 +12,13 @@
 #     maintenance regressing toward rebuild-shaped costs (the measured
 #     headroom is ~15x; see EXPERIMENTS.md E18 for the serving-layer
 #     write-throughput figure);
+#   - write-path allocation contract: BenchmarkUpdateChained (each op
+#     derived from the previous set, compacting every 20 ops, as the
+#     server's coalesce leader drives it) not allocating fewer B/op than
+#     BenchmarkUpdateIncremental (every op pair re-derived from one base, so
+#     each insert forks the base's claimed tables) — the interned result
+#     tables no longer growing their arenas in place (measured ~10.2 vs
+#     ~15.0 MB/op);
 #   - point-location contract: BenchmarkLocateRank not strictly faster than
 #     BenchmarkLocateBinary (internal/grid) — the O(1) rank table regressing
 #     to binary-search cost (the measured headroom is ~9x);
@@ -65,7 +72,8 @@ awk '
     if (name ~ /^(BenchmarkQuery|BenchmarkEncode|BenchmarkLocate)/ && allocs + 0 > 0) {
         bad = bad name " (" allocs " allocs/op) "
     }
-    if (name == "BenchmarkUpdateIncremental")  inc = ns
+    if (name == "BenchmarkUpdateIncremental")  { inc = ns; incB = bytes }
+    if (name == "BenchmarkUpdateChained")     chainB = bytes
     if (name == "BenchmarkUpdateFullRebuild") full = ns
     if (name == "BenchmarkLocateRank")   rank = ns
     if (name == "BenchmarkLocateBinary") bin = ns
@@ -80,6 +88,11 @@ END {
     if (inc + 0 > 0 && full + 0 > 0 && inc * 3 > full) {
         printf "REGRESSION: incremental update %s ns/op vs %s ns/op rebuild (want >=3x faster)\n", \
             inc, full > "/dev/stderr"
+        exit 1
+    }
+    if (incB + 0 > 0 && chainB + 0 > 0 && chainB + 0 >= incB + 0) {
+        printf "REGRESSION: chained update %s B/op vs %s B/op re-derived from one base (claimed tables must grow in place)\n", \
+            chainB, incB > "/dev/stderr"
         exit 1
     }
     if (rank + 0 > 0 && bin + 0 > 0 && rank + 0 >= bin + 0) {
