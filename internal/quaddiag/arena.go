@@ -7,7 +7,9 @@ import "repro/internal/resultset"
 // garbage and rewrite the diagram against a garbage-free table. Compaction is
 // a pure first-use-order copy (resultset.CompactLabels), so its output is
 // byte-for-byte what a from-scratch rebuild would intern — the periodic
-// rebuild is no longer the only thing that reclaims arena space.
+// rebuild is no longer the only thing that reclaims arena space. Persisting
+// does not depend on it: the store encoder writes any table in that same
+// first-use order through a label remap, without copying the table.
 
 // ArenaLive returns the number of arena ids referenced by some cell and the
 // total arena size; the difference is maintenance garbage.

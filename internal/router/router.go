@@ -362,17 +362,20 @@ func (rt *Router) forward(r *http.Request, body []byte, b *backend) (*bufferedRe
 // handleRead routes one read with failover. Candidates are tried in order;
 // network errors and 5xx fail over to the next (recording a breaker
 // failure), sheds are remembered and failed over (recording success — a
-// shedding replica is alive), anything else is forwarded as-is. If every
-// candidate shed, the first shed is forwarded; if none was usable, 503 +
-// Retry-After.
+// shedding replica is alive), anything else is forwarded as-is. A 501 is a
+// healthy node's answer that it does not serve the request (a kind its
+// file lacks): it records success, counts as no failure, and the next
+// candidate is asked. If every candidate shed, the first shed is
+// forwarded; else if one answered 501, the first 501 is; if none was
+// usable, 503 + Retry-After.
 func (rt *Router) handleRead(w http.ResponseWriter, r *http.Request) {
 	body, err := readBody(w, r)
 	if err != nil {
 		writeError(w, http.StatusRequestEntityTooLarge, err.Error())
 		return
 	}
-	var firstShed *bufferedResp
-	tried := 0
+	var firstShed, firstUnserved *bufferedResp
+	tried, unserved := 0, 0
 	for _, b := range rt.candidates(datasetKey(r)) {
 		if !b.br.Allow() {
 			continue
@@ -391,12 +394,18 @@ func (rt *Router) handleRead(w http.ResponseWriter, r *http.Request) {
 			if firstShed == nil {
 				firstShed = resp
 			}
+		case resp.status == http.StatusNotImplemented:
+			b.br.Record(true)
+			unserved++
+			if firstUnserved == nil {
+				firstUnserved = resp
+			}
 		case resp.status >= 500:
 			b.br.Record(false)
 			rt.backendErrs(b).Inc()
 		default:
 			b.br.Record(true)
-			if tried > 1 {
+			if tried-unserved > 1 {
 				rt.failovers.Inc()
 			}
 			resp.write(w)
@@ -406,6 +415,10 @@ func (rt *Router) handleRead(w http.ResponseWriter, r *http.Request) {
 	if firstShed != nil {
 		rt.sheds.Inc()
 		firstShed.write(w)
+		return
+	}
+	if firstUnserved != nil {
+		firstUnserved.write(w)
 		return
 	}
 	rt.noReplica.Inc()
@@ -435,7 +448,7 @@ func (rt *Router) handleWrite(w http.ResponseWriter, r *http.Request) {
 
 func (rt *Router) backendErrs(b *backend) *metrics.Counter {
 	return rt.reg.Counter("skyrouter_backend_errors_total",
-		"Network errors and 5xx responses, by backend.", "backend", b.base)
+		"Network errors and 5xx responses other than 501, by backend.", "backend", b.base)
 }
 
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {

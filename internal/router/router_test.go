@@ -7,11 +7,16 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/quaddiag"
+	"repro/internal/server"
+	"repro/internal/store"
 )
 
 // fakeReplica is a scriptable backend: its mode decides how the data path
@@ -434,4 +439,60 @@ func TestProbePrefersReadiness(t *testing.T) {
 	check(both.URL, true, 7)      // readiness view wins over liveness
 	check(starting.URL, false, 0) // alive but not ready: no traffic
 	check(legacy.URL, true, 5)    // fallback keeps old replicas routable
+}
+
+// A kind the replicas' files do not hold is the caller's mistake, not a
+// replica failure: real serve-from quadrant replicas answer 501 for
+// kind=global, and the router must relay that 501 — no 503, no breaker
+// failure, no failover or backend-error count — so a burst of such reads
+// leaves both replicas serving the kinds they hold.
+func TestRouterUnservedKindKeepsBreakersClosed(t *testing.T) {
+	d, err := quaddiag.BuildScanning(chaosPoints(40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "quadrant.sky")
+	if err := store.CreateFileEpoch(path, d, 1); err != nil {
+		t.Fatal(err)
+	}
+	var urls []string
+	for i := 0; i < 2; i++ {
+		st, err := store.OpenMmap(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		h, err := server.NewServeFrom(st, server.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(h)
+		t.Cleanup(srv.Close)
+		urls = append(urls, srv.URL)
+	}
+	rt := newTestRouter(t, Config{
+		Replicas:         urls,
+		BreakerThreshold: 2,
+		BreakerCooldown:  time.Hour, // an opened breaker would stay open
+	})
+	for i := 0; i < 10; i++ {
+		code, body, backend := get(t, rt, "/v1/skyline?kind=global&x=50&y=50")
+		if code != http.StatusNotImplemented || backend == "" {
+			t.Fatalf("global read %d: code %d from %q (%s), want the replica's 501 relayed", i, code, backend, body)
+		}
+	}
+	for _, u := range urls {
+		if s := rt.backends[u].br.State(); s != "closed" {
+			t.Fatalf("breaker of %s is %s after unserved-kind reads, want closed", u, s)
+		}
+		if n := rt.backendErrs(rt.backends[u]).Value(); n != 0 {
+			t.Fatalf("%s counted %d backend errors for 501 answers", u, n)
+		}
+	}
+	if f, n := rt.failovers.Value(), rt.noReplica.Value(); f != 0 || n != 0 {
+		t.Fatalf("failovers = %d, no_replica = %d after 501 answers, want 0 and 0", f, n)
+	}
+	if code, body, _ := get(t, rt, "/v1/skyline?kind=quadrant&x=50&y=50"); code != http.StatusOK {
+		t.Fatalf("quadrant read after unserved-kind reads: code %d (%s), want 200", code, body)
+	}
 }

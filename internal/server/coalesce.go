@@ -151,6 +151,9 @@ func (h *Handler) runBatch() {
 		fail(fmt.Errorf("%w: %v", errRebuildFailed, err))
 		return
 	}
+	// pub is the snapshot this batch leaves published, and pubBytes its
+	// encoding when the publish made one, for a checkpoint to reuse.
+	pub, pubBytes := base, []byte(nil)
 	if next != set {
 		// At least one op applied: publish one snapshot for the whole batch.
 		epoch := base.epoch + 1
@@ -179,11 +182,12 @@ func (h *Handler) runBatch() {
 		st.epoch = epoch
 		// Hash the canonical bytes into the delta ring before the swap, so a
 		// replica that sees the new epoch can always ask for a delta to it.
-		h.recordState(st)
+		pubBytes = h.recordState(st)
 		h.mu.Lock()
 		h.setState(st)
 		h.mu.Unlock()
 		h.swaps.Inc()
+		pub = st
 	}
 	h.coalesced.Add(int64(len(batch)))
 	h.batchSize.Observe(float64(len(batch)))
@@ -192,7 +196,7 @@ func (h *Handler) runBatch() {
 		po.done <- opResult{points: results[i].Points, err: results[i].Err}
 	}
 	h.maybeCompact()
-	h.maybeCheckpoint()
+	h.maybeCheckpoint(pub, pubBytes)
 }
 
 // maybeCompact reclaims copy-on-write arena garbage once it crosses the

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"hash/crc32"
 	"log"
 	"sync"
@@ -54,43 +53,52 @@ func (r *manifestRing) get(epoch uint64) *store.Manifest {
 	return r.byEpoch[epoch]
 }
 
-// snapshotBytes serializes the complete snapshot body for a state — exactly
-// the bytes a full /v1/snapshot stream would carry. Canonical persist makes
-// this deterministic: the same point set yields the same bytes no matter
-// which maintenance history (or which node) produced the state.
-func snapshotBytes(st *state) ([]byte, error) {
-	var buf bytes.Buffer
+// withBytes calls fn with the state's canonical file bytes — exactly what a
+// full /v1/snapshot body carries. A builder state is encoded once per call,
+// into a buffer fn may keep. A relay's bytes are its store's own file: the
+// mapping itself, held against Close until fn returns, so fn must not keep
+// them.
+// Canonical persist makes the bytes deterministic: the same point set
+// yields the same bytes no matter which maintenance history (or which node)
+// produced the state.
+func (st *state) withBytes(fn func(data []byte) error) error {
 	if st.stored != nil {
-		if _, err := st.stored.st.WriteTo(&buf); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
+		return st.stored.st.WithBytes(fn)
 	}
-	if err := store.WriteEpoch(&buf, st.quadrant.Cells(), st.epoch); err != nil {
-		return nil, err
+	data, err := store.Encode(st.quadrant.Cells(), st.epoch)
+	if err != nil {
+		return err
 	}
-	return buf.Bytes(), nil
+	return fn(data)
 }
 
 // recordState hashes the state's canonical bytes into the manifest ring so a
 // later ?from= request can be answered with a delta. Called on the publish
 // path right before the snapshot becomes visible; failures only cost delta
 // eligibility (the epoch falls back to full streams), never correctness.
-func (h *Handler) recordState(st *state) {
+// For a builder state it returns the bytes it encoded, so the publisher can
+// checkpoint the same epoch without encoding it again; nil otherwise.
+func (h *Handler) recordState(st *state) []byte {
 	if h.ring == nil {
-		return
+		return nil
 	}
-	data, err := snapshotBytes(st)
+	var data []byte
+	err := st.withBytes(func(b []byte) error {
+		m, err := store.NewManifest(b)
+		if err != nil {
+			return err
+		}
+		h.ring.add(m)
+		if st.stored == nil {
+			data = b
+		}
+		return nil
+	})
 	if err != nil {
 		log.Printf("skyserve: delta manifest for epoch %d skipped: %v", st.epoch, err)
-		return
+		return nil
 	}
-	m, err := store.NewManifest(data)
-	if err != nil {
-		log.Printf("skyserve: delta manifest for epoch %d skipped: %v", st.epoch, err)
-		return
-	}
-	h.ring.add(m)
+	return data
 }
 
 // tryDelta answers a ?from=N request with a delta body against the current

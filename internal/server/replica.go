@@ -22,9 +22,9 @@ import (
 // Replica keeps a serve-from handler in sync with a builder node: it polls
 // GET /v1/snapshot?epoch= with the epoch it currently serves (plus ?from=
 // so a delta-capable primary may answer with just the changed pages, which
-// are patched over the cached file), and on a 200 writes the resulting
-// bytes to its snapshot directory (temp + fsync + rename, like the
-// builder's own publish), memory-maps it — the CRC check at open rejects
+// are patched over the mapping it already serves), and on a 200 writes the
+// resulting bytes to its snapshot directory (temp + fsync + rename, like
+// the builder's own publish), memory-maps it — the CRC check at open rejects
 // any torn download or bad patch, which is then deleted and refetched — and
 // pointer-swaps it into the handler. Readers never block: they drain off
 // the old mapping, which is closed and its file deleted only afterwards.
@@ -252,7 +252,7 @@ func (r *Replica) Close() error {
 // on 304, or an opened mmap'd store backed by a freshly published file in
 // the snapshot directory. When the replica holds a cached file it offers
 // ?from= and the primary may answer with a delta body, which is patched
-// over the cached bytes before the same persist path. Any integrity
+// over the served store's bytes before the same persist path. Any integrity
 // failure — torn body or bad patch caught by a CRC, epoch not newer —
 // deletes the file and errors, so a bad fetch can never become the served
 // snapshot; a failed patch additionally forces the next poll to fetch full.
@@ -339,20 +339,22 @@ func (r *Replica) fetch(ctx context.Context, epoch uint64) (*store.Store, string
 	return st, final, nil
 }
 
-// applyDelta patches the cached snapshot file with a delta body. The result
-// is the exact full-file bytes the primary serves (store.ApplyDelta refuses
-// anything else by CRC), so the caller persists and validates it exactly
-// like a full download.
+// applyDelta patches the served snapshot with a delta body. The base is the
+// served store's own bytes — its mapping, not a re-read of the file — and
+// the result is the exact full-file bytes the primary serves
+// (store.ApplyDelta refuses anything else by CRC), so the caller persists
+// and validates it exactly like a full download.
 func (r *Replica) applyDelta(body io.Reader) ([]byte, error) {
 	delta, err := io.ReadAll(body)
 	if err != nil {
 		return nil, err
 	}
-	base, err := os.ReadFile(r.curPath)
-	if err != nil {
-		return nil, fmt.Errorf("read base %s: %w", r.curPath, err)
-	}
-	return store.ApplyDelta(base, delta)
+	var patched []byte
+	err = r.h.snapshot().stored.st.WithBytes(func(base []byte) error {
+		patched, err = store.ApplyDelta(base, delta)
+		return err
+	})
+	return patched, err
 }
 
 // snapshotFileName names the cache file for one epoch.

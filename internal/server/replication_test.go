@@ -120,13 +120,14 @@ func TestSnapshotServeFromRelay(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("code %d", code)
 	}
-	var buf bytes.Buffer
-	if _, err := st.WriteTo(&buf); err != nil {
+	if err := st.WithBytes(func(file []byte) error {
+		if !bytes.Equal(body, file) {
+			t.Errorf("relayed snapshot differs from the mapped file (%d vs %d bytes)",
+				len(body), len(file))
+		}
+		return nil
+	}); err != nil {
 		t.Fatal(err)
-	}
-	if !bytes.Equal(body, buf.Bytes()) {
-		t.Fatalf("relayed snapshot differs from the mapped file (%d vs %d bytes)",
-			len(body), buf.Len())
 	}
 	if epoch != fmt.Sprint(st.Epoch()) {
 		t.Fatalf("epoch header %s, file epoch %d", epoch, st.Epoch())
@@ -146,11 +147,14 @@ func TestSwapStoreGuards(t *testing.T) {
 	// Same-or-older epochs refuse: a replayed snapshot can't roll back.
 	srv, st := newServeFromServer(t)
 	_ = srv
-	var buf bytes.Buffer
-	if _, err := st.WriteTo(&buf); err != nil {
+	var file []byte
+	if err := st.WithBytes(func(b []byte) error {
+		file = append(file, b...)
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	dup, err := store.New(bytes.NewReader(buf.Bytes()), store.DefaultCacheSize)
+	dup, err := store.New(bytes.NewReader(file), store.DefaultCacheSize)
 	if err != nil {
 		t.Fatal(err)
 	}

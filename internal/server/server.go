@@ -588,6 +588,36 @@ func (h *Handler) snapshot() *state {
 	return h.st
 }
 
+// acquire returns the published snapshot for a read that touches its
+// diagrams, holding a serve-from snapshot's store against Close until
+// release. SwapStore publishes the newer store before its caller closes the
+// old one, so a failed hold means this read raced a retirement and moves on
+// to the state that replaced it. nil means the published store itself is
+// closed: the node is shutting down.
+func (h *Handler) acquire() *state {
+	for {
+		st := h.snapshot()
+		if st.stored == nil || st.stored.st.Acquire() {
+			return st
+		}
+		if h.snapshot() == st {
+			return nil
+		}
+	}
+}
+
+// release ends a read begun by acquire.
+func (st *state) release() {
+	if st.stored != nil {
+		st.stored.st.Release()
+	}
+}
+
+// errStoreClosed answers a read that found the published store closed.
+func errStoreClosed(w http.ResponseWriter) {
+	writeError(w, http.StatusServiceUnavailable, "the served snapshot file is closed")
+}
+
 // ServeHTTP implements http.Handler.
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) { h.mux.ServeHTTP(w, r) }
 
@@ -893,7 +923,12 @@ func (h *Handler) handleSkyline(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	snap := h.snapshot()
+	snap := h.acquire()
+	if snap == nil {
+		errStoreClosed(w)
+		return
+	}
+	defer snap.release()
 	d, err := snap.diagramFor(kind)
 	if err != nil {
 		writeError(w, statusForKindErr(err), err.Error())
@@ -982,7 +1017,12 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	snap := h.snapshot()
+	snap := h.acquire()
+	if snap == nil {
+		errStoreClosed(w)
+		return
+	}
+	defer snap.release()
 	d, err := snap.diagramFor(kind)
 	if err != nil {
 		writeError(w, statusForKindErr(err), err.Error())

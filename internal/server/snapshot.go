@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"strconv"
@@ -34,24 +33,30 @@ func snapshotETag(epoch uint64, kind string) string {
 	return fmt.Sprintf("%q", fmt.Sprintf("sky-e%d-%s", epoch, kind))
 }
 
-// handleSnapshot streams the current snapshot in store format.
+// handleSnapshot serves the current snapshot in store format.
 //
 //	GET /v1/snapshot?epoch=3            full snapshot, or 304 if epoch <= 3
 //	GET /v1/snapshot?epoch=3&from=3     delta against epoch 3 when possible
 //	GET /v1/snapshot?kind=dynamic       explicit kind (must match what's served)
 //
-// A builder serves its in-memory quadrant diagram (the replication
-// artifact); a serve-from replica relays its mapped file byte-identically,
-// so a chain of replicas converges on the exact same bytes — deltas
-// included, since a delta patches into exactly the bytes a full stream
-// would carry (enforced by CRC at both ends).
+// Each request takes the snapshot's bytes once — a builder encodes its
+// in-memory quadrant diagram (the replication artifact), a serve-from
+// replica lends its mapped file — and sends either those bytes or the delta
+// computed from them. A chain of replicas therefore converges on the exact
+// same bytes, deltas included, since a delta patches into exactly the bytes
+// a full body would carry (enforced by CRC at both ends).
 func (h *Handler) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	snap := h.snapshot()
 	kind, err := normalizeKind(r.URL.Query().Get("kind"))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	snap := h.acquire()
+	if snap == nil {
+		errStoreClosed(w)
+		return
+	}
+	defer snap.release()
 	servedKind := "quadrant"
 	if snap.stored != nil {
 		servedKind = snap.storedKind
@@ -68,69 +73,48 @@ func (h *Handler) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-
-	mode := "full"
-	var streamed int64
-	var werr error
-	if fromS := r.URL.Query().Get("from"); fromS != "" {
-		// Delta-capable client: buffer the full bytes (the diff needs page
-		// contents either way) and ship the smaller of delta and full.
-		from, perr := strconv.ParseUint(fromS, 10, 64)
-		body, berr := snapshotBytes(snap)
-		if berr != nil {
-			writeError(w, http.StatusInternalServerError, berr.Error())
-			return
-		}
-		if perr == nil {
-			if delta, ok := h.tryDelta(snap, from, body); ok {
-				body, mode = delta, "delta"
-				h.deltaHits.Inc()
-			}
-		}
-		w.Header().Set("X-Sky-Snapshot-Mode", mode)
-		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-		n, werr0 := w.Write(body)
-		streamed, werr = int64(n), werr0
-	} else {
-		w.Header().Set("X-Sky-Snapshot-Mode", mode)
-		cw := &countingWriter{w: w}
-		if snap.stored != nil {
-			_, werr = snap.stored.st.WriteTo(cw)
-		} else {
-			werr = store.WriteEpoch(cw, snap.quadrant.Cells(), snap.epoch)
-		}
-		streamed = cw.n
+	if err := snap.withBytes(func(full []byte) error {
+		h.sendSnapshot(w, r, snap, full)
+		return nil
+	}); err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
 	}
+}
+
+// sendSnapshot writes one snapshot response from the state's full bytes:
+// the delta against ?from= when the ring allows and it is smaller, the full
+// file otherwise.
+func (h *Handler) sendSnapshot(w http.ResponseWriter, r *http.Request, snap *state, full []byte) {
+	body, mode := full, "full"
+	if from, err := strconv.ParseUint(r.URL.Query().Get("from"), 10, 64); err == nil {
+		if delta, ok := h.tryDelta(snap, from, full); ok {
+			body, mode = delta, "delta"
+			h.deltaHits.Inc()
+		}
+	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("X-Sky-Snapshot-Mode", mode)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	n, err := w.Write(body)
 	h.reg.Counter("skyserve_snapshot_bytes_total",
 		"Snapshot body bytes put on the wire via /v1/snapshot, by transfer mode.",
-		"mode", mode).Add(streamed)
-	if werr != nil {
+		"mode", mode).Add(int64(n))
+	if err != nil {
 		// The status line is already on the wire; the replica detects the
 		// torn body by CRC (patch CRC for deltas, trailer CRC at open for
-		// full files) and refetches. An aborted stream is not a fetch.
-		log.Printf("skyserve: snapshot stream aborted: %v", werr)
+		// full files) and refetches. An aborted body is not a fetch.
+		log.Printf("skyserve: snapshot stream aborted: %v", err)
 		return
 	}
 	h.reg.Counter("skyserve_snapshot_fetches_total",
 		"Complete snapshot bodies (full or delta) streamed via /v1/snapshot.").Inc()
 	// A replica just pulled this generation, so its bytes are durable
-	// off-box too — a natural moment to checkpoint the local WAL.
-	// Off the request path; no-op without a WAL or when already current.
-	h.checkpointAsync()
-}
-
-// countingWriter counts what actually reached the wire, so the bytes
-// counter reflects transfer cost even for aborted streams.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
+	// off-box too — a natural moment to checkpoint the local WAL, with the
+	// very bytes it pulled. Only a builder has a WAL, and only a builder's
+	// bytes are its own to keep: a relay's are its store's mapping.
+	if snap.stored == nil {
+		h.checkpointAsync(snap, full)
+	}
 }
 
 // notModified reports whether the client already holds this generation:

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -59,13 +61,30 @@ func TestCrashAtEveryCreateSite(t *testing.T) {
 			if err := CreateFile(path, oldGen); err != nil {
 				t.Fatal(err)
 			}
+			// The new generation takes the checkpoint's path: encoded once,
+			// then published from those bytes.
+			data, err := Encode(newGen, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if err := faultinject.Activate(site + "=error#1"); err != nil {
 				t.Fatal(err)
 			}
-			err := CreateFile(path, newGen)
+			err = WriteFile(path, data)
 			faultinject.Deactivate()
 			if !errors.Is(err, faultinject.ErrInjected) {
-				t.Fatalf("CreateFile with fault at %s: err = %v, want injected", site, err)
+				t.Fatalf("WriteFile with fault at %s: err = %v, want injected", site, err)
+			}
+			if site == "store.write.page" {
+				// Torn at the first label page: the temp holds exactly the
+				// header, points and page index.
+				torn, err := os.ReadFile(path + TempSuffix)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if pagesOff := binary.BigEndian.Uint64(data[52:]); !bytes.Equal(torn, data[:pagesOff]) {
+					t.Fatalf("torn temp is %d bytes, want the %d bytes before the first label page", len(torn), pagesOff)
+				}
 			}
 			s, err := Open(path)
 			if err != nil {

@@ -1,13 +1,14 @@
 // Delta snapshots: page-level diffs between two canonical store files.
 //
-// The canonical persist (writeCSR compacts labels into first-use order before
-// writing) guarantees that the same point set serializes to the same bytes no
-// matter what maintenance history produced it, so a byte diff between two
-// epochs is well-defined. A Manifest records per-page hashes of one epoch's
-// file; Delta emits only the pages whose hash changed between two manifests,
-// plus whatever tail a grown section added; ApplyDelta patches a base file
-// into the new file and refuses the result unless its whole-file CRC matches
-// the one the encoder saw.
+// The canonical persist (the encoder numbers labels in first-use order and
+// writes only the results some cell references) guarantees that the same
+// point set serializes to the same bytes no matter what maintenance history
+// produced it, so a byte diff between two epochs is well-defined. A Manifest
+// records per-page hashes of one epoch's file; Delta emits only the pages
+// whose hash changed between two manifests, plus whatever tail a grown
+// section added; ApplyDelta patches a base file into the new file and
+// refuses the result unless its whole-file CRC matches the one the encoder
+// saw.
 //
 // Pages are hashed per *section* (header, points, index, label pages, arena
 // offsets table, arena ids+trailer), not over raw file offsets: a single
@@ -112,7 +113,7 @@ func deltaSections(data []byte) (secs [deltaNumSections]deltaSection, kind strin
 	numPages := int64(be.Uint64(data[36:]))
 	indexOff := int64(be.Uint64(data[44:]))
 	pagesOff := int64(be.Uint64(data[52:]))
-	arenaOff := pagesOff + numPages*4*CellsPerPage
+	arenaOff := pagesOff + numPages*labelPageSize
 	switch int(be.Uint32(data[60:])) {
 	case kindQuadrant:
 		kind = "quadrant"

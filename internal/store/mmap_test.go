@@ -1,10 +1,12 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/dyndiag"
 	"repro/internal/geom"
@@ -237,5 +239,81 @@ func TestOpenMmapErrorPathsDoNotLeakFDs(t *testing.T) {
 	}
 	if after := openFDs(t); after > before+2 {
 		t.Fatalf("fd leak: %d open before, %d after", before, after)
+	}
+}
+
+// TestWithBytesLendsMappingUntilClose: a mapped store lends its mapping
+// itself — no copy — and Close waits for every borrower and every Acquire
+// hold to end before unmapping; once Close has begun, Acquire fails, so a
+// reader that has not yet started cannot reach a mapping about to go. A
+// ReadAt store lends a copy.
+func TestWithBytesLendsMappingUntilClose(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "diag.sky")
+	if err := CreateFileEpoch(path, buildDiagram(t, 40, 65), 9); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rd.Close()
+	if err := rd.WithBytes(func(data []byte) error {
+		if !bytes.Equal(data, want) {
+			t.Error("ReadAt store lent bytes that differ from its file")
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	mm, err := OpenMmap(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !mm.Acquire() {
+		t.Fatal("Acquire failed on an open store")
+	}
+	borrowed, release := make(chan struct{}), make(chan struct{})
+	lent := make(chan error, 1)
+	go func() {
+		lent <- mm.WithBytes(func(data []byte) error {
+			if &data[0] != &mm.mapped[0] {
+				t.Error("mapped store lent a copy, not its mapping")
+			}
+			close(borrowed)
+			<-release
+			// Close is waiting on this reader: the mapping is still there.
+			if !bytes.Equal(data, want) {
+				t.Error("mapping changed under a borrower")
+			}
+			return nil
+		})
+	}()
+	<-borrowed
+	closed := make(chan error, 1)
+	go func() { closed <- mm.Close() }()
+	waitClosing := time.Now().Add(5 * time.Second)
+	for !mm.closing.Load() && time.Now().Before(waitClosing) {
+		time.Sleep(time.Millisecond)
+	}
+	if mm.Acquire() {
+		t.Fatal("Acquire succeeded after Close began")
+	}
+	close(release)
+	if err := <-lent; err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned while an Acquire hold was still open")
+	case <-time.After(20 * time.Millisecond):
+	}
+	mm.Release()
+	if err := <-closed; err != nil {
+		t.Fatal(err)
 	}
 }

@@ -148,6 +148,39 @@ func TestCompactArenaAnswersUnchanged(t *testing.T) {
 	}
 }
 
+// TestEncodeAllocations pins the encoder to one exact-size buffer for the
+// file plus, for a maintained diagram, one first-use remap array — at most
+// two allocations whatever the cell count, where the stream writer it
+// replaced allocated one slice per label page and copied the table.
+func TestEncodeAllocations(t *testing.T) {
+	for _, n := range []int{20, 60, 150} {
+		fresh := buildDiagram(t, n, int64(n))
+		maintained := churnQuadrant(t, fresh)
+		labels, table := maintained.ExportCSR()
+		if canonicalCSR(labels, table) {
+			t.Fatalf("n=%d: test premise broken: maintained diagram is canonical", n)
+		}
+		for _, c := range []struct {
+			name string
+			d    *quaddiag.Diagram
+			max  float64
+		}{{"fresh", fresh, 1}, {"maintained", maintained, 2}} {
+			var size int
+			allocs := testing.AllocsPerRun(5, func() {
+				data, err := Encode(c.d, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				size = len(data)
+			})
+			if allocs > c.max {
+				t.Errorf("n=%d %s (%d-byte file, %d cells): %.0f allocations, want <= %.0f",
+					n, c.name, size, c.d.Grid.NumCells(), allocs, c.max)
+			}
+		}
+	}
+}
+
 func equalI32(a, b []int32) bool {
 	if len(a) != len(b) {
 		return false

@@ -145,7 +145,7 @@ func TestRecoverTornTempThenMmapOldGeneration(t *testing.T) {
 // TestEpochRoundTripAndByteFidelity pins the replication protocol's carrier:
 // the epoch stamped at write is readable through every open path (ReadAt,
 // mmap, in-memory), WriteEpoch and CreateFileEpoch emit identical bytes, and
-// WriteTo re-streams a byte-identical snapshot — what lets a replica relay a
+// WithBytes lends a byte-identical snapshot — what lets a replica relay a
 // file it never built.
 func TestEpochRoundTripAndByteFidelity(t *testing.T) {
 	d := buildDiagram(t, 25, 84)
@@ -183,13 +183,13 @@ func TestEpochRoundTripAndByteFidelity(t *testing.T) {
 		if got := s.Epoch(); got != 42 {
 			t.Fatalf("%s: epoch = %d, want 42", name, got)
 		}
-		var out bytes.Buffer
-		n, err := s.WriteTo(&out)
-		if err != nil {
-			t.Fatalf("%s: WriteTo: %v", name, err)
-		}
-		if n != int64(len(disk)) || !bytes.Equal(out.Bytes(), disk) {
-			t.Fatalf("%s: WriteTo emitted %d bytes, not the original snapshot", name, n)
+		if err := s.WithBytes(func(data []byte) error {
+			if !bytes.Equal(data, disk) {
+				t.Errorf("%s: WithBytes lent %d bytes, not the original snapshot", name, len(data))
+			}
+			return nil
+		}); err != nil {
+			t.Fatalf("%s: WithBytes: %v", name, err)
 		}
 	}
 

@@ -47,21 +47,23 @@
 // allocations. That makes a persisted v3 file directly servable: a replica
 // maps it and answers queries with no build and no materialization step.
 //
-// CreateFile is crash-safe: it writes to a temporary file in the target's
-// directory, fsyncs it, renames it into place, and fsyncs the directory, so
-// a crash at any instant leaves either the previous generation or the new
-// one — never a torn file under the target name. Recover opens a path after
-// a suspected crash, salvaging a completed-but-unrenamed generation and
-// discarding torn temporaries.
+// Encode lays a diagram's whole file out in one buffer of exactly its size;
+// every writer is Encode plus a write of those bytes. CreateFile is
+// crash-safe: it writes to a temporary file in the target's directory,
+// fsyncs it, renames it into place, and fsyncs the directory, so a crash at
+// any instant leaves either the previous generation or the new one — never
+// a torn file under the target name. WriteFile does the same for bytes a
+// caller already holds, so an epoch encoded once can be served, hashed and
+// checkpointed from the same buffer. Recover opens a path after a suspected
+// crash, salvaging a completed-but-unrenamed generation and discarding torn
+// temporaries.
 package store
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"io"
 	"math"
@@ -97,6 +99,8 @@ const (
 	// preceding bytes.
 	trailerMagic = "SKYDEND1"
 	trailerSize  = 12
+	// labelPageSize is the fixed size of a version-3+ label page.
+	labelPageSize = 4 * CellsPerPage
 	// noCell pads label pages past the diagram's last cell.
 	noCell = 0xFFFFFFFF
 	// CellsPerPage balances page size (decode cost) against index size.
@@ -126,8 +130,11 @@ func Write(w io.Writer, d *quaddiag.Diagram) error {
 // WriteEpoch is Write with an explicit replication epoch stamped into the
 // header — the builder's snapshot generation, negotiated by replicas.
 func WriteEpoch(w io.Writer, d *quaddiag.Diagram, epoch uint64) error {
-	labels, table := d.ExportCSR()
-	return writeCSR(w, d.Points, labels, table, d.Grid.Cols(), d.Grid.Rows(), kindQuadrant, epoch)
+	data, err := Encode(d, epoch)
+	if err != nil {
+		return err
+	}
+	return writeFile(w, data)
 }
 
 // WriteDynamic serialises a dynamic diagram to w. The subcell grid is
@@ -139,8 +146,25 @@ func WriteDynamic(w io.Writer, d *dyndiag.Diagram) error {
 
 // WriteDynamicEpoch is WriteDynamic with an explicit replication epoch.
 func WriteDynamicEpoch(w io.Writer, d *dyndiag.Diagram, epoch uint64) error {
+	data, err := EncodeDynamic(d, epoch)
+	if err != nil {
+		return err
+	}
+	return writeFile(w, data)
+}
+
+// Encode returns the complete version-4 file of a quadrant diagram, stamped
+// with a replication epoch: the exact bytes Write, CreateFile and a
+// replica's download carry. The result is a fresh buffer the caller owns.
+func Encode(d *quaddiag.Diagram, epoch uint64) ([]byte, error) {
 	labels, table := d.ExportCSR()
-	return writeCSR(w, d.Points, labels, table, d.Sub.Cols(), d.Sub.Rows(), kindDynamic, epoch)
+	return encode(d.Points, labels, table, d.Grid.Cols(), d.Grid.Rows(), kindQuadrant, epoch)
+}
+
+// EncodeDynamic is Encode for a dynamic diagram.
+func EncodeDynamic(d *dyndiag.Diagram, epoch uint64) ([]byte, error) {
+	labels, table := d.ExportCSR()
+	return encode(d.Points, labels, table, d.Sub.Cols(), d.Sub.Rows(), kindDynamic, epoch)
 }
 
 // canonicalCSR reports whether labels reference every table result exactly
@@ -160,191 +184,203 @@ func canonicalCSR(labels []uint32, table *resultset.Table) bool {
 	return int(next) == table.NumResults()
 }
 
-// writeCSR writes the version-4 format: fixed-size label pages plus one
-// arena section holding the interned result table.
+// encode lays out the whole version-4 file — header, points, page index,
+// fixed-size label pages, arena, trailer — in one buffer of exactly the
+// file's size: every section's size is known before the first byte is
+// written, so label pages and their index CRCs are written in place.
 //
-// The live frozen table is reused verbatim when it is already canonical (a
-// fresh build). A maintained snapshot is canonicalized first with a pure
-// first-use-order copy (resultset.CompactLabels) — never a re-freeze — so
-// persist-after-update costs one arena copy, produces bytes identical to
-// persisting a from-scratch rebuild, and never writes maintenance garbage
-// (whose result count can exceed the cell count and would be rejected as
-// corrupt on open).
-func writeCSR(w io.Writer, pts []geom.Point, labels []uint32, table *resultset.Table, cols, rows, kind int, epoch uint64) error {
-	numPages := (len(labels) + CellsPerPage - 1) / CellsPerPage
+// The file is canonical: labels are numbered in first-use order over the
+// cells and the arena holds exactly the results some cell references, in
+// that order. A fresh build's table already is (canonicalCSR) and is copied
+// verbatim. A maintained one is put into that order as it is written,
+// through a first-use remap array of one uint32 per table result — never a
+// re-freeze or an intermediate copy of the table — so persisting a
+// maintained snapshot produces the bytes a from-scratch rebuild would, and
+// never writes maintenance garbage (whose result count can exceed the cell
+// count and would be rejected as corrupt on open). The remap and the file
+// buffer are the only allocations.
+func encode(pts []geom.Point, labels []uint32, table *resultset.Table, cols, rows, kind int, epoch uint64) ([]byte, error) {
 	if len(labels) == 0 {
-		return fmt.Errorf("store: diagram has no cells")
+		return nil, fmt.Errorf("store: diagram has no cells")
 	}
+	// remap[l] is old label l's canonical label + 1 (0: no cell uses it);
+	// nil when the table is canonical already.
+	var remap []uint32
+	numResults, numIDs := table.NumResults(), table.ArenaLen()
 	if !canonicalCSR(labels, table) {
-		labels, table = resultset.CompactLabels(labels, table)
-	}
-
-	raw := bufio.NewWriter(w)
-	// Everything before the trailer streams through the payload CRC, which
-	// the trailer then pins for whole-file verification on open.
-	sum := crc32.NewIEEE()
-	bw := io.MultiWriter(raw, sum)
-	be := binary.BigEndian
-	// Label pages: fixed 4·CellsPerPage bytes, noCell padding past the end.
-	pages := make([][]byte, numPages)
-	for pg := range pages {
-		page := make([]byte, 4*CellsPerPage)
-		for k := 0; k < CellsPerPage; k++ {
-			idx := pg*CellsPerPage + k
-			if idx < len(labels) {
-				be.PutUint32(page[4*k:], labels[idx])
-			} else {
-				be.PutUint32(page[4*k:], noCell)
+		remap = make([]uint32, table.NumResults())
+		numResults, numIDs = 0, 0
+		for _, l := range labels {
+			if remap[l] == 0 {
+				numResults++
+				remap[l] = uint32(numResults)
+				numIDs += table.Len(l)
 			}
 		}
-		pages[pg] = page
 	}
-	arena := encodeArena(table)
-	if err := writeSections(raw, bw, pts, pages, cols, rows, kind, version, arena, epoch); err != nil {
-		return err
+	numPages := (len(labels) + CellsPerPage - 1) / CellsPerPage
+	indexOff := headLen(version, pts)
+	pagesOff := indexOff + numPages*indexEntrySz
+	arenaOff := pagesOff + numPages*labelPageSize
+	idsOff := arenaOff + 8 + 4*(numResults+1)
+	arenaEnd := idsOff + 4*numIDs
+	buf := make([]byte, arenaEnd+4+trailerSize)
+	putHead(buf, version, pts, cols, rows, numPages, kind, epoch)
+
+	be := binary.BigEndian
+	cells := buf[pagesOff:arenaOff]
+	for i, l := range labels {
+		if remap != nil {
+			l = remap[l] - 1
+		}
+		be.PutUint32(cells[4*i:], l)
 	}
-	return finishTrailer(raw, sum)
+	for i := len(labels); i < numPages*CellsPerPage; i++ {
+		be.PutUint32(cells[4*i:], noCell)
+	}
+	for pg := 0; pg < numPages; pg++ {
+		off := pagesOff + pg*labelPageSize
+		putIndexEntry(buf[indexOff+pg*indexEntrySz:], buf[off:off+labelPageSize], off)
+	}
+
+	// Arena: #results, #ids, offsets, ids, section crc32.
+	be.PutUint32(buf[arenaOff:], uint32(numResults))
+	be.PutUint32(buf[arenaOff+4:], uint32(numIDs))
+	offs, ids := buf[arenaOff+8:idsOff], buf[idsOff:arenaEnd]
+	if remap == nil {
+		for i, o := range table.Offsets() {
+			be.PutUint32(offs[4*i:], o)
+		}
+		for i, id := range table.IDs() {
+			be.PutUint32(ids[4*i:], uint32(id))
+		}
+	} else {
+		// Labels were numbered in first-use order, so a second pass over the
+		// cells meets each result's first use exactly when its new label
+		// comes up next. offs[0] is already 0.
+		next, n := uint32(1), 0
+		for _, l := range labels {
+			if remap[l] != next {
+				continue
+			}
+			for _, id := range table.Result(l) {
+				be.PutUint32(ids[4*n:], uint32(id))
+				n++
+			}
+			be.PutUint32(offs[4*next:], uint32(n))
+			if next++; int(next) > numResults {
+				break
+			}
+		}
+	}
+	be.PutUint32(buf[arenaEnd:], crc32.ChecksumIEEE(buf[arenaOff:arenaEnd]))
+	putTrailer(buf)
+	return buf, nil
 }
 
 // writeLegacyCells writes the version-2 cell-payload format. Production code
-// always writes version 3; this path keeps the "old files still open"
-// promise executable in tests and lets operators regenerate a v2 file for
-// rollback.
+// always writes version 4; this path keeps the "old files still open"
+// promise executable in tests.
 func writeLegacyCells(w io.Writer, pts []geom.Point, cells [][]int32, cols, rows, kind int) error {
-	numPages := (len(cells) + CellsPerPage - 1) / CellsPerPage
 	if len(cells) == 0 {
 		return fmt.Errorf("store: diagram has no cells")
 	}
-	raw := bufio.NewWriter(w)
-	sum := crc32.NewIEEE()
-	bw := io.MultiWriter(raw, sum)
+	numPages := (len(cells) + CellsPerPage - 1) / CellsPerPage
 	pages := make([][]byte, numPages)
-	for pg := 0; pg < numPages; pg++ {
-		start := pg * CellsPerPage
-		end := start + CellsPerPage
-		if end > len(cells) {
-			end = len(cells)
-		}
-		pages[pg] = encodePage(cells[start:end])
+	indexOff := headLen(versionLegacyCells, pts)
+	size := indexOff + numPages*indexEntrySz + trailerSize
+	for pg := range pages {
+		pages[pg] = encodePage(cells[pg*CellsPerPage : min((pg+1)*CellsPerPage, len(cells))])
+		size += len(pages[pg])
 	}
-	if err := writeSections(raw, bw, pts, pages, cols, rows, kind, versionLegacyCells, nil, 0); err != nil {
-		return err
+	buf := make([]byte, size)
+	putHead(buf, versionLegacyCells, pts, cols, rows, numPages, kind, 0)
+	off := indexOff + numPages*indexEntrySz
+	for pg, page := range pages {
+		copy(buf[off:], page)
+		putIndexEntry(buf[indexOff+pg*indexEntrySz:], page, off)
+		off += len(page)
 	}
-	return finishTrailer(raw, sum)
+	putTrailer(buf)
+	return writeFile(w, buf)
 }
 
-// writeSections writes header, points, page index, pages, and the optional
-// arena section through bw (raw is flushed on an injected page fault to
-// leave the torn prefix behind, as a crash would).
-func writeSections(raw *bufio.Writer, bw io.Writer, pts []geom.Point, pages [][]byte, cols, rows, kind int, v uint32, arena []byte, epoch uint64) error {
+// headLen is the size of the header plus the points section of a format
+// version: the page index starts there.
+func headLen(v int, pts []geom.Point) int {
+	return headerSizeFor(v) + len(pts)*(8+8*dimOf(pts))
+}
+
+// putHead writes the header and the points section at the front of buf.
+// Version 4 appends the epoch and 8 reserved zero bytes to the header;
+// every earlier field sits at the same offset in all versions.
+func putHead(buf []byte, v int, pts []geom.Point, cols, rows, numPages, kind int, epoch uint64) {
 	be := binary.BigEndian
-	hdrSize := headerSizeFor(int(v))
-	pointsSize := len(pts) * (8 + 8*dimOf(pts))
-	indexOffset := hdrSize + pointsSize
-	pagesOffset := indexOffset + len(pages)*indexEntrySz
-
-	// Header. Version 4 appends the epoch and 8 reserved zero bytes; every
-	// earlier field sits at the same offset in all versions.
-	hdr := make([]byte, hdrSize)
-	copy(hdr[0:8], magic)
-	be.PutUint32(hdr[8:], v)
-	be.PutUint32(hdr[12:], uint32(dimOf(pts)))
-	be.PutUint64(hdr[16:], uint64(len(pts)))
-	be.PutUint32(hdr[24:], uint32(cols))
-	be.PutUint32(hdr[28:], uint32(rows))
-	be.PutUint32(hdr[32:], CellsPerPage)
-	be.PutUint64(hdr[36:], uint64(len(pages)))
-	be.PutUint64(hdr[44:], uint64(indexOffset))
-	be.PutUint64(hdr[52:], uint64(pagesOffset))
-	be.PutUint32(hdr[60:], uint32(kind))
-	if hdrSize >= headerSizeV4 {
-		be.PutUint64(hdr[64:], epoch)
+	indexOff := headLen(v, pts)
+	copy(buf[0:8], magic)
+	be.PutUint32(buf[8:], uint32(v))
+	be.PutUint32(buf[12:], uint32(dimOf(pts)))
+	be.PutUint64(buf[16:], uint64(len(pts)))
+	be.PutUint32(buf[24:], uint32(cols))
+	be.PutUint32(buf[28:], uint32(rows))
+	be.PutUint32(buf[32:], CellsPerPage)
+	be.PutUint64(buf[36:], uint64(numPages))
+	be.PutUint64(buf[44:], uint64(indexOff))
+	be.PutUint64(buf[52:], uint64(indexOff+numPages*indexEntrySz))
+	be.PutUint32(buf[60:], uint32(kind))
+	if v >= 4 {
+		be.PutUint64(buf[64:], epoch)
 	}
-	if _, err := bw.Write(hdr); err != nil {
-		return err
-	}
-
-	// Points.
-	var buf [8]byte
+	off := headerSizeFor(v)
 	for _, p := range pts {
-		be.PutUint64(buf[:], uint64(int64(p.ID)))
-		if _, err := bw.Write(buf[:]); err != nil {
-			return err
-		}
-		for _, v := range p.Coords {
-			be.PutUint64(buf[:], math.Float64bits(v))
-			if _, err := bw.Write(buf[:]); err != nil {
-				return err
-			}
+		be.PutUint64(buf[off:], uint64(int64(p.ID)))
+		off += 8
+		for _, c := range p.Coords {
+			be.PutUint64(buf[off:], math.Float64bits(c))
+			off += 8
 		}
 	}
-
-	// Index.
-	off := uint64(pagesOffset)
-	for _, page := range pages {
-		be.PutUint64(buf[:], off)
-		if _, err := bw.Write(buf[:]); err != nil {
-			return err
-		}
-		be.PutUint32(buf[:4], uint32(len(page)))
-		be.PutUint32(buf[4:8], crc32.ChecksumIEEE(page))
-		if _, err := bw.Write(buf[:8]); err != nil {
-			return err
-		}
-		off += uint64(len(page))
-	}
-
-	// Pages.
-	for _, page := range pages {
-		if err := faultinject.Hit("store.write.page"); err != nil {
-			_ = raw.Flush() // leave the torn prefix behind, as a crash would
-			return err
-		}
-		if _, err := bw.Write(page); err != nil {
-			return err
-		}
-	}
-
-	// Arena (version 3 only), placed directly after the last page.
-	if arena != nil {
-		if _, err := bw.Write(arena); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
-// finishTrailer appends the whole-file checksum trailer (not part of its own
-// checksum) and flushes.
-func finishTrailer(raw *bufio.Writer, sum hash.Hash32) error {
-	var tr [trailerSize]byte
-	copy(tr[0:8], trailerMagic)
-	binary.BigEndian.PutUint32(tr[8:], sum.Sum32())
-	if _, err := raw.Write(tr[:]); err != nil {
-		return err
-	}
-	return raw.Flush()
-}
-
-// encodeArena lays out the interned result table section:
-// #results, #ids, offsets, ids, section crc32.
-func encodeArena(t *resultset.Table) []byte {
+// putIndexEntry writes one page index entry: offset, length, crc32.
+func putIndexEntry(e, page []byte, off int) {
 	be := binary.BigEndian
-	offs, ids := t.Offsets(), t.IDs()
-	buf := make([]byte, 8+4*len(offs)+4*len(ids)+4)
-	be.PutUint32(buf[0:], uint32(t.NumResults()))
-	be.PutUint32(buf[4:], uint32(len(ids)))
-	off := 8
-	for _, o := range offs {
-		be.PutUint32(buf[off:], o)
-		off += 4
+	be.PutUint64(e, uint64(off))
+	be.PutUint32(e[8:], uint32(len(page)))
+	be.PutUint32(e[12:], crc32.ChecksumIEEE(page))
+}
+
+// putTrailer ends buf with the trailer magic and the CRC32 of every byte
+// before it.
+func putTrailer(buf []byte) {
+	n := len(buf) - trailerSize
+	copy(buf[n:], trailerMagic)
+	binary.BigEndian.PutUint32(buf[n+8:], crc32.ChecksumIEEE(buf[:n]))
+}
+
+// writeFile writes a complete encoded file to w. The store.write.page
+// failpoint is hit once per page, in file order; when it fires, only the
+// bytes before that page reach w — the torn prefix a crash mid-write leaves
+// behind — and the injected error is returned.
+func writeFile(w io.Writer, data []byte) error {
+	be := binary.BigEndian
+	if len(data) < headerSize || string(data[:8]) != magic {
+		return fmt.Errorf("store: write: not an encoded store file")
 	}
-	for _, id := range ids {
-		be.PutUint32(buf[off:], uint32(id))
-		off += 4
+	size := uint64(len(data))
+	numPages, indexOff := be.Uint64(data[36:]), be.Uint64(data[44:])
+	if indexOff > size || numPages > (size-indexOff)/indexEntrySz {
+		return fmt.Errorf("store: write: page index outside the %d-byte file", size)
 	}
-	be.PutUint32(buf[off:], crc32.ChecksumIEEE(buf[:off]))
-	return buf
+	for pg := uint64(0); pg < numPages; pg++ {
+		if err := faultinject.Hit("store.write.page"); err != nil {
+			// The torn prefix; a crash has no error to report for it.
+			_, _ = w.Write(data[:min(be.Uint64(data[indexOff+pg*indexEntrySz:]), size)])
+			return err
+		}
+	}
+	_, err := w.Write(data)
+	return err
 }
 
 // headerSizeFor returns the on-disk header size of a format version: 80
@@ -402,21 +438,32 @@ const TempSuffix = ".tmp"
 // new file — never a torn mix. A torn temporary may remain; CreateFile
 // overwrites it on the next attempt and Recover discards it.
 func CreateFile(path string, d *quaddiag.Diagram) error {
-	return createFile(path, func(w io.Writer) error { return Write(w, d) })
+	return CreateFileEpoch(path, d, 0)
 }
 
 // CreateFileEpoch is CreateFile with a replication epoch stamped into the
 // header.
 func CreateFileEpoch(path string, d *quaddiag.Diagram, epoch uint64) error {
-	return createFile(path, func(w io.Writer) error { return WriteEpoch(w, d, epoch) })
+	data, err := Encode(d, epoch)
+	if err != nil {
+		return err
+	}
+	return WriteFile(path, data)
 }
 
 // CreateFileDynamic is CreateFile for a dynamic diagram.
 func CreateFileDynamic(path string, d *dyndiag.Diagram) error {
-	return createFile(path, func(w io.Writer) error { return WriteDynamic(w, d) })
+	data, err := EncodeDynamic(d, 0)
+	if err != nil {
+		return err
+	}
+	return WriteFile(path, data)
 }
 
-func createFile(path string, write func(io.Writer) error) error {
+// WriteFile publishes an encoded file (Encode's output) at path with
+// CreateFile's atomic temp+fsync+rename: a caller that already holds an
+// epoch's bytes persists them without encoding again.
+func WriteFile(path string, data []byte) error {
 	tmp := path + TempSuffix
 	if err := faultinject.Hit("store.create.create"); err != nil {
 		return fmt.Errorf("store: create %s: %w", tmp, err)
@@ -425,7 +472,7 @@ func createFile(path string, write func(io.Writer) error) error {
 	if err != nil {
 		return err
 	}
-	if err := write(f); err != nil {
+	if err := writeFile(f, data); err != nil {
 		f.Close()
 		return err
 	}
@@ -509,7 +556,7 @@ type Store struct {
 	// published this snapshot (version 4+; 0 for earlier formats).
 	epoch uint64
 	// size is the file length in bytes when it was known at open, -1
-	// otherwise; WriteTo needs it to re-stream the snapshot to a peer.
+	// otherwise; WithBytes needs it to lend the whole file to a relay.
 	size      int64
 	pageIndex []pageMeta
 	xs, ys    []float64
@@ -529,12 +576,14 @@ type Store struct {
 	mapped   []byte
 	unmapper func([]byte) error
 
-	// active counts in-flight queries so Close can drain them before
+	// active counts in-flight readers so Close can drain them before
 	// unmapping: a replica that swapped in a newer snapshot closes the old
 	// store while stragglers may still be reading mapped label pages, and
-	// unmapping under a reader would fault. Queries entering after Close
-	// began are still answered from the not-yet-released resources.
+	// unmapping under a reader would fault.
 	active atomic.Int64
+	// closing is set when Close begins, before it drains active; Acquire
+	// fails from then on.
+	closing atomic.Bool
 
 	mu      sync.Mutex
 	cache   *pageCache
@@ -823,9 +872,9 @@ func NewSized(r io.ReaderAt, cacheSize int, size int64) (*Store, error) {
 	if s.version >= 3 {
 		// Label pages are fixed-size; anything else is structural damage.
 		for pg, meta := range s.pageIndex {
-			if meta.length != 4*CellsPerPage {
+			if meta.length != labelPageSize {
 				return nil, fmt.Errorf("%w: label page %d is %d bytes (want %d)",
-					ErrCorrupt, pg, meta.length, 4*CellsPerPage)
+					ErrCorrupt, pg, meta.length, labelPageSize)
 			}
 		}
 		last := s.pageIndex[s.numPages-1]
@@ -900,11 +949,12 @@ func (s *Store) loadArena(arenaOff, size int64, numPoints int) error {
 }
 
 // Close releases the memory map (if any) and the underlying file when the
-// store owns one. In-flight queries are drained first (bounded wait), so a
-// replica may swap a newer snapshot in and close this one while stragglers
-// are still reading mapped pages — they finish against the live mapping,
-// then the map is released.
+// store owns one. In-flight readers and Acquire holds are drained first
+// (bounded wait), so a replica may swap a newer snapshot in and close this
+// one while stragglers are still reading mapped pages — they finish against
+// the live mapping, then the map is released.
 func (s *Store) Close() error {
+	s.closing.Store(true)
 	// Drain active readers before unmapping. The wait is bounded: queries
 	// are microseconds, so exhausting it means a stuck reader — at that
 	// point leaking the map briefly beats faulting it.
@@ -934,21 +984,47 @@ func (s *Store) NumCells() int { return s.cols * s.rows }
 // this snapshot, or 0 for pre-epoch (version <= 3) files.
 func (s *Store) Epoch() uint64 { return s.epoch }
 
-// WriteTo streams the snapshot file verbatim to w, letting a replica serve
-// the catch-up protocol from its own current file (chained replication) with
-// no re-serialization. Requires the file size to have been known at open
-// (Open, OpenMmap, or a sized reader).
-func (s *Store) WriteTo(w io.Writer) (int64, error) {
+// Acquire holds the store against Close, which waits for the matching
+// Release before it unmaps, and reports false — holding nothing — once
+// Close has begun. A reader that got the store from a snapshot another
+// goroutine may retire (swap out, then Close) must acquire it before
+// touching it: a read that merely started before Close could otherwise
+// reach the store after the unmap. Close sets its flag before it drains,
+// so an acquire either is counted before the drain or sees the flag.
+func (s *Store) Acquire() bool {
+	s.active.Add(1)
+	if s.closing.Load() {
+		s.active.Add(-1)
+		return false
+	}
+	return true
+}
+
+// Release ends a hold taken by Acquire.
+func (s *Store) Release() { s.active.Add(-1) }
+
+// WithBytes calls fn with the complete file bytes — what a relay serves,
+// hashes and patches against. A mapped store lends its mapping itself,
+// counted as an in-flight reader so Close waits for fn to return before
+// unmapping; fn must not retain the slice. A store without a mapping reads
+// a fresh copy of its file. Requires the file size to have been known at
+// open (Open, OpenMmap, or a sized reader). Like a query, WithBytes does
+// not refuse a store whose Close has begun; callers that may race Close
+// hold Acquire around it.
+func (s *Store) WithBytes(fn func(data []byte) error) error {
 	if s.size < 0 {
-		return 0, errors.New("store: snapshot size unknown; cannot re-stream")
+		return errors.New("store: snapshot size unknown; cannot re-stream")
 	}
+	s.active.Add(1)
+	defer s.active.Add(-1)
 	if s.mapped != nil {
-		s.active.Add(1)
-		defer s.active.Add(-1)
-		n, err := w.Write(s.mapped)
-		return int64(n), err
+		return fn(s.mapped)
 	}
-	return io.Copy(w, io.NewSectionReader(s.r, 0, s.size))
+	data := make([]byte, s.size)
+	if _, err := s.r.ReadAt(data, 0); err != nil {
+		return fmt.Errorf("store: read snapshot: %w", err)
+	}
+	return fn(data)
 }
 
 // Kind returns the stored diagram kind, "quadrant" or "dynamic".
