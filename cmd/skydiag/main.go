@@ -338,7 +338,7 @@ func cmdServeFile(args []string) error {
 	qstr := fs.String("q", "10,80", "query point")
 	fs.Parse(args)
 
-	s, err := store.Open(*in)
+	s, err := store.OpenMmap(*in)
 	if err != nil {
 		return err
 	}
@@ -347,10 +347,7 @@ func cmdServeFile(args []string) error {
 	if err != nil {
 		return err
 	}
-	ids, err := s.Query(q)
-	if err != nil {
-		return err
-	}
+	ids := s.QueryXY(q.X(), q.Y())
 	byID := make(map[int32]geom.Point)
 	for _, p := range s.Points() {
 		byID[int32(p.ID)] = p

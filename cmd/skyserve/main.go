@@ -109,7 +109,7 @@ func main() {
 	compactRatio := flag.Float64("compact-ratio", server.DefaultCompactRatio,
 		"arena garbage fraction that triggers off-lock compaction after a write batch (-1 disables)")
 	faults := flag.String("faults", os.Getenv(faultinject.EnvVar),
-		"fault-injection spec, e.g. 'store.ReadAt=error@0.01;server.query=latency:5ms' (default: $"+faultinject.EnvVar+"; testing only)")
+		"fault-injection spec, e.g. 'store.open.read=error@0.01;server.query=latency:5ms' (default: $"+faultinject.EnvVar+"; testing only)")
 	flag.Parse()
 
 	if *faults != "" {
@@ -196,7 +196,7 @@ func main() {
 		defer st.Close()
 		mode := "mmap"
 		if !st.Mapped() {
-			mode = "buffered reads (mmap unavailable)"
+			mode = "the file read into memory (mmap unavailable)"
 		}
 		log.Printf("skyserve: serving %s diagram from %s via %s, read-only (epoch %d)",
 			st.Kind(), *serveFrom, mode, st.Epoch())

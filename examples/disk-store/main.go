@@ -2,11 +2,11 @@
 //
 // A catalogue service precomputes the skyline diagram for its product
 // catalogue on a build machine, writes it to a paged binary file, and ships
-// the file to query replicas. A replica opens the file and answers skyline
-// queries straight from disk through a small LRU page cache — it never
-// rebuilds the diagram and never holds all of it in memory. Every page is
-// CRC-checked on load, so a corrupted file fails loudly instead of serving
-// wrong skylines.
+// the file to query replicas. A replica memory-maps the file and answers
+// skyline queries straight from its bytes — it never rebuilds the diagram,
+// and the operating system pages in only the parts queries touch. The
+// whole-file CRC is verified once at open, so a corrupted file fails loudly
+// instead of serving wrong skylines.
 package main
 
 import (
@@ -50,7 +50,7 @@ func main() {
 		len(products), diagram.Grid.NumCells(), filepath.Base(path), fi.Size()/1024)
 
 	// --- Query replica -----------------------------------------------------
-	replica, err := store.Open(path)
+	replica, err := store.OpenMmap(path)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,29 +58,26 @@ func main() {
 
 	// A single shopper.
 	q := geom.Pt2(-1, 100.5, 250.5)
-	ids, err := replica.Query(q)
-	if err != nil {
-		log.Fatal(err)
-	}
+	ids := replica.QueryXY(q.X(), q.Y())
 	fmt.Printf("replica: shopper at (%.0f, %.0f) sees %d frontier products\n",
 		q.X(), q.Y(), len(ids))
 
-	// A burst of shoppers, answered with page-ordered batched reads.
+	// A burst of shoppers: each answer is two rank-table loads and a label
+	// load from the mapped file.
 	queries := make([]geom.Point, 2000)
+	results := make([][]int32, len(queries))
+	total := 0
 	for i := range queries {
 		queries[i] = geom.Pt2(-1, float64((i*37)%512)+0.5, float64((i*91)%512)+0.5)
+		results[i] = replica.QueryXY(queries[i].X(), queries[i].Y())
+		total += len(results[i])
 	}
-	results, err := replica.QueryBatch(queries)
-	if err != nil {
-		log.Fatal(err)
+	mode := "a memory map"
+	if !replica.Mapped() {
+		mode = "the file read into memory"
 	}
-	total := 0
-	for _, r := range results {
-		total += len(r)
-	}
-	hits, misses := replica.CacheStats()
-	fmt.Printf("replica: %d queries answered (%d result rows), page cache %d hits / %d misses\n",
-		len(queries), total, hits, misses)
+	fmt.Printf("replica: %d queries answered (%d result rows) from %s\n",
+		len(queries), total, mode)
 
 	// Verify against the in-memory diagram.
 	for i, qq := range queries[:200] {

@@ -1,10 +1,7 @@
 package dyndiag
 
 import (
-	"fmt"
-
 	"repro/internal/geom"
-	"repro/internal/grid"
 	"repro/internal/resultset"
 )
 
@@ -25,45 +22,4 @@ func (d *Diagram) Export() (pts []geom.Point, cells [][]int32) {
 // the row-major per-subcell labels and the shared result table.
 func (d *Diagram) ExportCSR() (labels []uint32, table *resultset.Table) {
 	return d.labels, d.results
-}
-
-// FromCells reconstructs a Diagram from serialized state: the original
-// points and the row-major per-subcell results.
-func FromCells(pts []geom.Point, cells [][]int32) (*Diagram, error) {
-	if err := require2D(pts); err != nil {
-		return nil, err
-	}
-	sg := grid.NewSubGrid(pts)
-	if len(cells) != sg.NumSubcells() {
-		return nil, fmt.Errorf("dyndiag: %d subcells for a %dx%d subgrid", len(cells), sg.Cols(), sg.Rows())
-	}
-	d := newDiagram(pts, sg)
-	copy(d.scratch, cells)
-	d.freeze()
-	return d, nil
-}
-
-// FromCSR reconstructs a Diagram from its interned form: the original
-// points, the row-major per-subcell labels, and the shared result table.
-// The labels and table are retained, not copied.
-func FromCSR(pts []geom.Point, labels []uint32, table *resultset.Table) (*Diagram, error) {
-	if err := require2D(pts); err != nil {
-		return nil, err
-	}
-	sg := grid.NewSubGrid(pts)
-	if len(labels) != sg.NumSubcells() {
-		return nil, fmt.Errorf("dyndiag: %d labels for a %dx%d subgrid", len(labels), sg.Cols(), sg.Rows())
-	}
-	for _, l := range labels {
-		if int(l) >= table.NumResults() {
-			return nil, fmt.Errorf("dyndiag: label %d out of range (%d results)", l, table.NumResults())
-		}
-	}
-	return &Diagram{
-		Points:  pts,
-		Sub:     sg,
-		labels:  labels,
-		results: table,
-		rows:    sg.Rows(),
-	}, nil
 }

@@ -269,9 +269,9 @@ func E17(c Config) Table {
 
 // E19 measures the serve-from-file path against an in-memory build: replica
 // bootstrap cost (build vs open) and per-query latency through the in-memory
-// diagram, the memory-mapped store (rank-table locate + label load from the
-// mapping), and the buffered ReadAt store (the mmap fallback). Every path is
-// first asserted to answer identically over a probe sweep.
+// diagram and the memory-mapped store (rank-table locate + label load from
+// the mapping). Both paths are first asserted to answer identically over a
+// probe sweep.
 func E19(c Config) Table {
 	n, s := 600, 2048
 	samples, batch := 300, 200
@@ -307,7 +307,7 @@ func E19(c Config) Table {
 		panic(err)
 	}
 
-	var mapped, buffered *store.Store
+	var mapped *store.Store
 	mmapTime := c.time(func() {
 		if mapped != nil {
 			mapped.Close()
@@ -318,20 +318,9 @@ func E19(c Config) Table {
 		}
 	})
 	defer mapped.Close()
-	openTime := c.time(func() {
-		if buffered != nil {
-			buffered.Close()
-		}
-		buffered, err = store.Open(path)
-		if err != nil {
-			panic(err)
-		}
-	})
-	defer buffered.Close()
 
 	xmax, ymax := float64(s), float64(s)
 	assertSameResults("mmap", xmax, ymax, d.QueryXY, mapped.QueryXY)
-	assertSameResults("readat", xmax, ymax, d.QueryXY, buffered.QueryXY)
 
 	row := func(name string, boot time.Duration, q func(x, y float64) []int32) {
 		p50, p99 := latencyPercentiles(samples, batch, xmax, ymax, q)
@@ -341,9 +330,8 @@ func E19(c Config) Table {
 	row("in-memory build", buildTime, d.QueryXY)
 	mappedName := "mmap file"
 	if !mapped.Mapped() {
-		mappedName = "mmap file (fell back to ReadAt)"
+		mappedName = "mmap file (read into memory)"
 	}
 	row(mappedName, mmapTime, mapped.QueryXY)
-	row("readat file", openTime, buffered.QueryXY)
 	return t
 }

@@ -5,14 +5,14 @@
 // optional probability and fire budget.
 //
 // The registry costs one atomic load per site when nothing is activated, so
-// failpoints can stay compiled into hot paths (page reads, CRC checks,
-// request handlers) without measurable overhead in production.
+// failpoints can stay compiled into hot paths (file opens, fsyncs, request
+// handlers) without measurable overhead in production.
 //
 // A spec is a semicolon-separated list of failpoints:
 //
 //	site=mode[:arg][@probability][#count]
 //
-//	store.page.crc=error              every hit fails
+//	store.open.read=error             every hit fails
 //	server.query=latency:5ms@0.2      20% of hits sleep 5ms
 //	store.create.rename=error#1       only the first hit fails
 //	server.query=panic:boom@0.01#3    1% of hits panic, at most three times

@@ -1,10 +1,7 @@
 package quaddiag
 
 import (
-	"fmt"
-
 	"repro/internal/geom"
-	"repro/internal/grid"
 	"repro/internal/resultset"
 )
 
@@ -26,47 +23,4 @@ func (d *Diagram) Export() (pts []geom.Point, cells [][]int32) {
 // the row-major per-cell labels and the shared result table.
 func (d *Diagram) ExportCSR() (labels []uint32, table *resultset.Table) {
 	return d.labels, d.results
-}
-
-// FromCells reconstructs a Diagram from serialized state: the original
-// points and the row-major per-cell results. It validates the cell count
-// against the grid implied by the points.
-func FromCells(pts []geom.Point, cells [][]int32) (*Diagram, error) {
-	if err := require2D(pts); err != nil {
-		return nil, err
-	}
-	g := grid.NewGrid(pts)
-	if len(cells) != g.NumCells() {
-		return nil, fmt.Errorf("quaddiag: %d cells for a %dx%d grid", len(cells), g.Cols(), g.Rows())
-	}
-	d := newDiagram(pts, g)
-	copy(d.scratch, cells)
-	d.freeze()
-	return d, nil
-}
-
-// FromCSR reconstructs a Diagram from its interned form: the original
-// points, the row-major per-cell labels, and the shared result table. The
-// labels and table are retained, not copied.
-func FromCSR(pts []geom.Point, labels []uint32, table *resultset.Table) (*Diagram, error) {
-	if err := require2D(pts); err != nil {
-		return nil, err
-	}
-	g := grid.NewGrid(pts)
-	if len(labels) != g.NumCells() {
-		return nil, fmt.Errorf("quaddiag: %d labels for a %dx%d grid", len(labels), g.Cols(), g.Rows())
-	}
-	for _, l := range labels {
-		if int(l) >= table.NumResults() {
-			return nil, fmt.Errorf("quaddiag: label %d out of range (%d results)", l, table.NumResults())
-		}
-	}
-	return &Diagram{
-		Points:  pts,
-		Grid:    g,
-		byID:    pointIndex(pts),
-		labels:  labels,
-		results: table,
-		rows:    g.Rows(),
-	}, nil
 }

@@ -313,7 +313,7 @@ func TestChaosReplicaKillFailover(t *testing.T) {
 	// bytes and replay every 200 against the snapshot it claims.
 	refs := map[uint64]http.Handler{}
 	for e, b := range published {
-		st, err := store.New(bytes.NewReader(b), store.DefaultCacheSize)
+		st, err := store.New(b)
 		if err != nil {
 			t.Fatalf("published epoch %d does not open: %v", e, err)
 		}

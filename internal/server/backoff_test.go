@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -185,7 +184,7 @@ func TestSnapshotNegotiationRacingSwap(t *testing.T) {
 					errs <- fmt.Sprintf("etag %s does not match header epoch %d (want %s)", etag, epoch, want)
 					return
 				}
-				st, err := store.New(bytes.NewReader(body), store.DefaultCacheSize)
+				st, err := store.New(body)
 				if err != nil {
 					errs <- fmt.Sprintf("epoch %d: body does not open: %v", epoch, err)
 					return

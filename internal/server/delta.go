@@ -56,8 +56,8 @@ func (r *manifestRing) get(epoch uint64) *store.Manifest {
 // withBytes calls fn with the state's canonical file bytes — exactly what a
 // full /v1/snapshot body carries. A builder state is encoded once per call,
 // into a buffer fn may keep. A relay's bytes are its store's own file: the
-// mapping itself, held against Close until fn returns, so fn must not keep
-// them.
+// mapping itself, held against Close's unmap until fn returns, so fn must
+// not keep them.
 // Canonical persist makes the bytes deterministic: the same point set
 // yields the same bytes no matter which maintenance history (or which node)
 // produced the state.

@@ -26,8 +26,9 @@ import (
 // resulting bytes to its snapshot directory (temp + fsync + rename, like
 // the builder's own publish), memory-maps it — the CRC check at open rejects
 // any torn download or bad patch, which is then deleted and refetched — and
-// pointer-swaps it into the handler. Readers never block: they drain off
-// the old mapping, which is closed and its file deleted only afterwards.
+// pointer-swaps it into the handler. Neither readers nor the swap block:
+// the old store is closed and its file deleted right after the swap, and
+// the last reader still holding its mapping unmaps it when it finishes.
 //
 // A replica that restarts finds its last snapshot in the directory and
 // serves it immediately, then catches up to the builder in one fetch — the
@@ -228,7 +229,8 @@ func (r *Replica) Refresh(ctx context.Context) (bool, error) {
 	r.staleSecs.Set(0)
 	r.consecFails = 0
 	r.refreshes.Inc()
-	// Close drains in-flight readers off the old mapping before unmapping.
+	// Close returns at once; a reader still holding the old mapping
+	// unmaps it when it finishes.
 	old.Close()
 	if oldPath != "" && oldPath != path {
 		os.Remove(oldPath)

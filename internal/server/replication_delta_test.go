@@ -103,7 +103,7 @@ func TestSnapshotDeltaNegotiation(t *testing.T) {
 		t.Fatalf("delta hits = %d, want 1", got)
 	}
 	// The patched file must open and carry the new epoch.
-	st, err := store.New(bytes.NewReader(patched), store.DefaultCacheSize)
+	st, err := store.New(patched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestSnapshotDeltaFallbacks(t *testing.T) {
 		if code != 200 || mode != "full" {
 			t.Fatalf("code %d mode %s, want full fallback", code, mode)
 		}
-		if _, err := store.New(bytes.NewReader(full), store.DefaultCacheSize); err != nil {
+		if _, err := store.New(full); err != nil {
 			t.Fatalf("fallback body is not a valid store file: %v", err)
 		}
 		if got := counterValue(h, "skyserve_snapshot_delta_fallbacks_total", "reason", "ring_miss"); got != 1 {
@@ -150,7 +150,7 @@ func TestSnapshotDeltaFallbacks(t *testing.T) {
 		if code != 200 || mode != "full" {
 			t.Fatalf("code %d mode %s, want full fallback", code, mode)
 		}
-		if _, err := store.New(bytes.NewReader(full), store.DefaultCacheSize); err != nil {
+		if _, err := store.New(full); err != nil {
 			t.Fatalf("fallback body is not a valid store file: %v", err)
 		}
 		if got := counterValue(h, "skyserve_snapshot_delta_fallbacks_total", "reason", "not_smaller"); got != 1 {
@@ -191,7 +191,7 @@ func TestSnapshotDeltaChurnByteEquivalence(t *testing.T) {
 			deletePoint(t, srv.URL, inserted[i])
 			inserted = append(inserted[:i], inserted[i+1:]...)
 		case op == 1: // insert reusing coordinate values already in the set
-			stc, err := store.New(bytes.NewReader(cur), store.DefaultCacheSize)
+			stc, err := store.New(cur)
 			if err != nil {
 				t.Fatal(err)
 			}

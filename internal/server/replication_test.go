@@ -42,7 +42,7 @@ func TestSnapshotEndpointNegotiation(t *testing.T) {
 	if etag != `"sky-e1-quadrant"` {
 		t.Fatalf("etag = %s", etag)
 	}
-	st, err := store.New(bytes.NewReader(body), store.DefaultCacheSize)
+	st, err := store.New(body)
 	if err != nil {
 		t.Fatalf("snapshot body does not open as a store: %v", err)
 	}
@@ -95,7 +95,7 @@ func TestSnapshotEndpointNegotiation(t *testing.T) {
 	if code != 200 || epoch != "2" {
 		t.Fatalf("post-write snapshot: code %d epoch %s, want 200 epoch 2", code, epoch)
 	}
-	st2, err := store.New(bytes.NewReader(body2), store.DefaultCacheSize)
+	st2, err := store.New(body2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestSwapStoreGuards(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	dup, err := store.New(bytes.NewReader(file), store.DefaultCacheSize)
+	dup, err := store.New(file)
 	if err != nil {
 		t.Fatal(err)
 	}

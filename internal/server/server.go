@@ -589,11 +589,11 @@ func (h *Handler) snapshot() *state {
 }
 
 // acquire returns the published snapshot for a read that touches its
-// diagrams, holding a serve-from snapshot's store against Close until
-// release. SwapStore publishes the newer store before its caller closes the
-// old one, so a failed hold means this read raced a retirement and moves on
-// to the state that replaced it. nil means the published store itself is
-// closed: the node is shutting down.
+// diagrams, holding a serve-from snapshot's store against Close's unmap
+// until release. SwapStore publishes the newer store before its caller
+// closes the old one, so a failed hold means this read raced a retirement
+// and moves on to the state that replaced it. nil means the published store
+// itself is closed: the node is shutting down.
 func (h *Handler) acquire() *state {
 	for {
 		st := h.snapshot()

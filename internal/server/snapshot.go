@@ -129,8 +129,9 @@ func notModified(r *http.Request, epoch uint64, etag string) bool {
 }
 
 // SwapStore atomically replaces a serve-from handler's snapshot with a newer
-// store and returns the previous one, which the caller must Close once any
-// in-flight readers drain (store.Close waits for them). Only valid on
+// store and returns the previous one, which the caller must Close. Close
+// does not wait for in-flight readers: whichever of Close and the last
+// reader's release comes later unmaps the old store. Only valid on
 // handlers built with NewServeFrom; the new store's epoch must be strictly
 // newer than the served one, so a stale or replayed snapshot can never
 // roll a replica backwards.

@@ -54,7 +54,7 @@ const (
 // later requests can be answered with a delta. It holds no file bytes: for a
 // 4 KiB page size it costs ~0.2% of the file it describes.
 type Manifest struct {
-	Epoch uint64 // replication epoch from the v4 header (0 for v3 files)
+	Epoch uint64 // replication epoch from the header
 	Kind  string // "quadrant" or "dynamic"
 	Size  int64  // total file size in bytes
 	CRC   uint32 // CRC32 (IEEE) of the entire file
@@ -69,9 +69,8 @@ type deltaSection struct {
 }
 
 // NewManifest parses the section boundaries out of a serialized store file
-// and hashes its pages. The file must be a CSR-format file (version >= 3):
-// legacy variable-length page layouts have no fixed arena boundary and are
-// simply not delta-eligible.
+// and hashes its pages. A file of another format version is refused, with
+// the same unsupported-version error New gives.
 func NewManifest(data []byte) (*Manifest, error) {
 	secs, kind, epoch, err := deltaSections(data)
 	if err != nil {
@@ -97,19 +96,11 @@ func NewManifest(data []byte) (*Manifest, error) {
 // deltaSections splits a store file into the six delta sections:
 // header | points | index | label pages | arena offsets | arena ids+trailer.
 func deltaSections(data []byte) (secs [deltaNumSections]deltaSection, kind string, epoch uint64, err error) {
+	if err := checkHead(data); err != nil {
+		return secs, "", 0, err
+	}
 	be := binary.BigEndian
 	size := int64(len(data))
-	if size < headerSize+trailerSize {
-		return secs, "", 0, fmt.Errorf("%w: delta: file too small (%d bytes)", ErrCorrupt, size)
-	}
-	if string(data[0:8]) != magic {
-		return secs, "", 0, fmt.Errorf("%w: delta: bad magic %q", ErrCorrupt, data[0:8])
-	}
-	v := int(be.Uint32(data[8:]))
-	if v < 3 || v > version {
-		return secs, "", 0, fmt.Errorf("store: delta: version %d not delta-eligible", v)
-	}
-	hdrSize := int64(headerSizeFor(v))
 	numPages := int64(be.Uint64(data[36:]))
 	indexOff := int64(be.Uint64(data[44:]))
 	pagesOff := int64(be.Uint64(data[52:]))
@@ -122,9 +113,7 @@ func deltaSections(data []byte) (secs [deltaNumSections]deltaSection, kind strin
 	default:
 		return secs, "", 0, fmt.Errorf("%w: delta: unknown kind %d", ErrCorrupt, be.Uint32(data[60:]))
 	}
-	if hdrSize >= headerSizeV4 {
-		epoch = be.Uint64(data[64:])
-	}
+	epoch = be.Uint64(data[64:])
 	// The arena opens with #results, #ids; the offsets table (#results+1
 	// uint32s) follows, then the ids array. Splitting there keeps an appended
 	// result from shifting the ids array off its page grid.
@@ -132,7 +121,7 @@ func deltaSections(data []byte) (secs [deltaNumSections]deltaSection, kind strin
 		return secs, "", 0, fmt.Errorf("%w: delta: arena offset %d outside %d-byte file", ErrCorrupt, arenaOff, size)
 	}
 	idsOff := arenaOff + 8 + 4*(int64(be.Uint32(data[arenaOff:]))+1)
-	bounds := [deltaNumSections + 1]int64{0, hdrSize, indexOff, pagesOff, arenaOff, idsOff, size}
+	bounds := [deltaNumSections + 1]int64{0, headerSize, indexOff, pagesOff, arenaOff, idsOff, size}
 	for i := 0; i < deltaNumSections; i++ {
 		if bounds[i+1] < bounds[i] || bounds[i+1] > size {
 			return secs, "", 0, fmt.Errorf("%w: delta: section bounds %v out of order for %d-byte file", ErrCorrupt, bounds, size)

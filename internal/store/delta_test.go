@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -238,16 +239,23 @@ func TestDeltaCorruptionMatrix(t *testing.T) {
 	}
 }
 
-// TestDeltaLegacyVersionNotEligible pins that pre-CSR files refuse manifest
-// construction instead of producing undefined section boundaries.
+// TestDeltaLegacyVersionNotEligible pins that pre-v4 files refuse manifest
+// construction instead of producing undefined section boundaries. Only the
+// version field differs from a valid file: the trailer CRC is recomputed.
 func TestDeltaLegacyVersionNotEligible(t *testing.T) {
-	d := buildDiagram(t, 20, 81)
-	pts, cells := d.Export()
 	var buf bytes.Buffer
-	if err := writeLegacyCells(&buf, pts, cells, d.Grid.Cols(), d.Grid.Rows(), kindQuadrant); err != nil {
+	if err := Write(&buf, buildDiagram(t, 20, 81)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewManifest(buf.Bytes()); err == nil {
-		t.Fatal("version 2 file must not be delta-eligible")
+	for _, v := range []uint32{1, 2, 3} {
+		b := append([]byte(nil), buf.Bytes()...)
+		binary.BigEndian.PutUint32(b[8:], v)
+		putTrailer(b)
+		if _, err := NewManifest(b); err == nil {
+			t.Fatalf("version %d file must not be delta-eligible", v)
+		}
+	}
+	if _, err := NewManifest(buf.Bytes()); err != nil {
+		t.Fatalf("the version-%d original must be delta-eligible: %v", version, err)
 	}
 }

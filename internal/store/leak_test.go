@@ -18,11 +18,11 @@ func openFDs(t *testing.T) int {
 	return len(ents)
 }
 
-// TestOpenErrorPathsDoNotLeakFDs audits every Open failure mode for file
-// descriptor leaks: header validation, trailer verification, and grid
-// reconstruction all fail after the file is opened, so each must close it on
-// the way out. A few hundred failed opens with a leak would show directly in
-// the fd count.
+// TestOpenErrorPathsDoNotLeakFDs audits every OpenMmap failure mode for
+// file descriptor leaks: header validation, trailer verification, and grid
+// reconstruction all fail after the file is opened and mapped, so each must
+// release it on the way out. A few hundred failed opens with a leak would
+// show directly in the fd count.
 func TestOpenErrorPathsDoNotLeakFDs(t *testing.T) {
 	d := buildDiagram(t, 20, 31)
 	dir := t.TempDir()
@@ -51,7 +51,7 @@ func TestOpenErrorPathsDoNotLeakFDs(t *testing.T) {
 		if err := os.WriteFile(p, b, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Open(p); err == nil {
+		if _, err := OpenMmap(p); err == nil {
 			t.Fatalf("corruption %q opened cleanly", name)
 		}
 		paths = append(paths, p)
@@ -66,11 +66,11 @@ func TestOpenErrorPathsDoNotLeakFDs(t *testing.T) {
 	before := openFDs(t)
 	for round := 0; round < 50; round++ {
 		for _, p := range paths {
-			if _, err := Open(p); err == nil {
+			if _, err := OpenMmap(p); err == nil {
 				t.Fatalf("corrupt file %s opened", p)
 			}
 		}
-		if _, err := Open(filepath.Join(dir, "missing.sky")); err == nil {
+		if _, err := OpenMmap(filepath.Join(dir, "missing.sky")); err == nil {
 			t.Fatal("missing file opened")
 		}
 		if _, err := Recover(filepath.Join(dir, "payload.sky")); err == nil {
@@ -88,7 +88,7 @@ func TestOpenErrorPathsDoNotLeakFDs(t *testing.T) {
 	// The success path balances too: open and close in a loop.
 	before = openFDs(t)
 	for round := 0; round < 50; round++ {
-		s, err := Open(good)
+		s, err := OpenMmap(good)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,15 +2,10 @@
 
 package store
 
-import (
-	"errors"
-	"os"
-)
+import "errors"
 
-// Platforms without the unix mmap syscalls: OpenMmap degrades gracefully to
-// the ReadAt page-cache path.
-func mmapFile(_ *os.File, _ int64) ([]byte, error) {
-	return nil, errors.ErrUnsupported
-}
+// Platforms without the unix mmap syscalls: mmapFile always fails, so
+// OpenMmap serves every file read into memory.
+func mmapFile(string) ([]byte, error) { return nil, errors.ErrUnsupported }
 
-func munmapFile(_ []byte) error { return nil }
+func munmapFile([]byte) error { return nil }

@@ -5,34 +5,31 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/dyndiag"
 	"repro/internal/geom"
 )
 
 // TestMmapServesIdenticalAnswers: a mapped store must answer exactly like
-// the ReadAt store over every cell, Query, QueryXY, and QueryBatch — and on
-// this platform it must actually be mapped, not silently falling back.
+// the same file's bytes parsed in memory — the parse OpenMmap falls back to
+// — over every cell and QueryXY, and on this platform it must actually be
+// mapped, not silently falling back.
 func TestMmapServesIdenticalAnswers(t *testing.T) {
 	d := buildDiagram(t, 60, 61)
 	path := filepath.Join(t.TempDir(), "diag.sky")
 	if err := CreateFile(path, d); err != nil {
 		t.Fatal(err)
 	}
-	rd, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rd.Close()
+	rd := readStore(t, path)
 	mm, err := OpenMmap(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mm.Close()
 	if !mm.Mapped() {
-		t.Fatal("OpenMmap fell back to ReadAt on a platform with mmap")
+		t.Fatal("OpenMmap fell back to reading the file on a platform with mmap")
 	}
 	if mm.Kind() != "quadrant" {
 		t.Fatalf("Kind = %q, want quadrant", mm.Kind())
@@ -48,28 +45,17 @@ func TestMmapServesIdenticalAnswers(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !equalI32(a, b) {
-				t.Fatalf("cell (%d,%d): ReadAt %v, mmap %v", i, j, a, b)
+				t.Fatalf("cell (%d,%d): in memory %v, mmap %v", i, j, a, b)
 			}
 		}
 	}
-	qs := make([]geom.Point, 0, 200)
-	for k := 0; k < 200; k++ {
-		qs = append(qs, geom.Pt2(-1, float64(k%101), float64((k*37)%103)))
-	}
-	ra, err := rd.QueryBatch(qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := mm.QueryBatch(qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := range qs {
-		if !equalI32(ra[k], rb[k]) {
-			t.Fatalf("batch query %d: ReadAt %v, mmap %v", k, ra[k], rb[k])
+	for k, q := range probeQueries() {
+		want := rd.QueryXY(q.X(), q.Y())
+		if !equalI32(want, d.Query(q)) {
+			t.Fatalf("query %d: in memory %v, diagram %v", k, want, d.Query(q))
 		}
-		if got := mm.QueryXY(qs[k].X(), qs[k].Y()); !equalI32(got, ra[k]) {
-			t.Fatalf("QueryXY %d: mmap %v, want %v", k, got, ra[k])
+		if got := mm.QueryXY(q.X(), q.Y()); !equalI32(got, want) {
+			t.Fatalf("QueryXY %d: mmap %v, want %v", k, got, want)
 		}
 	}
 }
@@ -111,11 +97,7 @@ func TestMmapDynamicKind(t *testing.T) {
 	if err := CreateFileDynamic(path, d); err != nil {
 		t.Fatal(err)
 	}
-	rd, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rd.Close()
+	rd := readStore(t, path)
 	mm, err := OpenMmap(path)
 	if err != nil {
 		t.Fatal(err)
@@ -126,21 +108,17 @@ func TestMmapDynamicKind(t *testing.T) {
 	}
 	for k := 0; k < 300; k++ {
 		x, y := float64(k%113)*0.9, float64((k*41)%127)*0.8
-		a, err := rd.Query(geom.Pt2(-1, x, y))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b := mm.QueryXY(x, y); !equalI32(a, b) {
-			t.Fatalf("dynamic query (%v,%v): ReadAt %v, mmap %v", x, y, a, b)
+		if a, b := rd.QueryXY(x, y), mm.QueryXY(x, y); !equalI32(a, b) {
+			t.Fatalf("dynamic query (%v,%v): in memory %v, mmap %v", x, y, a, b)
 		}
 	}
 }
 
-// TestMmapEquivalenceOverCorruptionMatrix runs OpenMmap against the same
-// torn-write and bit-rot matrix the ReadAt path is hardened against: for
-// every truncation point and every probed single-byte flip, OpenMmap must
-// reach the same accept/reject verdict as Open — mapped serving must not
-// widen the corruption acceptance surface by a single byte.
+// TestMmapEquivalenceOverCorruptionMatrix runs OpenMmap against the
+// torn-write and bit-rot matrix: for every truncation point and every probed
+// single-byte flip, OpenMmap must reach the same accept/reject verdict as
+// New on the same bytes in memory — mapped serving must not widen the
+// corruption acceptance surface by a single byte.
 func TestMmapEquivalenceOverCorruptionMatrix(t *testing.T) {
 	gen := buildDiagram(t, 15, 73)
 	path := filepath.Join(t.TempDir(), "diag.sky")
@@ -157,13 +135,10 @@ func TestMmapEquivalenceOverCorruptionMatrix(t *testing.T) {
 		if err := os.WriteFile(p, b, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		so, oerr := Open(p)
+		_, nerr := New(b)
 		sm, merr := OpenMmap(p)
-		if (oerr == nil) != (merr == nil) {
-			t.Fatalf("%s: Open err %v, OpenMmap err %v — verdicts diverge", name, oerr, merr)
-		}
-		if so != nil {
-			so.Close()
+		if (nerr == nil) != (merr == nil) {
+			t.Fatalf("%s: New err %v, OpenMmap err %v — verdicts diverge", name, nerr, merr)
 		}
 		if sm != nil {
 			sm.Close()
@@ -243,10 +218,12 @@ func TestOpenMmapErrorPathsDoNotLeakFDs(t *testing.T) {
 }
 
 // TestWithBytesLendsMappingUntilClose: a mapped store lends its mapping
-// itself — no copy — and Close waits for every borrower and every Acquire
-// hold to end before unmapping; once Close has begun, Acquire fails, so a
-// reader that has not yet started cannot reach a mapping about to go. A
-// ReadAt store lends a copy.
+// itself — no copy — and Close does not wait for borrowers or Acquire
+// holds: it returns at once, the mapping stays readable and mapped while
+// any hold is open, and the Release that ends the last hold unmaps it. Once
+// Close has begun, Acquire fails, so a reader that has not yet started
+// cannot reach a mapping about to go. A store over bytes in memory lends
+// those bytes.
 func TestWithBytesLendsMappingUntilClose(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "diag.sky")
 	if err := CreateFileEpoch(path, buildDiagram(t, 40, 65), 9); err != nil {
@@ -256,14 +233,13 @@ func TestWithBytesLendsMappingUntilClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rd, err := Open(path)
+	mem, err := New(want)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rd.Close()
-	if err := rd.WithBytes(func(data []byte) error {
-		if !bytes.Equal(data, want) {
-			t.Error("ReadAt store lent bytes that differ from its file")
+	if err := mem.WithBytes(func(data []byte) error {
+		if &data[0] != &want[0] {
+			t.Error("in-memory store lent a copy, not its bytes")
 		}
 		return nil
 	}); err != nil {
@@ -274,6 +250,9 @@ func TestWithBytesLendsMappingUntilClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !mm.Mapped() {
+		t.Skip("mmap unavailable")
+	}
 	if !mm.Acquire() {
 		t.Fatal("Acquire failed on an open store")
 	}
@@ -281,12 +260,12 @@ func TestWithBytesLendsMappingUntilClose(t *testing.T) {
 	lent := make(chan error, 1)
 	go func() {
 		lent <- mm.WithBytes(func(data []byte) error {
-			if &data[0] != &mm.mapped[0] {
+			if &data[0] != &mm.data[0] {
 				t.Error("mapped store lent a copy, not its mapping")
 			}
 			close(borrowed)
 			<-release
-			// Close is waiting on this reader: the mapping is still there.
+			// Close has returned, but this hold keeps the mapping.
 			if !bytes.Equal(data, want) {
 				t.Error("mapping changed under a borrower")
 			}
@@ -294,26 +273,118 @@ func TestWithBytesLendsMappingUntilClose(t *testing.T) {
 		})
 	}()
 	<-borrowed
-	closed := make(chan error, 1)
-	go func() { closed <- mm.Close() }()
-	waitClosing := time.Now().Add(5 * time.Second)
-	for !mm.closing.Load() && time.Now().Before(waitClosing) {
-		time.Sleep(time.Millisecond)
+	if err := mm.Close(); err != nil {
+		t.Fatal(err)
 	}
 	if mm.Acquire() {
 		t.Fatal("Acquire succeeded after Close began")
+	}
+	if mm.unmapped.Load() {
+		t.Fatal("Close unmapped while a borrower and an Acquire hold were open")
 	}
 	close(release)
 	if err := <-lent; err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-closed:
-		t.Fatal("Close returned while an Acquire hold was still open")
-	case <-time.After(20 * time.Millisecond):
+	if mm.unmapped.Load() {
+		t.Fatal("the borrower unmapped while an Acquire hold was still open")
+	}
+	if !bytes.Equal(mm.data, want) {
+		t.Fatal("mapping unreadable while an Acquire hold is open")
 	}
 	mm.Release()
-	if err := <-closed; err != nil {
+	if !mm.unmapped.Load() {
+		t.Fatal("the final Release did not unmap the closed store")
+	}
+}
+
+// TestBorrowerReadsAfterCloseReturns: a relay streaming a mapped snapshot to
+// a slow peer may still be reading the bytes WithBytes lent it long after
+// the replica swapped a newer store in and closed this one. Close must
+// return without waiting for it, and the borrower must read intact bytes
+// after Close has returned.
+func TestBorrowerReadsAfterCloseReturns(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "diag.sky")
+	if err := CreateFileEpoch(path, buildDiagram(t, 40, 66), 4); err != nil {
 		t.Fatal(err)
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mm, err := OpenMmap(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	borrowed, closed := make(chan struct{}), make(chan struct{})
+	lent := make(chan error, 1)
+	go func() {
+		lent <- mm.WithBytes(func(data []byte) error {
+			close(borrowed)
+			<-closed
+			if !bytes.Equal(data, want) {
+				return fmt.Errorf("borrowed bytes changed after Close returned")
+			}
+			return nil
+		})
+	}()
+	<-borrowed
+	if err := mm.Close(); err != nil {
+		t.Fatal(err)
+	}
+	close(closed)
+	if err := <-lent; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCloseRacingReleasesUnmaps: when Close and the release of the last
+// hold race, one of them must see the other and unmap — a lost handoff
+// would leak the mapping — and readers holding the store keep reading
+// intact answers until they release.
+func TestCloseRacingReleasesUnmaps(t *testing.T) {
+	d := buildDiagram(t, 30, 68)
+	path := filepath.Join(t.TempDir(), "diag.sky")
+	if err := CreateFile(path, d); err != nil {
+		t.Fatal(err)
+	}
+	want := d.Query(geom.Pt2(-1, 40, 60))
+	for round := 0; round < 30; round++ {
+		mm, err := OpenMmap(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !mm.Mapped() {
+			t.Skip("mmap unavailable")
+		}
+		// Close once every reader is looping, so holds are open when it
+		// looks and the last one usually ends after it.
+		var wg, looping sync.WaitGroup
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			looping.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := 0; mm.Acquire(); k++ {
+					got := mm.QueryXY(40, 60)
+					mm.Release()
+					if k == 0 {
+						looping.Done()
+					}
+					if !equalI32(got, want) {
+						t.Errorf("round %d: held store answered %v, want %v", round, got, want)
+						return
+					}
+				}
+			}()
+		}
+		looping.Wait()
+		if err := mm.Close(); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+		if !mm.unmapped.Load() {
+			t.Fatalf("round %d: closed store still mapped after every hold ended", round)
+		}
 	}
 }

@@ -8,10 +8,19 @@ import (
 	"syscall"
 )
 
-// mmapFile maps size bytes of f read-only. The mapping is independent of the
-// file descriptor's lifetime, but the store keeps the descriptor open anyway
-// so the ReadAt fallback path stays usable.
-func mmapFile(f *os.File, size int64) ([]byte, error) {
+// mmapFile maps the whole file at path read-only and closes its descriptor:
+// the mapping outlives it.
+func mmapFile(path string) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	size := fi.Size()
 	if size <= 0 || int64(int(size)) != size {
 		return nil, fmt.Errorf("store: cannot map %d bytes", size)
 	}

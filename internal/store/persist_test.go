@@ -97,7 +97,7 @@ func TestPersistMaintainedDynamicByteIdentical(t *testing.T) {
 // TestPersistHeavilyChurnedSnapshotOpens is the regression for the original
 // defect's visible failure: under enough churn the live table accumulates
 // more (mostly garbage) results than the diagram has cells, and persisting
-// that arena verbatim produced a file loadArena rejects as corrupt. The
+// that arena verbatim produced a file the reader rejects as corrupt. The
 // writer now compacts, so persist-after-heavy-update round-trips.
 func TestPersistHeavilyChurnedSnapshotOpens(t *testing.T) {
 	d := buildDiagram(t, 25, 57)
@@ -117,7 +117,7 @@ func TestPersistHeavilyChurnedSnapshotOpens(t *testing.T) {
 	if err := CreateFile(path, d); err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(path)
+	s, err := OpenMmap(path)
 	if err != nil {
 		t.Fatalf("persisted maintained snapshot failed to open: %v", err)
 	}

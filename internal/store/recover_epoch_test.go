@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
@@ -25,20 +24,26 @@ func probeQueries() []geom.Point {
 // mustAnswerAlike fails unless a and b agree on every probe query.
 func mustAnswerAlike(t *testing.T, a, b *Store) {
 	t.Helper()
-	qs := probeQueries()
-	ra, err := a.QueryBatch(qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := b.QueryBatch(qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := range qs {
-		if !equalI32(ra[k], rb[k]) {
-			t.Fatalf("query %d (%v): %v vs %v", k, qs[k].Coords, ra[k], rb[k])
+	for k, q := range probeQueries() {
+		if ra, rb := a.QueryXY(q.X(), q.Y()), b.QueryXY(q.X(), q.Y()); !equalI32(ra, rb) {
+			t.Fatalf("query %d (%v): %v vs %v", k, q.Coords, ra, rb)
 		}
 	}
+}
+
+// readStore parses the file at path from its bytes read into memory — the
+// path OpenMmap falls back to where it cannot map.
+func readStore(t *testing.T, path string) *Store {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 // TestRecoverThenMmapSalvagedTemp is the Recover/OpenMmap interaction a
@@ -46,7 +51,7 @@ func mustAnswerAlike(t *testing.T, a, b *Store) {
 // between the temp fsync and the rename, Recover salvages the complete temp
 // into place, and the serving path then memory-maps the salvaged file. The
 // mapped store must carry the generation's epoch and answer exactly like the
-// ReadAt store.
+// file's bytes parsed in memory.
 func TestRecoverThenMmapSalvagedTemp(t *testing.T) {
 	defer faultinject.Deactivate()
 	gen := buildDiagram(t, 40, 81)
@@ -77,17 +82,12 @@ func TestRecoverThenMmapSalvagedTemp(t *testing.T) {
 	}
 	defer mm.Close()
 	if !mm.Mapped() {
-		t.Fatal("OpenMmap fell back to ReadAt on a platform with mmap")
+		t.Fatal("OpenMmap fell back to reading the file on a platform with mmap")
 	}
 	if got := mm.Epoch(); got != 7 {
 		t.Fatalf("mapped epoch = %d, want 7", got)
 	}
-	rd, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rd.Close()
-	mustAnswerAlike(t, rd, mm)
+	mustAnswerAlike(t, readStore(t, path), mm)
 }
 
 // TestRecoverTornTempThenMmapOldGeneration: a rewrite tears mid-page, so the
@@ -134,19 +134,14 @@ func TestRecoverTornTempThenMmapOldGeneration(t *testing.T) {
 		t.Fatalf("mapped store serves epoch %d with %d points, want old generation at 3",
 			mm.Epoch(), len(mm.Points()))
 	}
-	rd, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rd.Close()
-	mustAnswerAlike(t, rd, mm)
+	mustAnswerAlike(t, readStore(t, path), mm)
 }
 
 // TestEpochRoundTripAndByteFidelity pins the replication protocol's carrier:
-// the epoch stamped at write is readable through every open path (ReadAt,
-// mmap, in-memory), WriteEpoch and CreateFileEpoch emit identical bytes, and
-// WithBytes lends a byte-identical snapshot — what lets a replica relay a
-// file it never built.
+// the epoch stamped at write is readable through both ways to open a file
+// (mapped, and parsed from bytes in memory), WriteEpoch and CreateFileEpoch
+// emit identical bytes, and WithBytes lends a byte-identical snapshot — what
+// lets a replica relay a file it never built.
 func TestEpochRoundTripAndByteFidelity(t *testing.T) {
 	d := buildDiagram(t, 25, 84)
 	var buf bytes.Buffer
@@ -165,21 +160,16 @@ func TestEpochRoundTripAndByteFidelity(t *testing.T) {
 		t.Fatal("CreateFileEpoch and WriteEpoch disagree on bytes")
 	}
 
-	rd, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rd.Close()
 	mm, err := OpenMmap(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mm.Close()
-	mem, err := New(bytes.NewReader(disk), DefaultCacheSize)
+	mem, err := New(disk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, s := range map[string]*Store{"Open": rd, "OpenMmap": mm, "New": mem} {
+	for name, s := range map[string]*Store{"OpenMmap": mm, "New": mem} {
 		if got := s.Epoch(); got != 42 {
 			t.Fatalf("%s: epoch = %d, want 42", name, got)
 		}
@@ -202,7 +192,7 @@ func TestEpochRoundTripAndByteFidelity(t *testing.T) {
 	if err := WriteDynamicEpoch(&dbuf, dd, 9); err != nil {
 		t.Fatal(err)
 	}
-	ds, err := New(bytes.NewReader(dbuf.Bytes()), DefaultCacheSize)
+	ds, err := New(dbuf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,48 +201,31 @@ func TestEpochRoundTripAndByteFidelity(t *testing.T) {
 	}
 }
 
-// TestPreEpochFilesReadAsEpochZero: files written before the epoch field
-// existed (and current files written without one) must report epoch 0 — the
-// "no generation" value replicas treat as always-stale.
+// TestPreEpochFilesReadAsEpochZero: a file written without an epoch must
+// report epoch 0 — the "no generation" value replicas treat as always-stale —
+// whether it is mapped or parsed from bytes in memory.
 func TestPreEpochFilesReadAsEpochZero(t *testing.T) {
 	d := buildDiagram(t, 20, 85)
-
-	// Current format, epochless Write.
-	var cur bytes.Buffer
-	if err := Write(&cur, d); err != nil {
+	var plain bytes.Buffer
+	if err := Write(&plain, d); err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(bytes.NewReader(cur.Bytes()), 4)
+	path := filepath.Join(t.TempDir(), "plain.sky")
+	if err := os.WriteFile(path, plain.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mm, err := OpenMmap(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Epoch(); got != 0 {
-		t.Fatalf("epochless current-format file: epoch = %d, want 0", got)
-	}
-
-	// Version 2: cell payloads plus trailer, no epoch field at all.
-	pts, cells := d.Export()
-	var v2 bytes.Buffer
-	if err := writeLegacyCells(&v2, pts, cells, d.Grid.Cols(), d.Grid.Rows(), kindQuadrant); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := New(bytes.NewReader(v2.Bytes()), 4)
+	defer mm.Close()
+	mem, err := New(plain.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s2.Epoch(); got != 0 {
-		t.Fatalf("version-2 file: epoch = %d, want 0", got)
-	}
-
-	// Version 1: no trailer either.
-	v1 := append([]byte(nil), v2.Bytes()...)
-	v1 = v1[:len(v1)-trailerSize]
-	binary.BigEndian.PutUint32(v1[8:], 1)
-	s1, err := New(bytes.NewReader(v1), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s1.Epoch(); got != 0 {
-		t.Fatalf("version-1 file: epoch = %d, want 0", got)
+	for name, s := range map[string]*Store{"OpenMmap": mm, "New": mem} {
+		if got := s.Epoch(); got != 0 {
+			t.Fatalf("%s: epochless file: epoch = %d, want 0", name, got)
+		}
 	}
 }

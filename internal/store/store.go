@@ -1,51 +1,48 @@
-// Package store persists skyline diagrams in a paged binary file and serves
-// point-location queries from disk through a small LRU page cache — the
+// Package store persists skyline diagrams in one binary file format and
+// serves point-location queries straight from a file's bytes — the
 // deployment shape of a precomputation structure: build once on a beefy
-// machine, ship the file, query it on small ones without loading the whole
-// diagram into memory.
+// machine, ship the file, and answer queries on small ones with no build or
+// materialization step.
 //
 // File layout (all integers big-endian), format version 4:
 //
 //	header   magic "SKYDSTO1", version, dim, #points, cols, rows,
-//	         cellsPerPage, #pages, section offsets, epoch
+//	         cellsPerPage, #pages, index offset, pages offset, kind,
+//	         epoch, 8 reserved zero bytes — 80 bytes
 //	points   id:int64, coords: dim × float64  (grid lines are rebuilt from
 //	         these on open, exactly as the in-memory constructors do)
 //	index    per page: offset:uint64, length:uint32, crc32:uint32
 //	pages    each page: cellsPerPage interned result labels (uint32,
 //	         0xFFFFFFFF for padding past the last cell) — fixed
-//	         4·cellsPerPage bytes per page
+//	         4·cellsPerPage bytes per page, back to back
 //	arena    the interned CSR result table shared by every cell:
 //	         #results:uint32, #ids:uint32, offsets: (#results+1) × uint32,
 //	         ids: #ids × uint32, crc32 of the section
 //	trailer  magic "SKYDEND1", crc32 of every preceding byte
 //
-// The arena is loaded (and checksummed) once at open; label pages go through
-// the page cache, and Cell resolves a label to a subslice of the arena — no
-// per-cell [][]int32 is ever materialized, and a cache-hit read allocates
-// nothing. Earlier formats still open read-compatibly: version 3 is version 4
-// minus the epoch field (a 64-byte header, epoch reads as 0), and version 2
-// (plus the trailer-less version 1) pages carry per-cell id payloads which
-// are decoded per read, exactly as before.
+// The epoch is a replication generation: a monotonically increasing
+// snapshot number assigned by the builder that published the file. Replicas
+// negotiate snapshot transfers by epoch (fetch only when the builder is
+// ahead) and routers use it to measure staleness; Epoch returns it, and the
+// trailer CRC covers it like every other header byte, so a flipped epoch is
+// ErrCorrupt, not a silent time warp. Files of any other version are
+// refused.
 //
-// Version 4 widens the header to 80 bytes and stamps the file with a
-// replication epoch: a monotonically increasing snapshot generation assigned
-// by the builder that published the file. Replicas negotiate snapshot
-// transfers by epoch (fetch only when the builder is ahead) and routers use
-// it to measure staleness; Epoch returns it, and the whole-file trailer CRC
-// covers it like every other header byte, so a flipped epoch is ErrCorrupt,
-// not a silent time warp.
+// A Store is a view over one byte slice holding a whole file. New parses
+// it in place: it verifies the trailer CRC before trusting any header
+// field, bounds every header-declared count by the slice before sizing
+// anything from it, and checks the arena's own CRC, so a torn write or a
+// flipped bit anywhere is ErrCorrupt at open instead of a wrong skyline
+// later. Label pages are read straight from the slice; the points and the
+// arena are decoded once (the file is big-endian, so the int32 arena cannot
+// be aliased on little-endian hosts). Point location is O(1) via rank
+// tables over the rebuilt grid lines, and QueryXY answers with zero
+// allocations.
 //
-// Every page is CRC-checked on load, and opening a version-2+ file of known
-// size verifies the full-file checksum trailer first, so silent corruption —
-// including a torn write that stopped mid-file — turns into ErrCorrupt
-// instead of a wrong skyline.
-//
-// OpenMmap serves the same file zero-copy from a read-only memory map: label
-// pages become subslices of the map (no cache, no lock, no per-read CRC —
-// the trailer verification at open covers them), point location is O(1) via
-// rank tables over the rebuilt grid lines, and QueryXY answers with zero
-// allocations. That makes a persisted v3 file directly servable: a replica
-// maps it and answers queries with no build and no materialization step.
+// OpenMmap serves a file from a read-only memory map, or, where the
+// platform has no mmap or the map fails, from the whole file read into
+// memory; either way the bytes go through New. Close never unmaps under a
+// reader: the last hold to end does.
 //
 // Encode lays a diagram's whole file out in one buffer of exactly its size;
 // every writer is Encode plus a write of those bytes. CreateFile is
@@ -60,7 +57,6 @@
 package store
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -69,9 +65,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/dyndiag"
 	"repro/internal/faultinject"
@@ -84,35 +78,27 @@ import (
 const (
 	magic   = "SKYDSTO1"
 	version = 4
-	// versionNoEpoch is the epoch-less CSR format: identical to version 4
-	// except for the shorter header. Still opened (epoch reads as 0).
-	versionNoEpoch = 3
-	// versionLegacyCells is the last format whose pages carry per-cell id
-	// payloads instead of labels; kept writable so the read-compat promise
-	// stays executable in tests.
-	versionLegacyCells = 2
-	headerSize         = 64
-	// headerSizeV4 adds the epoch (uint64) plus 8 reserved zero bytes.
-	headerSizeV4 = 80
+	// headerSize covers the fixed fields, the epoch (uint64) and 8 reserved
+	// zero bytes.
+	headerSize   = 80
 	indexEntrySz = 16
-	// trailerMagic ends every version-2+ file, followed by a CRC32 of all
-	// preceding bytes.
+	// trailerMagic ends every file, followed by a CRC32 of all preceding
+	// bytes.
 	trailerMagic = "SKYDEND1"
 	trailerSize  = 12
-	// labelPageSize is the fixed size of a version-3+ label page.
+	// labelPageSize is the fixed size of a label page.
 	labelPageSize = 4 * CellsPerPage
 	// noCell pads label pages past the diagram's last cell.
 	noCell = 0xFFFFFFFF
-	// CellsPerPage balances page size (decode cost) against index size.
+	// CellsPerPage is the number of cell labels per page (1 KiB pages).
 	CellsPerPage = 256
-	// DefaultCacheSize is the number of decoded pages kept in memory.
-	DefaultCacheSize = 64
 )
 
 // ErrCorrupt marks a file whose bytes are structurally or checksum-wise
-// wrong: torn writes, flipped bits, truncation. I/O failures (a ReadAt
-// error) are returned as-is and do NOT wrap ErrCorrupt, so callers can tell
-// a poisoned file (rebuild or restore it) from a flaky disk (retry).
+// wrong: torn writes, flipped bits, truncation. I/O failures (a file that
+// cannot be opened or read) are returned as-is and do NOT wrap ErrCorrupt,
+// so callers can tell a poisoned file (rebuild or restore it) from a flaky
+// disk (retry). Neither does a file of another format version.
 var ErrCorrupt = errors.New("store: corrupt file")
 
 // Diagram kinds stored in the header.
@@ -219,13 +205,13 @@ func encode(pts []geom.Point, labels []uint32, table *resultset.Table, cols, row
 		}
 	}
 	numPages := (len(labels) + CellsPerPage - 1) / CellsPerPage
-	indexOff := headLen(version, pts)
+	indexOff := headLen(pts)
 	pagesOff := indexOff + numPages*indexEntrySz
 	arenaOff := pagesOff + numPages*labelPageSize
 	idsOff := arenaOff + 8 + 4*(numResults+1)
 	arenaEnd := idsOff + 4*numIDs
 	buf := make([]byte, arenaEnd+4+trailerSize)
-	putHead(buf, version, pts, cols, rows, numPages, kind, epoch)
+	putHead(buf, pts, cols, rows, numPages, kind, epoch)
 
 	be := binary.BigEndian
 	cells := buf[pagesOff:arenaOff]
@@ -278,47 +264,18 @@ func encode(pts []geom.Point, labels []uint32, table *resultset.Table, cols, row
 	return buf, nil
 }
 
-// writeLegacyCells writes the version-2 cell-payload format. Production code
-// always writes version 4; this path keeps the "old files still open"
-// promise executable in tests.
-func writeLegacyCells(w io.Writer, pts []geom.Point, cells [][]int32, cols, rows, kind int) error {
-	if len(cells) == 0 {
-		return fmt.Errorf("store: diagram has no cells")
-	}
-	numPages := (len(cells) + CellsPerPage - 1) / CellsPerPage
-	pages := make([][]byte, numPages)
-	indexOff := headLen(versionLegacyCells, pts)
-	size := indexOff + numPages*indexEntrySz + trailerSize
-	for pg := range pages {
-		pages[pg] = encodePage(cells[pg*CellsPerPage : min((pg+1)*CellsPerPage, len(cells))])
-		size += len(pages[pg])
-	}
-	buf := make([]byte, size)
-	putHead(buf, versionLegacyCells, pts, cols, rows, numPages, kind, 0)
-	off := indexOff + numPages*indexEntrySz
-	for pg, page := range pages {
-		copy(buf[off:], page)
-		putIndexEntry(buf[indexOff+pg*indexEntrySz:], page, off)
-		off += len(page)
-	}
-	putTrailer(buf)
-	return writeFile(w, buf)
-}
-
-// headLen is the size of the header plus the points section of a format
-// version: the page index starts there.
-func headLen(v int, pts []geom.Point) int {
-	return headerSizeFor(v) + len(pts)*(8+8*dimOf(pts))
+// headLen is the size of the header plus the points section: the page
+// index starts there.
+func headLen(pts []geom.Point) int {
+	return headerSize + len(pts)*(8+8*dimOf(pts))
 }
 
 // putHead writes the header and the points section at the front of buf.
-// Version 4 appends the epoch and 8 reserved zero bytes to the header;
-// every earlier field sits at the same offset in all versions.
-func putHead(buf []byte, v int, pts []geom.Point, cols, rows, numPages, kind int, epoch uint64) {
+func putHead(buf []byte, pts []geom.Point, cols, rows, numPages, kind int, epoch uint64) {
 	be := binary.BigEndian
-	indexOff := headLen(v, pts)
+	indexOff := headLen(pts)
 	copy(buf[0:8], magic)
-	be.PutUint32(buf[8:], uint32(v))
+	be.PutUint32(buf[8:], version)
 	be.PutUint32(buf[12:], uint32(dimOf(pts)))
 	be.PutUint64(buf[16:], uint64(len(pts)))
 	be.PutUint32(buf[24:], uint32(cols))
@@ -328,10 +285,8 @@ func putHead(buf []byte, v int, pts []geom.Point, cols, rows, numPages, kind int
 	be.PutUint64(buf[44:], uint64(indexOff))
 	be.PutUint64(buf[52:], uint64(indexOff+numPages*indexEntrySz))
 	be.PutUint32(buf[60:], uint32(kind))
-	if v >= 4 {
-		be.PutUint64(buf[64:], epoch)
-	}
-	off := headerSizeFor(v)
+	be.PutUint64(buf[64:], epoch)
+	off := headerSize
 	for _, p := range pts {
 		be.PutUint64(buf[off:], uint64(int64(p.ID)))
 		off += 8
@@ -383,48 +338,11 @@ func writeFile(w io.Writer, data []byte) error {
 	return err
 }
 
-// headerSizeFor returns the on-disk header size of a format version: 80
-// bytes from version 4 (epoch + reserved), 64 before.
-func headerSizeFor(v int) int {
-	if v >= 4 {
-		return headerSizeV4
-	}
-	return headerSize
-}
-
 func dimOf(pts []geom.Point) int {
 	if len(pts) == 0 {
 		return 2
 	}
 	return pts[0].Dim()
-}
-
-// encodePage lays out up to CellsPerPage cells: local offset table, then
-// payloads.
-func encodePage(cells [][]int32) []byte {
-	be := binary.BigEndian
-	headSize := 4 * CellsPerPage
-	size := headSize
-	for _, c := range cells {
-		size += 4 + 4*len(c)
-	}
-	page := make([]byte, size)
-	off := headSize
-	for k := 0; k < CellsPerPage; k++ {
-		if k < len(cells) {
-			be.PutUint32(page[4*k:], uint32(off))
-			c := cells[k]
-			be.PutUint32(page[off:], uint32(len(c)))
-			off += 4
-			for _, id := range c {
-				be.PutUint32(page[off:], uint32(id))
-				off += 4
-			}
-		} else {
-			be.PutUint32(page[4*k:], 0xFFFFFFFF) // no such cell
-		}
-	}
-	return page
 }
 
 // TempSuffix is appended to the target path for the intermediate file
@@ -521,12 +439,12 @@ func syncDir(dir string) error {
 // unreadable).
 func Recover(path string) (*Store, error) {
 	tmp := path + TempSuffix
-	s, err := Open(path)
+	s, err := OpenMmap(path)
 	if err == nil {
 		_ = os.Remove(tmp)
 		return s, nil
 	}
-	if ts, terr := Open(tmp); terr == nil {
+	if ts, terr := OpenMmap(tmp); terr == nil {
 		// The temp is a complete, checksum-clean generation: the crash hit
 		// between the data fsync and the rename. Finish the job.
 		ts.Close()
@@ -536,303 +454,187 @@ func Recover(path string) (*Store, error) {
 		if serr := syncDir(filepath.Dir(path)); serr != nil {
 			return nil, serr
 		}
-		return Open(path)
+		return OpenMmap(path)
 	}
 	_ = os.Remove(tmp)
 	return nil, err
 }
 
-// Store serves queries from a diagram file.
+// Store serves queries from one diagram file's bytes.
 type Store struct {
-	r      io.ReaderAt
-	closer io.Closer
+	// data is the whole file: a read-only memory map when mapped is set,
+	// otherwise memory the garbage collector owns. It never changes after
+	// New.
+	data   []byte
+	mapped bool
 
-	version    int
-	dim        int
 	kind       int
 	cols, rows int
-	numPages   int
 	// epoch is the replication generation stamped by the builder that
-	// published this snapshot (version 4+; 0 for earlier formats).
+	// published this snapshot.
 	epoch uint64
-	// size is the file length in bytes when it was known at open, -1
-	// otherwise; WithBytes needs it to lend the whole file to a relay.
-	size      int64
-	pageIndex []pageMeta
-	xs, ys    []float64
-	// xrank/yrank are O(1) point-location tables over xs/ys (see grid.Rank),
-	// so a stored-diagram query is two array loads plus a label indirection.
+	// labels is the label-page section of data: one uint32 label per cell,
+	// row-major, then padding.
+	labels []byte
+	// xrank/yrank are O(1) point-location tables over the grid lines (see
+	// grid.Rank), so a query is two array loads plus a label indirection.
 	xrank, yrank *grid.Rank
 	points       []geom.Point
-	// table is the interned result arena, loaded eagerly for version-3
-	// files; Cell resolves a page's label into it without copying.
+	// table is the interned result arena; a label resolves to a subslice of
+	// it without copying.
 	table *resultset.Table
 
-	// mapped, when non-nil, is the read-only memory map of the whole file
-	// (OpenMmap). Pages are served as subslices of it — no cache, no mutex,
-	// no per-read CRC: the whole-file trailer checksum was verified at open,
-	// which transitively covers every page. Only set for version >= 2 files
-	// (version 1 has no trailer, so it keeps the per-page-CRC cache path).
-	mapped   []byte
-	unmapper func([]byte) error
-
-	// active counts in-flight readers so Close can drain them before
-	// unmapping: a replica that swapped in a newer snapshot closes the old
-	// store while stragglers may still be reading mapped label pages, and
-	// unmapping under a reader would fault.
+	// active counts holds on data: Acquire holds and in-flight reads. A
+	// replica closes the store it swapped out while stragglers may still
+	// read its mapping, so Close unmaps only when active is zero, and
+	// otherwise the read or Release that ends the last hold unmaps.
 	active atomic.Int64
-	// closing is set when Close begins, before it drains active; Acquire
-	// fails from then on.
+	// closing is set when Close begins; Acquire fails from then on.
 	closing atomic.Bool
-
-	mu      sync.Mutex
-	cache   *pageCache
-	loading map[int]*pageLoad // per-page singleflight for cache misses
+	// unmapped makes the unmap happen exactly once.
+	unmapped atomic.Bool
 }
 
-// pageLoad is one in-flight page read; concurrent readers of the same page
-// wait on done instead of issuing a duplicate disk read.
-type pageLoad struct {
-	done chan struct{}
-	page []byte
-	err  error
-}
-
-type pageMeta struct {
-	off    uint64
-	length uint32
-	crc    uint32
-}
-
-// Open maps a diagram file for querying with the default cache size. The
-// file's real size is always known here, so version-2 files get their
-// whole-file checksum trailer verified before the first query.
-func Open(path string) (*Store, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	s, err := NewSized(f, DefaultCacheSize, fi.Size())
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	s.closer = f
-	return s, nil
-}
-
-// OpenMmap opens a diagram file for zero-copy serving from a read-only
-// memory map: label pages are returned as subslices of the map, with no
-// page cache, no lock, and no per-read checksum — the whole-file trailer is
-// verified once here, which transitively covers every page. The arena and
-// points are still decoded once at open (the file is big-endian, so the
-// int32 arena cannot be aliased on little-endian hosts; it is small next to
-// the label pages).
+// OpenMmap opens a diagram file for serving. It maps the file read-only and
+// closes the descriptor (the mapping outlives it); where the platform has
+// no mmap or the map fails, it reads the whole file into memory instead.
+// Either way the bytes are parsed and verified by New, so the two modes
+// answer identically and reject exactly the same files. Mapped reports
+// which mode is active.
 //
-// Fallback behavior: on platforms without mmap, on any map failure, or for
-// version-1 files (no trailer, so mapped pages would skip CRC verification),
-// OpenMmap degrades to the ReadAt page-cache path of Open — same answers,
-// same corruption detection. No file descriptor leaks on any error path;
-// Mapped reports which mode is active.
+// The store.open.read failpoint is hit once, before the file is mapped or
+// read.
 func OpenMmap(path string) (*Store, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
+	if err := faultinject.Hit("store.open.read"); err != nil {
+		return nil, fmt.Errorf("store: read %s: %w", path, err)
 	}
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	data, merr := mmapFile(f, fi.Size())
-	if merr != nil {
-		s, err := NewSized(f, DefaultCacheSize, fi.Size())
-		if err != nil {
-			f.Close()
+	data, err := mmapFile(path)
+	mapped := err == nil
+	if !mapped {
+		if data, err = os.ReadFile(path); err != nil {
 			return nil, err
 		}
-		s.closer = f
-		return s, nil
 	}
-	s, err := NewSized(bytes.NewReader(data), DefaultCacheSize, fi.Size())
+	s, err := New(data)
 	if err != nil {
-		_ = munmapFile(data)
-		f.Close()
+		if mapped {
+			_ = munmapFile(data)
+		}
 		return nil, err
 	}
-	if s.version < versionLegacyCells {
-		// No trailer to vouch for the map: keep the per-page-CRC path.
-		_ = munmapFile(data)
-		s, err = NewSized(f, DefaultCacheSize, fi.Size())
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		s.closer = f
-		return s, nil
-	}
-	s.mapped, s.unmapper = data, munmapFile
-	s.closer = f
+	s.mapped = mapped
 	return s, nil
 }
 
-// New builds a Store over any ReaderAt (a file, an mmap, a byte slice via
-// bytes.NewReader). When the reader can report its size — os.File via Stat,
-// bytes.Reader and strings.Reader via Size — the header's declared point and
-// page counts are validated against it before any buffer is allocated, so a
-// corrupt or malicious header fails fast instead of triggering a multi-GB
-// allocation. For readers of unknown size, use NewSized with an explicit
-// hint to get the same protection.
-func New(r io.ReaderAt, cacheSize int) (*Store, error) {
-	size := int64(-1)
-	switch sr := r.(type) {
-	case interface{ Stat() (os.FileInfo, error) }:
-		if fi, err := sr.Stat(); err == nil {
-			size = fi.Size()
-		}
-	case interface{ Size() int64 }:
-		size = sr.Size()
+// checkHead checks what every reader of a store file checks first: that
+// data can hold a header and a trailer, starts with the magic, and declares
+// the one format version this package reads. Another version is refused
+// with an error that does not wrap ErrCorrupt.
+func checkHead(data []byte) error {
+	if len(data) < headerSize+trailerSize {
+		return fmt.Errorf("%w: %d bytes is too small for a store file", ErrCorrupt, len(data))
 	}
-	return NewSized(r, cacheSize, size)
+	if string(data[:8]) != magic {
+		return fmt.Errorf("%w: bad magic %q", ErrCorrupt, data[:8])
+	}
+	if v := binary.BigEndian.Uint32(data[8:]); v != version {
+		return fmt.Errorf("store: unsupported version %d (want %d)", v, version)
+	}
+	return nil
 }
 
-// NewSized is New with an explicit reader size in bytes, bounding every
-// header-derived allocation. size < 0 means unknown (no size validation
-// beyond the structural header checks).
-func NewSized(r io.ReaderAt, cacheSize int, size int64) (*Store, error) {
-	var hdr [headerSize]byte
-	if err := faultinject.Hit("store.ReadAt"); err != nil {
-		return nil, fmt.Errorf("store: read header: %w", err)
-	}
-	if _, err := r.ReadAt(hdr[:], 0); err != nil {
-		return nil, fmt.Errorf("store: read header: %w", err)
-	}
-	if string(hdr[0:8]) != magic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, hdr[0:8])
+// New parses a complete store file and serves queries from it. The Store
+// keeps data, reading label pages in place, so the caller must not modify
+// it afterwards. The trailer CRC is verified before any header field is
+// trusted, and every header-declared count is bounded by len(data) before
+// anything is sized from it.
+func New(data []byte) (*Store, error) {
+	if err := checkHead(data); err != nil {
+		return nil, err
 	}
 	be := binary.BigEndian
-	v := be.Uint32(hdr[8:])
-	if v != 1 && v != versionLegacyCells && v != versionNoEpoch && v != version {
-		return nil, fmt.Errorf("store: unsupported version %d", v)
+	end := len(data) - trailerSize
+	if string(data[end:end+8]) != trailerMagic {
+		return nil, fmt.Errorf("%w: missing trailer (torn write?)", ErrCorrupt)
 	}
-	// Version-2 files carry a whole-file checksum trailer; verifying it up
-	// front turns any torn or bit-flipped region — even one no query would
-	// touch for days — into an immediate ErrCorrupt. Requires a known size;
-	// for size-unknown readers the per-page CRCs remain the only guard.
-	if v >= 2 && size >= 0 {
-		if err := verifyTrailer(r, size); err != nil {
-			return nil, err
-		}
+	if crc32.ChecksumIEEE(data[:end]) != be.Uint32(data[end+8:]) {
+		return nil, fmt.Errorf("%w: full-file checksum mismatch", ErrCorrupt)
 	}
 	s := &Store{
-		r:       r,
-		version: int(v),
-		dim:     int(be.Uint32(hdr[12:])),
-		cols:    int(be.Uint32(hdr[24:])),
-		rows:    int(be.Uint32(hdr[28:])),
-		kind:    int(be.Uint32(hdr[60:])),
-		size:    size,
-	}
-	hdrSize := headerSizeFor(s.version)
-	if s.version >= 4 {
-		// The epoch lives in the header extension; read it separately so
-		// shorter-headered versions never over-read.
-		var ext [headerSizeV4 - headerSize]byte
-		if err := faultinject.Hit("store.ReadAt"); err != nil {
-			return nil, fmt.Errorf("store: read header: %w", err)
-		}
-		if _, err := r.ReadAt(ext[:], headerSize); err != nil {
-			return nil, fmt.Errorf("store: read header: %w", err)
-		}
-		s.epoch = be.Uint64(ext[0:])
+		data:  data,
+		cols:  int(be.Uint32(data[24:])),
+		rows:  int(be.Uint32(data[28:])),
+		kind:  int(be.Uint32(data[60:])),
+		epoch: be.Uint64(data[64:]),
 	}
 	if s.kind != kindQuadrant && s.kind != kindDynamic {
 		return nil, fmt.Errorf("%w: unknown diagram kind %d", ErrCorrupt, s.kind)
 	}
-	numPoints64 := be.Uint64(hdr[16:])
-	cpp := int(be.Uint32(hdr[32:]))
-	if cpp != CellsPerPage {
+	if cpp := be.Uint32(data[32:]); cpp != CellsPerPage {
 		return nil, fmt.Errorf("store: page shape %d not supported (want %d)", cpp, CellsPerPage)
 	}
-	numPages64 := be.Uint64(hdr[36:])
-	indexOffset := int64(be.Uint64(hdr[44:]))
-	if s.cols <= 0 || s.rows <= 0 || s.dim != 2 {
-		return nil, fmt.Errorf("%w: header: cols=%d rows=%d dim=%d", ErrCorrupt, s.cols, s.rows, s.dim)
+	if dim := be.Uint32(data[12:]); s.cols <= 0 || s.rows <= 0 || dim != 2 {
+		return nil, fmt.Errorf("%w: header: cols=%d rows=%d dim=%d", ErrCorrupt, s.cols, s.rows, dim)
 	}
-	// Bound every header-declared count BEFORE sizing a buffer from it: a
-	// corrupt header must fail cheaply, not allocate multi-GB slices that
-	// only a later CRC or grid check would reject.
 	if int64(s.cols)*int64(s.rows) > math.MaxInt32 {
 		return nil, fmt.Errorf("%w: header: %dx%d cells", ErrCorrupt, s.cols, s.rows)
 	}
-	wantPages := (s.cols*s.rows + CellsPerPage - 1) / CellsPerPage
-	if numPages64 != uint64(wantPages) {
-		return nil, fmt.Errorf("%w: header claims %d pages for %d cells", ErrCorrupt, numPages64, s.cols*s.rows)
+	numPages := (s.cols*s.rows + CellsPerPage - 1) / CellsPerPage
+	if n := be.Uint64(data[36:]); n != uint64(numPages) {
+		return nil, fmt.Errorf("%w: header claims %d pages for %d cells", ErrCorrupt, n, s.cols*s.rows)
 	}
-	s.numPages = wantPages
-	recordSize := int64(8 + 8*s.dim)
-	if numPoints64 > uint64((math.MaxInt64-int64(hdrSize))/recordSize) {
-		return nil, fmt.Errorf("%w: header: %d points", ErrCorrupt, numPoints64)
+	// The sections follow one another with no gaps, so every offset is
+	// implied by the counts; the header's copies must agree.
+	const recordSize = 8 + 8*2
+	numPoints := be.Uint64(data[16:])
+	if numPoints > uint64(end)/recordSize {
+		return nil, fmt.Errorf("%w: header claims %d points but the file holds %d bytes", ErrCorrupt, numPoints, len(data))
 	}
-	pointsBytes := int64(numPoints64) * recordSize
-	// The writer lays the index immediately after the points, so the two
-	// header fields must agree — a cheap structural check that catches a
-	// corrupted point count even when the reader size is unknown.
-	if indexOffset != int64(hdrSize)+pointsBytes {
-		return nil, fmt.Errorf("%w: header claims %d points but index offset %d (want %d)",
-			ErrCorrupt, numPoints64, indexOffset, int64(hdrSize)+pointsBytes)
+	indexOff := int64(headerSize) + int64(numPoints)*recordSize
+	pagesOff := indexOff + int64(numPages)*indexEntrySz
+	arenaOff := pagesOff + int64(numPages)*labelPageSize
+	if be.Uint64(data[44:]) != uint64(indexOff) || be.Uint64(data[52:]) != uint64(pagesOff) {
+		return nil, fmt.Errorf("%w: header section offsets %d/%d, want %d/%d",
+			ErrCorrupt, be.Uint64(data[44:]), be.Uint64(data[52:]), indexOff, pagesOff)
 	}
-	if size >= 0 {
-		if int64(hdrSize)+pointsBytes > size {
-			return nil, fmt.Errorf("%w: header claims %d points (%d bytes) but reader holds %d bytes",
-				ErrCorrupt, numPoints64, pointsBytes, size)
+	if arenaOff+8 > int64(end) {
+		return nil, fmt.Errorf("%w: %d label pages overrun the %d-byte file", ErrCorrupt, numPages, len(data))
+	}
+	for pg := 0; pg < numPages; pg++ {
+		e := data[int(indexOff)+pg*indexEntrySz:]
+		if be.Uint64(e) != uint64(pagesOff)+uint64(pg)*labelPageSize || be.Uint32(e[8:]) != labelPageSize {
+			return nil, fmt.Errorf("%w: label page %d is %d bytes at offset %d (want %d at %d)", ErrCorrupt,
+				pg, be.Uint32(e[8:]), be.Uint64(e), labelPageSize, uint64(pagesOff)+uint64(pg)*labelPageSize)
 		}
-		indexBytes := int64(s.numPages) * indexEntrySz
-		if indexOffset < int64(hdrSize) || indexOffset > size-indexBytes {
-			return nil, fmt.Errorf("%w: header claims a %d-byte page index at offset %d but reader holds %d bytes",
-				ErrCorrupt, indexBytes, indexOffset, size)
-		}
 	}
-	numPoints := int(numPoints64)
+	s.labels = data[pagesOff:arenaOff]
+	if err := s.parseArena(data[arenaOff:end]); err != nil {
+		return nil, err
+	}
 
-	// Points.
-	ptsBuf := make([]byte, pointsBytes)
-	if err := faultinject.Hit("store.ReadAt"); err != nil {
-		return nil, fmt.Errorf("store: read points: %w", err)
-	}
-	if _, err := r.ReadAt(ptsBuf, int64(hdrSize)); err != nil {
-		return nil, fmt.Errorf("store: read points: %w", err)
-	}
 	s.points = make([]geom.Point, numPoints)
-	off := 0
-	for i := 0; i < numPoints; i++ {
-		id := int64(be.Uint64(ptsBuf[off:]))
-		off += 8
-		coords := make([]float64, s.dim)
-		for a := 0; a < s.dim; a++ {
-			coords[a] = math.Float64frombits(be.Uint64(ptsBuf[off:]))
-			off += 8
-		}
-		s.points[i] = geom.Point{ID: int(id), Coords: coords}
+	coords := make([]float64, 2*numPoints)
+	for i := range s.points {
+		rec := data[headerSize+i*recordSize:]
+		c := coords[2*i : 2*i+2 : 2*i+2]
+		c[0] = math.Float64frombits(be.Uint64(rec[8:]))
+		c[1] = math.Float64frombits(be.Uint64(rec[16:]))
+		s.points[i] = geom.Point{ID: int(int64(be.Uint64(rec))), Coords: c}
 	}
+	var xs, ys []float64
 	if s.kind == kindDynamic {
 		sg := grid.NewSubGrid(s.points)
 		if sg.Cols() != s.cols || sg.Rows() != s.rows {
 			return nil, fmt.Errorf("%w: points imply a %dx%d subgrid, header says %dx%d",
 				ErrCorrupt, sg.Cols(), sg.Rows(), s.cols, s.rows)
 		}
-		s.xs = make([]float64, len(sg.XLines))
+		xs = make([]float64, len(sg.XLines))
 		for i, l := range sg.XLines {
-			s.xs[i] = l.V
+			xs[i] = l.V
 		}
-		s.ys = make([]float64, len(sg.YLines))
+		ys = make([]float64, len(sg.YLines))
 		for i, l := range sg.YLines {
-			s.ys[i] = l.V
+			ys[i] = l.V
 		}
 	} else {
 		g := grid.NewGrid(s.points)
@@ -840,105 +642,37 @@ func NewSized(r io.ReaderAt, cacheSize int, size int64) (*Store, error) {
 			return nil, fmt.Errorf("%w: points imply a %dx%d grid, header says %dx%d",
 				ErrCorrupt, g.Cols(), g.Rows(), s.cols, s.rows)
 		}
-		s.xs, s.ys = g.Xs, g.Ys
+		xs, ys = g.Xs, g.Ys
 	}
-	s.xrank, s.yrank = grid.NewRank(s.xs), grid.NewRank(s.ys)
-
-	// Page index.
-	idxBuf := make([]byte, s.numPages*indexEntrySz)
-	if err := faultinject.Hit("store.ReadAt"); err != nil {
-		return nil, fmt.Errorf("store: read index: %w", err)
-	}
-	if _, err := r.ReadAt(idxBuf, indexOffset); err != nil {
-		return nil, fmt.Errorf("store: read index: %w", err)
-	}
-	s.pageIndex = make([]pageMeta, s.numPages)
-	for pg := 0; pg < s.numPages; pg++ {
-		e := idxBuf[pg*indexEntrySz:]
-		s.pageIndex[pg] = pageMeta{
-			off:    be.Uint64(e),
-			length: be.Uint32(e[8:]),
-			crc:    be.Uint32(e[12:]),
-		}
-	}
-	if size >= 0 {
-		for pg, meta := range s.pageIndex {
-			if meta.off > uint64(size) || uint64(meta.length) > uint64(size)-meta.off {
-				return nil, fmt.Errorf("%w: page %d (%d bytes at offset %d) overruns the %d-byte reader",
-					ErrCorrupt, pg, meta.length, meta.off, size)
-			}
-		}
-	}
-	if s.version >= 3 {
-		// Label pages are fixed-size; anything else is structural damage.
-		for pg, meta := range s.pageIndex {
-			if meta.length != labelPageSize {
-				return nil, fmt.Errorf("%w: label page %d is %d bytes (want %d)",
-					ErrCorrupt, pg, meta.length, labelPageSize)
-			}
-		}
-		last := s.pageIndex[s.numPages-1]
-		if err := s.loadArena(int64(last.off)+int64(last.length), size, numPoints); err != nil {
-			return nil, err
-		}
-	}
-	if cacheSize <= 0 {
-		cacheSize = DefaultCacheSize
-	}
-	s.cache = newPageCache(cacheSize)
-	s.loading = make(map[int]*pageLoad)
+	s.xrank, s.yrank = grid.NewRank(xs), grid.NewRank(ys)
 	return s, nil
 }
 
-// loadArena reads, bounds-checks, and CRC-verifies the version-3 arena
-// section starting at arenaOff, leaving the interned table in s.table.
-func (s *Store) loadArena(arenaOff, size int64, numPoints int) error {
+// parseArena bounds, CRC-checks and decodes the arena section (its own
+// trailing CRC included) into the interned result table.
+func (s *Store) parseArena(sec []byte) error {
 	be := binary.BigEndian
-	var head [8]byte
-	if err := faultinject.Hit("store.ReadAt"); err != nil {
-		return fmt.Errorf("store: read arena: %w", err)
-	}
-	if _, err := s.r.ReadAt(head[:], arenaOff); err != nil {
-		return fmt.Errorf("store: read arena: %w", err)
-	}
-	numResults := uint64(be.Uint32(head[0:]))
-	totalIDs := uint64(be.Uint32(head[4:]))
-	// Bound both counts before allocating: at most one result per cell, and
-	// every result id names a stored point, so totalIDs ≤ results × points.
+	numResults, numIDs := uint64(be.Uint32(sec)), uint64(be.Uint32(sec[4:]))
+	// At most one result per cell.
 	if numResults > uint64(s.cols)*uint64(s.rows)+1 {
 		return fmt.Errorf("%w: arena claims %d results for %d cells", ErrCorrupt, numResults, s.cols*s.rows)
 	}
-	if totalIDs > numResults*uint64(numPoints) {
-		return fmt.Errorf("%w: arena claims %d ids for %d results over %d points",
-			ErrCorrupt, totalIDs, numResults, numPoints)
+	idsOff := 8 + 4*(numResults+1)
+	crcOff := idsOff + 4*numIDs
+	if crcOff+4 != uint64(len(sec)) {
+		return fmt.Errorf("%w: arena of %d results and %d ids is %d bytes, not %d",
+			ErrCorrupt, numResults, numIDs, crcOff+4, len(sec))
 	}
-	bodyLen := 4*int64(numResults+1) + 4*int64(totalIDs) + 4
-	if size >= 0 && arenaOff+8+bodyLen > size-trailerSize {
-		return fmt.Errorf("%w: arena (%d bytes at offset %d) overruns the %d-byte reader",
-			ErrCorrupt, 8+bodyLen, arenaOff, size)
-	}
-	body := make([]byte, bodyLen)
-	if err := faultinject.Hit("store.ReadAt"); err != nil {
-		return fmt.Errorf("store: read arena: %w", err)
-	}
-	if _, err := s.r.ReadAt(body, arenaOff+8); err != nil {
-		return fmt.Errorf("store: read arena: %w", err)
-	}
-	sum := crc32.ChecksumIEEE(head[:])
-	sum = crc32.Update(sum, crc32.IEEETable, body[:bodyLen-4])
-	if want := be.Uint32(body[bodyLen-4:]); sum != want {
+	if crc32.ChecksumIEEE(sec[:crcOff]) != be.Uint32(sec[crcOff:]) {
 		return fmt.Errorf("%w: arena checksum mismatch", ErrCorrupt)
 	}
 	offsets := make([]uint32, numResults+1)
-	off := 0
 	for i := range offsets {
-		offsets[i] = be.Uint32(body[off:])
-		off += 4
+		offsets[i] = be.Uint32(sec[8+4*i:])
 	}
-	ids := make([]int32, totalIDs)
+	ids := make([]int32, numIDs)
 	for i := range ids {
-		ids[i] = int32(be.Uint32(body[off:]))
-		off += 4
+		ids[i] = int32(be.Uint32(sec[idsOff+4*uint64(i):]))
 	}
 	t, ok := resultset.NewTable(offsets, ids)
 	if !ok {
@@ -948,30 +682,26 @@ func (s *Store) loadArena(arenaOff, size int64, numPoints int) error {
 	return nil
 }
 
-// Close releases the memory map (if any) and the underlying file when the
-// store owns one. In-flight readers and Acquire holds are drained first
-// (bounded wait), so a replica may swap a newer snapshot in and close this
-// one while stragglers are still reading mapped pages — they finish against
-// the live mapping, then the map is released.
+// Close releases the store. A mapped store is unmapped at once when no
+// hold is open — and Close returns the unmap's result — or otherwise by the
+// read or Release that ends the last hold, so a replica may swap a newer
+// snapshot in and close this one while stragglers still read it: Close
+// never waits for them, and they never read an unmapped page. Acquire fails
+// once Close has begun.
 func (s *Store) Close() error {
 	s.closing.Store(true)
-	// Drain active readers before unmapping. The wait is bounded: queries
-	// are microseconds, so exhausting it means a stuck reader — at that
-	// point leaking the map briefly beats faulting it.
-	for i := 0; s.active.Load() != 0 && i < 4000; i++ {
-		time.Sleep(500 * time.Microsecond)
+	if s.active.Load() != 0 {
+		return nil
 	}
-	var err error
-	if s.mapped != nil && s.unmapper != nil {
-		err = s.unmapper(s.mapped)
-		s.mapped = nil
+	return s.unmap()
+}
+
+// unmap releases a mapped store's mapping, once.
+func (s *Store) unmap() error {
+	if !s.mapped || !s.unmapped.CompareAndSwap(false, true) {
+		return nil
 	}
-	if s.closer != nil {
-		if cerr := s.closer.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
+	return munmapFile(s.data)
 }
 
 // Points returns the stored dataset.
@@ -981,50 +711,43 @@ func (s *Store) Points() []geom.Point { return s.points }
 func (s *Store) NumCells() int { return s.cols * s.rows }
 
 // Epoch returns the replication epoch stamped by the builder that published
-// this snapshot, or 0 for pre-epoch (version <= 3) files.
+// this snapshot.
 func (s *Store) Epoch() uint64 { return s.epoch }
 
-// Acquire holds the store against Close, which waits for the matching
-// Release before it unmaps, and reports false — holding nothing — once
-// Close has begun. A reader that got the store from a snapshot another
-// goroutine may retire (swap out, then Close) must acquire it before
-// touching it: a read that merely started before Close could otherwise
-// reach the store after the unmap. Close sets its flag before it drains,
-// so an acquire either is counted before the drain or sees the flag.
+// Acquire holds the store against Close's unmap until the matching Release,
+// and reports false — holding nothing — once Close has begun. A reader that
+// got the store from a snapshot another goroutine may retire (swap out,
+// then Close) must acquire it before touching it: a read that merely
+// started before Close could otherwise reach the store after the unmap.
+// Close sets its flag before it counts holds, so an acquire either is
+// counted before Close looks or sees the flag.
 func (s *Store) Acquire() bool {
 	s.active.Add(1)
 	if s.closing.Load() {
-		s.active.Add(-1)
+		s.Release()
 		return false
 	}
 	return true
 }
 
-// Release ends a hold taken by Acquire.
-func (s *Store) Release() { s.active.Add(-1) }
+// Release ends a hold taken by Acquire. When it ends the last hold on a
+// closed store, it unmaps the store.
+func (s *Store) Release() {
+	if s.active.Add(-1) == 0 && s.closing.Load() {
+		_ = s.unmap()
+	}
+}
 
 // WithBytes calls fn with the complete file bytes — what a relay serves,
-// hashes and patches against. A mapped store lends its mapping itself,
-// counted as an in-flight reader so Close waits for fn to return before
-// unmapping; fn must not retain the slice. A store without a mapping reads
-// a fresh copy of its file. Requires the file size to have been known at
-// open (Open, OpenMmap, or a sized reader). Like a query, WithBytes does
-// not refuse a store whose Close has begun; callers that may race Close
-// hold Acquire around it.
+// hashes and patches against — counted as a hold for as long as fn runs,
+// so the bytes stay readable until fn returns even when Close is called
+// meanwhile. fn must neither modify nor retain the slice. Like a query,
+// WithBytes does not refuse a store whose Close has begun; callers that
+// may race Close hold Acquire around it.
 func (s *Store) WithBytes(fn func(data []byte) error) error {
-	if s.size < 0 {
-		return errors.New("store: snapshot size unknown; cannot re-stream")
-	}
 	s.active.Add(1)
-	defer s.active.Add(-1)
-	if s.mapped != nil {
-		return fn(s.mapped)
-	}
-	data := make([]byte, s.size)
-	if _, err := s.r.ReadAt(data, 0); err != nil {
-		return fmt.Errorf("store: read snapshot: %w", err)
-	}
-	return fn(data)
+	defer s.Release()
+	return fn(s.data)
 }
 
 // Kind returns the stored diagram kind, "quadrant" or "dynamic".
@@ -1035,312 +758,42 @@ func (s *Store) Kind() string {
 	return "quadrant"
 }
 
-// Mapped reports whether the store serves from a memory map (OpenMmap
-// succeeded) rather than the ReadAt page cache.
-func (s *Store) Mapped() bool { return s.mapped != nil }
+// Mapped reports whether the store serves from a memory map rather than
+// from the file read into memory.
+func (s *Store) Mapped() bool { return s.mapped }
 
-// LocateXY returns the cell indices containing (x, y), O(1) via the rank
-// tables. The boundary conventions match the in-memory grids exactly.
-func (s *Store) LocateXY(x, y float64) (i, j int) {
-	return s.xrank.Rank(x), s.yrank.Rank(y)
-}
-
-// Query answers a skyline query from the file.
-func (s *Store) Query(q geom.Point) ([]int32, error) {
-	i, j := s.LocateXY(q.X(), q.Y())
-	return s.Cell(i, j)
-}
-
-// QueryXY answers a skyline query without the geom.Point wrapper or an
-// error return — the serving hot path. Version-3 stores answer with zero
-// allocations (the result aliases the shared arena); on a mapped store the
-// whole path is lock-free. A nil result means an empty skyline; read errors
-// on the ReadAt path also surface as nil (the paths that can fail per-read
-// are exercised through Query/Cell, which report them).
+// QueryXY answers a skyline query — the serving hot path: two rank-table
+// loads, a label load from the file's bytes, and a subslice of the shared
+// arena, with no lock and zero allocations. A nil result means an empty
+// skyline. The result aliases the arena and must not be modified.
 func (s *Store) QueryXY(x, y float64) []int32 {
 	s.active.Add(1)
-	defer s.active.Add(-1)
-	i, j := s.LocateXY(x, y)
-	cell := i*s.rows + j
-	if s.mapped != nil && s.version >= 3 {
-		meta := s.pageIndex[cell/CellsPerPage]
-		page := s.mapped[meta.off : meta.off+uint64(meta.length)]
-		label := binary.BigEndian.Uint32(page[4*(cell%CellsPerPage):])
-		if label == noCell || int(label) >= s.table.NumResults() {
-			return nil
-		}
-		return s.table.Result(label)
-	}
-	ids, err := s.Cell(i, j)
-	if err != nil {
-		return nil
-	}
+	defer s.Release()
+	ids, _ := s.result(s.xrank.Rank(x)*s.rows + s.yrank.Rank(y))
 	return ids
 }
 
-// Cell reads the result of cell (i, j). For version-3 files the returned
-// slice aliases the shared arena and must not be modified; earlier formats
-// decode a fresh slice from the page payload.
+// Cell returns the result of cell (i, j). The slice aliases the shared
+// arena and must not be modified.
 func (s *Store) Cell(i, j int) ([]int32, error) {
-	s.active.Add(1)
-	defer s.active.Add(-1)
 	if i < 0 || j < 0 || i >= s.cols || j >= s.rows {
 		return nil, fmt.Errorf("store: cell (%d,%d) out of range %dx%d", i, j, s.cols, s.rows)
 	}
-	cellIdx := i*s.rows + j
-	pg := cellIdx / CellsPerPage
-	local := cellIdx % CellsPerPage
-	page, err := s.page(pg)
-	if err != nil {
-		return nil, err
-	}
-	be := binary.BigEndian
-	if s.version >= 3 {
-		label := be.Uint32(page[4*local:])
-		if label == noCell {
-			return nil, fmt.Errorf("store: page %d has no cell %d", pg, local)
-		}
-		if int(label) >= s.table.NumResults() {
-			return nil, fmt.Errorf("%w: cell %d label %d out of range (%d results)",
-				ErrCorrupt, cellIdx, label, s.table.NumResults())
-		}
-		return s.table.Result(label), nil
-	}
-	off := be.Uint32(page[4*local:])
-	if off == 0xFFFFFFFF || int(off)+4 > len(page) {
-		return nil, fmt.Errorf("store: page %d has no cell %d", pg, local)
-	}
-	count := be.Uint32(page[off:])
-	if int(off)+4+4*int(count) > len(page) {
-		return nil, fmt.Errorf("store: cell %d payload overruns page %d", local, pg)
-	}
-	ids := make([]int32, count)
-	for k := range ids {
-		ids[k] = int32(be.Uint32(page[int(off)+4+4*k:]))
+	s.active.Add(1)
+	defer s.Release()
+	ids, ok := s.result(i*s.rows + j)
+	if !ok {
+		return nil, fmt.Errorf("%w: cell (%d,%d) has no result label", ErrCorrupt, i, j)
 	}
 	return ids, nil
 }
 
-// page returns the decoded page, loading it on a cache miss. The store
-// mutex covers only cache bookkeeping: the disk read and CRC verification
-// run outside it, so readers of distinct pages proceed concurrently, and a
-// per-page singleflight ensures concurrent readers of the SAME page share
-// one disk read instead of duplicating it.
-func (s *Store) page(pg int) ([]byte, error) {
-	if s.mapped != nil {
-		meta := s.pageIndex[pg]
-		return s.mapped[meta.off : meta.off+uint64(meta.length)], nil
-	}
-	s.mu.Lock()
-	if b, ok := s.cache.get(pg); ok {
-		s.mu.Unlock()
-		return b, nil
-	}
-	if l, ok := s.loading[pg]; ok {
-		s.mu.Unlock()
-		<-l.done
-		return l.page, l.err
-	}
-	l := &pageLoad{done: make(chan struct{})}
-	s.loading[pg] = l
-	s.mu.Unlock()
-
-	l.page, l.err = s.loadPage(pg)
-
-	s.mu.Lock()
-	if l.err == nil {
-		s.cache.put(pg, l.page)
-	}
-	delete(s.loading, pg)
-	s.mu.Unlock()
-	close(l.done)
-	return l.page, l.err
-}
-
-// loadPage reads and CRC-verifies one page from the underlying reader.
-func (s *Store) loadPage(pg int) ([]byte, error) {
-	meta := s.pageIndex[pg]
-	buf := make([]byte, meta.length)
-	if err := faultinject.Hit("store.page.read"); err != nil {
-		return nil, fmt.Errorf("store: read page %d: %w", pg, err)
-	}
-	if _, err := s.r.ReadAt(buf, int64(meta.off)); err != nil {
-		return nil, fmt.Errorf("store: read page %d: %w", pg, err)
-	}
-	if err := faultinject.Hit("store.page.crc"); err != nil {
-		return nil, fmt.Errorf("%w: page %d checksum mismatch (%v)", ErrCorrupt, pg, err)
-	}
-	if got := crc32.ChecksumIEEE(buf); got != meta.crc {
-		return nil, fmt.Errorf("%w: page %d checksum mismatch", ErrCorrupt, pg)
-	}
-	return buf, nil
-}
-
-// verifyTrailer checks a version-2 file's whole-payload checksum against its
-// trailer. Checksum or structure problems wrap ErrCorrupt; read failures are
-// returned as plain I/O errors.
-func verifyTrailer(r io.ReaderAt, size int64) error {
-	if size < headerSize+trailerSize {
-		return fmt.Errorf("%w: %d bytes is too small for a trailer", ErrCorrupt, size)
-	}
-	var tr [trailerSize]byte
-	if err := faultinject.Hit("store.ReadAt"); err != nil {
-		return fmt.Errorf("store: read trailer: %w", err)
-	}
-	if _, err := r.ReadAt(tr[:], size-trailerSize); err != nil {
-		return fmt.Errorf("store: read trailer: %w", err)
-	}
-	if string(tr[0:8]) != trailerMagic {
-		return fmt.Errorf("%w: missing trailer (torn write?)", ErrCorrupt)
-	}
-	want := binary.BigEndian.Uint32(tr[8:])
-	sum := crc32.NewIEEE()
-	buf := make([]byte, 256<<10)
-	for off := int64(0); off < size-trailerSize; {
-		n := int64(len(buf))
-		if rest := size - trailerSize - off; rest < n {
-			n = rest
-		}
-		if err := faultinject.Hit("store.ReadAt"); err != nil {
-			return fmt.Errorf("store: verify read at %d: %w", off, err)
-		}
-		if _, err := r.ReadAt(buf[:n], off); err != nil {
-			return fmt.Errorf("store: verify read at %d: %w", off, err)
-		}
-		sum.Write(buf[:n])
-		off += n
-	}
-	if sum.Sum32() != want {
-		return fmt.Errorf("%w: full-file checksum mismatch", ErrCorrupt)
-	}
-	return nil
-}
-
-// QueryBatch answers many queries with page-ordered access: queries are
-// grouped by the page their cell lives on, so each page is loaded and
-// checksummed at most once per batch even when the cache is cold or smaller
-// than the working set. Results are returned in input order.
-func (s *Store) QueryBatch(qs []geom.Point) ([][]int32, error) {
-	type slot struct {
-		cell int
-		out  int
-	}
-	byPage := make(map[int][]slot)
-	for k, q := range qs {
-		i, j := s.LocateXY(q.X(), q.Y())
-		cell := i*s.rows + j
-		pg := cell / CellsPerPage
-		byPage[pg] = append(byPage[pg], slot{cell: cell, out: k})
-	}
-	pages := make([]int, 0, len(byPage))
-	for pg := range byPage {
-		pages = append(pages, pg)
-	}
-	sortInts(pages)
-	results := make([][]int32, len(qs))
-	for _, pg := range pages {
-		for _, sl := range byPage[pg] {
-			ids, err := s.Cell(sl.cell/s.rows, sl.cell%s.rows)
-			if err != nil {
-				return nil, err
-			}
-			results[sl.out] = ids
-		}
-	}
-	return results, nil
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
-}
-
-// CacheStats reports cache effectiveness.
-func (s *Store) CacheStats() (hits, misses int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cache.hits, s.cache.misses
-}
-
-// --- LRU page cache ----------------------------------------------------------
-
-type cacheNode struct {
-	key        int
-	page       []byte
-	prev, next *cacheNode
-}
-
-type pageCache struct {
-	capacity     int
-	m            map[int]*cacheNode
-	head, tail   *cacheNode // head = most recent
-	hits, misses int64
-}
-
-func newPageCache(capacity int) *pageCache {
-	return &pageCache{capacity: capacity, m: make(map[int]*cacheNode, capacity)}
-}
-
-func (c *pageCache) get(key int) ([]byte, bool) {
-	n, ok := c.m[key]
-	if !ok {
-		c.misses++
+// result resolves a cell's label, reporting false for a label that names
+// no result (padding or damage).
+func (s *Store) result(cell int) ([]int32, bool) {
+	label := binary.BigEndian.Uint32(s.labels[4*cell:])
+	if label >= uint32(s.table.NumResults()) {
 		return nil, false
 	}
-	c.hits++
-	c.moveToFront(n)
-	return n.page, true
-}
-
-func (c *pageCache) put(key int, page []byte) {
-	if n, ok := c.m[key]; ok {
-		n.page = page
-		c.moveToFront(n)
-		return
-	}
-	n := &cacheNode{key: key, page: page}
-	c.m[key] = n
-	c.pushFront(n)
-	if len(c.m) > c.capacity {
-		evict := c.tail
-		c.unlink(evict)
-		delete(c.m, evict.key)
-	}
-}
-
-func (c *pageCache) pushFront(n *cacheNode) {
-	n.prev = nil
-	n.next = c.head
-	if c.head != nil {
-		c.head.prev = n
-	}
-	c.head = n
-	if c.tail == nil {
-		c.tail = n
-	}
-}
-
-func (c *pageCache) unlink(n *cacheNode) {
-	if n.prev != nil {
-		n.prev.next = n.next
-	} else {
-		c.head = n.next
-	}
-	if n.next != nil {
-		n.next.prev = n.prev
-	} else {
-		c.tail = n.prev
-	}
-	n.prev, n.next = nil, nil
-}
-
-func (c *pageCache) moveToFront(n *cacheNode) {
-	if c.head == n {
-		return
-	}
-	c.unlink(n)
-	c.pushFront(n)
+	return s.table.Result(label), true
 }

@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -37,7 +39,7 @@ func TestRoundTripQueries(t *testing.T) {
 	if err := Write(&buf, d); err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(bytes.NewReader(buf.Bytes()), 8)
+	s, err := New(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,18 +71,11 @@ func TestRoundTripQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 300; trial++ {
 		q := geom.Pt2(-1, rng.Float64()*140-20, rng.Float64()*140-20)
-		got, err := s.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := s.QueryXY(q.X(), q.Y())
 		want := d.Query(q)
 		if len(got) != len(want) {
 			t.Fatalf("q=%v: %v vs %v", q, got, want)
 		}
-	}
-	hits, misses := s.CacheStats()
-	if hits == 0 || misses == 0 {
-		t.Fatalf("cache stats look wrong: hits=%d misses=%d", hits, misses)
 	}
 }
 
@@ -90,21 +85,18 @@ func TestFileRoundTrip(t *testing.T) {
 	if err := CreateFile(path, d); err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(path)
+	s, err := OpenMmap(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	got, err := s.Query(geom.Pt2(-1, 10.5, 10.5))
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := s.QueryXY(10.5, 10.5)
 	want := d.Query(geom.Pt2(-1, 10.5, 10.5))
 	if len(got) != len(want) {
 		t.Fatalf("file query %v, want %v", got, want)
 	}
-	if _, err := Open(filepath.Join(t.TempDir(), "missing.sky")); err == nil {
-		t.Fatal("missing file must fail")
+	if _, err := OpenMmap(filepath.Join(t.TempDir(), "missing.sky")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("missing file: want os.ErrNotExist, got %v", err)
 	}
 }
 
@@ -119,130 +111,36 @@ func TestCorruptionDetected(t *testing.T) {
 	// Bad magic.
 	bad := append([]byte(nil), raw...)
 	bad[0] ^= 0xFF
-	if _, err := New(bytes.NewReader(bad), 4); !errors.Is(err, ErrCorrupt) {
+	if _, err := New(bad); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("bad magic: want ErrCorrupt, got %v", err)
 	}
 
-	// Flip one byte inside the last label page. With a known size the
-	// full-file trailer checksum catches it at open...
-	pristine, err := NewSized(bytes.NewReader(raw), 4, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lastPage := pristine.pageIndex[pristine.numPages-1]
+	// Flip one byte inside the last label page: the full-file trailer
+	// checksum catches it at open.
+	be := binary.BigEndian
+	numPages := int(be.Uint64(raw[36:]))
+	arenaOff := int(be.Uint64(raw[52:])) + numPages*labelPageSize
 	bad = append([]byte(nil), raw...)
-	bad[int(lastPage.off)+1] ^= 0x01
-	if _, err := New(bytes.NewReader(bad), 4); !errors.Is(err, ErrCorrupt) {
+	bad[arenaOff-labelPageSize+1] ^= 0x01
+	if _, err := New(bad); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("flipped byte: want ErrCorrupt at open, got %v", err)
 	}
-	// ...and with an unknown size (no trailer verification possible) the
-	// per-page CRC still catches it on first touch.
-	s, err := NewSized(bytes.NewReader(bad), 4, -1)
-	if err != nil {
-		t.Fatal(err) // header and arena still fine
-	}
-	lastCell := s.NumCells() - 1
-	i, j := lastCell/s.rows, lastCell%s.rows
-	if _, err := s.Cell(i, j); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("corrupted page: want ErrCorrupt from its checksum, got %v", err)
-	}
 
-	// Flip one byte in the arena section: its own checksum catches it at
-	// open even when the reader size (and so the trailer) is unknown.
-	arenaOff := int(lastPage.off) + int(lastPage.length)
+	// Flip one byte in the arena section and reseal the trailer: the
+	// arena's own checksum still catches it at open.
 	bad = append([]byte(nil), raw...)
 	bad[arenaOff+9] ^= 0x01 // first offsets word
-	if _, err := NewSized(bytes.NewReader(bad), 4, -1); !errors.Is(err, ErrCorrupt) {
+	putTrailer(bad)
+	if _, err := New(bad); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corrupted arena: want ErrCorrupt at open, got %v", err)
 	}
 
-	// Truncated file: the trailer is gone, so a known size fails at open.
-	if _, err := New(bytes.NewReader(raw[:40]), 4); err == nil {
+	// Truncated file: the trailer is gone, so it fails at open.
+	if _, err := New(raw[:40]); err == nil {
 		t.Fatal("truncated header must fail")
 	}
-	if _, err := New(bytes.NewReader(raw[:len(raw)-8]), 4); !errors.Is(err, ErrCorrupt) {
+	if _, err := New(raw[:len(raw)-8]); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("truncated file: want ErrCorrupt, got %v", err)
-	}
-	s2, err := NewSized(bytes.NewReader(raw[:len(raw)-trailerSize-8]), 4, -1)
-	if err == nil {
-		// Header parses; the damaged page read must fail.
-		if _, err := s2.Cell(s2.cols-1, s2.rows-1); err == nil {
-			t.Fatal("truncated page must fail")
-		}
-	}
-}
-
-// TestLegacyVersion1StillOpens guards the compatibility promise: a version-1
-// file — cell-payload pages, no trailer — written by earlier releases must
-// keep opening.
-func TestLegacyVersion1StillOpens(t *testing.T) {
-	d := buildDiagram(t, 20, 11)
-	pts, cells := d.Export()
-	var buf bytes.Buffer
-	if err := writeLegacyCells(&buf, pts, cells, d.Grid.Cols(), d.Grid.Rows(), kindQuadrant); err != nil {
-		t.Fatal(err)
-	}
-	legacy := append([]byte(nil), buf.Bytes()...)
-	legacy = legacy[:len(legacy)-trailerSize] // strip the trailer...
-	binary.BigEndian.PutUint32(legacy[8:], 1) // ...and declare version 1
-	s, err := New(bytes.NewReader(legacy), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.Query(geom.Pt2(-1, 10.5, 10.5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := d.Query(geom.Pt2(-1, 10.5, 10.5)); len(got) != len(want) {
-		t.Fatalf("legacy query %v, want %v", got, want)
-	}
-}
-
-// TestLegacyVersion2StillOpens guards read-compat for version-2 files —
-// cell-payload pages plus the whole-file trailer — against the version-3
-// interned format: every cell and random queries must match the source
-// diagram exactly.
-func TestLegacyVersion2StillOpens(t *testing.T) {
-	d := buildDiagram(t, 45, 12)
-	pts, cells := d.Export()
-	var buf bytes.Buffer
-	if err := writeLegacyCells(&buf, pts, cells, d.Grid.Cols(), d.Grid.Rows(), kindQuadrant); err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(bytes.NewReader(buf.Bytes()), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.version != versionLegacyCells {
-		t.Fatalf("version = %d, want %d", s.version, versionLegacyCells)
-	}
-	for i := 0; i < d.Grid.Cols(); i++ {
-		for j := 0; j < d.Grid.Rows(); j++ {
-			got, err := s.Cell(i, j)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := d.Cell(i, j)
-			if len(got) != len(want) {
-				t.Fatalf("cell (%d,%d): %v vs %v", i, j, got, want)
-			}
-			for k := range want {
-				if got[k] != want[k] {
-					t.Fatalf("cell (%d,%d): %v vs %v", i, j, got, want)
-				}
-			}
-		}
-	}
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 200; trial++ {
-		q := geom.Pt2(-1, rng.Float64()*140-20, rng.Float64()*140-20)
-		got, err := s.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := d.Query(q); len(got) != len(want) {
-			t.Fatalf("q=%v: %v vs %v", q, got, want)
-		}
 	}
 }
 
@@ -252,7 +150,7 @@ func TestCellRangeErrors(t *testing.T) {
 	if err := Write(&buf, d); err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(bytes.NewReader(buf.Bytes()), 2)
+	s, err := New(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +168,7 @@ func TestConcurrentReaders(t *testing.T) {
 	if err := Write(&buf, d); err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(bytes.NewReader(buf.Bytes()), 4)
+	s, err := New(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,14 +181,9 @@ func TestConcurrentReaders(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for k := 0; k < 200; k++ {
 				q := geom.Pt2(-1, rng.Float64()*120-10, rng.Float64()*120-10)
-				got, err := s.Query(q)
-				if err != nil {
-					errs <- err
-					return
-				}
-				want := d.Query(q)
-				if len(got) != len(want) {
-					errs <- err
+				got := s.QueryXY(q.X(), q.Y())
+				if want := d.Query(q); !equalI32(got, want) {
+					errs <- fmt.Errorf("q=%v: got %v want %v", q, got, want)
 					return
 				}
 			}
@@ -315,7 +208,7 @@ func TestEmptyDiagramRejected(t *testing.T) {
 	if err := Write(&buf, d); err != nil {
 		t.Fatal(err) // one empty cell is fine
 	}
-	s, err := New(bytes.NewReader(buf.Bytes()), 2)
+	s, err := New(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +232,7 @@ func TestDynamicStoreRoundTrip(t *testing.T) {
 	if err := WriteDynamic(&buf, d); err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(bytes.NewReader(buf.Bytes()), 8)
+	s, err := New(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,10 +241,7 @@ func TestDynamicStoreRoundTrip(t *testing.T) {
 	}
 	for trial := 0; trial < 400; trial++ {
 		q := geom.Pt2(-1, rng.Float64()*30-3, rng.Float64()*30-3)
-		got, err := s.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := s.QueryXY(q.X(), q.Y())
 		want := d.Query(q)
 		if len(got) != len(want) {
 			t.Fatalf("q=%v: %v vs %v", q, got, want)
@@ -364,49 +254,6 @@ func TestDynamicStoreRoundTrip(t *testing.T) {
 	}
 }
 
-func TestQueryBatchMatchesSingles(t *testing.T) {
-	d := buildDiagram(t, 80, 8)
-	var buf bytes.Buffer
-	if err := Write(&buf, d); err != nil {
-		t.Fatal(err)
-	}
-	// Cache of 1 page: batching must still touch each page once per batch.
-	s, err := New(bytes.NewReader(buf.Bytes()), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(9))
-	qs := make([]geom.Point, 500)
-	for i := range qs {
-		qs[i] = geom.Pt2(-1, rng.Float64()*120-10, rng.Float64()*120-10)
-	}
-	batch, err := s.QueryBatch(qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, missesAfterBatch := s.CacheStats()
-	for i, q := range qs {
-		want := d.Query(q)
-		if len(batch[i]) != len(want) {
-			t.Fatalf("q=%v: %v vs %v", q, batch[i], want)
-		}
-		for k := range want {
-			if batch[i][k] != want[k] {
-				t.Fatalf("q=%v: %v vs %v", q, batch[i], want)
-			}
-		}
-	}
-	// Batched access with a 1-page cache loads each needed page at most
-	// twice (once when first grouped, and the group is contiguous): misses
-	// must be far below the 500 a random access order would pay.
-	if missesAfterBatch > int64(s.numPages)+5 {
-		t.Fatalf("batch paid %d page misses over %d pages", missesAfterBatch, s.numPages)
-	}
-	if _, err := s.QueryBatch(nil); err != nil {
-		t.Fatal("empty batch must succeed")
-	}
-}
-
 func TestCorruptHeaderCountsRejectedBeforeAllocation(t *testing.T) {
 	d := buildDiagram(t, 30, 9)
 	var buf bytes.Buffer
@@ -416,23 +263,22 @@ func TestCorruptHeaderCountsRejectedBeforeAllocation(t *testing.T) {
 	raw := buf.Bytes()
 
 	be := binary.BigEndian
+	// Each mutation reseals the trailer, so the header checks themselves —
+	// not the checksum that runs before them — must reject it.
 	corrupt := func(mutate func(b []byte)) []byte {
 		b := append([]byte(nil), raw...)
 		mutate(b)
+		putTrailer(b)
 		return b
 	}
 
 	// A header claiming 2^40 points would allocate ~24 TB before PR 2; it
-	// must instead be rejected against the reader size before any buffer is
+	// must instead be rejected against the file size before any buffer is
 	// sized from it. (If this regresses, the test OOMs rather than failing
 	// politely — that is the point.)
 	huge := corrupt(func(b []byte) { be.PutUint64(b[16:], 1<<40) })
-	if _, err := New(bytes.NewReader(huge), 4); err == nil {
+	if _, err := New(huge); err == nil {
 		t.Fatal("huge numPoints must fail")
-	}
-	// Overflow-adjacent count, no size hint: still rejected structurally.
-	if _, err := NewSized(bytes.NewReader(huge), 4, -1); err == nil {
-		t.Fatal("huge numPoints must fail even without a size hint")
 	}
 
 	// Huge cols/rows imply a huge page index; reject before allocating it.
@@ -441,43 +287,38 @@ func TestCorruptHeaderCountsRejectedBeforeAllocation(t *testing.T) {
 		be.PutUint32(b[28:], 1<<20)
 		be.PutUint64(b[36:], (1<<40+CellsPerPage-1)/CellsPerPage)
 	})
-	if _, err := New(bytes.NewReader(hugeGrid), 4); err == nil {
+	if _, err := New(hugeGrid); err == nil {
 		t.Fatal("huge grid must fail")
 	}
 
 	// Page count inconsistent with cols*rows.
 	badPages := corrupt(func(b []byte) { be.PutUint64(b[36:], 1<<30) })
-	if _, err := New(bytes.NewReader(badPages), 4); err == nil {
+	if _, err := New(badPages); err == nil {
 		t.Fatal("inconsistent page count must fail")
 	}
 
-	// Index offset pointing past the end of the reader.
+	// Index offset pointing past the end of the file.
 	badIndex := corrupt(func(b []byte) { be.PutUint64(b[44:], uint64(len(raw))) })
-	if _, err := New(bytes.NewReader(badIndex), 4); err == nil {
+	if _, err := New(badIndex); err == nil {
 		t.Fatal("out-of-range index offset must fail")
 	}
 
-	// The unmodified file still opens, with and without a size hint.
-	if _, err := New(bytes.NewReader(raw), 4); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewSized(bytes.NewReader(raw), 4, int64(len(raw))); err != nil {
+	// The unmodified file still opens.
+	if _, err := New(raw); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestConcurrentDistinctPages hammers a cold, deliberately tiny cache from
-// many goroutines so cache misses on distinct pages overlap: with the
-// narrowed critical section the loads run concurrently, and the per-page
-// singleflight keeps same-page readers sharing one disk read. Run under
-// -race (as CI does) this asserts the new locking is clean.
+// TestConcurrentDistinctPages reads random cells on every page from many
+// goroutines at once. Run under -race (as CI does) this asserts the
+// lock-free read path, hold counting included, is clean.
 func TestConcurrentDistinctPages(t *testing.T) {
 	d := buildDiagram(t, 80, 10) // 81x81 grid: ~26 pages
 	var buf bytes.Buffer
 	if err := Write(&buf, d); err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(bytes.NewReader(buf.Bytes()), 2) // thrashing cache
+	s, err := New(buf.Bytes()) // thrashing cache
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,8 +357,40 @@ func TestConcurrentDistinctPages(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	hits, misses := s.CacheStats()
-	if hits+misses == 0 {
-		t.Fatal("cache stats not recorded")
+}
+
+// TestUnsupportedVersionsRefused pins the one-format contract: a file that
+// differs from a valid one only in its version field — the trailer CRC
+// recomputed, so the checksum cannot be what rejects it — is refused by
+// New, OpenMmap and NewManifest alike, with an unsupported-version error
+// that does not claim the file is corrupt.
+func TestUnsupportedVersionsRefused(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteEpoch(&buf, buildDiagram(t, 20, 85), 5); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, v := range []uint32{1, 2, 3, 5} {
+		b := append([]byte(nil), buf.Bytes()...)
+		binary.BigEndian.PutUint32(b[8:], v)
+		putTrailer(b)
+		path := filepath.Join(dir, fmt.Sprintf("v%d.sky", v))
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, nerr := New(b)
+		_, merr := OpenMmap(path)
+		_, ferr := NewManifest(b)
+		for name, err := range map[string]error{"New": nerr, "OpenMmap": merr, "NewManifest": ferr} {
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unsupported version %d", v)) {
+				t.Fatalf("version %d: %s: want an unsupported-version error, got %v", v, name, err)
+			}
+			if errors.Is(err, ErrCorrupt) {
+				t.Fatalf("version %d: %s: unsupported version classified as corruption: %v", v, name, err)
+			}
+		}
+	}
+	if _, err := New(buf.Bytes()); err != nil {
+		t.Fatalf("the version-%d original must open: %v", version, err)
 	}
 }
