@@ -37,11 +37,13 @@
 // everything else — including GET /v1/ready, the readiness probe — answers
 // 503, flipping to 200 once the first snapshot is servable.
 //
-// Every API request runs under -request-timeout via http.TimeoutHandler;
-// -pprof additionally mounts net/http/pprof under /debug/pprof/ outside the
-// timeout wrapper (profiles stream for longer than any API deadline). On
-// SIGINT/SIGTERM the server drains in-flight requests for up to
-// -shutdown-grace, then flushes the pending write queue through the WAL
+// Every API request runs under -request-timeout via http.TimeoutHandler,
+// except GET /v1/snapshot: the wrapper buffers a whole body, so snapshot
+// files and deltas stream around it under a write deadline of the same
+// length. -pprof additionally mounts net/http/pprof under /debug/pprof/
+// outside the timeout wrapper (profiles stream for longer than any API
+// deadline). On SIGINT/SIGTERM the server drains in-flight requests for up
+// to -shutdown-grace, then flushes the pending write queue through the WAL
 // (append + fsync + apply), checkpoints, and closes the log — queued
 // acknowledged ops are never stranded. See docs/OBSERVABILITY.md and
 // docs/RELIABILITY.md.
@@ -227,11 +229,7 @@ func main() {
 		}
 	}
 
-	var api http.Handler = h
-	if *reqTimeout > 0 {
-		api = http.TimeoutHandler(api, *reqTimeout, `{"error":"request timed out"}`)
-	}
-	gate.Ready(api)
+	gate.Ready(withTimeout(h, *reqTimeout))
 	fmt.Printf("skyserve: %d points, listening on %s (pprof %v)\n", len(pts), *addr, *pprofOn)
 
 	select {
@@ -252,4 +250,26 @@ func main() {
 	if err := h.Shutdown(shutdownCtx); err != nil {
 		log.Printf("skyserve: flush: %v", err)
 	}
+}
+
+// withTimeout puts every API route under timeout (0 disables it). JSON routes
+// run inside http.TimeoutHandler, which answers a 503 when the deadline
+// passes but buffers the whole body until the handler returns. Snapshot
+// bodies are store files or deltas, megabytes each, so /v1/snapshot streams
+// around the wrapper instead, under a write deadline of the same length.
+func withTimeout(api http.Handler, timeout time.Duration) http.Handler {
+	if timeout <= 0 {
+		return api
+	}
+	wrapped := http.TimeoutHandler(api, timeout, `{"error":"request timed out"}`)
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/snapshot" {
+			wrapped.ServeHTTP(w, r)
+			return
+		}
+		// Every connection net/http serves supports write deadlines; a writer
+		// that does not can only stream without one.
+		_ = http.NewResponseController(w).SetWriteDeadline(time.Now().Add(timeout))
+		api.ServeHTTP(w, r)
+	})
 }

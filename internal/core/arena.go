@@ -16,12 +16,14 @@ func (d *QuadrantDiagram) CompactArena() *QuadrantDiagram {
 }
 
 // ArenaLive returns the referenced and total arena id counts across the
-// global diagram's merged and per-quadrant tables.
+// global diagram's merged table and its three reflected component tables.
+// Its quadrant component is the set's quadrant diagram and counts there.
 func (d *GlobalDiagram) ArenaLive() (live, total int) { return d.d.ArenaLive() }
 
-// CompactArena returns an equivalent diagram over garbage-free arenas.
-func (d *GlobalDiagram) CompactArena() *GlobalDiagram {
-	return &GlobalDiagram{d: d.d.CompactArena(), byID: d.byID}
+// compactAround returns an equivalent diagram over garbage-free arenas,
+// around quad, the compaction of its quadrant component.
+func (d *GlobalDiagram) compactAround(quad *QuadrantDiagram) *GlobalDiagram {
+	return &GlobalDiagram{d: d.d.CompactArena(quad.d), byID: d.byID}
 }
 
 // ArenaLive returns the referenced and total arena id counts of the wrapped
@@ -33,7 +35,9 @@ func (d *DynamicDiagram) CompactArena() *DynamicDiagram {
 	return &DynamicDiagram{d: d.d.CompactArena(), byID: d.byID}
 }
 
-// ArenaLive sums the arena usage of every diagram in the set.
+// ArenaLive sums the arena usage of every table in the set, each counted
+// once: the quadrant table, the global diagram's merged and three reflected
+// tables, and the dynamic table.
 func (s *DiagramSet) ArenaLive() (live, total int) {
 	if s.Quadrant != nil {
 		l, t := s.Quadrant.ArenaLive()
@@ -63,13 +67,8 @@ func (s *DiagramSet) ArenaGarbageRatio() float64 {
 // CompactArenas returns an equivalent set whose arenas hold no garbage. The
 // receiver is unchanged; answers are identical cell for cell.
 func (s *DiagramSet) CompactArenas() *DiagramSet {
-	ns := &DiagramSet{Points: s.Points}
-	if s.Quadrant != nil {
-		ns.Quadrant = s.Quadrant.CompactArena()
-	}
-	if s.Global != nil {
-		ns.Global = s.Global.CompactArena()
-	}
+	ns := &DiagramSet{Points: s.Points, Quadrant: s.Quadrant.CompactArena()}
+	ns.Global = s.Global.compactAround(ns.Quadrant)
 	if s.Dynamic != nil {
 		ns.Dynamic = s.Dynamic.CompactArena()
 	}

@@ -222,6 +222,23 @@ func BuildGlobal(pts []Point, opts Options) (*GlobalDiagram, error) {
 	return &GlobalDiagram{d: d, byID: indexByID(pts)}, nil
 }
 
+// buildGlobalAround builds the global diagram of quad's points around quad
+// as its mask-0 component, running only the three reflected quadrant
+// constructions; it reports a global build.
+func buildGlobalAround(quad *QuadrantDiagram, opts Options) (*GlobalDiagram, error) {
+	alg, err := opts.quadrantAlg(quad.d.Points)
+	if err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	d, err := quaddiag.BuildGlobalAround(quad.d, alg, opts.Workers)
+	if err != nil {
+		return nil, err
+	}
+	observeBuild(opts.Metrics, "global", time.Since(start), d.Grid.NumCells())
+	return &GlobalDiagram{d: d, byID: indexByID(d.Points)}, nil
+}
+
 // Query implements Diagram.
 func (gd *GlobalDiagram) Query(q Point) []int32 { return gd.d.Query(q) }
 

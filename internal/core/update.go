@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/metrics"
+	"repro/internal/quaddiag"
 )
 
 // Incremental maintenance entry points. A DiagramSet bundles the three
@@ -79,6 +80,9 @@ func (o UpdateOptions) observe(kind string, t0 time.Time) {
 
 // DiagramSet is an immutable bundle of the three diagram kinds over one
 // point set. Apply/ApplyBatch return a new set; the receiver is unchanged.
+// Global is built around Quadrant: the quadrant diagram is the global
+// diagram's mask-0 component, held once. BuildSet, Apply and CompactArenas
+// keep it so.
 type DiagramSet struct {
 	Points   []Point
 	Quadrant *QuadrantDiagram
@@ -93,7 +97,7 @@ func BuildSet(pts []Point, opts UpdateOptions) (*DiagramSet, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: build quadrant: %w", err)
 	}
-	glob, err := BuildGlobal(pts, bo)
+	glob, err := buildGlobalAround(quad, bo)
 	if err != nil {
 		return nil, fmt.Errorf("core: build global: %w", err)
 	}
@@ -140,6 +144,9 @@ func (s *DiagramSet) Apply(op Op, opts UpdateOptions) (*DiagramSet, error) {
 	if err := faultinject.Hit("core.update.incremental"); err != nil {
 		return nil, err
 	}
+	if s.Global.d.Reflected(0) != s.Quadrant.d {
+		return nil, errors.New("core: the set's global diagram is not built around its quadrant diagram")
+	}
 	var pts []Point
 	if op.Insert {
 		pts = make([]Point, len(s.Points)+1)
@@ -176,11 +183,7 @@ func (s *DiagramSet) Apply(op Op, opts UpdateOptions) (*DiagramSet, error) {
 	}
 
 	t0 = time.Now()
-	if op.Insert {
-		next.Global, err = s.Global.WithInsert(op.Point)
-	} else {
-		next.Global, err = s.Global.WithDelete(op.ID)
-	}
+	next.Global, err = s.Global.around(op, quad.d)
 	if err != nil {
 		return nil, fmt.Errorf("core: maintain global: %w", err)
 	}
@@ -208,7 +211,8 @@ func (s *DiagramSet) Apply(op Op, opts UpdateOptions) (*DiagramSet, error) {
 // rebuildRest fills the global and dynamic diagrams with concurrent full
 // builds — the FullRebuild escape hatch, matching the pre-incremental
 // server behavior (the dynamic build is the expensive one; the global
-// rebuild hides entirely behind it).
+// rebuild hides entirely behind it). The global diagram is rebuilt around
+// the maintained quadrant diagram.
 func (s *DiagramSet) rebuildRest(opts UpdateOptions) error {
 	bo := opts.buildOpts()
 	var wg sync.WaitGroup
@@ -217,7 +221,7 @@ func (s *DiagramSet) rebuildRest(opts UpdateOptions) error {
 	go func() {
 		defer wg.Done()
 		t0 := time.Now()
-		s.Global, globErr = BuildGlobal(s.Points, bo)
+		s.Global, globErr = buildGlobalAround(s.Quadrant, bo)
 		opts.observe("global", t0)
 	}()
 	if len(s.Points) <= opts.MaxDynamicPoints {
@@ -286,19 +290,36 @@ func (s *DiagramSet) Equal(o *DiagramSet) bool {
 // --- Maintenance and comparison wrappers on the diagram facades -------------
 
 // WithInsert returns a new diagram covering Points ∪ {p}, maintained
-// incrementally (only cells whose quadrant components changed are touched).
+// incrementally: its quadrant component first, then the three reflected ones
+// around it (only cells whose components changed are re-merged).
 func (gd *GlobalDiagram) WithInsert(p Point) (*GlobalDiagram, error) {
-	nd, err := gd.d.WithInsert(p)
+	quad, err := gd.d.Reflected(0).WithInsert(p)
 	if err != nil {
 		return nil, err
 	}
-	return &GlobalDiagram{d: nd, byID: indexByID(nd.Points)}, nil
+	return gd.around(InsertOp(p), quad)
 }
 
 // WithDelete returns a new diagram covering Points without the given id,
 // maintained incrementally.
 func (gd *GlobalDiagram) WithDelete(id int) (*GlobalDiagram, error) {
-	nd, err := gd.d.WithDelete(id)
+	quad, err := gd.d.Reflected(0).WithDelete(id)
+	if err != nil {
+		return nil, err
+	}
+	return gd.around(DeleteOp(id), quad)
+}
+
+// around returns the diagram advanced by op around quad, its mask-0
+// component already advanced by the same op.
+func (gd *GlobalDiagram) around(op Op, quad *quaddiag.Diagram) (*GlobalDiagram, error) {
+	var nd *quaddiag.GlobalDiagram
+	var err error
+	if op.Insert {
+		nd, err = gd.d.WithInsert(op.Point, quad)
+	} else {
+		nd, err = gd.d.WithDelete(op.ID, quad)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -37,30 +37,23 @@ func (d *Diagram) CompactArena() *Diagram {
 	}
 }
 
-// ArenaLive sums the merged table and the four retained reflected quadrant
-// tables (the Quadrants share the reflected diagrams' tables, so they are
-// not counted again).
+// ArenaLive sums the merged table and the three reflected component tables
+// (masks 1–3). Mask 0 is the quadrant diagram the global diagram was built
+// around; its holder counts it, so a set that serves both counts it once.
 func (gd *GlobalDiagram) ArenaLive() (live, total int) {
-	if gd.results != nil {
-		live, total = resultset.LiveArena(gd.labels, gd.results)
-	}
-	for mask := 0; mask < 4; mask++ {
-		if rd := gd.reflected[mask]; rd != nil {
-			l, t := rd.ArenaLive()
-			live += l
-			total += t
-		}
+	live, total = resultset.LiveArena(gd.labels, gd.results)
+	for mask := 1; mask < 4; mask++ {
+		l, t := gd.reflected[mask].ArenaLive()
+		live += l
+		total += t
 	}
 	return live, total
 }
 
-// CompactArena compacts the merged table and, when the diagram was built by
-// BuildGlobal (reflected state present), each retained reflected quadrant
-// table, re-deriving the remapped Quadrants from the compacted reflections.
-func (gd *GlobalDiagram) CompactArena() *GlobalDiagram {
-	if gd.results == nil {
-		return gd
-	}
+// CompactArena compacts the merged table and the three reflected component
+// tables around quad, which must be gd.Reflected(0).CompactArena(): the
+// compacted diagram shares it as mask 0 instead of compacting it again.
+func (gd *GlobalDiagram) CompactArena(quad *Diagram) *GlobalDiagram {
 	labels, table := resultset.CompactLabels(gd.labels, gd.results)
 	out := &GlobalDiagram{
 		Points:  gd.Points,
@@ -69,16 +62,9 @@ func (gd *GlobalDiagram) CompactArena() *GlobalDiagram {
 		results: table,
 		rows:    gd.rows,
 	}
-	for mask := 0; mask < 4; mask++ {
-		rd := gd.reflected[mask]
-		if rd == nil {
-			// Not a BuildGlobal product: keep the quadrant state verbatim.
-			out.Quadrants = gd.Quadrants
-			out.reflected = gd.reflected
-			return out
-		}
-		out.reflected[mask] = rd.CompactArena()
-		out.Quadrants[mask] = remap(out.reflected[mask], gd.Points, gd.Grid, mask)
+	out.reflected[0] = quad
+	for mask := 1; mask < 4; mask++ {
+		out.reflected[mask] = gd.reflected[mask].CompactArena()
 	}
 	return out
 }

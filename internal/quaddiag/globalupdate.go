@@ -1,96 +1,64 @@
 package quaddiag
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/geom"
-	"repro/internal/grid"
 	"repro/internal/resultset"
 )
 
 // Incremental maintenance for the global diagram. The global result of a
-// cell is the disjoint union of the four remapped quadrant results
-// (Definition 3), so maintenance reduces to the quadrant case: update each
-// retained pre-remap quadrant diagram with the reflected point, remap, and
-// re-merge only the cells whose quadrant components changed.
+// cell is the disjoint union of its four quadrant components (Definition 3),
+// so maintenance reduces to the quadrant case: the caller maintains mask 0 —
+// the quadrant diagram of Points, gd.Reflected(0) — and passes the result in;
+// here each of the three reflected components is updated with the reflected
+// point, and only the cells whose components changed are re-merged.
 //
-// The carry test compares interned labels across the old and new quadrant
-// tables. That comparison is sound because each new quadrant diagram's
-// interner is seeded from its old table (NewInternerFrom): old labels stay
-// stable, fresh labels are numerically >= the old table's NumResults, and
-// hash-consing folds recomputed-but-identical results back onto their old
-// label. Equal labels therefore imply equal content; an unequal label at
-// worst triggers a redundant merge that hash-conses back to the old global
-// label. When all four components of a cell kept their labels, the old
-// global label is carried over in O(1) with no interning at all.
+// The carry test compares interned labels across the old and new component
+// tables, each read through its flip. That comparison is sound because each
+// new component's interner is seeded from its old table (NewInternerFrom):
+// old labels stay stable, fresh labels are numerically >= the old table's
+// NumResults, and hash-consing folds recomputed-but-identical results back
+// onto their old label. Equal labels therefore imply equal content; an
+// unequal label at worst triggers a redundant merge that hash-conses back to
+// the old global label. When all four components of a cell kept their
+// labels, the old global label is carried over in O(1) with no interning at
+// all. The mask-0 argument must therefore be derived from gd.Reflected(0).
 
-// WithInsert returns the global diagram of Points ∪ {p}.
-func (gd *GlobalDiagram) WithInsert(p geom.Point) (*GlobalDiagram, error) {
+// WithInsert returns the global diagram of Points ∪ {p} around quad, which
+// must be gd.Reflected(0).WithInsert(p).
+func (gd *GlobalDiagram) WithInsert(p geom.Point, quad *Diagram) (*GlobalDiagram, error) {
 	if p.Dim() != 2 {
 		return nil, fmt.Errorf("quaddiag: insert requires a 2-D point, got dimension %d", p.Dim())
 	}
-	for _, q := range gd.Points {
-		if q.ID == p.ID {
-			return nil, fmt.Errorf("quaddiag: insert: id %d already present", p.ID)
-		}
-	}
-	pts := make([]geom.Point, len(gd.Points)+1)
-	copy(pts, gd.Points)
-	pts[len(gd.Points)] = p
-	if gd.reflected[0] == nil {
-		return BuildGlobal(pts, AlgScanning)
-	}
-	ngd, err := gd.derive(pts, func(mask int) (*Diagram, error) {
-		return gd.reflected[mask].WithInsert(reflectPoint(p, mask))
+	return gd.derive(quad, func(rd *Diagram, mask int) (*Diagram, error) {
+		return rd.WithInsert(reflectPoint(p, mask))
 	})
-	if err != nil {
-		return nil, err
-	}
-	return ngd, nil
 }
 
-// WithDelete returns the global diagram of Points \ {id}.
-func (gd *GlobalDiagram) WithDelete(id int) (*GlobalDiagram, error) {
-	found := false
-	pts := make([]geom.Point, 0, len(gd.Points))
-	for _, q := range gd.Points {
-		if q.ID == id {
-			found = true
-			continue
-		}
-		pts = append(pts, q)
-	}
-	if !found {
-		return nil, fmt.Errorf("quaddiag: delete: id %d not present", id)
-	}
-	if gd.reflected[0] == nil {
-		return BuildGlobal(pts, AlgScanning)
-	}
-	ngd, err := gd.derive(pts, func(mask int) (*Diagram, error) {
-		return gd.reflected[mask].WithDelete(id)
+// WithDelete returns the global diagram of Points \ {id} around quad, which
+// must be gd.Reflected(0).WithDelete(id).
+func (gd *GlobalDiagram) WithDelete(id int, quad *Diagram) (*GlobalDiagram, error) {
+	return gd.derive(quad, func(rd *Diagram, _ int) (*Diagram, error) {
+		return rd.WithDelete(id)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return ngd, nil
 }
 
-// derive assembles the updated global diagram from per-mask updates of the
-// retained reflected quadrant diagrams.
-func (gd *GlobalDiagram) derive(pts []geom.Point, update func(mask int) (*Diagram, error)) (*GlobalDiagram, error) {
-	g := grid.NewGrid(pts)
-	ngd := &GlobalDiagram{
-		Points: pts,
-		Grid:   g,
-		rows:   g.Rows(),
-	}
-	for mask := 0; mask < 4; mask++ {
-		nref, err := update(mask)
+// derive assembles the updated global diagram around the maintained mask-0
+// component from per-mask updates of the other three.
+func (gd *GlobalDiagram) derive(quad *Diagram, update func(rd *Diagram, mask int) (*Diagram, error)) (*GlobalDiagram, error) {
+	ngd := &GlobalDiagram{Points: quad.Points, Grid: quad.Grid, rows: quad.rows}
+	ngd.reflected[0] = quad
+	for mask := 1; mask < 4; mask++ {
+		nref, err := update(gd.reflected[mask], mask)
 		if err != nil {
 			return nil, err
 		}
+		if len(nref.Points) != len(quad.Points) || nref.Grid.Cols() != quad.Grid.Cols() || nref.rows != quad.rows {
+			return nil, errors.New("quaddiag: mask-0 diagram does not match the maintained reflections")
+		}
 		ngd.reflected[mask] = nref
-		ngd.Quadrants[mask] = remap(nref, pts, g, mask)
 	}
 	ngd.mergeQuadrantsFrom(gd)
 	return ngd, nil
@@ -107,25 +75,16 @@ func (gd *GlobalDiagram) derive(pts []geom.Point, update func(mask int) (*Diagra
 // — either way the old cell's result is the right comparand because results
 // are constant on cells of both arrangements.
 func (gd *GlobalDiagram) mergeQuadrantsFrom(old *GlobalDiagram) {
-	g := gd.Grid
 	in := resultset.NewInternerFrom(old.results)
-	gd.labels = make([]uint32, g.Cols()*g.Rows())
-	oldCol := make([]int, g.Cols())
-	for i := range oldCol {
-		cx, _ := g.Corner(i, 0)
-		oldCol[i] = countLE(old.Grid.Xs, cx)
-	}
-	oldRow := make([]int, g.Rows())
-	for j := range oldRow {
-		_, cy := g.Corner(0, j)
-		oldRow[j] = countLE(old.Grid.Ys, cy)
-	}
-	for i := 0; i < g.Cols(); i++ {
-		for j := 0; j < g.Rows(); j++ {
+	var m merger
+	gd.labels = make([]uint32, gd.Grid.NumCells())
+	oldCol, oldRow, _ := containingCells(gd.Grid, old.Grid)
+	for i := 0; i < gd.Grid.Cols(); i++ {
+		for j := 0; j < gd.rows; j++ {
 			oi, oj := oldCol[i], oldRow[j]
 			carry := true
 			for mask := 0; mask < 4; mask++ {
-				if gd.Quadrants[mask].labels[i*gd.rows+j] != old.Quadrants[mask].labels[oi*old.rows+oj] {
+				if gd.componentLabel(mask, i, j) != old.componentLabel(mask, oi, oj) {
 					carry = false
 					break
 				}
@@ -134,11 +93,7 @@ func (gd *GlobalDiagram) mergeQuadrantsFrom(old *GlobalDiagram) {
 				gd.labels[i*gd.rows+j] = old.labels[oi*old.rows+oj]
 				continue
 			}
-			merged := gd.Quadrants[0].Cell(i, j)
-			for mask := 1; mask < 4; mask++ {
-				merged = mergeDisjoint(merged, gd.Quadrants[mask].Cell(i, j))
-			}
-			gd.labels[i*gd.rows+j] = in.Intern(merged)
+			gd.labels[i*gd.rows+j] = in.Intern(m.cell(gd, i, j))
 		}
 	}
 	gd.results = in.Table()
@@ -146,9 +101,6 @@ func (gd *GlobalDiagram) mergeQuadrantsFrom(old *GlobalDiagram) {
 
 // reflectPoint is geom.Reflect for a single 2-D point.
 func reflectPoint(p geom.Point, mask int) geom.Point {
-	if mask == 0 {
-		return p
-	}
 	c := []float64{p.X(), p.Y()}
 	if mask&1 != 0 {
 		c[0] = -c[0]

@@ -28,10 +28,10 @@ func TestGlobalUpdateMatchesRebuild(t *testing.T) {
 					p = geom.Pt2(nextID, rng.Float64()*120-10, rng.Float64()*120-10)
 				}
 				nextID++
-				nd, err = gd.WithInsert(p)
+				nd, err = insertGlobal(gd, p)
 			} else {
 				victim := gd.Points[rng.Intn(len(gd.Points))].ID
-				nd, err = gd.WithDelete(victim)
+				nd, err = deleteGlobal(gd, victim)
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -60,7 +60,7 @@ func TestGlobalUpdateDuplicateCoordinates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nd, err := gd.WithInsert(geom.Pt2(3, 2, 2))
+	nd, err := insertGlobal(gd, geom.Pt2(3, 2, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestGlobalUpdateDuplicateCoordinates(t *testing.T) {
 	if !nd.Equal(want) {
 		t.Fatal("duplicate-pile insert differs from rebuild")
 	}
-	nd2, err := nd.WithDelete(1)
+	nd2, err := deleteGlobal(nd, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,18 +91,21 @@ func TestGlobalUpdateErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := gd.WithInsert(geom.Pt(0, 1, 2, 3)); err == nil {
+	if _, err := insertGlobal(gd, geom.Pt(0, 1, 2, 3)); err == nil {
 		t.Fatal("3-D insert must fail")
 	}
-	if _, err := gd.WithInsert(geom.Pt2(pts[0].ID, 500, 500)); err == nil {
+	if _, err := insertGlobal(gd, geom.Pt2(pts[0].ID, 500, 500)); err == nil {
 		t.Fatal("duplicate id must fail")
 	}
-	if _, err := gd.WithDelete(12345); err == nil {
+	if _, err := deleteGlobal(gd, 12345); err == nil {
 		t.Fatal("deleting a missing id must fail")
+	}
+	if _, err := gd.WithInsert(geom.Pt2(999, 1.5, 1.5), gd.Reflected(0)); err == nil {
+		t.Fatal("a mask-0 diagram that was not maintained must be rejected")
 	}
 	// Receiver unchanged after operations.
 	before := append([]int32(nil), gd.Cell(0, 0)...)
-	if _, err := gd.WithInsert(geom.Pt2(999, 1.5, 1.5)); err != nil {
+	if _, err := insertGlobal(gd, geom.Pt2(999, 1.5, 1.5)); err != nil {
 		t.Fatal(err)
 	}
 	if !equalIDs(before, gd.Cell(0, 0)) {
@@ -110,36 +113,26 @@ func TestGlobalUpdateErrors(t *testing.T) {
 	}
 }
 
-func TestGlobalUpdateFallbackWithoutReflected(t *testing.T) {
-	// A zero-value-ish global diagram (no retained reflected quadrants, as a
-	// deserialized one would be) must fall back to a full rebuild.
-	rng := rand.New(rand.NewSource(63))
-	pts := genGP(rng, 8)
-	gd, err := BuildGlobal(pts, AlgScanning)
+// insertGlobal maintains a global diagram on its own the way a DiagramSet
+// does: its quadrant component (mask 0) first, then the rest around it.
+func insertGlobal(gd *GlobalDiagram, p geom.Point) (*GlobalDiagram, error) {
+	quad, err := gd.Reflected(0).WithInsert(p)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	gd.reflected = [4]*Diagram{}
-	nd, err := gd.WithInsert(geom.Pt2(999, 3.5, 7.5))
+	return gd.WithInsert(p, quad)
+}
+
+// deleteGlobal is insertGlobal for a delete.
+func deleteGlobal(gd *GlobalDiagram, id int) (*GlobalDiagram, error) {
+	quad, err := gd.Reflected(0).WithDelete(id)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	want, err := BuildGlobal(nd.Points, AlgScanning)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !nd.Equal(want) {
-		t.Fatal("fallback insert differs from rebuild")
-	}
-	nd2, err := gd.WithDelete(pts[0].ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want2, err := BuildGlobal(nd2.Points, AlgScanning)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !nd2.Equal(want2) {
-		t.Fatal("fallback delete differs from rebuild")
-	}
+	return gd.WithDelete(id, quad)
+}
+
+// compactGlobal compacts mask 0 once and the rest around it.
+func compactGlobal(gd *GlobalDiagram) *GlobalDiagram {
+	return gd.CompactArena(gd.Reflected(0).CompactArena())
 }

@@ -200,45 +200,18 @@ func BuildParallel(pts []geom.Point, alg Algorithm, workers int) (*Diagram, erro
 	}
 }
 
-// BuildGlobalParallel is BuildGlobal with the four reflected quadrant runs
-// executed concurrently, each itself built with the parallel construction
-// for its algorithm; workers bounds the total worker count across the four
-// runs (<= 0 selects GOMAXPROCS). Output is identical to BuildGlobal.
+// BuildGlobalParallel is BuildGlobal with every quadrant run built by the
+// parallel construction for its algorithm: the quadrant diagram of pts with
+// all workers, then the three reflected runs concurrently around it
+// (BuildGlobalAround), sharing workers (<= 0 selects GOMAXPROCS). Output is
+// identical to BuildGlobal.
 func BuildGlobalParallel(pts []geom.Point, alg Algorithm, workers int) (*GlobalDiagram, error) {
-	if err := require2D(pts); err != nil {
-		return nil, err
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	perQuad := (workers + 3) / 4
-	g := grid.NewGrid(pts)
-	gd := &GlobalDiagram{
-		Points: pts,
-		Grid:   g,
-		rows:   g.Rows(),
+	quad, err := BuildParallel(pts, alg, workers)
+	if err != nil {
+		return nil, err
 	}
-	var wg sync.WaitGroup
-	errs := make([]error, 4)
-	for mask := 0; mask < 4; mask++ {
-		wg.Add(1)
-		go func(mask int) {
-			defer wg.Done()
-			rd, err := BuildParallel(geom.Reflect(pts, mask), alg, perQuad)
-			if err != nil {
-				errs[mask] = err
-				return
-			}
-			gd.reflected[mask] = rd
-			gd.Quadrants[mask] = remap(rd, pts, g, mask)
-		}(mask)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	gd.mergeQuadrants()
-	return gd, nil
+	return BuildGlobalAround(quad, alg, workers)
 }

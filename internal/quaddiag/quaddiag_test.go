@@ -1,6 +1,7 @@
 package quaddiag
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -284,39 +285,61 @@ func TestSweepingRingAndCornerCount(t *testing.T) {
 
 func TestGlobalMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
+	chain := rand.New(rand.NewSource(9))
 	for _, alg := range []Algorithm{AlgBaseline, AlgDSG, AlgScanning} {
 		pts := genGP(rng, 25)
 		gd, err := BuildGlobal(pts, alg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < gd.Grid.Cols(); i++ {
-			for j := 0; j < gd.Grid.Rows(); j++ {
-				q := gd.Grid.CellRect(i, j).Center()
-				want := geom.SortIDs(geom.IDs(skyline.GlobalSkyline(pts, q)))
-				got := gd.Cell(i, j)
-				if len(got) != len(want) {
-					t.Fatalf("%s cell (%d,%d): got %v want %v", alg, i, j, got, want)
-				}
-				for k := range want {
-					if int(got[k]) != want[k] {
-						t.Fatalf("%s cell (%d,%d): got %v want %v", alg, i, j, got, want)
-					}
-				}
-				// Quadrant components match the per-quadrant oracle.
-				for mask := 0; mask < 4; mask++ {
-					qw := geom.SortIDs(geom.IDs(skyline.QuadrantSkyline(pts, q, mask)))
-					qg := gd.QuadrantCell(mask, i, j)
-					if len(qg) != len(qw) {
-						t.Fatalf("%s quadrant %d cell (%d,%d): got %v want %v", alg, mask, i, j, qg, qw)
-					}
-				}
-			}
-		}
+		checkGlobalOracle(t, fmt.Sprintf("%s build", alg), gd)
 		if _, err := gd.Merge(); err != nil {
 			t.Fatal(err)
 		}
+		// The components stay right, read through their flips, along a chain
+		// of maintained inserts and deletes and after compaction.
+		for step := 0; step < 8; step++ {
+			if step%3 == 2 {
+				gd, err = deleteGlobal(gd, gd.Points[chain.Intn(len(gd.Points))].ID)
+			} else {
+				gd, err = insertGlobal(gd, geom.Pt2(100+step, chain.Float64()*100, chain.Float64()*100))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGlobalOracle(t, fmt.Sprintf("%s step %d", alg, step), gd)
+		}
+		checkGlobalOracle(t, fmt.Sprintf("%s compacted", alg), compactGlobal(gd))
 	}
+}
+
+// checkGlobalOracle compares every cell of gd, and each of its four quadrant
+// components, with the from-scratch skylines at the cell's centre.
+func checkGlobalOracle(t *testing.T, ctx string, gd *GlobalDiagram) {
+	t.Helper()
+	for i := 0; i < gd.Grid.Cols(); i++ {
+		for j := 0; j < gd.Grid.Rows(); j++ {
+			q := gd.Grid.CellRect(i, j).Center()
+			want := toInt32(geom.SortIDs(geom.IDs(skyline.GlobalSkyline(gd.Points, q))))
+			if got := gd.Cell(i, j); !equalIDs(got, want) {
+				t.Fatalf("%s cell (%d,%d): got %v want %v", ctx, i, j, got, want)
+			}
+			for mask := 0; mask < 4; mask++ {
+				qw := toInt32(geom.SortIDs(geom.IDs(skyline.QuadrantSkyline(gd.Points, q, mask))))
+				if qg := gd.QuadrantCell(mask, i, j); !equalIDs(qg, qw) {
+					t.Fatalf("%s quadrant %d cell (%d,%d): got %v want %v", ctx, mask, i, j, qg, qw)
+				}
+			}
+		}
+	}
+}
+
+func toInt32(ids []int) []int32 {
+	out := make([]int32, len(ids))
+	for k, id := range ids {
+		out[k] = int32(id)
+	}
+	return out
 }
 
 func TestGlobalQuery(t *testing.T) {

@@ -215,6 +215,8 @@ func NewInternerFrom(t *Table) *Interner {
 
 // Intern returns the label of ids, appending it to the arena if its content
 // has not been seen before. nil and empty slices intern to the same label.
+// Intern copies what it keeps and never retains ids, so the caller may
+// reuse the slice as scratch.
 func (in *Interner) Intern(ids []int32) uint32 {
 	if in.index == nil {
 		in.buildIndex()

@@ -17,8 +17,8 @@
 #     server's coalesce leader drives it) not allocating fewer B/op than
 #     BenchmarkUpdateIncremental (every op pair re-derived from one base, so
 #     each insert forks the base's claimed tables) — the interned result
-#     tables no longer growing their arenas in place (measured ~10.2 vs
-#     ~15.0 MB/op);
+#     tables no longer growing their arenas in place (measured ~5.4 vs
+#     ~9.7 MB/op);
 #   - point-location contract: BenchmarkLocateRank not strictly faster than
 #     BenchmarkLocateBinary (internal/grid) — the O(1) rank table regressing
 #     to binary-search cost (the measured headroom is ~9x);
