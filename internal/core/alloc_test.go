@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
@@ -17,10 +18,12 @@ func genPoints(tb testing.TB, n int, dist dataset.Distribution, seed int64) []Po
 }
 
 // TestQueryZeroAllocs pins the read path of every diagram kind at zero heap
-// allocations: point location is a pair of binary searches and the result is
-// a label indirection into the interned arena — nothing to allocate. This is
-// the contract the serving hot loop depends on; a regression here shows up
-// as GC pressure under load.
+// allocations: AppendQueryXY into a reused buffer is point location plus a
+// copy of the arena result (quadrant, dynamic) or a merge of the cell's four
+// quadrant components (global) — nothing to allocate. QueryXY, which returns
+// the arena slice itself, stays allocation-free for the quadrant and dynamic
+// kinds. This is the contract the serving hot loop depends on; a regression
+// here shows up as GC pressure under load.
 func TestQueryZeroAllocs(t *testing.T) {
 	pts := genPoints(t, 64, dataset.Independent, 17)
 	quad, err := BuildQuadrant(pts, Options{})
@@ -38,19 +41,32 @@ func TestQueryZeroAllocs(t *testing.T) {
 	probes := [][2]float64{{0.1, 0.9}, {0.5, 0.5}, {0.93, 0.07}, {-1, 2}}
 
 	kinds := []struct {
-		name  string
-		query func(x, y float64) []int32
+		name    string
+		d       Diagram
+		arenaXY bool // QueryXY returns the arena slice: zero allocations too
 	}{
-		{"quadrant", quad.QueryXY},
-		{"global", glob.QueryXY},
-		{"dynamic", dyn.QueryXY},
+		{"quadrant", quad, true},
+		{"global", glob, false},
+		{"dynamic", dyn, true},
 	}
 	for _, k := range kinds {
 		k := k
 		t.Run(k.name, func(t *testing.T) {
+			dst := make([]int32, 0, len(pts))
 			allocs := testing.AllocsPerRun(500, func() {
 				for _, p := range probes {
-					k.query(p[0], p[1])
+					dst = k.d.AppendQueryXY(dst[:0], p[0], p[1])
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("%s AppendQueryXY: %v allocs/op, want 0", k.name, allocs)
+			}
+			if !k.arenaXY {
+				return
+			}
+			allocs = testing.AllocsPerRun(500, func() {
+				for _, p := range probes {
+					k.d.QueryXY(p[0], p[1])
 				}
 			})
 			if allocs != 0 {
@@ -60,14 +76,43 @@ func TestQueryZeroAllocs(t *testing.T) {
 	}
 }
 
-func benchQuery(b *testing.B, query func(x, y float64) []int32) {
+// TestAppendQueryXYAppends checks that AppendQueryXY keeps dst's existing
+// prefix and appends exactly QueryXY's answer, for every kind, at probes
+// across the grid and outside it.
+func TestAppendQueryXYAppends(t *testing.T) {
+	pts := genPoints(t, 40, dataset.AntiCorrelated, 19)
+	set, err := BuildSet(pts, UpdateOptions{MaxDynamicPoints: len(pts)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := []int32{-7, 3, -1}
+	for _, k := range []struct {
+		name string
+		d    Diagram
+	}{{"quadrant", set.Quadrant}, {"global", set.Global}, {"dynamic", set.Dynamic}} {
+		for x := -0.1; x < 1.1; x += 0.07 {
+			for y := -0.1; y < 1.1; y += 0.09 {
+				want := k.d.QueryXY(x, y)
+				got := k.d.AppendQueryXY(append([]int32(nil), prefix...), x, y)
+				if !slices.Equal(got[:len(prefix)], prefix) || !slices.Equal(got[len(prefix):], want) {
+					t.Fatalf("%s (%g,%g): AppendQueryXY onto %v = %v, want the prefix then %v",
+						k.name, x, y, prefix, got, want)
+				}
+			}
+		}
+	}
+}
+
+func benchQuery(b *testing.B, d Diagram) {
 	// A fixed probe walk covering many cells, so the benchmark measures point
-	// location + label indirection rather than one hot cache line.
+	// location + the answer's copy or merge rather than one hot cache line.
+	// The answer goes into one reused buffer, as the server's pooled one.
+	dst := make([]int32, 0, 1024)
 	b.ReportAllocs()
 	b.ResetTimer()
 	x, y := 0.0, 1.0
 	for i := 0; i < b.N; i++ {
-		query(x, y)
+		dst = d.AppendQueryXY(dst[:0], x, y)
 		x += 0.037
 		if x > 1 {
 			x -= 1
@@ -84,7 +129,7 @@ func BenchmarkQueryQuadrant(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchQuery(b, quad.QueryXY)
+	benchQuery(b, quad)
 }
 
 func BenchmarkQueryGlobal(b *testing.B) {
@@ -92,7 +137,7 @@ func BenchmarkQueryGlobal(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchQuery(b, glob.QueryXY)
+	benchQuery(b, glob)
 }
 
 func BenchmarkQueryDynamic(b *testing.B) {
@@ -100,7 +145,7 @@ func BenchmarkQueryDynamic(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchQuery(b, dyn.QueryXY)
+	benchQuery(b, dyn)
 }
 
 // maxCornerPoint returns a point just past the dataset's max corner: it is

@@ -16,8 +16,8 @@ func (d *QuadrantDiagram) CompactArena() *QuadrantDiagram {
 }
 
 // ArenaLive returns the referenced and total arena id counts across the
-// global diagram's merged table and its three reflected component tables.
-// Its quadrant component is the set's quadrant diagram and counts there.
+// global diagram's three reflected component tables. Its quadrant component
+// is the set's quadrant diagram and counts there.
 func (d *GlobalDiagram) ArenaLive() (live, total int) { return d.d.ArenaLive() }
 
 // compactAround returns an equivalent diagram over garbage-free arenas,
@@ -36,8 +36,8 @@ func (d *DynamicDiagram) CompactArena() *DynamicDiagram {
 }
 
 // ArenaLive sums the arena usage of every table in the set, each counted
-// once: the quadrant table, the global diagram's merged and three reflected
-// tables, and the dynamic table.
+// once: the quadrant table, the global diagram's three reflected tables,
+// and the dynamic table.
 func (s *DiagramSet) ArenaLive() (live, total int) {
 	if s.Quadrant != nil {
 		l, t := s.Quadrant.ArenaLive()

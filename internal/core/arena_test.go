@@ -15,8 +15,8 @@ import (
 // diagram through every way a set is made: a build, maintained ops, a
 // rejected op, a FullRebuild op, a batch and a compaction. After each, the
 // quadrant diagram must be the global diagram's mask-0 component, and
-// ArenaLive must count the five tables of a set without a dynamic diagram
-// once each: the quadrant table, three reflected tables and the merged one.
+// ArenaLive must count the four tables of a set without a dynamic diagram
+// once each: the quadrant table and the three reflected tables.
 func TestSetSharesQuadrantDiagram(t *testing.T) {
 	for _, workers := range []int{0, -1} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -32,13 +32,13 @@ func TestSetSharesQuadrantDiagram(t *testing.T) {
 				if set.Global.d.Reflected(0) != set.Quadrant.d {
 					t.Fatalf("%s: the quadrant diagram is not the global diagram's mask-0 component", ctx)
 				}
-				want := set.Quadrant.d.Results().ArenaLen() + set.Global.d.Results().ArenaLen()
+				want := set.Quadrant.d.Results().ArenaLen()
 				for mask := 1; mask < 4; mask++ {
 					want += set.Global.d.Reflected(mask).Results().ArenaLen()
 				}
 				live, total := set.ArenaLive()
 				if total != want {
-					t.Fatalf("%s: ArenaLive total %d, want %d over the five tables", ctx, total, want)
+					t.Fatalf("%s: ArenaLive total %d, want %d over the four tables", ctx, total, want)
 				}
 				if clean && live != total {
 					t.Fatalf("%s: %d of %d arena ids live, want no garbage", ctx, live, total)

@@ -17,6 +17,10 @@
 //	if err != nil { ... }
 //	ids := d.Query(core.Pt(-1, 10, 80))
 //
+// A server answers into a reused buffer instead, AppendQueryXY(buf[:0], x, y),
+// which allocates nothing for any kind; the global kind merges each answer
+// from its four quadrant components when it is read.
+//
 // Construction algorithms can be selected explicitly via Options.Algorithm;
 // by default the fastest general construction is used, falling back to the
 // baseline when the dataset violates the optimized algorithms' general-
@@ -101,14 +105,20 @@ func (o Options) dynamicAlg() dyndiag.Algorithm {
 	return dyndiag.AlgScanning
 }
 
-// Diagram is the common query interface of all built diagrams.
+// Diagram is the common query interface of all built diagrams. Every answer
+// lists its ids ascending.
 type Diagram interface {
 	// Query returns the ids of the skyline result for query point q.
 	Query(q Point) []int32
-	// QueryXY is Query on raw coordinates, avoiding the Point wrapper: the
-	// serving hot path. The returned slice aliases the diagram's interned
-	// arena and must not be modified; the call performs zero allocations.
+	// QueryXY is Query on raw coordinates, avoiding the Point wrapper. The
+	// quadrant and dynamic kinds return a slice of the diagram's interned
+	// arena, which must not be modified, and allocate nothing. The global
+	// kind merges the cell's four quadrant components into a fresh slice.
 	QueryXY(x, y float64) []int32
+	// AppendQueryXY appends QueryXY's answer to dst and returns the extended
+	// slice: the serving hot path. Once dst has the capacity it performs
+	// zero allocations for every kind.
+	AppendQueryXY(dst []int32, x, y float64) []int32
 	// QueryPoints resolves the result ids to the original points.
 	QueryPoints(q Point) []Point
 }
@@ -164,6 +174,11 @@ func (qd *QuadrantDiagram) Query(q Point) []int32 { return qd.d.Query(q) }
 
 // QueryXY implements Diagram.
 func (qd *QuadrantDiagram) QueryXY(x, y float64) []int32 { return qd.d.QueryXY(x, y) }
+
+// AppendQueryXY implements Diagram.
+func (qd *QuadrantDiagram) AppendQueryXY(dst []int32, x, y float64) []int32 {
+	return append(dst, qd.d.QueryXY(x, y)...)
+}
 
 // QueryPoints implements Diagram.
 func (qd *QuadrantDiagram) QueryPoints(q Point) []Point {
@@ -245,6 +260,11 @@ func (gd *GlobalDiagram) Query(q Point) []int32 { return gd.d.Query(q) }
 // QueryXY implements Diagram.
 func (gd *GlobalDiagram) QueryXY(x, y float64) []int32 { return gd.d.QueryXY(x, y) }
 
+// AppendQueryXY implements Diagram.
+func (gd *GlobalDiagram) AppendQueryXY(dst []int32, x, y float64) []int32 {
+	return gd.d.AppendQueryXY(dst, x, y)
+}
+
 // QueryPoints implements Diagram.
 func (gd *GlobalDiagram) QueryPoints(q Point) []Point {
 	return resolve(gd.byID, gd.d.Query(q))
@@ -280,6 +300,11 @@ func (dd *DynamicDiagram) Query(q Point) []int32 { return dd.d.Query(q) }
 
 // QueryXY implements Diagram.
 func (dd *DynamicDiagram) QueryXY(x, y float64) []int32 { return dd.d.QueryXY(x, y) }
+
+// AppendQueryXY implements Diagram.
+func (dd *DynamicDiagram) AppendQueryXY(dst []int32, x, y float64) []int32 {
+	return append(dst, dd.d.QueryXY(x, y)...)
+}
 
 // QueryPoints implements Diagram.
 func (dd *DynamicDiagram) QueryPoints(q Point) []Point {

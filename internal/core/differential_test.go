@@ -26,6 +26,19 @@ func sortedIDs32(ids []int32) []int {
 	return out
 }
 
+// ascendingIDs is sortedIDs32 for a raw diagram answer, which must already
+// be strictly ascending: ids go on the wire in the order the diagram
+// returns them. It fails the test on any answer out of order.
+func ascendingIDs(t testing.TB, kind string, ids []int32) []int {
+	t.Helper()
+	for k := 1; k < len(ids); k++ {
+		if ids[k] <= ids[k-1] {
+			t.Fatalf("%s answer %v is not strictly ascending", kind, ids)
+		}
+	}
+	return sortedIDs32(ids)
+}
+
 func sortedIDsPts(pts []geom.Point) []int {
 	out := make([]int, len(pts))
 	for i, p := range pts {
@@ -103,13 +116,13 @@ func TestDifferentialQuadrantAndGlobal(t *testing.T) {
 				}
 				for _, base := range queryGrid(0, 64, 16) {
 					q := geom.Pt2(-1, base.X()+0.5, base.Y()+0.5)
-					gotQ := sortedIDs32(quad.Query(q))
+					gotQ := ascendingIDs(t, "quadrant", quad.Query(q))
 					wantQ := sortedIDsPts(QuadrantSkyline(pts, q))
 					if !equalInts(gotQ, wantQ) {
 						t.Fatalf("QUADRANT MISMATCH seed=%d dist=%s q=(%g,%g): diagram=%v oracle=%v",
 							seed, dist, q.X(), q.Y(), gotQ, wantQ)
 					}
-					gotG := sortedIDs32(glob.Query(q))
+					gotG := ascendingIDs(t, "global", glob.Query(q))
 					wantG := sortedIDsPts(GlobalSkyline(pts, q))
 					if !equalInts(gotG, wantG) {
 						t.Fatalf("GLOBAL MISMATCH seed=%d dist=%s q=(%g,%g): diagram=%v oracle=%v",
@@ -151,7 +164,7 @@ func TestDifferentialDynamic(t *testing.T) {
 				}
 				for _, base := range queryGrid(0, float64(len(pts)), 12) {
 					q := geom.Pt2(-1, base.X()+0.3, base.Y()+0.3)
-					got := sortedIDs32(dyn.Query(q))
+					got := ascendingIDs(t, "dynamic", dyn.Query(q))
 					want := sortedIDsPts(DynamicSkyline(pts, q))
 					if !equalInts(got, want) {
 						t.Fatalf("DYNAMIC MISMATCH seed=%d dist=%s q=(%g,%g): diagram=%v oracle=%v",

@@ -161,15 +161,15 @@ func assertSetMatchesRebuild(t *testing.T, set *DiagramSet, rng *rand.Rand, doma
 	// the data's coordinate lines); the dynamic query uses the +0.3 offset of
 	// TestDifferentialDynamic, off the arrangement's half-integer lines.
 	q := geom.Pt2(-1, float64(rng.Intn(domain))+0.5, float64(rng.Intn(domain))+0.5)
-	if got, want := sortedIDs32(set.Quadrant.Query(q)), sortedIDsPts(QuadrantSkyline(set.Points, q)); !equalInts(got, want) {
+	if got, want := ascendingIDs(t, "quadrant", set.Quadrant.Query(q)), sortedIDsPts(QuadrantSkyline(set.Points, q)); !equalInts(got, want) {
 		t.Fatalf("QUADRANT ORACLE MISMATCH %s q=(%g,%g): diagram=%v oracle=%v", ctx, q.X(), q.Y(), got, want)
 	}
-	if got, want := sortedIDs32(set.Global.Query(q)), sortedIDsPts(GlobalSkyline(set.Points, q)); !equalInts(got, want) {
+	if got, want := ascendingIDs(t, "global", set.Global.Query(q)), sortedIDsPts(GlobalSkyline(set.Points, q)); !equalInts(got, want) {
 		t.Fatalf("GLOBAL ORACLE MISMATCH %s q=(%g,%g): diagram=%v oracle=%v", ctx, q.X(), q.Y(), got, want)
 	}
 	if set.Dynamic != nil {
 		dq := geom.Pt2(-1, float64(rng.Intn(domain))+0.3, float64(rng.Intn(domain))+0.3)
-		if got, want := sortedIDs32(set.Dynamic.Query(dq)), sortedIDsPts(DynamicSkyline(set.Points, dq)); !equalInts(got, want) {
+		if got, want := ascendingIDs(t, "dynamic", set.Dynamic.Query(dq)), sortedIDsPts(DynamicSkyline(set.Points, dq)); !equalInts(got, want) {
 			t.Fatalf("DYNAMIC ORACLE MISMATCH %s q=(%g,%g): diagram=%v oracle=%v", ctx, dq.X(), dq.Y(), got, want)
 		}
 	}

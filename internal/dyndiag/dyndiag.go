@@ -324,6 +324,29 @@ func Build(pts []geom.Point, alg Algorithm) (*Diagram, error) {
 // instead of the full dataset: O(n^4 · |global skyline|), amortised
 // O(n^4 log n).
 func BuildSubset(pts []geom.Point) (*Diagram, error) {
+	s, err := newSubsetScan(pts)
+	if err != nil {
+		return nil, err
+	}
+	d := newDiagram(pts, s.sg)
+	sc := newDynScratch(pts)
+	for i := 0; i < s.sg.Cols(); i++ {
+		s.column(d, sc, i)
+	}
+	d.freeze()
+	return d, nil
+}
+
+// subsetScan is what Algorithm 6 reads: the global diagram, and the skyline
+// cell containing each subcell column and row.
+type subsetScan struct {
+	gd           *quaddiag.GlobalDiagram
+	sg           *grid.SubGrid
+	posByID      map[int32]int32
+	colOf, rowOf []int
+}
+
+func newSubsetScan(pts []geom.Point) (*subsetScan, error) {
 	if err := require2D(pts); err != nil {
 		return nil, err
 	}
@@ -331,38 +354,36 @@ func BuildSubset(pts []geom.Point) (*Diagram, error) {
 	if err != nil {
 		return nil, err
 	}
-	sg := grid.NewSubGrid(pts)
-	d := newDiagram(pts, sg)
-	posByID := make(map[int32]int32, len(pts))
+	s := &subsetScan{gd: gd, sg: grid.NewSubGrid(pts), posByID: make(map[int32]int32, len(pts))}
 	for pos, p := range pts {
-		posByID[int32(p.ID)] = int32(pos)
+		s.posByID[int32(p.ID)] = int32(pos)
 	}
-	// Precompute the containing cell column/row per subcell column/row.
-	colOf := make([]int, sg.Cols())
-	for i := range colOf {
-		q := sg.RepresentativeQuery(i, 0)
-		ci, _ := gd.Grid.Locate(q)
-		colOf[i] = ci
+	s.colOf = make([]int, s.sg.Cols())
+	for i := range s.colOf {
+		s.colOf[i], _ = gd.Grid.Locate(s.sg.RepresentativeQuery(i, 0))
 	}
-	rowOf := make([]int, sg.Rows())
-	for j := range rowOf {
-		q := sg.RepresentativeQuery(0, j)
-		_, cj := gd.Grid.Locate(q)
-		rowOf[j] = cj
+	s.rowOf = make([]int, s.sg.Rows())
+	for j := range s.rowOf {
+		_, s.rowOf[j] = gd.Grid.Locate(s.sg.RepresentativeQuery(0, j))
 	}
-	sc := newDynScratch(pts)
-	for i := 0; i < sg.Cols(); i++ {
-		for j := 0; j < sg.Rows(); j++ {
-			qx, qy := sg.RepXY(i, j)
-			sc.begin()
-			for _, id := range gd.Cell(colOf[i], rowOf[j]) {
-				sc.add(posByID[id], qx, qy)
+	return s, nil
+}
+
+// column computes subcell column i of d with sc. The candidates of a
+// subcell are read straight from its skyline cell's four quadrant
+// components, whose disjoint union is the cell's global result; their
+// order does not matter, because sc sorts them.
+func (s *subsetScan) column(d *Diagram, sc *dynScratch, i int) {
+	for j := 0; j < s.sg.Rows(); j++ {
+		qx, qy := s.sg.RepXY(i, j)
+		sc.begin()
+		for mask := 0; mask < 4; mask++ {
+			for _, id := range s.gd.QuadrantCell(mask, s.colOf[i], s.rowOf[j]) {
+				sc.add(s.posByID[id], qx, qy)
 			}
-			d.setCell(i, j, sc.idsOf(sc.skyline()))
 		}
+		d.setCell(i, j, sc.idsOf(sc.skyline()))
 	}
-	d.freeze()
-	return d, nil
 }
 
 // BuildScanning computes the dynamic skyline diagram with Algorithm 7: the

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/grid"
-	"repro/internal/quaddiag"
 )
 
 // BuildParallel dispatches to the parallel variant of the named
@@ -152,35 +151,14 @@ func BuildScanningParallel(pts []geom.Point, workers int) (*Diagram, error) {
 // construction is embarrassingly parallel. workers <= 0 selects GOMAXPROCS.
 // Output is identical to BuildSubset.
 func BuildSubsetParallel(pts []geom.Point, workers int) (*Diagram, error) {
-	if err := require2D(pts); err != nil {
-		return nil, err
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	gd, err := quaddiag.BuildGlobal(pts, quaddiag.AlgScanning)
+	s, err := newSubsetScan(pts)
 	if err != nil {
 		return nil, err
 	}
-	sg := grid.NewSubGrid(pts)
-	d := newDiagram(pts, sg)
-	posByID := make(map[int32]int32, len(pts))
-	for pos, p := range pts {
-		posByID[int32(p.ID)] = int32(pos)
-	}
-	colOf := make([]int, sg.Cols())
-	for i := range colOf {
-		q := sg.RepresentativeQuery(i, 0)
-		ci, _ := gd.Grid.Locate(q)
-		colOf[i] = ci
-	}
-	rowOf := make([]int, sg.Rows())
-	for j := range rowOf {
-		q := sg.RepresentativeQuery(0, j)
-		_, cj := gd.Grid.Locate(q)
-		rowOf[j] = cj
-	}
-
+	d := newDiagram(pts, s.sg)
 	cols := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -189,18 +167,11 @@ func BuildSubsetParallel(pts []geom.Point, workers int) (*Diagram, error) {
 			defer wg.Done()
 			sc := newDynScratch(pts) // per-worker scratch: no contention
 			for i := range cols {
-				for j := 0; j < sg.Rows(); j++ {
-					qx, qy := sg.RepXY(i, j)
-					sc.begin()
-					for _, id := range gd.Cell(colOf[i], rowOf[j]) {
-						sc.add(posByID[id], qx, qy)
-					}
-					d.setCell(i, j, sc.idsOf(sc.skyline()))
-				}
+				s.column(d, sc, i)
 			}
 		}()
 	}
-	for i := 0; i < sg.Cols(); i++ {
+	for i := 0; i < s.sg.Cols(); i++ {
 		cols <- i
 	}
 	close(cols)

@@ -239,13 +239,13 @@ func E2(c Config) Table {
 	return t
 }
 
-// E3 measures global-diagram construction (four reflected quadrant runs plus
-// the per-cell union) against n.
+// E3 measures global-diagram construction (four reflected quadrant runs;
+// a cell's union is merged when it is read) against n.
 func E3(c Config) Table {
 	t := Table{
 		ID:       "E3",
 		Title:    "global skyline diagram build time vs n (scanning construction)",
-		Expected: "~4x the quadrant diagram cost plus the union pass",
+		Expected: "~4x the quadrant diagram cost",
 		Header:   []string{"dist", "n", "quadrant_ms", "global_ms"},
 	}
 	for _, dist := range []dataset.Distribution{dataset.Correlated, dataset.Independent, dataset.AntiCorrelated} {

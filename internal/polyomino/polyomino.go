@@ -63,9 +63,18 @@ func FromLabels(cols, rows int, raw []int32) (*Partition, error) {
 
 // MergeCells unions 4-adjacent cells with equal results into polyominoes.
 // results(i, j) must return the cell's skyline as an ascending id slice; the
-// slice is only read. The merge is the O(#cells) pass of Section IV-A:
-// every cell is compared with its right and upper neighbour.
+// slice is only read.
 func MergeCells(cols, rows int, results func(i, j int) []int32) (*Partition, error) {
+	return MergeCellsBy(cols, rows, func(i, j, i2, j2 int) bool {
+		return equalIDs(results(i, j), results(i2, j2))
+	})
+}
+
+// MergeCellsBy unions 4-adjacent cells into polyominoes wherever same
+// reports that cell (i, j) and its neighbour (i2, j2) hold equal results.
+// The merge is the O(#cells) pass of Section IV-A: every cell is compared
+// with its right and then its upper neighbour, in column-major order.
+func MergeCellsBy(cols, rows int, same func(i, j, i2, j2 int) bool) (*Partition, error) {
 	if cols <= 0 || rows <= 0 {
 		return nil, fmt.Errorf("polyomino: empty grid %dx%d", cols, rows)
 	}
@@ -73,20 +82,20 @@ func MergeCells(cols, rows int, results func(i, j int) []int32) (*Partition, err
 	id := func(i, j int) int32 { return int32(i*rows + j) }
 	for i := 0; i < cols; i++ {
 		for j := 0; j < rows; j++ {
-			r := results(i, j)
-			if i+1 < cols && equalIDs(r, results(i+1, j)) {
+			if i+1 < cols && same(i, j, i+1, j) {
 				uf.union(id(i, j), id(i+1, j))
 			}
-			if j+1 < rows && equalIDs(r, results(i, j+1)) {
+			if j+1 < rows && same(i, j, i, j+1) {
 				uf.union(id(i, j), id(i, j+1))
 			}
 		}
 	}
-	raw := make([]int32, cols*rows)
-	for k := range raw {
-		raw[k] = uf.find(int32(k))
+	// Full path compression points every cell straight at its root, so the
+	// parent array itself becomes the raw labelling.
+	for k := range uf.parent {
+		uf.parent[k] = uf.find(int32(k))
 	}
-	return FromLabels(cols, rows, raw)
+	return FromLabels(cols, rows, uf.parent)
 }
 
 func equalIDs(a, b []int32) bool {

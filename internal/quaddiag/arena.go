@@ -37,11 +37,10 @@ func (d *Diagram) CompactArena() *Diagram {
 	}
 }
 
-// ArenaLive sums the merged table and the three reflected component tables
-// (masks 1–3). Mask 0 is the quadrant diagram the global diagram was built
-// around; its holder counts it, so a set that serves both counts it once.
+// ArenaLive sums the three reflected component tables (masks 1–3). Mask 0
+// is the quadrant diagram the global diagram was built around; its holder
+// counts it, so a set that serves both counts it once.
 func (gd *GlobalDiagram) ArenaLive() (live, total int) {
-	live, total = resultset.LiveArena(gd.labels, gd.results)
 	for mask := 1; mask < 4; mask++ {
 		l, t := gd.reflected[mask].ArenaLive()
 		live += l
@@ -50,18 +49,11 @@ func (gd *GlobalDiagram) ArenaLive() (live, total int) {
 	return live, total
 }
 
-// CompactArena compacts the merged table and the three reflected component
-// tables around quad, which must be gd.Reflected(0).CompactArena(): the
-// compacted diagram shares it as mask 0 instead of compacting it again.
+// CompactArena compacts the three reflected component tables around quad,
+// which must be gd.Reflected(0).CompactArena(): the compacted diagram shares
+// it as mask 0 instead of compacting it again.
 func (gd *GlobalDiagram) CompactArena(quad *Diagram) *GlobalDiagram {
-	labels, table := resultset.CompactLabels(gd.labels, gd.results)
-	out := &GlobalDiagram{
-		Points:  gd.Points,
-		Grid:    gd.Grid,
-		labels:  labels,
-		results: table,
-		rows:    gd.rows,
-	}
+	out := &GlobalDiagram{Points: gd.Points, Grid: gd.Grid, rows: gd.rows}
 	out.reflected[0] = quad
 	for mask := 1; mask < 4; mask++ {
 		out.reflected[mask] = gd.reflected[mask].CompactArena()

@@ -15,7 +15,9 @@
 //     skyline.
 //
 // The global diagram (BuildGlobal) runs a quadrant construction in each of
-// the four reflected orientations and unions the per-cell results.
+// the four reflected orientations and keeps the four diagrams as they are:
+// a cell's global result is the union of its four components, merged when
+// the cell is read.
 //
 // All cell-level constructions share the Diagram type; Merge converts a
 // Diagram into its polyomino partition. High-dimensional variants live in

@@ -1,13 +1,14 @@
 package quaddiag
 
 import (
+	"math"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/geom"
 	"repro/internal/grid"
 	"repro/internal/polyomino"
-	"repro/internal/resultset"
 )
 
 // GlobalDiagram is the skyline diagram for global skyline queries: per cell,
@@ -15,19 +16,19 @@ import (
 // disjoint because every point belongs to exactly one quadrant of any query
 // interior to the cell.
 //
-// The four components are kept as built and never copied: reflected[mask] is
-// the first-quadrant diagram of the mask's reflection of Points, so mask 0 is
-// the quadrant diagram of Points itself, shared with whoever built the global
-// diagram around it (a DiagramSet serves it as its quadrant kind), and Grid is
-// its grid. Reflecting an axis reverses the order of that axis's cells, so a
-// component's result for cell (i, j) sits at the flipped index: column
-// cols-1-i when x is reflected, row rows-1-j when y is.
+// The diagram is a view over its four components and stores no union of
+// its own: a cell's global result is merged from its components when it is
+// read. The components are kept as built and never copied: reflected[mask]
+// is the first-quadrant diagram of the mask's reflection of Points, so mask
+// 0 is the quadrant diagram of Points itself, shared with whoever built the
+// global diagram around it (a DiagramSet serves it as its quadrant kind),
+// and Grid is its grid. Reflecting an axis reverses the order of that axis's
+// cells, so a component's result for cell (i, j) sits at the flipped index:
+// column cols-1-i when x is reflected, row rows-1-j when y is.
 type GlobalDiagram struct {
 	Points    []geom.Point
 	Grid      *grid.Grid
 	reflected [4]*Diagram
-	labels    []uint32
-	results   *resultset.Table
 	rows      int
 }
 
@@ -45,10 +46,9 @@ func BuildGlobal(pts []geom.Point, alg Algorithm) (*GlobalDiagram, error) {
 
 // BuildGlobalAround computes the global skyline diagram of quad's points
 // with quad as its mask-0 component: only the three reflected quadrant runs
-// (masks 1–3) are built, then the four are merged. With workers == 0 the
-// runs are sequential Builds; otherwise they run concurrently, each a
-// BuildParallel sharing workers (< 0 selects GOMAXPROCS). The output is the
-// same either way.
+// (masks 1–3) are built. With workers == 0 the runs are sequential Builds;
+// otherwise they run concurrently, each a BuildParallel sharing workers
+// (< 0 selects GOMAXPROCS). The output is the same either way.
 func BuildGlobalAround(quad *Diagram, alg Algorithm, workers int) (*GlobalDiagram, error) {
 	gd := &GlobalDiagram{Points: quad.Points, Grid: quad.Grid, rows: quad.rows}
 	gd.reflected[0] = quad
@@ -75,7 +75,6 @@ func BuildGlobalAround(quad *Diagram, alg Algorithm, workers int) (*GlobalDiagra
 			return nil, err
 		}
 	}
-	gd.mergeQuadrants()
 	return gd, nil
 }
 
@@ -97,65 +96,63 @@ func (gd *GlobalDiagram) componentLabel(mask, i, j int) uint32 {
 	return gd.reflected[mask].labels[i*gd.rows+j]
 }
 
-// QuadrantCell returns the quadrant-mask component of cell (i, j).
+// QuadrantCell returns the quadrant-mask component of cell (i, j). The
+// slice aliases the component's arena; callers must not modify it.
 func (gd *GlobalDiagram) QuadrantCell(mask, i, j int) []int32 {
 	return gd.reflected[mask].results.Result(gd.componentLabel(mask, i, j))
 }
 
-// mergeQuadrants fills the global per-cell results from the four
-// components, interning the merged lists into the global table.
-func (gd *GlobalDiagram) mergeQuadrants() {
-	in := resultset.NewInterner()
-	var m merger
-	gd.labels = make([]uint32, gd.Grid.NumCells())
-	for i := 0; i < gd.Grid.Cols(); i++ {
-		for j := 0; j < gd.rows; j++ {
-			gd.labels[i*gd.rows+j] = in.Intern(m.cell(gd, i, j))
-		}
+// AppendCell appends the global skyline ids of cell (i, j), ascending, to
+// dst and returns the extended slice: the merge of the cell's four
+// components, each read through its index flip. With enough capacity in dst
+// it allocates nothing.
+func (gd *GlobalDiagram) AppendCell(dst []int32, i, j int) []int32 {
+	var parts [4][]int32
+	for mask := range parts {
+		parts[mask] = gd.QuadrantCell(mask, i, j)
 	}
-	gd.results = in.Table()
+	return appendUnion(dst, &parts)
 }
 
-// merger unions a cell's four disjoint components in two scratch buffers
-// reused across a merge pass: held holds the running union once a merge has
-// made one, and each merge writes into free. Intern copies what it keeps, so
-// the union returned for one cell may be overwritten by the next.
-type merger struct{ free, held []int32 }
-
-// cell returns the ascending union of cell (i, j)'s four components. It
-// aliases the arena or the merger's buffers; the caller must not keep it.
-func (m *merger) cell(gd *GlobalDiagram, i, j int) []int32 {
-	union := gd.QuadrantCell(0, i, j)
-	for mask := 1; mask < 4; mask++ {
-		c := gd.QuadrantCell(mask, i, j)
-		switch {
-		case len(c) == 0:
-		case len(union) == 0:
-			union = c
-		default:
-			out := appendMerged(m.free[:0], union, c)
-			m.free, m.held = m.held, out
-			union = out
+// appendUnion appends the ascending union of lists to dst. Every list must
+// be ascending and the lists pairwise disjoint, as a cell's four components
+// are.
+func appendUnion(dst []int32, lists *[4][]int32) []int32 {
+	const done = math.MaxInt64 // head of an exhausted list: above every id
+	var head [4]int64
+	var next [4]int
+	n := len(dst)
+	for k, l := range lists {
+		head[k] = done
+		if len(l) > 0 {
+			head[k] = int64(l[0])
+			n += len(l)
 		}
 	}
-	return union
-}
-
-// appendMerged appends the merge of two ascending id lists known to be
-// disjoint to dst.
-func appendMerged(dst, a, b []int32) []int32 {
-	ai, bi := 0, 0
-	for ai < len(a) && bi < len(b) {
-		if a[ai] < b[bi] {
-			dst = append(dst, a[ai])
-			ai++
+	dst = slices.Grow(dst, n-len(dst))
+	out := dst[len(dst):n]
+	for w := range out {
+		// The minimum head, picked without data-dependent branches.
+		a, b := 0, 2
+		if head[1] < head[0] {
+			a = 1
+		}
+		if head[3] < head[2] {
+			b = 3
+		}
+		if head[b] < head[a] {
+			a = b
+		}
+		a &= 3 // drops the bounds checks below
+		out[w] = int32(head[a])
+		next[a]++
+		if l := lists[a]; next[a] < len(l) {
+			head[a] = int64(l[next[a]])
 		} else {
-			dst = append(dst, b[bi])
-			bi++
+			head[a] = done
 		}
 	}
-	dst = append(dst, a[ai:]...)
-	return append(dst, b[bi:]...)
+	return dst[:n]
 }
 
 // mergeDisjoint merges two ascending id lists known to be disjoint into a
@@ -167,35 +164,59 @@ func mergeDisjoint(a, b []int32) []int32 {
 	if len(b) == 0 {
 		return a
 	}
-	return appendMerged(make([]int32, 0, len(a)+len(b)), a, b)
+	return appendUnion(make([]int32, 0, len(a)+len(b)), &[4][]int32{a, b})
 }
 
-// Cell returns the global skyline ids of cell (i, j), ascending.
-func (gd *GlobalDiagram) Cell(i, j int) []int32 {
-	return gd.results.Result(gd.labels[i*gd.rows+j])
-}
+// Cell returns the global skyline ids of cell (i, j), ascending, in a fresh
+// slice the caller owns.
+func (gd *GlobalDiagram) Cell(i, j int) []int32 { return gd.AppendCell(nil, i, j) }
 
-// Query answers a global skyline query by point location.
-func (gd *GlobalDiagram) Query(q geom.Point) []int32 {
-	i, j := gd.Grid.Locate(q)
-	return gd.results.Result(gd.labels[i*gd.rows+j])
-}
+// Query answers a global skyline query by point location, into a fresh
+// slice.
+func (gd *GlobalDiagram) Query(q geom.Point) []int32 { return gd.Cell(gd.Grid.Locate(q)) }
 
-// QueryXY is Query without the geom.Point wrapper — the serving hot path.
-func (gd *GlobalDiagram) QueryXY(x, y float64) []int32 {
+// QueryXY is Query without the geom.Point wrapper, into a fresh slice.
+func (gd *GlobalDiagram) QueryXY(x, y float64) []int32 { return gd.AppendQueryXY(nil, x, y) }
+
+// AppendQueryXY appends the answer to the global skyline query (x, y) to
+// dst: point location, then AppendCell — the serving hot path, allocation
+// free once dst has the capacity.
+func (gd *GlobalDiagram) AppendQueryXY(dst []int32, x, y float64) []int32 {
 	i, j := gd.Grid.LocateXY(x, y)
-	return gd.results.Result(gd.labels[i*gd.rows+j])
+	return gd.AppendCell(dst, i, j)
 }
 
-// Results exposes the frozen interned result table backing the diagram.
-func (gd *GlobalDiagram) Results() *resultset.Table { return gd.results }
-
-// Label returns the interned result label of cell (i, j).
-func (gd *GlobalDiagram) Label(i, j int) uint32 { return gd.labels[i*gd.rows+j] }
+// sameAs returns a test of whether cell (i, j) of gd and cell (i2, j2) of o
+// hold the same global result. The two unions are disjoint, so a component
+// both cells share (gd == o and one label) is left out of both sides. A
+// pair whose remaining components' lengths sum differently is rejected
+// without touching the arenas; otherwise each side is merged into one of
+// two buffers the test reuses.
+func (gd *GlobalDiagram) sameAs(o *GlobalDiagram) func(i, j, i2, j2 int) bool {
+	var a, b []int32
+	return func(i, j, i2, j2 int) bool {
+		var pa, pb [4][]int32
+		diff := 0
+		for mask := 0; mask < 4; mask++ {
+			la, lb := gd.componentLabel(mask, i, j), o.componentLabel(mask, i2, j2)
+			if gd == o && la == lb {
+				continue
+			}
+			pa[mask] = gd.reflected[mask].results.Result(la)
+			pb[mask] = o.reflected[mask].results.Result(lb)
+			diff += len(pa[mask]) - len(pb[mask])
+		}
+		if diff != 0 {
+			return false
+		}
+		a, b = appendUnion(a[:0], &pa), appendUnion(b[:0], &pb)
+		return slices.Equal(a, b)
+	}
+}
 
 // Merge groups the global diagram's cells into polyominoes. Note that the
 // global diagram's polyominoes are generally finer than the quadrant
 // diagram's: a cell boundary can change any of the four quadrant results.
 func (gd *GlobalDiagram) Merge() (*polyomino.Partition, error) {
-	return polyomino.MergeCells(gd.Grid.Cols(), gd.Grid.Rows(), gd.Cell)
+	return polyomino.MergeCellsBy(gd.Grid.Cols(), gd.rows, gd.sameAs(gd))
 }

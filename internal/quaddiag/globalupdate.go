@@ -5,26 +5,15 @@ import (
 	"fmt"
 
 	"repro/internal/geom"
-	"repro/internal/resultset"
 )
 
 // Incremental maintenance for the global diagram. The global result of a
 // cell is the disjoint union of its four quadrant components (Definition 3),
-// so maintenance reduces to the quadrant case: the caller maintains mask 0 —
-// the quadrant diagram of Points, gd.Reflected(0) — and passes the result in;
-// here each of the three reflected components is updated with the reflected
-// point, and only the cells whose components changed are re-merged.
-//
-// The carry test compares interned labels across the old and new component
-// tables, each read through its flip. That comparison is sound because each
-// new component's interner is seeded from its old table (NewInternerFrom):
-// old labels stay stable, fresh labels are numerically >= the old table's
-// NumResults, and hash-consing folds recomputed-but-identical results back
-// onto their old label. Equal labels therefore imply equal content; an
-// unequal label at worst triggers a redundant merge that hash-conses back to
-// the old global label. When all four components of a cell kept their
-// labels, the old global label is carried over in O(1) with no interning at
-// all. The mask-0 argument must therefore be derived from gd.Reflected(0).
+// and the diagram stores nothing but those components, so maintenance is the
+// quadrant case four times over: the caller maintains mask 0 — the quadrant
+// diagram of Points, gd.Reflected(0) — and passes the result in; here each of
+// the three reflected components is updated with the reflected point. Nothing
+// is merged: readers merge a cell's components when they read it.
 
 // WithInsert returns the global diagram of Points ∪ {p} around quad, which
 // must be gd.Reflected(0).WithInsert(p).
@@ -33,7 +22,7 @@ func (gd *GlobalDiagram) WithInsert(p geom.Point, quad *Diagram) (*GlobalDiagram
 		return nil, fmt.Errorf("quaddiag: insert requires a 2-D point, got dimension %d", p.Dim())
 	}
 	return gd.derive(quad, func(rd *Diagram, mask int) (*Diagram, error) {
-		return rd.WithInsert(reflectPoint(p, mask))
+		return rd.WithInsert(geom.Reflect([]geom.Point{p}, mask)[0])
 	})
 }
 
@@ -60,55 +49,7 @@ func (gd *GlobalDiagram) derive(quad *Diagram, update func(rd *Diagram, mask int
 		}
 		ngd.reflected[mask] = nref
 	}
-	ngd.mergeQuadrantsFrom(gd)
 	return ngd, nil
-}
-
-// mergeQuadrantsFrom is mergeQuadrants with copy-on-write against an older
-// global diagram: a cell whose four quadrant components all kept their
-// labels carries its old global label verbatim; only changed cells pay a
-// merge and an intern, against an interner seeded from the old table.
-//
-// Cells are matched through a grid corner lookup that works in both update
-// directions: on insert every new cell lies inside exactly one old cell, on
-// delete the located old cell is the lower-left constituent of the new cell
-// — either way the old cell's result is the right comparand because results
-// are constant on cells of both arrangements.
-func (gd *GlobalDiagram) mergeQuadrantsFrom(old *GlobalDiagram) {
-	in := resultset.NewInternerFrom(old.results)
-	var m merger
-	gd.labels = make([]uint32, gd.Grid.NumCells())
-	oldCol, oldRow, _ := containingCells(gd.Grid, old.Grid)
-	for i := 0; i < gd.Grid.Cols(); i++ {
-		for j := 0; j < gd.rows; j++ {
-			oi, oj := oldCol[i], oldRow[j]
-			carry := true
-			for mask := 0; mask < 4; mask++ {
-				if gd.componentLabel(mask, i, j) != old.componentLabel(mask, oi, oj) {
-					carry = false
-					break
-				}
-			}
-			if carry {
-				gd.labels[i*gd.rows+j] = old.labels[oi*old.rows+oj]
-				continue
-			}
-			gd.labels[i*gd.rows+j] = in.Intern(m.cell(gd, i, j))
-		}
-	}
-	gd.results = in.Table()
-}
-
-// reflectPoint is geom.Reflect for a single 2-D point.
-func reflectPoint(p geom.Point, mask int) geom.Point {
-	c := []float64{p.X(), p.Y()}
-	if mask&1 != 0 {
-		c[0] = -c[0]
-	}
-	if mask&2 != 0 {
-		c[1] = -c[1]
-	}
-	return geom.Point{ID: p.ID, Coords: c}
 }
 
 // Equal reports whether two global diagrams answer every query identically.
@@ -116,9 +57,10 @@ func (gd *GlobalDiagram) Equal(o *GlobalDiagram) bool {
 	if gd.Grid.Cols() != o.Grid.Cols() || gd.Grid.Rows() != o.Grid.Rows() {
 		return false
 	}
+	same := gd.sameAs(o)
 	for i := 0; i < gd.Grid.Cols(); i++ {
 		for j := 0; j < gd.rows; j++ {
-			if !equalIDs(gd.Cell(i, j), o.Cell(i, j)) {
+			if !same(i, j, i, j) {
 				return false
 			}
 		}

@@ -49,8 +49,8 @@ func TestGlobalUpdateMatchesRebuild(t *testing.T) {
 }
 
 func TestGlobalUpdateDuplicateCoordinates(t *testing.T) {
-	// Exact-duplicate coordinate piles exercise the tie rules of the carry
-	// comparison (several points on the same grid lines).
+	// Exact-duplicate coordinate piles exercise the tie rules of the
+	// component maintenance (several points on the same grid lines).
 	pts := []geom.Point{
 		geom.Pt2(0, 2, 2),
 		geom.Pt2(1, 2, 2),

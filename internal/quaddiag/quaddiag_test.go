@@ -313,6 +313,47 @@ func TestGlobalMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestGlobalMergeMatchesMergeCells checks the global Merge, which compares
+// neighbouring cells by merging their components into two reused buffers,
+// against the generic merge over freshly merged cells. Domain-16 data has
+// duplicate coordinates, so equal neighbouring unions are common. Equal,
+// which shares Merge's comparison, must also tell a relabelled copy apart.
+func TestGlobalMergeMatchesMergeCells(t *testing.T) {
+	for _, n := range []int{1, 2, 5, 30, 120} {
+		for seed := int64(1); seed <= 5; seed++ {
+			pts, err := dataset.Generate(dataset.Config{N: n, Dim: 2, Dist: dataset.Independent, Domain: 16, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			gd, err := BuildGlobal(pts, AlgScanning)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := gd.Merge()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := polyomino.MergeCells(gd.Grid.Cols(), gd.Grid.Rows(), gd.Cell)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("n=%d seed=%d: Merge has %d regions, MergeCells over Cell %d",
+					n, seed, got.NumRegions, want.NumRegions)
+			}
+			relabelled := append([]geom.Point(nil), pts...)
+			relabelled[0].ID += 1000
+			other, err := BuildGlobal(relabelled, AlgScanning)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !gd.Equal(gd) || gd.Equal(other) {
+				t.Fatalf("n=%d seed=%d: Equal must hold for the diagram itself and fail for a relabelled copy", n, seed)
+			}
+		}
+	}
+}
+
 // checkGlobalOracle compares every cell of gd, and each of its four quadrant
 // components, with the from-scratch skylines at the cell's centre.
 func checkGlobalOracle(t *testing.T, ctx string, gd *GlobalDiagram) {

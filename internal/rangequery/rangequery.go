@@ -43,51 +43,18 @@ func cellSpan(vs []float64, lo, hi float64) (i0, i1 int) {
 // Results returns the distinct skyline results achievable by queries inside
 // r on a quadrant diagram, in first-encounter (row-major) order.
 func Results(d *quaddiag.Diagram, r Range) ([][]int32, error) {
-	if err := r.validate(); err != nil {
-		return nil, err
-	}
-	return collect(func(yield func(ids []int32)) {
-		i0, i1 := cellSpan(d.Grid.Xs, r.X0, r.X1)
-		j0, j1 := cellSpan(d.Grid.Ys, r.Y0, r.Y1)
-		for i := i0; i <= i1; i++ {
-			for j := j0; j <= j1; j++ {
-				yield(d.Cell(i, j))
-			}
-		}
-	}), nil
+	return cellResults(d.Grid.Xs, d.Grid.Ys, d.Cell, r)
 }
 
 // GlobalResults is Results for a global diagram.
 func GlobalResults(d *quaddiag.GlobalDiagram, r Range) ([][]int32, error) {
-	if err := r.validate(); err != nil {
-		return nil, err
-	}
-	return collect(func(yield func(ids []int32)) {
-		i0, i1 := cellSpan(d.Grid.Xs, r.X0, r.X1)
-		j0, j1 := cellSpan(d.Grid.Ys, r.Y0, r.Y1)
-		for i := i0; i <= i1; i++ {
-			for j := j0; j <= j1; j++ {
-				yield(d.Cell(i, j))
-			}
-		}
-	}), nil
+	return cellResults(d.Grid.Xs, d.Grid.Ys, d.Cell, r)
 }
 
 // DynamicResults is Results for a dynamic diagram.
 func DynamicResults(d *dyndiag.Diagram, r Range) ([][]int32, error) {
-	if err := r.validate(); err != nil {
-		return nil, err
-	}
 	xs, ys := subGridValues(d)
-	return collect(func(yield func(ids []int32)) {
-		i0, i1 := cellSpan(xs, r.X0, r.X1)
-		j0, j1 := cellSpan(ys, r.Y0, r.Y1)
-		for i := i0; i <= i1; i++ {
-			for j := j0; j <= j1; j++ {
-				yield(d.Cell(i, j))
-			}
-		}
-	}), nil
+	return cellResults(xs, ys, d.Cell, r)
 }
 
 func subGridValues(d *dyndiag.Diagram) (xs, ys []float64) {
@@ -102,24 +69,33 @@ func subGridValues(d *dyndiag.Diagram) (xs, ys []float64) {
 	return xs, ys
 }
 
-// collect deduplicates yielded id lists, preserving first-encounter order.
-func collect(iterate func(yield func(ids []int32))) [][]int32 {
+// cellResults returns the distinct results of the cells r touches, in a
+// subdivision with the given sorted line positions, in first-encounter
+// (row-major) order. The results are kept, so cell's slices must stay
+// valid.
+func cellResults(xs, ys []float64, cell func(i, j int) []int32, r Range) ([][]int32, error) {
+	if err := r.validate(); err != nil {
+		return nil, err
+	}
 	seen := make(map[string]bool)
 	var out [][]int32
 	var key []byte
-	iterate(func(ids []int32) {
-		key = key[:0]
-		for _, id := range ids {
-			key = append(key, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
+	i0, i1 := cellSpan(xs, r.X0, r.X1)
+	j0, j1 := cellSpan(ys, r.Y0, r.Y1)
+	for i := i0; i <= i1; i++ {
+		for j := j0; j <= j1; j++ {
+			ids := cell(i, j)
+			key = key[:0]
+			for _, id := range ids {
+				key = append(key, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
+			}
+			if k := string(key); !seen[k] {
+				seen[k] = true
+				out = append(out, ids)
+			}
 		}
-		k := string(key)
-		if seen[k] {
-			return
-		}
-		seen[k] = true
-		out = append(out, ids)
-	})
-	return out
+	}
+	return out, nil
 }
 
 // Union returns the ascending ids of every point that appears in at least

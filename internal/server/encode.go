@@ -27,6 +27,48 @@ var bufPool = sync.Pool{
 func getBuf() *[]byte   { return bufPool.Get().(*[]byte) }
 func putBuf(bp *[]byte) { *bp = (*bp)[:0]; bufPool.Put(bp) }
 
+// idsPool recycles the id buffers queries are answered into, stored as
+// *[]int32 for the same reason as bufPool. A fresh buffer starts small,
+// because a collection empties the pool every few batches; one that grows
+// keeps its capacity.
+var idsPool = sync.Pool{
+	New: func() interface{} {
+		ids := make([]int32, 0, 64)
+		return &ids
+	},
+}
+
+// answerer is what the query handlers need of a diagram: its answer to the
+// query (x, y) appended to dst, as core.Diagram.AppendQueryXY gives it.
+type answerer interface {
+	AppendQueryXY(dst []int32, x, y float64) []int32
+}
+
+// appendAnswers is the answer-and-encode step both query handlers share.
+// Each query is answered against d into a pooled id buffer, which the
+// encoder then reads: a batch renders in handleBatch's form, a single query
+// (batch false, queries[0]) in handleSkyline's, with its points from frags.
+// Quadrant and dynamic answers copy an arena slice into the buffer and
+// global ones merge their four quadrant components there, so once both
+// pools are warm the step allocates nothing for any kind.
+func appendAnswers(b []byte, d answerer, kind string, queries [][]float64, batch bool, frags map[int32][]byte) []byte {
+	ip := idsPool.Get().(*[]int32)
+	ids := *ip
+	if batch {
+		b = appendBatchResponse(b, kind, queries, func(x, y float64) []int32 {
+			ids = d.AppendQueryXY(ids[:0], x, y)
+			return ids
+		})
+	} else {
+		x, y := queries[0][0], queries[0][1]
+		ids = d.AppendQueryXY(ids[:0], x, y)
+		b = appendSkylineResponse(b, kind, x, y, ids, frags)
+	}
+	*ip = ids[:0]
+	idsPool.Put(ip)
+	return b
+}
+
 // appendJSONFloat appends f exactly as encoding/json renders a float64:
 // shortest round-trip form, 'f' notation inside [1e-6, 1e21), 'e' notation
 // outside with the exponent's leading zero stripped.
@@ -48,9 +90,9 @@ func appendJSONFloat(b []byte, f float64) []byte {
 }
 
 // appendSkylineResponse renders the single-query response. kind must already
-// be normalized (it is embedded without escaping), ids may alias a diagram
-// arena (read only), and every id must have a fragment in frags — both are
-// derived from the same immutable snapshot, so lookups cannot miss.
+// be normalized (it is embedded without escaping), ids are only read, and
+// every id must have a fragment in frags — both are derived from the same
+// immutable snapshot, so lookups cannot miss.
 func appendSkylineResponse(b []byte, kind string, x, y float64, ids []int32, frags map[int32][]byte) []byte {
 	b = append(b, `{"kind":"`...)
 	b = append(b, kind...)

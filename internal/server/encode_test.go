@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/geom"
 )
 
@@ -119,6 +121,44 @@ func TestEncoderZeroAllocs(t *testing.T) {
 	})
 	if batch != 0 {
 		t.Fatalf("batch encode: %v allocs/op, want 0", batch)
+	}
+}
+
+// TestAnswerPathZeroAllocs pins the answer-and-encode step the query
+// handlers run at zero heap allocations once the id and byte pools are warm,
+// for every kind, single and batch, on a built n=64 state with the dynamic
+// kind on. Global answers are merged into the pooled id buffer; answering
+// them through QueryXY, which returns a fresh slice, fails here.
+func TestAnswerPathZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector, so two pools refill about once per run")
+	}
+	pts, err := dataset.Generate(dataset.Config{N: 64, Dim: 2, Dist: dataset.Independent, Seed: 29})
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := core.BuildSet(pts, core.UpdateOptions{MaxDynamicPoints: len(pts)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := stateFromSet(set)
+	queries := [][]float64{{0.1, 0.9}, {0.5, 0.5}, {0.93, 0.07}, {-1, 2}, {0.31, 0.28}, {0.72, 0.41}}
+	for _, kind := range []string{"quadrant", "global", "dynamic"} {
+		d, err := st.diagramFor(kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, batch := range []bool{false, true} {
+			answer := func() {
+				bp := getBuf()
+				*bp = appendAnswers(*bp, d, kind, queries, batch, st.frags)
+				putBuf(bp)
+			}
+			answer() // warm both pools
+			if allocs := testing.AllocsPerRun(200, answer); allocs != 0 {
+				t.Fatalf("%s (batch=%v): %v allocs/op, want 0", kind, batch, allocs)
+			}
+		}
 	}
 }
 

@@ -387,7 +387,7 @@ func serveFromState(st *store.Store, kind string) *state {
 	return &state{
 		epoch:      st.Epoch(),
 		points:     pts,
-		stored:     &storeDiagram{st: st, byID: indexPoints(pts)},
+		stored:     &storeDiagram{st: st},
 		storedKind: kind,
 		frags:      pointFrags(pts),
 	}
@@ -824,35 +824,14 @@ var errKindNotServed = errors.New("kind not present in the served snapshot file"
 // errReadOnly marks writes against a serve-from handler.
 var errReadOnly = errors.New("server is serving a read-only snapshot file")
 
-// storeDiagram adapts a persisted diagram file to core.Diagram, so the
-// query handlers serve a mapped file through the exact same code path as an
-// in-memory diagram. QueryXY on a mapped v3 store is allocation-free: two
-// rank-table lookups plus a label load from the mapping.
-type storeDiagram struct {
-	st   *store.Store
-	byID map[int32]geom.Point
-}
+// storeDiagram adapts a persisted diagram file to the answerer the query
+// handlers take, so they serve a mapped file through the exact same code
+// path as an in-memory diagram. A mapped store's lookup is allocation-free:
+// two rank-table lookups plus a label load from the mapping.
+type storeDiagram struct{ st *store.Store }
 
-func (sd *storeDiagram) Query(q geom.Point) []int32   { return sd.st.QueryXY(q.X(), q.Y()) }
-func (sd *storeDiagram) QueryXY(x, y float64) []int32 { return sd.st.QueryXY(x, y) }
-
-func (sd *storeDiagram) QueryPoints(q geom.Point) []geom.Point {
-	ids := sd.st.QueryXY(q.X(), q.Y())
-	out := make([]geom.Point, 0, len(ids))
-	for _, id := range ids {
-		if p, ok := sd.byID[id]; ok {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-func indexPoints(pts []geom.Point) map[int32]geom.Point {
-	m := make(map[int32]geom.Point, len(pts))
-	for _, p := range pts {
-		m[int32(p.ID)] = p
-	}
-	return m
+func (sd *storeDiagram) AppendQueryXY(dst []int32, x, y float64) []int32 {
+	return append(dst, sd.st.QueryXY(x, y)...)
 }
 
 // normalizeKind canonicalizes the kind parameter. Every path that accepts a
@@ -871,7 +850,7 @@ func normalizeKind(raw string) (string, error) {
 }
 
 // diagramFor selects the diagram answering the (already normalized) kind.
-func (st *state) diagramFor(kind string) (core.Diagram, error) {
+func (st *state) diagramFor(kind string) (answerer, error) {
 	if st.stored != nil {
 		if kind == st.storedKind {
 			return st.stored, nil
@@ -934,12 +913,8 @@ func (h *Handler) handleSkyline(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusForKindErr(err), err.Error())
 		return
 	}
-	// Hot path: point location returns an arena subslice (no copy), ids and
-	// point fragments are appended into a pooled buffer — zero allocations
-	// once the pool is warm.
-	ids := d.QueryXY(x, y)
 	bp := getBuf()
-	buf := appendSkylineResponse(*bp, kind, x, y, ids, snap.frags)
+	buf := appendAnswers(*bp, d, kind, [][]float64{{x, y}}, false, snap.frags)
 	setEpochHeader(w, snap.epoch)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
@@ -1028,10 +1003,8 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusForKindErr(err), err.Error())
 		return
 	}
-	// Each query resolves to an arena subslice which is encoded straight into
-	// the pooled buffer — no intermediate result slice, no per-query copies.
 	bp := getBuf()
-	buf := appendBatchResponse(*bp, kind, req.Queries, d.QueryXY)
+	buf := appendAnswers(*bp, d, kind, req.Queries, true, snap.frags)
 	h.reg.Counter("skyserve_batch_queries_total",
 		"Queries answered through /v1/skyline/batch.").Add(int64(len(req.Queries)))
 	setEpochHeader(w, snap.epoch)

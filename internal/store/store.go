@@ -484,12 +484,14 @@ type Store struct {
 	// it without copying.
 	table *resultset.Table
 
-	// active counts holds on data: Acquire holds and in-flight reads. A
-	// replica closes the store it swapped out while stragglers may still
-	// read its mapping, so Close unmaps only when active is zero, and
-	// otherwise the read or Release that ends the last hold unmaps.
+	// active counts holds on data: Acquire holds and in-flight reads, plus
+	// closed once Close has begun, so a hold and Close's mark change in one
+	// atomic word. A replica closes the store it swapped out while
+	// stragglers may still read its mapping, so Close unmaps only when no
+	// hold is open, and otherwise the read or Release that ends the last
+	// hold, leaving active at exactly closed, unmaps.
 	active atomic.Int64
-	// closing is set when Close begins; Acquire fails from then on.
+	// closing makes a second Close a no-op.
 	closing atomic.Bool
 	// unmapped makes the unmap happen exactly once.
 	unmapped atomic.Bool
@@ -689,12 +691,14 @@ func (s *Store) parseArena(sec []byte) error {
 // never waits for them, and they never read an unmapped page. Acquire fails
 // once Close has begun.
 func (s *Store) Close() error {
-	s.closing.Store(true)
-	if s.active.Load() != 0 {
+	if s.closing.Swap(true) || s.active.Add(closed) != closed {
 		return nil
 	}
 	return s.unmap()
 }
+
+// closed is the mark Close adds to Store.active, above any count of holds.
+const closed = 1 << 40
 
 // unmap releases a mapped store's mapping, once.
 func (s *Store) unmap() error {
@@ -719,11 +723,10 @@ func (s *Store) Epoch() uint64 { return s.epoch }
 // got the store from a snapshot another goroutine may retire (swap out,
 // then Close) must acquire it before touching it: a read that merely
 // started before Close could otherwise reach the store after the unmap.
-// Close sets its flag before it counts holds, so an acquire either is
-// counted before Close looks or sees the flag.
+// Close marks the same counter the holds use, so an acquire either is
+// counted before Close marks it or sees the mark.
 func (s *Store) Acquire() bool {
-	s.active.Add(1)
-	if s.closing.Load() {
+	if s.active.Add(1) >= closed {
 		s.Release()
 		return false
 	}
@@ -731,9 +734,12 @@ func (s *Store) Acquire() bool {
 }
 
 // Release ends a hold taken by Acquire. When it ends the last hold on a
-// closed store, it unmaps the store.
+// closed store, it unmaps the store. Ending the last hold and seeing the
+// mark is one atomic step: with a separate flag, a Release could count
+// zero holds, a new Acquire succeed, and the Release then see Close's flag
+// and unmap under the new hold.
 func (s *Store) Release() {
-	if s.active.Add(-1) == 0 && s.closing.Load() {
+	if s.active.Add(-1) == closed {
 		_ = s.unmap()
 	}
 }

@@ -1,24 +1,27 @@
 #!/bin/sh
-# Runs the serving-hot-loop benchmark families with -benchmem and writes the
-# results to BENCH_serve.json ({name, ns_per_op, b_per_op, allocs_per_op}
-# per benchmark). Exits non-zero on either regression gate:
+# Runs the serving-hot-loop benchmark families with -benchmem, five times
+# each (-count 5), and writes BENCH_serve.json: a header naming the host
+# (commit, Go version, GOOS/GOARCH, CPU model, nproc, GOMAXPROCS, date,
+# benchtime and count), then one row per benchmark with the median ns/op
+# and its min and max over the five runs, the median B/op, the median and
+# max allocs/op, and for E20 the median bytes/epoch. Exits non-zero on any
+# regression gate; the ratio gates read the medians:
 #
-#   - zero-allocation contract: any BenchmarkQuery* (internal/core),
+#   - zero-allocation contract: any run of BenchmarkQuery* (internal/core),
 #     BenchmarkEncode* (internal/server), or BenchmarkLocate* (internal/grid)
 #     reporting a nonzero allocs/op — that contract is what the read path's
 #     latency depends on;
 #   - maintenance contract: BenchmarkUpdateIncremental not at least 3x
 #     faster than BenchmarkUpdateFullRebuild (internal/core) — incremental
 #     maintenance regressing toward rebuild-shaped costs (the measured
-#     headroom is ~15x; see EXPERIMENTS.md E18 for the serving-layer
+#     headroom is ~8x; see EXPERIMENTS.md E18 for the serving-layer
 #     write-throughput figure);
 #   - write-path allocation contract: BenchmarkUpdateChained (each op
 #     derived from the previous set, compacting every 20 ops, as the
 #     server's coalesce leader drives it) not allocating fewer B/op than
 #     BenchmarkUpdateIncremental (every op pair re-derived from one base, so
 #     each insert forks the base's claimed tables) — the interned result
-#     tables no longer growing their arenas in place (measured ~5.4 vs
-#     ~9.7 MB/op);
+#     tables no longer growing their arenas in place;
 #   - point-location contract: BenchmarkLocateRank not strictly faster than
 #     BenchmarkLocateBinary (internal/grid) — the O(1) rank table regressing
 #     to binary-search cost (the measured headroom is ~9x);
@@ -38,84 +41,123 @@ cd "$(dirname "$0")/.."
 
 out=${1:-BENCH_serve.json}
 benchtime=${BENCHTIME:-1s}
+count=5
 tmp=$(mktemp)
-trap 'rm -f "$tmp"' EXIT
+trap 'rm -f "$tmp" "$tmp.body"' EXIT
 
-echo "== bench (benchtime=$benchtime)"
+commit=$(git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)
+if [ "$commit" != unknown ] && [ -n "$(git status --porcelain 2>/dev/null)" ]; then
+    commit="$commit-dirty"
+fi
+cpu=$(sed -n 's/^model name[[:space:]]*: *//p' /proc/cpuinfo 2>/dev/null | head -n 1)
+nproc=$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 0)
+header=$(printf '{"commit": "%s", "go": "%s", "goos": "%s", "goarch": "%s", "cpu": "%s", "nproc": %s, "gomaxprocs": %s, "date": "%s", "benchtime": "%s", "count": %s}' \
+    "$commit" "$(go env GOVERSION)" "$(go env GOOS)" "$(go env GOARCH)" "${cpu:-unknown}" \
+    "$nproc" "${GOMAXPROCS:-$nproc}" "$(date -u +%Y-%m-%dT%H:%M:%SZ)" "$benchtime" "$count")
+echo "== host $header"
+
+echo "== bench (benchtime=$benchtime, count=$count)"
 go test -run '^$' -bench 'BenchmarkQuery|BenchmarkEncode|BenchmarkUpdate|BenchmarkLocate' -benchmem \
-    -benchtime "$benchtime" ./internal/core/ ./internal/server/ ./internal/grid/ | tee "$tmp"
+    -benchtime "$benchtime" -count "$count" ./internal/core/ ./internal/server/ ./internal/grid/ | tee "$tmp"
 
 echo "== bench E18 write throughput (WAL gate)"
 go test -run '^$' -bench 'BenchmarkE18_WriteThroughput/(incremental|wal)/writers=1$' -benchmem \
-    -benchtime "$benchtime" . | tee -a "$tmp"
+    -benchtime "$benchtime" -count "$count" . | tee -a "$tmp"
 
 echo "== bench E20 replication bytes (delta gate)"
 go test -run '^$' -bench 'BenchmarkE20_ReplicationBytes' -benchmem \
-    -benchtime "${E20_BENCHTIME:-10x}" . | tee -a "$tmp"
+    -benchtime "${E20_BENCHTIME:-10x}" -count "$count" . | tee -a "$tmp"
 
 awk '
+# median of the k values v[1..k], sorted in place (k is small).
+function median(v, k,    i, j, x) {
+    for (i = 2; i <= k; i++) {
+        x = v[i]
+        for (j = i - 1; j >= 1 && v[j] + 0 > x + 0; j--) v[j+1] = v[j]
+        v[j+1] = x
+    }
+    return k % 2 ? v[(k+1)/2] : (v[k/2] + v[k/2+1]) / 2
+}
 /^Benchmark/ && /allocs\/op/ {
     name = $1
     sub(/-[0-9]+$/, "", name)
-    bpe = ""
+    if (!(name in runs)) order[++names] = name
+    r = ++runs[name]
     for (i = 2; i <= NF; i++) {
-        if ($i == "ns/op")       ns = $(i-1)
-        if ($i == "B/op")        bytes = $(i-1)
-        if ($i == "allocs/op")   allocs = $(i-1)
-        if ($i == "bytes/epoch") bpe = $(i-1)
+        if ($i == "ns/op")       ns[name, r] = $(i-1)
+        if ($i == "B/op")        bytes[name, r] = $(i-1)
+        if ($i == "allocs/op")   allocs[name, r] = $(i-1)
+        if ($i == "bytes/epoch") bpe[name, r] = $(i-1)
     }
-    if (n++) printf ",\n"
-    printf "  {\"name\": \"%s\", \"ns_per_op\": %s, \"b_per_op\": %s, \"allocs_per_op\": %s", \
-        name, ns, bytes, allocs
-    if (bpe != "") printf ", \"bytes_per_epoch\": %s", bpe
-    printf "}"
-    if (name ~ /^(BenchmarkQuery|BenchmarkEncode|BenchmarkLocate)/ && allocs + 0 > 0) {
-        bad = bad name " (" allocs " allocs/op) "
-    }
-    if (name == "BenchmarkUpdateIncremental")  { inc = ns; incB = bytes }
-    if (name == "BenchmarkUpdateChained")     chainB = bytes
-    if (name == "BenchmarkUpdateFullRebuild") full = ns
-    if (name == "BenchmarkLocateRank")   rank = ns
-    if (name == "BenchmarkLocateBinary") bin = ns
-    if (name == "BenchmarkE18_WriteThroughput/incremental/writers=1") walOff = ns
-    if (name == "BenchmarkE18_WriteThroughput/wal/writers=1")         walOn = ns
-    if (name == "BenchmarkE20_ReplicationBytes/full")  fullBpe = bpe
-    if (name == "BenchmarkE20_ReplicationBytes/delta") deltaBpe = bpe
 }
 END {
+    for (n = 1; n <= names; n++) {
+        name = order[n]
+        k = runs[name]
+        delete v; for (r = 1; r <= k; r++) v[r] = ns[name, r]
+        nsMed = median(v, k); nsMin = v[1]; nsMax = v[k]
+        delete v; for (r = 1; r <= k; r++) v[r] = bytes[name, r]
+        bMed = median(v, k)
+        delete v; for (r = 1; r <= k; r++) v[r] = allocs[name, r]
+        aMed = median(v, k); aMax = v[k]
+        bpeMed = ""
+        if ((name, 1) in bpe) {
+            delete v; for (r = 1; r <= k; r++) v[r] = bpe[name, r]
+            bpeMed = median(v, k)
+        }
+        if (n > 1) printf ",\n"
+        printf "  {\"name\": \"%s\", \"runs\": %d, \"ns_per_op\": %s, \"ns_per_op_min\": %s, \"ns_per_op_max\": %s, \"b_per_op\": %s, \"allocs_per_op\": %s, \"allocs_per_op_max\": %s", \
+            name, k, nsMed, nsMin, nsMax, bMed, aMed, aMax
+        if (bpeMed != "") printf ", \"bytes_per_epoch\": %s", bpeMed
+        printf "}"
+        if (name ~ /^(BenchmarkQuery|BenchmarkEncode|BenchmarkLocate)/ && aMax + 0 > 0) {
+            bad = bad name " (" aMax " allocs/op in some run) "
+        }
+        if (name == "BenchmarkUpdateIncremental")  { inc = nsMed; incB = bMed }
+        if (name == "BenchmarkUpdateChained")     chainB = bMed
+        if (name == "BenchmarkUpdateFullRebuild") full = nsMed
+        if (name == "BenchmarkLocateRank")   rank = nsMed
+        if (name == "BenchmarkLocateBinary") bin = nsMed
+        if (name == "BenchmarkE18_WriteThroughput/incremental/writers=1") walOff = nsMed
+        if (name == "BenchmarkE18_WriteThroughput/wal/writers=1")         walOn = nsMed
+        if (name == "BenchmarkE20_ReplicationBytes/full")  fullBpe = bpeMed
+        if (name == "BenchmarkE20_ReplicationBytes/delta") deltaBpe = bpeMed
+    }
     printf "\n"
     if (bad != "") { print "REGRESSION: " bad > "/dev/stderr"; exit 1 }
     if (inc + 0 > 0 && full + 0 > 0 && inc * 3 > full) {
-        printf "REGRESSION: incremental update %s ns/op vs %s ns/op rebuild (want >=3x faster)\n", \
+        printf "REGRESSION: incremental update %s ns/op vs %s ns/op rebuild (medians; want >=3x faster)\n", \
             inc, full > "/dev/stderr"
         exit 1
     }
     if (incB + 0 > 0 && chainB + 0 > 0 && chainB + 0 >= incB + 0) {
-        printf "REGRESSION: chained update %s B/op vs %s B/op re-derived from one base (claimed tables must grow in place)\n", \
+        printf "REGRESSION: chained update %s B/op vs %s B/op re-derived from one base (medians; claimed tables must grow in place)\n", \
             chainB, incB > "/dev/stderr"
         exit 1
     }
     if (rank + 0 > 0 && bin + 0 > 0 && rank + 0 >= bin + 0) {
-        printf "REGRESSION: rank-table locate %s ns/op vs %s ns/op binary search (rank must win)\n", \
+        printf "REGRESSION: rank-table locate %s ns/op vs %s ns/op binary search (medians; rank must win)\n", \
             rank, bin > "/dev/stderr"
         exit 1
     }
     if (walOn + 0 > 0 && walOff + 0 > 0 && walOn + 0 > 2 * walOff) {
-        printf "REGRESSION: WAL-on write %s ns/op vs %s ns/op WAL-off (group commit must stay within 2x)\n", \
+        printf "REGRESSION: WAL-on write %s ns/op vs %s ns/op WAL-off (medians; group commit must stay within 2x)\n", \
             walOn, walOff > "/dev/stderr"
         exit 1
     }
     if (fullBpe + 0 > 0 && deltaBpe + 0 > 0 && deltaBpe * 5 > fullBpe + 0) {
-        printf "REGRESSION: delta catch-up ships %s bytes/epoch vs %s full (want >=5x fewer)\n", \
+        printf "REGRESSION: delta catch-up ships %s bytes/epoch vs %s full (medians; want >=5x fewer)\n", \
             deltaBpe, fullBpe > "/dev/stderr"
         exit 1
     }
-}' "$tmp" > "$tmp.body" || { rm -f "$tmp.body"; exit 1; }
+}' "$tmp" > "$tmp.body"
 
 {
-    echo "["
+    echo "{"
+    echo "\"header\": $header,"
+    echo "\"benchmarks\": ["
     cat "$tmp.body"
     echo "]"
+    echo "}"
 } > "$out"
-rm -f "$tmp.body"
 echo "wrote $out"
