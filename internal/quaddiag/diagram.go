@@ -35,7 +35,7 @@ package quaddiag
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/grid"
@@ -235,12 +235,17 @@ func Build(pts []geom.Point, alg Algorithm) (*Diagram, error) {
 
 // sortedIDs converts points to an ascending id slice.
 func sortedIDs(pts []geom.Point) []int32 {
-	ids := make([]int32, len(pts))
-	for i, p := range pts {
-		ids[i] = int32(p.ID)
+	return appendSortedIDs(make([]int32, 0, len(pts)), pts)
+}
+
+// appendSortedIDs appends the ascending ids of pts to dst.
+func appendSortedIDs(dst []int32, pts []geom.Point) []int32 {
+	n := len(dst)
+	for _, p := range pts {
+		dst = append(dst, int32(p.ID))
 	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	return ids
+	slices.Sort(dst[n:])
+	return dst
 }
 
 // requireGeneralPosition guards the optimized constructions, which assume

@@ -56,9 +56,17 @@ func BuildScanning(pts []geom.Point) (*Diagram, error) {
 // (range D) that appear in neither neighbour, and those must be ignored
 // rather than cancel a later id. With saturation the identity is exact for
 // every non-corner cell — including the A-empty case, where D is disjoint
-// from {p_R, p_C} and drops out entirely.
+// from {p_R, p_C} and drops out entirely. An empty difference is nil.
 func mergeSubtract(a, b, c []int32) []int32 {
-	out := make([]int32, 0, len(a)+len(b))
+	out := appendMergeSubtract(make([]int32, 0, len(a)+len(b)), a, b, c)
+	if len(out) == 0 {
+		return nil
+	}
+	return out
+}
+
+// appendMergeSubtract appends mergeSubtract(a, b, c) to out.
+func appendMergeSubtract(out, a, b, c []int32) []int32 {
 	ai, bi, ci := 0, 0, 0
 	for ai < len(a) || bi < len(b) {
 		var v int32
@@ -77,9 +85,6 @@ func mergeSubtract(a, b, c []int32) []int32 {
 			continue
 		}
 		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil
 	}
 	return out
 }

@@ -62,6 +62,8 @@ func (d *Diagram) WithInsert(p geom.Point) (*Diagram, error) {
 	// The containing column/row depends on one axis only, so the binary
 	// searches are hoisted out of the O(cells) loop.
 	oldCol, oldRow, cys := containingCells(g, d.Grid)
+	// scratch holds each changed cell's result until Intern copies it.
+	var scratch []int32
 	for i := 0; i < g.Cols(); i++ {
 		base, obase := i*nd.rows, oldCol[i]*d.rows
 		cx, _ := g.Corner(i, 0)
@@ -78,11 +80,12 @@ func (d *Diagram) WithInsert(p geom.Point) (*Diagram, error) {
 				nd.labels[base+j] = oldLabel // p is not a candidate here
 				continue
 			}
-			ids, changed := insertIntoResult(d.byID, d.results.Result(oldLabel), p)
+			ids, changed := insertIntoResult(scratch, d.byID, d.results.Result(oldLabel), p)
 			if !changed {
 				nd.labels[base+j] = oldLabel
 				continue
 			}
+			scratch = ids
 			nd.labels[base+j] = in.Intern(ids)
 		}
 	}
@@ -110,18 +113,19 @@ func containingCells(g, old *grid.Grid) (oldCol, oldRow []int, cys []float64) {
 	return oldCol, oldRow, cys
 }
 
-// insertIntoResult derives Sky(candidates ∪ {p}) from Sky(candidates). When
-// the result is unchanged it reports changed=false so the caller can carry
-// the old cell's label instead of re-interning (no allocation at all).
-func insertIntoResult(byID map[int32]geom.Point, old []int32, p geom.Point) (ids []int32, changed bool) {
+// insertIntoResult derives Sky(candidates ∪ {p}) from Sky(candidates),
+// building it in dst's memory. When the result is unchanged it reports
+// changed=false, and returns dst untouched, so the caller can carry the old
+// cell's label instead of re-interning.
+func insertIntoResult(dst []int32, byID map[int32]geom.Point, old []int32, p geom.Point) (ids []int32, changed bool) {
 	// If any old member dominates p, nothing changes: transitivity
 	// guarantees a dominated candidate is dominated by a skyline member.
 	for _, id := range old {
 		if geom.Dominates(byID[id], p) {
-			return old, false
+			return dst, false
 		}
 	}
-	out := make([]int32, 0, len(old)+1)
+	out := dst[:0]
 	inserted := false
 	for _, id := range old {
 		if geom.Dominates(p, byID[id]) {
@@ -194,6 +198,8 @@ func (d *Diagram) WithDelete(id int) (*Diagram, error) {
 	// copied, carried, and freshly interned labels alike.
 	rid := int32(id)
 	byXY := grid.IndexByCoords(pts)
+	// scratch holds each recomputed cell's result until Intern copies it.
+	var scratch []int32
 	cellOrNil := func(i, j int) []int32 {
 		if i >= g.Cols() || j >= g.Rows() {
 			return nil
@@ -208,13 +214,12 @@ func (d *Diagram) WithDelete(id int) (*Diagram, error) {
 				nd.labels[base+j] = oldLabel
 				continue
 			}
-			var ids []int32
 			if ps := g.PointsAtUpperRight(i, j, byXY); len(ps) > 0 {
-				ids = sortedIDs(ps)
+				scratch = appendSortedIDs(scratch[:0], ps)
 			} else {
-				ids = mergeSubtract(cellOrNil(i+1, j), cellOrNil(i, j+1), cellOrNil(i+1, j+1))
+				scratch = appendMergeSubtract(scratch[:0], cellOrNil(i+1, j), cellOrNil(i, j+1), cellOrNil(i+1, j+1))
 			}
-			nd.labels[base+j] = in.Intern(ids)
+			nd.labels[base+j] = in.Intern(scratch)
 		}
 	}
 	nd.results = in.Table()

@@ -147,12 +147,13 @@ func place(index []uint64, s uint64) {
 // live is the number of arena ids reachable from some label in labels (each
 // distinct result counted once), total is the whole arena. The difference is
 // garbage left behind by copy-on-write maintenance — results no cell
-// references anymore. O(len(labels) + NumResults).
+// references anymore. O(len(labels) + NumResults), with one bit of scratch
+// per result.
 func LiveArena(labels []uint32, t *Table) (live, total int) {
-	seen := make([]bool, t.NumResults())
+	seen := make([]uint64, (t.NumResults()+63)/64)
 	for _, l := range labels {
-		if !seen[l] {
-			seen[l] = true
+		if w, bit := l/64, uint64(1)<<(l%64); seen[w]&bit == 0 {
+			seen[w] |= bit
 			live += t.Len(l)
 		}
 	}

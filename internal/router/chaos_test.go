@@ -382,7 +382,10 @@ func TestChaosReplicaKillFailover(t *testing.T) {
 	}
 	var fallbacks int64
 	fallbackByReason := map[string]int64{}
-	for _, reason := range []string{"ring_miss", "not_smaller", "shape", "kind", "disabled"} {
+	if v := h.Metrics().Counter("skyserve_snapshot_delta_fallbacks_total", "", "reason", "mismatch").Value(); v != 0 {
+		t.Fatalf("%d polls streamed bytes that differ from the manifest recorded at publish", v)
+	}
+	for _, reason := range []string{"ring_miss", "not_smaller", "kind", "disabled"} {
 		v := h.Metrics().Counter("skyserve_snapshot_delta_fallbacks_total", "", "reason", reason).Value()
 		fallbacks += v
 		if v > 0 {

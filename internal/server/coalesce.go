@@ -151,9 +151,8 @@ func (h *Handler) runBatch() {
 		fail(fmt.Errorf("%w: %v", errRebuildFailed, err))
 		return
 	}
-	// pub is the snapshot this batch leaves published, and pubBytes its
-	// encoding when the publish made one, for a checkpoint to reuse.
-	pub, pubBytes := base, []byte(nil)
+	// pub is the snapshot this batch leaves published.
+	pub := base
 	if next != set {
 		// At least one op applied: publish one snapshot for the whole batch.
 		epoch := base.epoch + 1
@@ -182,7 +181,7 @@ func (h *Handler) runBatch() {
 		st.epoch = epoch
 		// Hash the canonical bytes into the delta ring before the swap, so a
 		// replica that sees the new epoch can always ask for a delta to it.
-		pubBytes = h.recordState(st)
+		h.recordState(st)
 		h.mu.Lock()
 		h.setState(st)
 		h.mu.Unlock()
@@ -196,7 +195,7 @@ func (h *Handler) runBatch() {
 		po.done <- opResult{points: results[i].Points, err: results[i].Err}
 	}
 	h.maybeCompact()
-	h.maybeCheckpoint(pub, pubBytes)
+	h.maybeCheckpoint(pub)
 }
 
 // maybeCompact reclaims copy-on-write arena garbage once it crosses the

@@ -1,7 +1,7 @@
 package server
 
 import (
-	"hash/crc32"
+	"io"
 	"log"
 	"sync"
 
@@ -53,96 +53,88 @@ func (r *manifestRing) get(epoch uint64) *store.Manifest {
 	return r.byEpoch[epoch]
 }
 
-// withBytes calls fn with the state's canonical file bytes — exactly what a
-// full /v1/snapshot body carries. A builder state is encoded once per call,
-// into a buffer fn may keep. A relay's bytes are its store's own file: the
-// mapping itself, held against Close's unmap until fn returns, so fn must
-// not keep them.
+// snapshotFile is a state's canonical file — exactly what a full
+// /v1/snapshot body carries: a builder streams it from its quadrant diagram
+// through the store encoder, one chunk at a time, each time it is used; a
+// relay's is its store's own file, written straight from the mapping.
 // Canonical persist makes the bytes deterministic: the same point set
 // yields the same bytes no matter which maintenance history (or which node)
 // produced the state.
-func (st *state) withBytes(fn func(data []byte) error) error {
+type snapshotFile interface {
+	Size() int64
+	WriteTo(w io.Writer) (int64, error)
+	Manifest() (*store.Manifest, error)
+}
+
+// file returns the state's canonical file. A relay's reads its store's
+// mapping, so the caller must hold the store (acquire) while using it.
+func (st *state) file() (snapshotFile, error) {
 	if st.stored != nil {
-		return st.stored.st.WithBytes(fn)
+		return st.stored.st, nil
 	}
-	data, err := store.Encode(st.quadrant.Cells(), st.epoch)
-	if err != nil {
-		return err
-	}
-	return fn(data)
+	return store.NewEncoder(st.quadrant.Cells(), st.epoch)
 }
 
 // recordState hashes the state's canonical bytes into the manifest ring so a
 // later ?from= request can be answered with a delta. Called on the publish
 // path right before the snapshot becomes visible; failures only cost delta
 // eligibility (the epoch falls back to full streams), never correctness.
-// For a builder state it returns the bytes it encoded, so the publisher can
-// checkpoint the same epoch without encoding it again; nil otherwise.
-func (h *Handler) recordState(st *state) []byte {
+func (h *Handler) recordState(st *state) {
 	if h.ring == nil {
-		return nil
+		return
 	}
-	var data []byte
-	err := st.withBytes(func(b []byte) error {
-		m, err := store.NewManifest(b)
-		if err != nil {
-			return err
+	f, err := st.file()
+	if err == nil {
+		var m *store.Manifest
+		if m, err = f.Manifest(); err == nil {
+			h.ring.add(m)
+			return
 		}
-		h.ring.add(m)
-		if st.stored == nil {
-			data = b
-		}
-		return nil
-	})
-	if err != nil {
-		log.Printf("skyserve: delta manifest for epoch %d skipped: %v", st.epoch, err)
-		return nil
 	}
-	return data
+	log.Printf("skyserve: delta manifest for epoch %d skipped: %v", st.epoch, err)
 }
 
 // tryDelta answers a ?from=N request with a delta body against the current
-// full bytes, or reports why it cannot (each fallback reason is a counter
-// series). full must be the exact bytes a full stream of snap would carry.
-func (h *Handler) tryDelta(snap *state, from uint64, full []byte) ([]byte, bool) {
+// file f, or reports why it cannot (each fallback reason is a counter
+// series). The delta's pages are the ones the recorded manifests of the two
+// epochs mark as changed, taken from f as it streams by; f is checked
+// against the current epoch's manifest on the way, so a delta is never built
+// from bytes other than the ones recorded.
+func (h *Handler) tryDelta(snap *state, f snapshotFile, from uint64) ([]byte, bool) {
 	if h.ring == nil {
 		h.deltaFallback("disabled")
 		return nil, false
 	}
-	base := h.ring.get(from)
-	if base == nil {
+	base, cur := h.ring.get(from), h.ring.get(snap.epoch)
+	if base == nil || cur == nil {
 		h.deltaFallback("ring_miss")
 		return nil, false
 	}
-	// Prefer the manifest recorded at publish; re-hash only if the CRC says
-	// these bytes are not the ones that were recorded (which would mean the
-	// canonical-persist guarantee regressed — worth a log line, not a wrong
-	// delta: the manifest CRC is what the replica's patch is judged against).
-	cur := h.ring.get(snap.epoch)
-	if crc := crc32.ChecksumIEEE(full); cur == nil || cur.CRC != crc {
-		if cur != nil {
-			log.Printf("skyserve: delta: recorded manifest crc %08x != served bytes crc %08x at epoch %d; re-hashing",
-				cur.CRC, crc, snap.epoch)
-		}
-		m, err := store.NewManifest(full)
-		if err != nil {
-			h.deltaFallback("shape")
-			return nil, false
-		}
-		cur = m
-	}
-	delta, err := store.Delta(base, cur, full)
+	dw, err := store.NewDeltaWriter(base, cur)
 	if err != nil {
-		// Kind changed across the two epochs or the file shape is not
-		// delta-eligible; the full stream is always correct.
+		// Kind changed across the two epochs; the full stream is always
+		// correct.
 		h.deltaFallback("kind")
 		return nil, false
 	}
-	if len(delta) >= len(full) {
+	if int64(dw.Len()) >= cur.Size {
 		// Near-total rewrite (e.g. an insert that added a grid line and
 		// re-indexed the cells): shipping "the delta" would cost more than
-		// the file. Full stream wins, and the counter says how often.
+		// the file. Full stream wins, and the counter says how often. The
+		// manifests alone decide it: the delta's buffer does not exist yet.
 		h.deltaFallback("not_smaller")
+		return nil, false
+	}
+	var delta []byte
+	if _, err = f.WriteTo(dw); err == nil {
+		delta, err = dw.Bytes()
+	}
+	if err != nil {
+		// The served bytes are not the ones recorded at publish: the
+		// canonical-persist guarantee regressed. Worth a log line, not a
+		// wrong delta.
+		log.Printf("skyserve: delta: epoch %d: %v", snap.epoch, err)
+		h.deltaFallback("mismatch")
 		return nil, false
 	}
 	return delta, true

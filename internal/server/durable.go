@@ -103,7 +103,7 @@ func newDurable(pts []geom.Point, cfg Config) (*Handler, error) {
 		fst.epoch = epoch
 		st = fst
 	}
-	data := h.recordState(st)
+	h.recordState(st)
 	h.setState(st)
 	h.wal = w
 	h.walCommits = h.reg.Counter("skyserve_wal_commits_total",
@@ -123,7 +123,7 @@ func newDurable(pts []geom.Point, cfg Config) (*Handler, error) {
 	// recovery persists the replayed state, and either way the log is
 	// truncated down to nothing outstanding. Failure here is not fatal —
 	// the WAL still holds every record the checkpoint misses.
-	if err := h.checkpointNow(st, data); err != nil {
+	if err := h.checkpointNow(st); err != nil {
 		log.Printf("skyserve: wal: boot checkpoint: %v", err)
 	}
 	h.initRoutes()
@@ -132,26 +132,24 @@ func newDurable(pts []geom.Point, cfg Config) (*Handler, error) {
 
 // maybeCheckpoint runs after a committed batch (leader context): once the
 // retained log exceeds the configured budget, persist the published
-// snapshot and truncate the segments it covers. data, when non-nil, is
-// snap's encoded bytes from its publish.
-func (h *Handler) maybeCheckpoint(snap *state, data []byte) {
+// snapshot and truncate the segments it covers.
+func (h *Handler) maybeCheckpoint(snap *state) {
 	if h.wal == nil || h.checkpointBytes <= 0 {
 		return
 	}
 	if h.wal.Size() < h.checkpointBytes {
 		return
 	}
-	if err := h.checkpointNow(snap, data); err != nil {
+	if err := h.checkpointNow(snap); err != nil {
 		log.Printf("skyserve: wal: checkpoint: %v", err)
 	}
 }
 
-// checkpointAsync schedules a checkpoint of snap, whose encoded bytes are
-// data, off the request path (used when a replica fetch of /v1/snapshot
-// proves that epoch is externally durable too). At most one checkpoint runs
-// at a time; an already-current checkpoint is skipped without spawning
-// anything.
-func (h *Handler) checkpointAsync(snap *state, data []byte) {
+// checkpointAsync schedules a checkpoint of snap off the request path (used
+// when a replica fetch of /v1/snapshot proves that epoch is externally
+// durable too). At most one checkpoint runs at a time; an already-current
+// checkpoint is skipped without spawning anything.
+func (h *Handler) checkpointAsync(snap *state) {
 	if h.wal == nil {
 		return
 	}
@@ -163,31 +161,25 @@ func (h *Handler) checkpointAsync(snap *state, data []byte) {
 	}
 	go func() {
 		defer h.ckptInFlight.Store(false)
-		if err := h.checkpointNow(snap, data); err != nil {
+		if err := h.checkpointNow(snap); err != nil {
 			log.Printf("skyserve: wal: checkpoint: %v", err)
 		}
 	}()
 }
 
 // checkpointNow persists a builder snapshot as the checkpoint file (atomic
-// temp+fsync+rename) and truncates the WAL below its epoch. data, when
-// non-nil, is snap's encoded bytes, already at hand from a publish or a
-// pull; nil encodes them here. Best-effort by design: on failure the WAL
-// keeps every record and the previous checkpoint stays in place, so
-// durability is never weakened — only disk reclamation is deferred.
-func (h *Handler) checkpointNow(snap *state, data []byte) error {
+// temp+fsync+rename, the file streamed from the diagram into the temporary
+// file) and truncates the WAL below its epoch. Best-effort by design: on
+// failure the WAL keeps every record and the previous checkpoint stays in
+// place, so durability is never weakened — only disk reclamation is
+// deferred.
+func (h *Handler) checkpointNow(snap *state) error {
 	h.ckptMu.Lock()
 	defer h.ckptMu.Unlock()
 	if snap.epoch <= h.lastCkpt.Load() {
 		return nil
 	}
-	if data == nil {
-		var err error
-		if data, err = store.Encode(snap.quadrant.Cells(), snap.epoch); err != nil {
-			return fmt.Errorf("persist: %w", err)
-		}
-	}
-	if err := store.WriteFile(h.snapPath, data); err != nil {
+	if err := store.CreateFileEpoch(h.snapPath, snap.quadrant.Cells(), snap.epoch); err != nil {
 		return fmt.Errorf("persist: %w", err)
 	}
 	h.lastCkpt.Store(snap.epoch)
@@ -231,7 +223,7 @@ func (h *Handler) Flush(ctx context.Context) error {
 func (h *Handler) Shutdown(ctx context.Context) error {
 	err := h.Flush(ctx)
 	if h.wal != nil {
-		if cerr := h.checkpointNow(h.snapshot(), nil); cerr != nil {
+		if cerr := h.checkpointNow(h.snapshot()); cerr != nil {
 			log.Printf("skyserve: wal: shutdown checkpoint: %v", cerr)
 		}
 		if cerr := h.wal.Close(); cerr != nil && err == nil {

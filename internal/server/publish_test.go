@@ -20,9 +20,10 @@ import (
 	"repro/internal/store"
 )
 
-// Publish-path tests: each use of an epoch's bytes encodes them at most
-// once, and the bytes that are reused — by the delta, the checkpoint, a
-// relay's body and manifest — are exactly the bytes a full fetch serves.
+// Publish-path tests: each use of an epoch's file streams it without a
+// file-sized buffer, and the bytes every use takes — the delta, the
+// checkpoint, a relay's body and manifest — are exactly the bytes a full
+// fetch serves.
 
 // randomPoints draws n points uniformly from [0,100)^2.
 func randomPoints(n int, seed int64) []geom.Point {
@@ -64,10 +65,11 @@ func (d *discardWriter) WriteHeader(int)             {}
 
 // TestPublishAllocationsBoundedByFileSize pins the publish path's memory
 // cost on a maintained n=400 diagram: one publish (the manifest hash of
-// recordState) and one delta poll each allocate at most 1.25x the file
-// size — the exact-size encode, the remap a maintained table needs, and the
-// page hashes or the delta. Any further copy of the file (a growing buffer,
-// per-page slices, a compacted table) crosses the bound.
+// recordState), one delta poll, one poll whose delta would not be smaller
+// than the file, and one full poll each allocate at most 0.25x the file
+// size — the encoder's chunk, the remap a maintained table needs, and the
+// page hashes or the delta. Any buffer of the whole file (an encode, a copy,
+// a compacted table, a delta laid out and then dropped) crosses the bound.
 func TestPublishAllocationsBoundedByFileSize(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds an n=400 diagram")
@@ -107,14 +109,52 @@ func TestPublishAllocationsBoundedByFileSize(t *testing.T) {
 			h.ServeHTTP(w, req)
 		}
 	})
+	// Another dataset's file, recorded under a spare epoch, shares no page
+	// with the current one: a poll from it must fall back before a delta is
+	// laid out.
+	other, err := New(randomPoints(401, 6), Config{Workers: -1, MaxDynamicPoints: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const spare = 1 << 40
+	otherData, err := store.Encode(other.snapshot().quadrant.Cells(), spare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherManifest, err := store.NewManifest(otherData)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.ring.add(otherManifest)
+	wholeReq := httptest.NewRequest(http.MethodGet, fmt.Sprintf("/v1/snapshot?epoch=%d&from=%d", snap.epoch-1, spare), nil)
+	wholePoll := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			h.ServeHTTP(w, wholeReq)
+		}
+	})
+	if mode := w.h.Get("X-Sky-Snapshot-Mode"); mode != "full" {
+		t.Fatalf("poll from another dataset answered mode %q, want full", mode)
+	}
+	if got := counterValue(h, "skyserve_snapshot_delta_fallbacks_total", "reason", "not_smaller"); got == 0 {
+		t.Fatal("poll from another dataset did not fall back as not_smaller")
+	}
+	fullReq := httptest.NewRequest(http.MethodGet, fmt.Sprintf("/v1/snapshot?epoch=%d", snap.epoch-1), nil)
+	fullPoll := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			h.ServeHTTP(w, fullReq)
+		}
+	})
+	if mode := w.h.Get("X-Sky-Snapshot-Mode"); mode != "full" {
+		t.Fatalf("poll answered mode %q, want full", mode)
+	}
 	for _, c := range []struct {
 		name string
 		r    testing.BenchmarkResult
-	}{{"publish", publish}, {"delta poll", poll}} {
+	}{{"publish", publish}, {"delta poll", poll}, {"not_smaller poll", wholePoll}, {"full poll", fullPoll}} {
 		ratio := float64(c.r.AllocedBytesPerOp()) / size
 		t.Logf("%s: %d B/op = %.2fx the %d-byte file", c.name, c.r.AllocedBytesPerOp(), ratio, len(data))
-		if ratio > 1.25 {
-			t.Errorf("%s allocates %.2fx the file size, want <= 1.25x", c.name, ratio)
+		if ratio > 0.25 {
+			t.Errorf("%s allocates %.2fx the file size, want <= 0.25x", c.name, ratio)
 		}
 	}
 }

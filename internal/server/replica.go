@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -288,7 +287,10 @@ func (r *Replica) fetch(ctx context.Context, epoch uint64) (*store.Store, string
 			resp.Header.Get("X-Sky-Epoch"), epoch)
 	}
 
-	var src io.Reader = resp.Body
+	write := func(f *os.File) error {
+		_, err := io.Copy(f, resp.Body)
+		return err
+	}
 	if resp.Header.Get("X-Sky-Snapshot-Mode") == "delta" {
 		if !wantDelta {
 			return nil, "", fmt.Errorf("snapshot fetch: unsolicited delta body")
@@ -296,11 +298,16 @@ func (r *Replica) fetch(ctx context.Context, epoch uint64) (*store.Store, string
 		// Anything that goes wrong from here until the swap means the delta
 		// path is poisoned for this base; converge via a full fetch next.
 		r.fullNext = true
-		patched, err := r.applyDelta(resp.Body)
+		delta, err := io.ReadAll(resp.Body)
 		if err != nil {
 			return nil, "", fmt.Errorf("snapshot patch: %w", err)
 		}
-		src = bytes.NewReader(patched)
+		write = func(f *os.File) error {
+			if err := r.applyDelta(f, delta); err != nil {
+				return fmt.Errorf("patch: %w", err)
+			}
+			return nil
+		}
 	}
 
 	final := filepath.Join(r.dir, snapshotFileName(remote))
@@ -309,7 +316,7 @@ func (r *Replica) fetch(ctx context.Context, epoch uint64) (*store.Store, string
 	if err != nil {
 		return nil, "", err
 	}
-	_, cpErr := io.Copy(f, src)
+	cpErr := write(f)
 	if cpErr == nil {
 		cpErr = f.Sync()
 	}
@@ -341,22 +348,16 @@ func (r *Replica) fetch(ctx context.Context, epoch uint64) (*store.Store, string
 	return st, final, nil
 }
 
-// applyDelta patches the served snapshot with a delta body. The base is the
-// served store's own bytes — its mapping, not a re-read of the file — and
-// the result is the exact full-file bytes the primary serves
-// (store.ApplyDelta refuses anything else by CRC), so the caller persists
+// applyDelta writes the served snapshot patched by a delta body to f. The
+// base is the served store's own bytes — its mapping, not a re-read of the
+// file — and the patched file goes to f as it is assembled, never whole in
+// memory; it is the exact full-file bytes the primary serves
+// (store.ApplyDeltaTo refuses anything else by CRC), so the caller persists
 // and validates it exactly like a full download.
-func (r *Replica) applyDelta(body io.Reader) ([]byte, error) {
-	delta, err := io.ReadAll(body)
-	if err != nil {
-		return nil, err
-	}
-	var patched []byte
-	err = r.h.snapshot().stored.st.WithBytes(func(base []byte) error {
-		patched, err = store.ApplyDelta(base, delta)
-		return err
+func (r *Replica) applyDelta(f *os.File, delta []byte) error {
+	return r.h.snapshot().stored.st.WithBytes(func(base []byte) error {
+		return store.ApplyDeltaTo(f, base, delta)
 	})
-	return patched, err
 }
 
 // snapshotFileName names the cache file for one epoch.

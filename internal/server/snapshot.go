@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"strconv"
@@ -39,12 +41,13 @@ func snapshotETag(epoch uint64, kind string) string {
 //	GET /v1/snapshot?epoch=3&from=3     delta against epoch 3 when possible
 //	GET /v1/snapshot?kind=dynamic       explicit kind (must match what's served)
 //
-// Each request takes the snapshot's bytes once — a builder encodes its
-// in-memory quadrant diagram (the replication artifact), a serve-from
-// replica lends its mapped file — and sends either those bytes or the delta
-// computed from them. A chain of replicas therefore converges on the exact
-// same bytes, deltas included, since a delta patches into exactly the bytes
-// a full body would carry (enforced by CRC at both ends).
+// Each request streams the snapshot's file — a builder encodes its
+// in-memory quadrant diagram (the replication artifact) chunk by chunk, a
+// serve-from replica writes its mapped file — either into the response or
+// through the delta it sends instead. A chain of replicas therefore
+// converges on the exact same bytes, deltas included, since a delta patches
+// into exactly the bytes a full body would carry (enforced by CRC at both
+// ends).
 func (h *Handler) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	kind, err := normalizeKind(r.URL.Query().Get("kind"))
 	if err != nil {
@@ -73,32 +76,33 @@ func (h *Handler) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	if err := snap.withBytes(func(full []byte) error {
-		h.sendSnapshot(w, r, snap, full)
-		return nil
-	}); err != nil {
+	f, err := snap.file()
+	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
+		return
 	}
+	h.sendSnapshot(w, r, snap, f)
 }
 
-// sendSnapshot writes one snapshot response from the state's full bytes:
-// the delta against ?from= when the ring allows and it is smaller, the full
+// sendSnapshot writes one snapshot response from the state's file: the
+// delta against ?from= when the ring allows and it is smaller, the full
 // file otherwise.
-func (h *Handler) sendSnapshot(w http.ResponseWriter, r *http.Request, snap *state, full []byte) {
-	body, mode := full, "full"
+func (h *Handler) sendSnapshot(w http.ResponseWriter, r *http.Request, snap *state, f snapshotFile) {
+	var body io.WriterTo = f
+	mode, size := "full", f.Size()
 	if from, err := strconv.ParseUint(r.URL.Query().Get("from"), 10, 64); err == nil {
-		if delta, ok := h.tryDelta(snap, from, full); ok {
-			body, mode = delta, "delta"
+		if delta, ok := h.tryDelta(snap, f, from); ok {
+			body, mode, size = bytes.NewReader(delta), "delta", int64(len(delta))
 			h.deltaHits.Inc()
 		}
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-Sky-Snapshot-Mode", mode)
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	n, err := w.Write(body)
+	w.Header().Set("Content-Length", strconv.FormatInt(size, 10))
+	n, err := body.WriteTo(w)
 	h.reg.Counter("skyserve_snapshot_bytes_total",
 		"Snapshot body bytes put on the wire via /v1/snapshot, by transfer mode.",
-		"mode", mode).Add(int64(n))
+		"mode", mode).Add(n)
 	if err != nil {
 		// The status line is already on the wire; the replica detects the
 		// torn body by CRC (patch CRC for deltas, trailer CRC at open for
@@ -109,11 +113,10 @@ func (h *Handler) sendSnapshot(w http.ResponseWriter, r *http.Request, snap *sta
 	h.reg.Counter("skyserve_snapshot_fetches_total",
 		"Complete snapshot bodies (full or delta) streamed via /v1/snapshot.").Inc()
 	// A replica just pulled this generation, so its bytes are durable
-	// off-box too — a natural moment to checkpoint the local WAL, with the
-	// very bytes it pulled. Only a builder has a WAL, and only a builder's
-	// bytes are its own to keep: a relay's are its store's mapping.
+	// off-box too — a natural moment to checkpoint the local WAL. Only a
+	// builder has a WAL.
 	if snap.stored == nil {
-		h.checkpointAsync(snap, full)
+		h.checkpointAsync(snap)
 	}
 }
 

@@ -5,8 +5,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/faultinject"
@@ -44,45 +47,87 @@ var createSites = []string{
 }
 
 // TestCrashAtEveryCreateSite is the crash-simulation acceptance test: a new
-// generation is written over an existing one with a fault injected at each
-// site in turn, and after every simulated crash OpenMmap must yield either
-// the old generation or the new one — never corrupt data.
+// generation is written over an existing one by CreateFileEpoch — the
+// checkpoint's writer, streaming the file from the diagram — with a fault
+// injected at each site in turn, and after every simulated crash OpenMmap
+// must yield either the old generation or the new one — never corrupt data.
+// store.write.page is injected twice: at the first label page, and at the
+// page a seeded draw picks, past the stream's first chunk and not at the
+// start of one, so the tear falls inside one of the encoder's writes.
 func TestCrashAtEveryCreateSite(t *testing.T) {
 	defer faultinject.Deactivate()
 	oldGen := buildDiagram(t, 30, 21)
-	newGen := buildDiagram(t, 45, 22)
+	newGen := buildDiagram(t, 200, 22)
+	data, err := Encode(newGen, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pagesOff := int(binary.BigEndian.Uint64(data[52:]))
+	if numPages := int(binary.BigEndian.Uint64(data[36:])); pagesOff+numPages*labelPageSize < 3*chunkSize {
+		t.Fatalf("test premise broken: label pages end at byte %d, within the first chunks", pagesOff+numPages*labelPageSize)
+	}
+	// The later tear: the failpoint draws once per label page from the
+	// generator Seed resets, so the first draw under the probability names
+	// the page it fires at.
+	const seed, prob = 3, 0.02
+	rng, later := rand.New(rand.NewSource(seed)), 0
+	for rng.Float64() >= prob {
+		later++
+	}
+	laterOff := pagesOff + later*labelPageSize
+	var writes writeEnds
+	e, err := quadrantEncoder(newGen, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.WriteTo(&writes); err != nil {
+		t.Fatal(err)
+	}
+	if laterOff <= chunkSize || slices.Contains(writes, laterOff) {
+		t.Fatalf("test premise broken: label page %d (byte %d) is in the first chunk or starts one", later, laterOff)
+	}
 	dir := t.TempDir()
 
+	type fault struct {
+		name, spec string
+		tornAt     int // bytes a torn temp holds; 0 for the other sites
+	}
+	var faults []fault
 	for _, site := range createSites {
-		t.Run(site, func(t *testing.T) {
-			path := filepath.Join(dir, site+".sky")
+		f := fault{name: site, spec: site + "=error#1"}
+		if site == "store.write.page" {
+			f.tornAt = pagesOff
+		}
+		faults = append(faults, f)
+	}
+	faults = append(faults, fault{"store.write.page-later", fmt.Sprintf("store.write.page=error@%g#1", prob), laterOff})
+	for _, f := range faults {
+		site, _, _ := strings.Cut(f.spec, "=")
+		t.Run(f.name, func(t *testing.T) {
+			path := filepath.Join(dir, f.name+".sky")
 			faultinject.Deactivate()
 			if err := CreateFile(path, oldGen); err != nil {
 				t.Fatal(err)
 			}
-			// The new generation takes the checkpoint's path: encoded once,
-			// then published from those bytes.
-			data, err := Encode(newGen, 0)
-			if err != nil {
+			faultinject.Seed(seed)
+			if err := faultinject.Activate(f.spec); err != nil {
 				t.Fatal(err)
 			}
-			if err := faultinject.Activate(site + "=error#1"); err != nil {
-				t.Fatal(err)
-			}
-			err = WriteFile(path, data)
+			err := CreateFileEpoch(path, newGen, 7)
 			faultinject.Deactivate()
 			if !errors.Is(err, faultinject.ErrInjected) {
-				t.Fatalf("WriteFile with fault at %s: err = %v, want injected", site, err)
+				t.Fatalf("CreateFileEpoch with fault %s: err = %v, want injected", f.spec, err)
 			}
-			if site == "store.write.page" {
-				// Torn at the first label page: the temp holds exactly the
-				// header, points and page index.
+			if f.tornAt > 0 {
+				// Torn at a label page: the temp holds exactly the bytes
+				// before it.
 				torn, err := os.ReadFile(path + TempSuffix)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if pagesOff := binary.BigEndian.Uint64(data[52:]); !bytes.Equal(torn, data[:pagesOff]) {
-					t.Fatalf("torn temp is %d bytes, want the %d bytes before the first label page", len(torn), pagesOff)
+				if !bytes.Equal(torn, data[:f.tornAt]) {
+					t.Fatalf("torn temp is %d bytes, want the %d bytes before label page %d",
+						len(torn), f.tornAt, (f.tornAt-pagesOff)/labelPageSize)
 				}
 			}
 			s, err := OpenMmap(path)
@@ -103,7 +148,7 @@ func TestCrashAtEveryCreateSite(t *testing.T) {
 				t.Fatalf("crash at %s left garbage under the target name", site)
 			}
 			// And a clean retry always lands the new generation.
-			if err := CreateFile(path, newGen); err != nil {
+			if err := CreateFileEpoch(path, newGen, 7); err != nil {
 				t.Fatal(err)
 			}
 			s2, err := OpenMmap(path)
@@ -116,6 +161,18 @@ func TestCrashAtEveryCreateSite(t *testing.T) {
 			}
 		})
 	}
+}
+
+// writeEnds records where each write to it ends in the stream.
+type writeEnds []int
+
+func (w *writeEnds) Write(p []byte) (int, error) {
+	end := len(p)
+	if n := len(*w); n > 0 {
+		end += (*w)[n-1]
+	}
+	*w = append(*w, end)
+	return len(p), nil
 }
 
 // TestRecoverSalvagesCompletedTemp: a first-ever CreateFile that crashes

@@ -8,7 +8,10 @@
 // whose hash changed between two manifests, plus whatever tail a grown
 // section added; ApplyDelta patches a base file into the new file and
 // refuses the result unless its whole-file CRC matches the one the encoder
-// saw.
+// saw. Each step also runs over a file streamed in order: the manifest as
+// an encoder writes the file (Encoder.Manifest), the delta as the file
+// passes through a DeltaWriter, and the patched file as ApplyDeltaTo writes
+// it out, so none needs a buffer of the whole file.
 //
 // Pages are hashed per *section* (header, points, index, label pages, arena
 // offsets table, arena ids+trailer), not over raw file offsets: a single
@@ -30,9 +33,11 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 )
 
 const (
@@ -76,21 +81,69 @@ func NewManifest(data []byte) (*Manifest, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Manifest{
-		Epoch: epoch,
-		Kind:  kind,
-		Size:  int64(len(data)),
-		CRC:   crc32.ChecksumIEEE(data),
-		secs:  secs,
+	mw := newManifestWriter(secs, kind, epoch)
+	mw.Write(data)
+	return mw.manifest()
+}
+
+// manifestWriter hashes a file's pages as its bytes stream through Write in
+// file order, the section boundaries being known up front.
+type manifestWriter struct {
+	m   *Manifest
+	off int64  // bytes written so far
+	sec int    // the section off is in
+	h   uint64 // FNV-1a of the current page's bytes so far
+}
+
+func newManifestWriter(secs [deltaNumSections]deltaSection, kind string, epoch uint64) *manifestWriter {
+	last := secs[deltaNumSections-1]
+	m := &Manifest{Epoch: epoch, Kind: kind, Size: last.off + last.len, secs: secs}
+	var pages int64
+	for _, sec := range secs {
+		pages += deltaPageCount(sec.len)
 	}
+	hashes := make([]uint64, pages)
 	for s, sec := range secs {
 		n := deltaPageCount(sec.len)
-		m.hashes[s] = make([]uint64, n)
-		for p := int64(0); p < n; p++ {
-			m.hashes[s][p] = deltaPageHash(data[sec.off+p*DeltaPageSize : sec.off+deltaPageEnd(sec.len, p)])
+		m.hashes[s], hashes = hashes[:n:n], hashes[n:]
+	}
+	return &manifestWriter{m: m, h: fnvOffset}
+}
+
+// Write hashes p. Bytes past the manifest's size are counted, not hashed,
+// and fail manifest.
+func (mw *manifestWriter) Write(p []byte) (int, error) {
+	mw.m.CRC = crc32.Update(mw.m.CRC, crc32.IEEETable, p)
+	n := len(p)
+	for len(p) > 0 {
+		for mw.sec < deltaNumSections && mw.off == mw.m.secs[mw.sec].off+mw.m.secs[mw.sec].len {
+			mw.sec++
+		}
+		if mw.sec == deltaNumSections {
+			mw.off += int64(len(p))
+			break
+		}
+		sec := mw.m.secs[mw.sec]
+		rel := mw.off - sec.off
+		page := rel / DeltaPageSize
+		k := min(int64(len(p)), deltaPageEnd(sec.len, page)-rel)
+		mw.h = fnvUpdate(mw.h, p[:k])
+		mw.off += k
+		p = p[k:]
+		if rel+k == deltaPageEnd(sec.len, page) {
+			mw.m.hashes[mw.sec][page] = mw.h
+			mw.h = fnvOffset
 		}
 	}
-	return m, nil
+	return n, nil
+}
+
+// manifest returns the manifest once exactly the file's bytes were written.
+func (mw *manifestWriter) manifest() (*Manifest, error) {
+	if mw.off != mw.m.Size {
+		return nil, fmt.Errorf("store: manifest: %d bytes written for a %d-byte file", mw.off, mw.m.Size)
+	}
+	return mw.m, nil
 }
 
 // deltaSections splits a store file into the six delta sections:
@@ -105,13 +158,11 @@ func deltaSections(data []byte) (secs [deltaNumSections]deltaSection, kind strin
 	indexOff := int64(be.Uint64(data[44:]))
 	pagesOff := int64(be.Uint64(data[52:]))
 	arenaOff := pagesOff + numPages*labelPageSize
-	switch int(be.Uint32(data[60:])) {
-	case kindQuadrant:
-		kind = "quadrant"
-	case kindDynamic:
-		kind = "dynamic"
+	switch k := int(be.Uint32(data[60:])); k {
+	case kindQuadrant, kindDynamic:
+		kind = kindName(k)
 	default:
-		return secs, "", 0, fmt.Errorf("%w: delta: unknown kind %d", ErrCorrupt, be.Uint32(data[60:]))
+		return secs, "", 0, fmt.Errorf("%w: delta: unknown kind %d", ErrCorrupt, k)
 	}
 	epoch = be.Uint64(data[64:])
 	// The arena opens with #results, #ids; the offsets table (#results+1
@@ -144,10 +195,12 @@ func deltaPageEnd(secLen, p int64) int64 {
 	return end
 }
 
-// deltaPageHash is FNV-1a 64 — cheap, and any collision is caught by the
+// Page hashes are FNV-1a 64 — cheap, and any collision is caught by the
 // whole-file CRC check in ApplyDelta.
-func deltaPageHash(b []byte) uint64 {
-	h := uint64(14695981039346656037)
+const fnvOffset = 14695981039346656037
+
+// fnvUpdate continues an FNV-1a 64 hash over b.
+func fnvUpdate(h uint64, b []byte) uint64 {
 	for _, c := range b {
 		h ^= uint64(c)
 		h *= 1099511628211
@@ -158,25 +211,54 @@ func deltaPageHash(b []byte) uint64 {
 // Delta encodes the patch that turns base's file into cur's file, where data
 // is cur's complete serialized bytes (the encoder needs the actual changed
 // page contents, not just their hashes). The two manifests must describe the
-// same diagram kind. The caller decides whether the result is worth shipping:
-// a near-total rewrite can come out larger than the full file.
+// same diagram kind, and data must be the file cur describes. The caller
+// decides whether the result is worth shipping: a near-total rewrite can
+// come out larger than the full file.
 func Delta(base, cur *Manifest, data []byte) ([]byte, error) {
+	dw, err := NewDeltaWriter(base, cur)
+	if err != nil {
+		return nil, err
+	}
+	dw.Write(data)
+	return dw.Bytes()
+}
+
+// DeltaWriter builds the delta from base's file to cur's while cur's file
+// streams through Write in file order, keeping only the pages the two
+// manifests mark as changed. Its one buffer is the delta itself, allocated
+// at the first Write, so Len — known from the manifests alone — can decide
+// whether the delta is worth building before anything is allocated. Bytes
+// checks the streamed bytes against cur's size and CRC, so a delta is only
+// ever built from the file cur was hashed from.
+type DeltaWriter struct {
+	base, cur *Manifest
+	size      int64
+	out       []byte // nil until the first Write
+	// changes are cur's changed pages in file order; next is the first one
+	// the stream has not yet passed.
+	changes []deltaChange
+	next    int
+	off     int64 // bytes written so far
+	crc     uint32
+}
+
+// deltaChange is one changed page: its section and page number, its byte
+// range in cur's file, and where its payload goes in the delta.
+type deltaChange struct {
+	sec                   int
+	page, start, end, pos int64
+}
+
+// NewDeltaWriter lays out the delta from base to cur. The manifests must
+// describe the same diagram kind.
+func NewDeltaWriter(base, cur *Manifest) (*DeltaWriter, error) {
 	if base == nil || cur == nil {
 		return nil, fmt.Errorf("store: delta: nil manifest")
 	}
 	if base.Kind != cur.Kind {
 		return nil, fmt.Errorf("store: delta: kind changed %s -> %s", base.Kind, cur.Kind)
 	}
-	if int64(len(data)) != cur.Size {
-		return nil, fmt.Errorf("store: delta: current bytes are %d, manifest says %d", len(data), cur.Size)
-	}
-
-	type change struct {
-		sec  int
-		page int64
-	}
-	var changed []change
-	var payload int64
+	dw := &DeltaWriter{base: base, cur: cur, size: deltaHdrSize}
 	for s := 0; s < deltaNumSections; s++ {
 		cs, bs := cur.secs[s], base.secs[s]
 		for p := int64(0); p < deltaPageCount(cs.len); p++ {
@@ -185,44 +267,84 @@ func Delta(base, cur *Manifest, data []byte) ([]byte, error) {
 				deltaPageEnd(bs.len, p)-p*DeltaPageSize == curLen &&
 				base.hashes[s][p] == cur.hashes[s][p]
 			if !same {
-				changed = append(changed, change{s, p})
-				payload += curLen
+				start := cs.off + p*DeltaPageSize
+				dw.changes = append(dw.changes, deltaChange{s, p, start, start + curLen, dw.size + 12})
+				dw.size += 12 + curLen
 			}
 		}
 	}
+	return dw, nil
+}
 
+// Len returns the length of the delta in bytes.
+func (dw *DeltaWriter) Len() int { return int(dw.size) }
+
+// alloc allocates the delta and writes everything but the pages' payloads,
+// which arrive with the stream.
+func (dw *DeltaWriter) alloc() {
 	be := binary.BigEndian
-	out := make([]byte, 0, int64(deltaHdrSize)+int64(len(changed))*12+payload)
-	var buf [8]byte
-	put32 := func(v uint32) { be.PutUint32(buf[:4], v); out = append(out, buf[:4]...) }
-	put64 := func(v uint64) { be.PutUint64(buf[:], v); out = append(out, buf[:8]...) }
-
+	base, cur := dw.base, dw.cur
+	out := make([]byte, 0, dw.size)
 	out = append(out, deltaMagic...)
-	put32(deltaVersion)
-	put64(base.Epoch)
-	put64(cur.Epoch)
-	put32(DeltaPageSize)
-	put64(uint64(base.Size))
-	put32(base.CRC)
-	put64(uint64(cur.Size))
-	put32(cur.CRC)
-	put32(deltaNumSections)
+	out = be.AppendUint32(out, deltaVersion)
+	out = be.AppendUint64(out, base.Epoch)
+	out = be.AppendUint64(out, cur.Epoch)
+	out = be.AppendUint32(out, DeltaPageSize)
+	out = be.AppendUint64(out, uint64(base.Size))
+	out = be.AppendUint32(out, base.CRC)
+	out = be.AppendUint64(out, uint64(cur.Size))
+	out = be.AppendUint32(out, cur.CRC)
+	out = be.AppendUint32(out, deltaNumSections)
 	for s := 0; s < deltaNumSections; s++ {
-		put64(uint64(base.secs[s].off))
-		put64(uint64(base.secs[s].len))
-		put64(uint64(cur.secs[s].off))
-		put64(uint64(cur.secs[s].len))
+		out = be.AppendUint64(out, uint64(base.secs[s].off))
+		out = be.AppendUint64(out, uint64(base.secs[s].len))
+		out = be.AppendUint64(out, uint64(cur.secs[s].off))
+		out = be.AppendUint64(out, uint64(cur.secs[s].len))
 	}
-	put32(uint32(len(changed)))
-	for _, c := range changed {
-		sec := cur.secs[c.sec]
-		start := sec.off + c.page*DeltaPageSize
-		end := sec.off + deltaPageEnd(sec.len, c.page)
-		put32(uint32(c.sec))
-		put64(uint64(c.page))
-		out = append(out, data[start:end]...)
+	out = be.AppendUint32(out, uint32(len(dw.changes)))
+	out = out[:dw.size]
+	for _, c := range dw.changes {
+		be.PutUint32(out[c.pos-12:], uint32(c.sec))
+		be.PutUint64(out[c.pos-8:], uint64(c.page))
 	}
-	return out, nil
+	dw.out = out
+}
+
+// Write takes the next bytes of cur's file, copying those of changed pages
+// into the delta. It never fails.
+func (dw *DeltaWriter) Write(p []byte) (int, error) {
+	if dw.out == nil {
+		dw.alloc()
+	}
+	dw.crc = crc32.Update(dw.crc, crc32.IEEETable, p)
+	start, end := dw.off, dw.off+int64(len(p))
+	for ; dw.next < len(dw.changes); dw.next++ {
+		c := dw.changes[dw.next]
+		if lo, hi := max(c.start, start), min(c.end, end); lo < hi {
+			copy(dw.out[c.pos+lo-c.start:], p[lo-start:hi-start])
+		}
+		if c.end > end {
+			break
+		}
+	}
+	dw.off = end
+	return len(p), nil
+}
+
+// Bytes returns the delta once all of cur's file has been written, or an
+// error when the bytes written are not the file cur describes: a delta from
+// other bytes than the ones hashed could not patch into them.
+func (dw *DeltaWriter) Bytes() ([]byte, error) {
+	if dw.off != dw.cur.Size {
+		return nil, fmt.Errorf("store: delta: current bytes are %d, manifest says %d", dw.off, dw.cur.Size)
+	}
+	if dw.crc != dw.cur.CRC {
+		return nil, fmt.Errorf("store: delta: current bytes have crc %08x, manifest says %08x", dw.crc, dw.cur.CRC)
+	}
+	if dw.out == nil {
+		dw.alloc()
+	}
+	return dw.out, nil
 }
 
 // IsDelta reports whether body starts with the delta wire magic.
@@ -231,93 +353,168 @@ func IsDelta(body []byte) bool {
 }
 
 // ApplyDelta patches base (the replica's cached file bytes) with a delta body
-// and returns the new file bytes. Every failure mode — wrong base, torn body,
-// bit flip anywhere, hash collision in the encoder — surfaces as an error
-// here: the final whole-file CRC comparison is the catch-all. The returned
-// bytes still carry the store's own CRC trailer, so OpenMmap re-verifies them
+// and returns the new file bytes: ApplyDeltaTo into a buffer of exactly the
+// new file's size. Every failure mode — wrong base, torn body, bit flip
+// anywhere, hash collision in the encoder — surfaces as an error here: the
+// final whole-file CRC comparison is the catch-all. The returned bytes still
+// carry the store's own CRC trailer, so OpenMmap re-verifies them
 // independently after the caller persists the patch.
 func ApplyDelta(base, delta []byte) ([]byte, error) {
+	p, err := readDelta(base, delta)
+	if err != nil {
+		return nil, err
+	}
+	out := bytes.NewBuffer(make([]byte, 0, p.newSize))
+	if err := p.writeTo(out); err != nil {
+		return nil, err
+	}
+	return out.Bytes(), nil
+}
+
+// ApplyDeltaTo writes the file that delta patches base into to w, in file
+// order, straight from base and from the delta's pages, so it holds no copy
+// of the file; it keeps a running CRC of what it writes. It refuses what
+// ApplyDelta refuses, with an error wrapping ErrCorrupt, but it may find a
+// damaged change list, and always finds a CRC mismatch, only after writing
+// some of the file: on any error, what w received must be discarded. Errors
+// from w are returned as they are.
+func ApplyDeltaTo(w io.Writer, base, delta []byte) error {
+	p, err := readDelta(base, delta)
+	if err != nil {
+		return err
+	}
+	return p.writeTo(w)
+}
+
+// patch is a delta whose header has been checked against its base.
+type patch struct {
+	base, delta       []byte
+	newSize           int64
+	newCRC            uint32
+	baseSecs, newSecs [deltaNumSections]deltaSection
+	numChanged        int64
+	changesOff        int64 // where the change list starts in delta
+}
+
+// readDelta checks a delta's header: its shape, its base's size and CRC, and
+// a section table that tiles the new file in order.
+func readDelta(base, delta []byte) (patch, error) {
 	be := binary.BigEndian
 	if len(delta) < deltaHdrSize {
-		return nil, fmt.Errorf("%w: delta: truncated header (%d bytes)", ErrCorrupt, len(delta))
+		return patch{}, fmt.Errorf("%w: delta: truncated header (%d bytes)", ErrCorrupt, len(delta))
 	}
 	if !IsDelta(delta) {
-		return nil, fmt.Errorf("%w: delta: bad magic %q", ErrCorrupt, delta[0:8])
+		return patch{}, fmt.Errorf("%w: delta: bad magic %q", ErrCorrupt, delta[0:8])
 	}
 	off := int64(8)
 	get32 := func() uint32 { v := be.Uint32(delta[off:]); off += 4; return v }
 	get64 := func() uint64 { v := be.Uint64(delta[off:]); off += 8; return v }
 
 	if v := get32(); v != deltaVersion {
-		return nil, fmt.Errorf("%w: delta: unsupported version %d", ErrCorrupt, v)
+		return patch{}, fmt.Errorf("%w: delta: unsupported version %d", ErrCorrupt, v)
 	}
 	get64() // fromEpoch: informational; the base CRC below is the real guard
 	get64() // toEpoch: read back by the caller from the patched header
 	pageSize := int64(get32())
 	baseSize := int64(get64())
 	baseCRC := get32()
-	newSize := int64(get64())
-	newCRC := get32()
+	p := patch{base: base, delta: delta, newSize: int64(get64()), newCRC: get32()}
 	numSections := get32()
 	if pageSize != DeltaPageSize || numSections != deltaNumSections {
-		return nil, fmt.Errorf("%w: delta: bad shape (pageSize=%d sections=%d)", ErrCorrupt, pageSize, numSections)
+		return patch{}, fmt.Errorf("%w: delta: bad shape (pageSize=%d sections=%d)", ErrCorrupt, pageSize, numSections)
 	}
 	if int64(len(base)) != baseSize || crc32.ChecksumIEEE(base) != baseCRC {
-		return nil, fmt.Errorf("%w: delta: base file does not match (have %d bytes, delta expects %d crc %08x)",
+		return patch{}, fmt.Errorf("%w: delta: base file does not match (have %d bytes, delta expects %d crc %08x)",
 			ErrCorrupt, len(base), baseSize, baseCRC)
 	}
-	const maxDeltaFile = 1 << 40
-	if newSize < 0 || newSize > maxDeltaFile {
-		return nil, fmt.Errorf("%w: delta: implausible new size %d", ErrCorrupt, newSize)
+	// Every byte of a patched file comes from the base or from the delta.
+	if p.newSize < 0 || p.newSize > baseSize+int64(len(delta)) {
+		return patch{}, fmt.Errorf("%w: delta: implausible new size %d", ErrCorrupt, p.newSize)
 	}
 
-	var baseSecs, newSecs [deltaNumSections]deltaSection
+	var end int64
 	for s := 0; s < deltaNumSections; s++ {
-		baseSecs[s] = deltaSection{off: int64(get64()), len: int64(get64())}
-		newSecs[s] = deltaSection{off: int64(get64()), len: int64(get64())}
-		if baseSecs[s].off < 0 || baseSecs[s].len < 0 || baseSecs[s].off+baseSecs[s].len > baseSize ||
-			newSecs[s].off < 0 || newSecs[s].len < 0 || newSecs[s].off+newSecs[s].len > newSize {
-			return nil, fmt.Errorf("%w: delta: section %d out of bounds", ErrCorrupt, s)
+		bs := deltaSection{off: int64(get64()), len: int64(get64())}
+		ns := deltaSection{off: int64(get64()), len: int64(get64())}
+		if bs.off < 0 || bs.len < 0 || bs.off > baseSize || bs.len > baseSize-bs.off ||
+			ns.off != end || ns.len < 0 || ns.len > p.newSize-end {
+			return patch{}, fmt.Errorf("%w: delta: section %d out of bounds", ErrCorrupt, s)
 		}
+		p.baseSecs[s], p.newSecs[s] = bs, ns
+		end += ns.len
+	}
+	if end != p.newSize {
+		return patch{}, fmt.Errorf("%w: delta: sections cover %d of %d bytes", ErrCorrupt, end, p.newSize)
+	}
+	p.numChanged = int64(get32())
+	p.changesOff = off
+	return p, nil
+}
+
+// writeTo writes the patched file to w section by section: each changed
+// page from the delta, the bytes between them from the base's section.
+func (p *patch) writeTo(w io.Writer) error {
+	be := binary.BigEndian
+	var crc uint32
+	emit := func(b []byte) error {
+		crc = crc32.Update(crc, crc32.IEEETable, b)
+		_, err := w.Write(b)
+		return err
+	}
+	// copyBase writes bytes [from, to) of new section s from the base's
+	// section s. Delta ships every page that reaches past the base section's
+	// end, so a delta leaving such bytes uncovered is damaged.
+	copyBase := func(s int, from, to int64) error {
+		if from == to {
+			return nil
+		}
+		bs := p.baseSecs[s]
+		if to > bs.len {
+			return fmt.Errorf("%w: delta: bytes %d-%d of section %d are in neither the base nor the delta",
+				ErrCorrupt, max(from, bs.len), to, s)
+		}
+		return emit(p.base[bs.off+from : bs.off+to])
 	}
 
-	out := make([]byte, newSize)
+	delta, off, i := p.delta, p.changesOff, int64(0)
 	for s := 0; s < deltaNumSections; s++ {
-		n := baseSecs[s].len
-		if newSecs[s].len < n {
-			n = newSecs[s].len
+		sec, pos := p.newSecs[s], int64(0)
+		for ; i < p.numChanged; i++ {
+			if off+12 > int64(len(delta)) {
+				return fmt.Errorf("%w: delta: truncated at change %d/%d", ErrCorrupt, i, p.numChanged)
+			}
+			cs, pg := int64(be.Uint32(delta[off:])), int64(be.Uint64(delta[off+4:]))
+			if cs < int64(s) || cs >= deltaNumSections {
+				return fmt.Errorf("%w: delta: change %d names section %d after section %d", ErrCorrupt, i, cs, s)
+			}
+			if cs > int64(s) {
+				break
+			}
+			if pg < 0 || pg >= deltaPageCount(sec.len) || pg*DeltaPageSize < pos {
+				return fmt.Errorf("%w: delta: change %d page %d outside section %d or out of order", ErrCorrupt, i, pg, s)
+			}
+			start, end := pg*DeltaPageSize, deltaPageEnd(sec.len, pg)
+			if off+12+(end-start) > int64(len(delta)) {
+				return fmt.Errorf("%w: delta: truncated page payload at change %d/%d", ErrCorrupt, i, p.numChanged)
+			}
+			if err := copyBase(s, pos, start); err != nil {
+				return err
+			}
+			if err := emit(delta[off+12 : off+12+(end-start)]); err != nil {
+				return err
+			}
+			off += 12 + end - start
+			pos = end
 		}
-		copy(out[newSecs[s].off:newSecs[s].off+n], base[baseSecs[s].off:baseSecs[s].off+n])
-	}
-
-	numChanged := int64(get32())
-	for i := int64(0); i < numChanged; i++ {
-		if off+12 > int64(len(delta)) {
-			return nil, fmt.Errorf("%w: delta: truncated at change %d/%d", ErrCorrupt, i, numChanged)
+		if err := copyBase(s, pos, sec.len); err != nil {
+			return err
 		}
-		s := int64(get32())
-		p := int64(get64())
-		if s < 0 || s >= deltaNumSections {
-			return nil, fmt.Errorf("%w: delta: change %d names section %d", ErrCorrupt, i, s)
-		}
-		sec := newSecs[s]
-		if p < 0 || p >= deltaPageCount(sec.len) {
-			return nil, fmt.Errorf("%w: delta: change %d page %d outside section %d", ErrCorrupt, i, p, s)
-		}
-		start := sec.off + p*pageSize
-		end := sec.off + deltaPageEnd(sec.len, p)
-		if off+(end-start) > int64(len(delta)) {
-			return nil, fmt.Errorf("%w: delta: truncated page payload at change %d/%d", ErrCorrupt, i, numChanged)
-		}
-		copy(out[start:end], delta[off:off+(end-start)])
-		off += end - start
 	}
 	if off != int64(len(delta)) {
-		return nil, fmt.Errorf("%w: delta: %d trailing bytes", ErrCorrupt, int64(len(delta))-off)
+		return fmt.Errorf("%w: delta: %d trailing bytes", ErrCorrupt, int64(len(delta))-off)
 	}
-	if crc32.ChecksumIEEE(out) != newCRC {
-		return nil, fmt.Errorf("%w: delta: patched file crc mismatch (want %08x got %08x)",
-			ErrCorrupt, newCRC, crc32.ChecksumIEEE(out))
+	if crc != p.newCRC {
+		return fmt.Errorf("%w: delta: patched file crc mismatch (want %08x got %08x)", ErrCorrupt, p.newCRC, crc)
 	}
-	return out, nil
+	return nil
 }

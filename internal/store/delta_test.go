@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -16,7 +17,7 @@ import (
 // serializeEpoch builds the quadrant diagram for pts and returns its
 // canonical file bytes stamped with epoch — exactly what a full
 // /v1/snapshot stream carries.
-func serializeEpoch(t *testing.T, pts []geom.Point, epoch uint64) []byte {
+func serializeEpoch(t testing.TB, pts []geom.Point, epoch uint64) []byte {
 	t.Helper()
 	d, err := quaddiag.BuildScanning(pts)
 	if err != nil {
@@ -31,7 +32,7 @@ func serializeEpoch(t *testing.T, pts []geom.Point, epoch uint64) []byte {
 
 // patchBetween encodes the delta from base bytes to cur bytes and applies it
 // back, asserting byte equivalence with the full serialization.
-func patchBetween(t *testing.T, base, cur []byte) []byte {
+func patchBetween(t testing.TB, base, cur []byte) []byte {
 	t.Helper()
 	bm, err := NewManifest(base)
 	if err != nil {
@@ -109,7 +110,7 @@ func TestDeltaEpochOnlyChange(t *testing.T) {
 	}
 }
 
-func churnBase(t *testing.T, n int, seed int64) []geom.Point {
+func churnBase(t testing.TB, n int, seed int64) []geom.Point {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	pts := make([]geom.Point, n)
@@ -193,32 +194,23 @@ func TestApplyDeltaWrongBaseRefused(t *testing.T) {
 	}
 }
 
-// TestDeltaCorruptionMatrix subjects one real delta body to the same
-// treatment the store file gets: truncation at every ~97th offset and a bit
-// flip at every ~101st offset plus the structural landmarks. Every mutation
-// must either be rejected by ApplyDelta or (if the flip is semantically
-// inert) still patch to the exact full-file bytes — a corrupt patch can
-// never produce wrong served bytes.
-func TestDeltaCorruptionMatrix(t *testing.T) {
+// corruptionFixture is one real delta body with its base and target: an
+// insert at existing coordinates over a 50-point file.
+func corruptionFixture(t testing.TB) (base, cur, delta []byte) {
 	pts := churnBase(t, 50, 71)
-	base := serializeEpoch(t, pts, 1)
-	cur := serializeEpoch(t, append(pts, geom.Pt2(5000, pts[3].Coords[0], pts[9].Coords[1])), 2)
-	delta := patchBetween(t, base, cur)
+	base = serializeEpoch(t, pts, 1)
+	cur = serializeEpoch(t, append(pts, geom.Pt2(5000, pts[3].Coords[0], pts[9].Coords[1])), 2)
+	return base, cur, patchBetween(t, base, cur)
+}
 
-	check := func(name string, mutated []byte) {
-		t.Helper()
-		patched, err := ApplyDelta(base, mutated)
-		if err != nil {
-			return // rejected, as it should be
-		}
-		if !bytes.Equal(patched, cur) {
-			t.Fatalf("%s: corrupt delta accepted AND patched to wrong bytes", name)
-		}
-	}
-
+// deltaCorruptions returns the mutations of a delta body the corruption
+// matrix applies: truncation at every ~97th offset, and a bit flip at every
+// ~101st offset plus the structural landmarks.
+func deltaCorruptions(delta []byte) (names []string, bodies [][]byte) {
 	stride := len(delta)/97 + 1
 	for cut := 0; cut < len(delta); cut += stride {
-		check(fmt.Sprintf("cut%d", cut), delta[:cut])
+		names = append(names, fmt.Sprintf("cut%d", cut))
+		bodies = append(bodies, delta[:cut])
 	}
 	stride = len(delta)/101 + 1
 	offsets := []int{0, 8, 11, 20, 31, 43, 55, deltaHdrSize - 1, len(delta) - 1}
@@ -231,12 +223,64 @@ func TestDeltaCorruptionMatrix(t *testing.T) {
 		}
 		rotted := append([]byte(nil), delta...)
 		rotted[off] ^= 0x01
-		check(fmt.Sprintf("rot%d", off), rotted)
+		names = append(names, fmt.Sprintf("rot%d", off))
+		bodies = append(bodies, rotted)
+	}
+	return names, bodies
+}
+
+// checkPatch applies a possibly corrupt delta through ApplyDelta and
+// ApplyDeltaTo: both must refuse it with ErrCorrupt, or both patch base into
+// exactly cur.
+func checkPatch(t *testing.T, name string, base, cur, delta []byte) {
+	t.Helper()
+	patched, err := ApplyDelta(base, delta)
+	var streamed bytes.Buffer
+	errTo := ApplyDeltaTo(&streamed, base, delta)
+	switch {
+	case (err == nil) != (errTo == nil):
+		t.Fatalf("%s: ApplyDelta err %v, ApplyDeltaTo err %v", name, err, errTo)
+	case err != nil:
+		if !errors.Is(err, ErrCorrupt) || !errors.Is(errTo, ErrCorrupt) {
+			t.Fatalf("%s: refused without ErrCorrupt: %v / %v", name, err, errTo)
+		}
+	case !bytes.Equal(patched, cur) || !bytes.Equal(streamed.Bytes(), cur):
+		t.Fatalf("%s: corrupt delta accepted AND patched to wrong bytes", name)
+	}
+}
+
+// TestDeltaCorruptionMatrix subjects one real delta body to the same
+// treatment the store file gets: truncations and bit flips
+// (deltaCorruptions). Every mutation must either be rejected by ApplyDelta
+// and ApplyDeltaTo or (if the flip is semantically inert) still patch to the
+// exact full-file bytes — a corrupt patch can never produce wrong served
+// bytes.
+func TestDeltaCorruptionMatrix(t *testing.T) {
+	base, cur, delta := corruptionFixture(t)
+	names, bodies := deltaCorruptions(delta)
+	for i, mutated := range bodies {
+		checkPatch(t, names[i], base, cur, mutated)
 	}
 	// And the pristine delta still applies.
 	if _, err := ApplyDelta(base, delta); err != nil {
 		t.Fatalf("pristine delta rejected: %v", err)
 	}
+}
+
+// FuzzApplyDelta mutates a delta body applied to a fixed base: the result
+// must be ErrCorrupt or exactly the target bytes, through ApplyDelta and
+// ApplyDeltaTo alike, and nothing may panic. The corruption matrix's
+// mutations seed it.
+func FuzzApplyDelta(f *testing.F) {
+	base, cur, delta := corruptionFixture(f)
+	f.Add(delta)
+	_, bodies := deltaCorruptions(delta)
+	for _, b := range bodies {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, mutated []byte) {
+		checkPatch(t, "fuzzed delta", base, cur, mutated)
+	})
 }
 
 // TestDeltaLegacyVersionNotEligible pins that pre-v4 files refuse manifest

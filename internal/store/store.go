@@ -44,14 +44,15 @@
 // memory; either way the bytes go through New. Close never unmaps under a
 // reader: the last hold to end does.
 //
-// Encode lays a diagram's whole file out in one buffer of exactly its size;
-// every writer is Encode plus a write of those bytes. CreateFile is
-// crash-safe: it writes to a temporary file in the target's directory,
+// An Encoder writes a diagram's file sequentially, in file order, through
+// one small chunk: every section's offset follows from the counts before
+// the first byte, so a writer, a manifest (Encoder.Manifest) or a delta
+// (DeltaWriter) takes a file of any size without holding it. Encode lays
+// the same bytes out in one buffer of exactly the file's size. CreateFile
+// is crash-safe: it streams to a temporary file in the target's directory,
 // fsyncs it, renames it into place, and fsyncs the directory, so a crash at
 // any instant leaves either the previous generation or the new one — never
-// a torn file under the target name. WriteFile does the same for bytes a
-// caller already holds, so an epoch encoded once can be served, hashed and
-// checkpointed from the same buffer. Recover opens a path after a suspected
+// a torn file under the target name. Recover opens a path after a suspected
 // crash, salvaging a completed-but-unrenamed generation and discarding torn
 // temporaries.
 package store
@@ -107,244 +108,6 @@ const (
 	kindDynamic  = 2
 )
 
-// Write serialises a quadrant diagram to w in the current (version 4,
-// interned CSR) format with epoch 0 (an unversioned snapshot).
-func Write(w io.Writer, d *quaddiag.Diagram) error {
-	return WriteEpoch(w, d, 0)
-}
-
-// WriteEpoch is Write with an explicit replication epoch stamped into the
-// header — the builder's snapshot generation, negotiated by replicas.
-func WriteEpoch(w io.Writer, d *quaddiag.Diagram, epoch uint64) error {
-	data, err := Encode(d, epoch)
-	if err != nil {
-		return err
-	}
-	return writeFile(w, data)
-}
-
-// WriteDynamic serialises a dynamic diagram to w. The subcell grid is
-// rebuilt deterministically from the points on open, exactly like the cell
-// grid of the quadrant form.
-func WriteDynamic(w io.Writer, d *dyndiag.Diagram) error {
-	return WriteDynamicEpoch(w, d, 0)
-}
-
-// WriteDynamicEpoch is WriteDynamic with an explicit replication epoch.
-func WriteDynamicEpoch(w io.Writer, d *dyndiag.Diagram, epoch uint64) error {
-	data, err := EncodeDynamic(d, epoch)
-	if err != nil {
-		return err
-	}
-	return writeFile(w, data)
-}
-
-// Encode returns the complete version-4 file of a quadrant diagram, stamped
-// with a replication epoch: the exact bytes Write, CreateFile and a
-// replica's download carry. The result is a fresh buffer the caller owns.
-func Encode(d *quaddiag.Diagram, epoch uint64) ([]byte, error) {
-	labels, table := d.ExportCSR()
-	return encode(d.Points, labels, table, d.Grid.Cols(), d.Grid.Rows(), kindQuadrant, epoch)
-}
-
-// EncodeDynamic is Encode for a dynamic diagram.
-func EncodeDynamic(d *dyndiag.Diagram, epoch uint64) ([]byte, error) {
-	labels, table := d.ExportCSR()
-	return encode(d.Points, labels, table, d.Sub.Cols(), d.Sub.Rows(), kindDynamic, epoch)
-}
-
-// canonicalCSR reports whether labels reference every table result exactly
-// in first-appearance order — the shape a fresh build's freeze produces. A
-// maintained (copy-on-write updated) diagram fails this: its arena carries
-// garbage results no cell references anymore, and its labels are not in
-// first-use order.
-func canonicalCSR(labels []uint32, table *resultset.Table) bool {
-	next := uint32(0)
-	for _, l := range labels {
-		if l == next {
-			next++
-		} else if l > next {
-			return false
-		}
-	}
-	return int(next) == table.NumResults()
-}
-
-// encode lays out the whole version-4 file — header, points, page index,
-// fixed-size label pages, arena, trailer — in one buffer of exactly the
-// file's size: every section's size is known before the first byte is
-// written, so label pages and their index CRCs are written in place.
-//
-// The file is canonical: labels are numbered in first-use order over the
-// cells and the arena holds exactly the results some cell references, in
-// that order. A fresh build's table already is (canonicalCSR) and is copied
-// verbatim. A maintained one is put into that order as it is written,
-// through a first-use remap array of one uint32 per table result — never a
-// re-freeze or an intermediate copy of the table — so persisting a
-// maintained snapshot produces the bytes a from-scratch rebuild would, and
-// never writes maintenance garbage (whose result count can exceed the cell
-// count and would be rejected as corrupt on open). The remap and the file
-// buffer are the only allocations.
-func encode(pts []geom.Point, labels []uint32, table *resultset.Table, cols, rows, kind int, epoch uint64) ([]byte, error) {
-	if len(labels) == 0 {
-		return nil, fmt.Errorf("store: diagram has no cells")
-	}
-	// remap[l] is old label l's canonical label + 1 (0: no cell uses it);
-	// nil when the table is canonical already.
-	var remap []uint32
-	numResults, numIDs := table.NumResults(), table.ArenaLen()
-	if !canonicalCSR(labels, table) {
-		remap = make([]uint32, table.NumResults())
-		numResults, numIDs = 0, 0
-		for _, l := range labels {
-			if remap[l] == 0 {
-				numResults++
-				remap[l] = uint32(numResults)
-				numIDs += table.Len(l)
-			}
-		}
-	}
-	numPages := (len(labels) + CellsPerPage - 1) / CellsPerPage
-	indexOff := headLen(pts)
-	pagesOff := indexOff + numPages*indexEntrySz
-	arenaOff := pagesOff + numPages*labelPageSize
-	idsOff := arenaOff + 8 + 4*(numResults+1)
-	arenaEnd := idsOff + 4*numIDs
-	buf := make([]byte, arenaEnd+4+trailerSize)
-	putHead(buf, pts, cols, rows, numPages, kind, epoch)
-
-	be := binary.BigEndian
-	cells := buf[pagesOff:arenaOff]
-	for i, l := range labels {
-		if remap != nil {
-			l = remap[l] - 1
-		}
-		be.PutUint32(cells[4*i:], l)
-	}
-	for i := len(labels); i < numPages*CellsPerPage; i++ {
-		be.PutUint32(cells[4*i:], noCell)
-	}
-	for pg := 0; pg < numPages; pg++ {
-		off := pagesOff + pg*labelPageSize
-		putIndexEntry(buf[indexOff+pg*indexEntrySz:], buf[off:off+labelPageSize], off)
-	}
-
-	// Arena: #results, #ids, offsets, ids, section crc32.
-	be.PutUint32(buf[arenaOff:], uint32(numResults))
-	be.PutUint32(buf[arenaOff+4:], uint32(numIDs))
-	offs, ids := buf[arenaOff+8:idsOff], buf[idsOff:arenaEnd]
-	if remap == nil {
-		for i, o := range table.Offsets() {
-			be.PutUint32(offs[4*i:], o)
-		}
-		for i, id := range table.IDs() {
-			be.PutUint32(ids[4*i:], uint32(id))
-		}
-	} else {
-		// Labels were numbered in first-use order, so a second pass over the
-		// cells meets each result's first use exactly when its new label
-		// comes up next. offs[0] is already 0.
-		next, n := uint32(1), 0
-		for _, l := range labels {
-			if remap[l] != next {
-				continue
-			}
-			for _, id := range table.Result(l) {
-				be.PutUint32(ids[4*n:], uint32(id))
-				n++
-			}
-			be.PutUint32(offs[4*next:], uint32(n))
-			if next++; int(next) > numResults {
-				break
-			}
-		}
-	}
-	be.PutUint32(buf[arenaEnd:], crc32.ChecksumIEEE(buf[arenaOff:arenaEnd]))
-	putTrailer(buf)
-	return buf, nil
-}
-
-// headLen is the size of the header plus the points section: the page
-// index starts there.
-func headLen(pts []geom.Point) int {
-	return headerSize + len(pts)*(8+8*dimOf(pts))
-}
-
-// putHead writes the header and the points section at the front of buf.
-func putHead(buf []byte, pts []geom.Point, cols, rows, numPages, kind int, epoch uint64) {
-	be := binary.BigEndian
-	indexOff := headLen(pts)
-	copy(buf[0:8], magic)
-	be.PutUint32(buf[8:], version)
-	be.PutUint32(buf[12:], uint32(dimOf(pts)))
-	be.PutUint64(buf[16:], uint64(len(pts)))
-	be.PutUint32(buf[24:], uint32(cols))
-	be.PutUint32(buf[28:], uint32(rows))
-	be.PutUint32(buf[32:], CellsPerPage)
-	be.PutUint64(buf[36:], uint64(numPages))
-	be.PutUint64(buf[44:], uint64(indexOff))
-	be.PutUint64(buf[52:], uint64(indexOff+numPages*indexEntrySz))
-	be.PutUint32(buf[60:], uint32(kind))
-	be.PutUint64(buf[64:], epoch)
-	off := headerSize
-	for _, p := range pts {
-		be.PutUint64(buf[off:], uint64(int64(p.ID)))
-		off += 8
-		for _, c := range p.Coords {
-			be.PutUint64(buf[off:], math.Float64bits(c))
-			off += 8
-		}
-	}
-}
-
-// putIndexEntry writes one page index entry: offset, length, crc32.
-func putIndexEntry(e, page []byte, off int) {
-	be := binary.BigEndian
-	be.PutUint64(e, uint64(off))
-	be.PutUint32(e[8:], uint32(len(page)))
-	be.PutUint32(e[12:], crc32.ChecksumIEEE(page))
-}
-
-// putTrailer ends buf with the trailer magic and the CRC32 of every byte
-// before it.
-func putTrailer(buf []byte) {
-	n := len(buf) - trailerSize
-	copy(buf[n:], trailerMagic)
-	binary.BigEndian.PutUint32(buf[n+8:], crc32.ChecksumIEEE(buf[:n]))
-}
-
-// writeFile writes a complete encoded file to w. The store.write.page
-// failpoint is hit once per page, in file order; when it fires, only the
-// bytes before that page reach w — the torn prefix a crash mid-write leaves
-// behind — and the injected error is returned.
-func writeFile(w io.Writer, data []byte) error {
-	be := binary.BigEndian
-	if len(data) < headerSize || string(data[:8]) != magic {
-		return fmt.Errorf("store: write: not an encoded store file")
-	}
-	size := uint64(len(data))
-	numPages, indexOff := be.Uint64(data[36:]), be.Uint64(data[44:])
-	if indexOff > size || numPages > (size-indexOff)/indexEntrySz {
-		return fmt.Errorf("store: write: page index outside the %d-byte file", size)
-	}
-	for pg := uint64(0); pg < numPages; pg++ {
-		if err := faultinject.Hit("store.write.page"); err != nil {
-			// The torn prefix; a crash has no error to report for it.
-			_, _ = w.Write(data[:min(be.Uint64(data[indexOff+pg*indexEntrySz:]), size)])
-			return err
-		}
-	}
-	_, err := w.Write(data)
-	return err
-}
-
-func dimOf(pts []geom.Point) int {
-	if len(pts) == 0 {
-		return 2
-	}
-	return pts[0].Dim()
-}
-
 // TempSuffix is appended to the target path for the intermediate file
 // CreateFile writes before the atomic rename. Recover knows to look for it.
 const TempSuffix = ".tmp"
@@ -360,28 +123,32 @@ func CreateFile(path string, d *quaddiag.Diagram) error {
 }
 
 // CreateFileEpoch is CreateFile with a replication epoch stamped into the
-// header.
+// header. The file streams from the diagram into the temporary file.
 func CreateFileEpoch(path string, d *quaddiag.Diagram, epoch uint64) error {
-	data, err := Encode(d, epoch)
+	e, err := quadrantEncoder(d, epoch)
 	if err != nil {
 		return err
 	}
-	return WriteFile(path, data)
+	return e.createFile(path)
 }
 
 // CreateFileDynamic is CreateFile for a dynamic diagram.
 func CreateFileDynamic(path string, d *dyndiag.Diagram) error {
-	data, err := EncodeDynamic(d, 0)
+	e, err := dynamicEncoder(d, 0)
 	if err != nil {
 		return err
 	}
-	return WriteFile(path, data)
+	return e.createFile(path)
 }
 
-// WriteFile publishes an encoded file (Encode's output) at path with
-// CreateFile's atomic temp+fsync+rename: a caller that already holds an
-// epoch's bytes persists them without encoding again.
-func WriteFile(path string, data []byte) error {
+func (e *Encoder) createFile(path string) error {
+	return createFile(path, e.writeFile)
+}
+
+// createFile runs write against a temporary file beside path, then fsyncs
+// it, renames it over path and fsyncs the directory, hitting a
+// store.create.* failpoint before each step.
+func createFile(path string, write func(io.Writer) error) error {
 	tmp := path + TempSuffix
 	if err := faultinject.Hit("store.create.create"); err != nil {
 		return fmt.Errorf("store: create %s: %w", tmp, err)
@@ -390,7 +157,7 @@ func WriteFile(path string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	if err := writeFile(f, data); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}
@@ -415,6 +182,33 @@ func WriteFile(path string, data []byte) error {
 		return fmt.Errorf("store: sync dir of %s: %w", path, err)
 	}
 	return syncDir(filepath.Dir(path))
+}
+
+// pageTearer passes a file's bytes on to w and hits the store.write.page
+// failpoint once per label page, in file order. When it fires, only the
+// bytes before that page reach w — the torn prefix a crash mid-write leaves
+// behind — and the injected error is returned. Every writer of a file to a
+// destination (Write*, CreateFile*) writes through one.
+type pageTearer struct {
+	w   io.Writer
+	off int64 // bytes passed on so far
+	// page is the offset of the next label page to hit the failpoint for,
+	// end the offset past the last one.
+	page, end int64
+}
+
+func (t *pageTearer) Write(p []byte) (int, error) {
+	for ; t.page < t.end && t.page < t.off+int64(len(p)); t.page += labelPageSize {
+		if err := faultinject.Hit("store.write.page"); err != nil {
+			// The torn prefix; a crash has no error to report for it.
+			n, _ := t.w.Write(p[:t.page-t.off])
+			t.off += int64(n)
+			return n, err
+		}
+	}
+	n, err := t.w.Write(p)
+	t.off += int64(n)
+	return n, err
 }
 
 // syncDir fsyncs a directory so a completed rename survives power loss.
@@ -756,9 +550,36 @@ func (s *Store) WithBytes(fn func(data []byte) error) error {
 	return fn(s.data)
 }
 
+// Size returns the length of the store's file in bytes.
+func (s *Store) Size() int64 { return int64(len(s.data)) }
+
+// WriteTo writes the store's file to w straight from its bytes, holding
+// them as WithBytes does. It implements io.WriterTo.
+func (s *Store) WriteTo(w io.Writer) (int64, error) {
+	var n int
+	err := s.WithBytes(func(data []byte) (err error) {
+		n, err = w.Write(data)
+		return err
+	})
+	return int64(n), err
+}
+
+// Manifest returns the delta manifest of the store's file.
+func (s *Store) Manifest() (*Manifest, error) {
+	var m *Manifest
+	err := s.WithBytes(func(data []byte) (err error) {
+		m, err = NewManifest(data)
+		return err
+	})
+	return m, err
+}
+
 // Kind returns the stored diagram kind, "quadrant" or "dynamic".
-func (s *Store) Kind() string {
-	if s.kind == kindDynamic {
+func (s *Store) Kind() string { return kindName(s.kind) }
+
+// kindName names a header kind as Kind and Manifest.Kind report it.
+func kindName(kind int) string {
+	if kind == kindDynamic {
 		return "dynamic"
 	}
 	return "quadrant"

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -17,6 +18,14 @@ import (
 	"repro/internal/geom"
 	"repro/internal/quaddiag"
 )
+
+// putTrailer re-seals a doctored file: it ends buf with the trailer magic
+// and the CRC32 of every byte before it, as the encoder does.
+func putTrailer(buf []byte) {
+	n := len(buf) - trailerSize
+	copy(buf[n:], trailerMagic)
+	binary.BigEndian.PutUint32(buf[n+8:], crc32.ChecksumIEEE(buf[:n]))
+}
 
 func buildDiagram(t *testing.T, n int, seed int64) *quaddiag.Diagram {
 	t.Helper()
