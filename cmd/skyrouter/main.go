@@ -1,6 +1,7 @@
-// Command skyrouter fronts a pool of skyserve read replicas: it
-// consistent-hashes datasets across them, health-checks each over
-// /v1/health (liveness plus snapshot-epoch freshness), fails reads over on
+// Command skyrouter fronts a pool of skyserve read replicas of one dataset:
+// it health-checks each over /v1/ready (readiness plus snapshot-epoch
+// freshness), sends each read to the first usable replica in -replicas
+// order (healthy and epoch-fresh replicas first), fails reads over on
 // errors and open circuit breakers, and forwards writes to the builder
 // node. Clients keep speaking the skyserve API — the router is a drop-in
 // address swap.
@@ -32,9 +33,8 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8090", "listen address")
-	replicas := flag.String("replicas", "", "comma-separated read replica base URLs (required)")
+	replicas := flag.String("replicas", "", "comma-separated read replica base URLs, in preference order (required)")
 	primary := flag.String("primary", "", "builder base URL for writes (empty: writes answer 501)")
-	replication := flag.Int("replication", 0, "replicas serving each dataset (0: all)")
 	staleEpochs := flag.Uint64("stale-epochs", 0, "snapshot lag (epochs) a replica may carry and still be preferred")
 	healthEvery := flag.Duration("health-interval", time.Second, "replica health poll interval")
 	breakerThreshold := flag.Int("breaker-threshold", 0, "consecutive failures opening a replica's breaker (0: client default, <0: disabled)")
@@ -55,7 +55,6 @@ func main() {
 	rt, err := router.New(router.Config{
 		Replicas:         pool,
 		Primary:          *primary,
-		Replication:      *replication,
 		StaleEpochs:      *staleEpochs,
 		HealthInterval:   *healthEvery,
 		BreakerThreshold: *breakerThreshold,

@@ -15,13 +15,20 @@
 //
 //	skyserve -serve-from diagram.sky -addr :8080
 //
+// -primary makes the process a read replica of a builder: it serves one
+// file, snapshot.sky in -snapshot-dir, the same way, and every -refresh
+// publishes a newer epoch from the builder over that file crash-safely
+// (temp, fsync, open and check, rename). A restart serves the file before
+// catching up. See docs/SCALEOUT.md:
+//
+//	skyserve -primary http://builder:8080 -snapshot-dir /var/sky -addr :8081
+//
 // Diagram builds run with -workers parallel workers (default: all CPUs; 0
 // forces sequential construction). Inserts and deletes never block queries:
 // all three diagrams are maintained incrementally from the previous snapshot
 // (use -full-rebuild to restore from-scratch rebuilds), queued writes are
-// coalesced into batches of up to -max-coalesce ops sharing one maintenance
-// pass and one snapshot swap (-coalesce-delay trades write latency for
-// bigger batches), and readers keep answering from the previous snapshot
+// coalesced into batches of up to 64 ops sharing one maintenance pass and
+// one snapshot swap, and readers keep answering from the previous snapshot
 // until the new one is swapped in. See docs/MAINTENANCE.md.
 //
 // -wal-dir makes writes durable: every coalesced batch is appended to a
@@ -80,7 +87,7 @@ func main() {
 	in := flag.String("in", "", "input CSV (default: the paper's hotel example)")
 	serveFrom := flag.String("serve-from", "", "serve a persisted diagram file (mmap'd, read-only) instead of building from -in")
 	primary := flag.String("primary", "", "replica mode: builder base URL to pull epoch-stamped snapshots from (read-only serving)")
-	snapshotDir := flag.String("snapshot-dir", "", "replica mode: directory caching fetched snapshot files (required with -primary)")
+	snapshotDir := flag.String("snapshot-dir", "", "replica mode: directory holding the served snapshot file, snapshot.sky (required with -primary)")
 	refresh := flag.Duration("refresh", server.DefaultRefreshInterval, "replica mode: snapshot poll interval")
 	deltaRing := flag.Int("delta-ring", 0,
 		"per-epoch snapshot manifests retained for page-delta catch-up: 0 default ("+
@@ -98,10 +105,6 @@ func main() {
 		"requests allowed to wait for a slot before shedding with 429 (-1: shed immediately at max-inflight)")
 	updateWait := flag.Duration("update-wait", server.DefaultUpdateWait,
 		"how long an insert/delete may wait for the writer slot before a 503 shed (-1 waits forever)")
-	maxCoalesce := flag.Int("max-coalesce", server.DefaultMaxCoalesce,
-		"queued writes one maintenance pass may fold into a single snapshot swap (-1 disables coalescing)")
-	coalesceDelay := flag.Duration("coalesce-delay", 0,
-		"how long a batch leader waits for more writes to queue before applying (adds write latency)")
 	fullRebuild := flag.Bool("full-rebuild", false,
 		"rebuild the global/dynamic diagrams from scratch on every write instead of maintaining them incrementally")
 	walDir := flag.String("wal-dir", "",
@@ -128,8 +131,6 @@ func main() {
 		MaxInFlight:      *maxInFlight,
 		MaxQueue:         *maxQueue,
 		UpdateWait:       *updateWait,
-		MaxCoalesce:      *maxCoalesce,
-		CoalesceDelay:    *coalesceDelay,
 		FullRebuild:      *fullRebuild,
 		CompactRatio:     *compactRatio,
 		WALDir:           *walDir,

@@ -12,7 +12,7 @@ func (d *QuadrantDiagram) ArenaLive() (live, total int) { return d.d.ArenaLive()
 
 // CompactArena returns an equivalent diagram over a garbage-free arena.
 func (d *QuadrantDiagram) CompactArena() *QuadrantDiagram {
-	return &QuadrantDiagram{d: d.d.CompactArena(), byID: d.byID}
+	return &QuadrantDiagram{d: d.d.CompactArena()}
 }
 
 // ArenaLive returns the referenced and total arena id counts across the
@@ -23,7 +23,7 @@ func (d *GlobalDiagram) ArenaLive() (live, total int) { return d.d.ArenaLive() }
 // compactAround returns an equivalent diagram over garbage-free arenas,
 // around quad, the compaction of its quadrant component.
 func (d *GlobalDiagram) compactAround(quad *QuadrantDiagram) *GlobalDiagram {
-	return &GlobalDiagram{d: d.d.CompactArena(quad.d), byID: d.byID}
+	return &GlobalDiagram{d: d.d.CompactArena(quad.d)}
 }
 
 // ArenaLive returns the referenced and total arena id counts of the wrapped

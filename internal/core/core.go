@@ -125,14 +125,12 @@ type Diagram interface {
 
 // QuadrantDiagram answers first-quadrant skyline queries.
 type QuadrantDiagram struct {
-	d    *quaddiag.Diagram
-	byID map[int32]Point
+	d *quaddiag.Diagram
 }
 
 // GlobalDiagram answers global skyline queries.
 type GlobalDiagram struct {
-	d    *quaddiag.GlobalDiagram
-	byID map[int32]Point
+	d *quaddiag.GlobalDiagram
 }
 
 // DynamicDiagram answers dynamic skyline queries.
@@ -166,7 +164,7 @@ func BuildQuadrant(pts []Point, opts Options) (*QuadrantDiagram, error) {
 		return nil, err
 	}
 	observeBuild(opts.Metrics, "quadrant", time.Since(start), d.Grid.NumCells())
-	return &QuadrantDiagram{d: d, byID: indexByID(pts)}, nil
+	return &QuadrantDiagram{d: d}, nil
 }
 
 // Query implements Diagram.
@@ -180,10 +178,9 @@ func (qd *QuadrantDiagram) AppendQueryXY(dst []int32, x, y float64) []int32 {
 	return append(dst, qd.d.QueryXY(x, y)...)
 }
 
-// QueryPoints implements Diagram.
-func (qd *QuadrantDiagram) QueryPoints(q Point) []Point {
-	return resolve(qd.byID, qd.d.Query(q))
-}
+// QueryPoints implements Diagram, resolving ids through the diagram's own
+// point index.
+func (qd *QuadrantDiagram) QueryPoints(q Point) []Point { return qd.d.QueryPoints(q) }
 
 // Polyominoes merges the diagram's cells into its skyline polyominoes.
 func (qd *QuadrantDiagram) Polyominoes() (*polyomino.Partition, error) { return qd.d.Merge() }
@@ -204,7 +201,7 @@ func (qd *QuadrantDiagram) WithInsert(p Point) (*QuadrantDiagram, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &QuadrantDiagram{d: nd, byID: indexByID(nd.Points)}, nil
+	return &QuadrantDiagram{d: nd}, nil
 }
 
 // WithDelete returns a new diagram covering Points without the given id,
@@ -214,7 +211,7 @@ func (qd *QuadrantDiagram) WithDelete(id int) (*QuadrantDiagram, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &QuadrantDiagram{d: nd, byID: indexByID(nd.Points)}, nil
+	return &QuadrantDiagram{d: nd}, nil
 }
 
 // BuildGlobal precomputes the global skyline diagram of pts.
@@ -234,7 +231,7 @@ func BuildGlobal(pts []Point, opts Options) (*GlobalDiagram, error) {
 		return nil, err
 	}
 	observeBuild(opts.Metrics, "global", time.Since(start), d.Grid.NumCells())
-	return &GlobalDiagram{d: d, byID: indexByID(pts)}, nil
+	return &GlobalDiagram{d: d}, nil
 }
 
 // buildGlobalAround builds the global diagram of quad's points around quad
@@ -251,7 +248,7 @@ func buildGlobalAround(quad *QuadrantDiagram, opts Options) (*GlobalDiagram, err
 		return nil, err
 	}
 	observeBuild(opts.Metrics, "global", time.Since(start), d.Grid.NumCells())
-	return &GlobalDiagram{d: d, byID: indexByID(d.Points)}, nil
+	return &GlobalDiagram{d: d}, nil
 }
 
 // Query implements Diagram.
@@ -265,9 +262,10 @@ func (gd *GlobalDiagram) AppendQueryXY(dst []int32, x, y float64) []int32 {
 	return gd.d.AppendQueryXY(dst, x, y)
 }
 
-// QueryPoints implements Diagram.
+// QueryPoints implements Diagram, resolving ids through the point index of
+// the mask-0 component, the quadrant diagram of the same points.
 func (gd *GlobalDiagram) QueryPoints(q Point) []Point {
-	return resolve(gd.byID, gd.d.Query(q))
+	return gd.d.Reflected(0).Resolve(gd.d.Query(q))
 }
 
 // Polyominoes merges the diagram's cells into its skyline polyominoes.

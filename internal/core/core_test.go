@@ -35,6 +35,56 @@ func TestQuadrantFacade(t *testing.T) {
 	}
 }
 
+// QueryPoints resolves ids through the quadrant diagram's own point index
+// (for global, its mask-0 component's), so every maintained and compacted
+// set must resolve each answer to exactly the set's points with those ids.
+func TestQueryPointsFollowMaintenance(t *testing.T) {
+	q := dataset.HotelQuery()
+	check := func(set *DiagramSet, wantID int32) {
+		t.Helper()
+		byID := make(map[int32]Point, len(set.Points))
+		for _, p := range set.Points {
+			byID[int32(p.ID)] = p
+		}
+		for kind, d := range map[string]Diagram{"quadrant": set.Quadrant, "global": set.Global} {
+			ids, pts := d.Query(q), d.QueryPoints(q)
+			if len(pts) != len(ids) {
+				t.Fatalf("%s: QueryPoints = %v for ids %v", kind, pts, ids)
+			}
+			found := false
+			for i, id := range ids {
+				if p := byID[id]; pts[i].String() != p.String() {
+					t.Fatalf("%s: id %d resolves to %v, want %v", kind, id, pts[i], p)
+				}
+				found = found || id == wantID
+			}
+			if !found {
+				t.Fatalf("%s: answer %v lacks id %d", kind, ids, wantID)
+			}
+		}
+	}
+	set, err := BuildSet(dataset.Hotels(), UpdateOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Point 99 sits just above and right of q, so it is the whole quadrant
+	// answer; once it is deleted again, hotel 3 is back in both answers.
+	steps := []struct {
+		op   Op
+		want int32
+	}{
+		{InsertOp(geom.Pt2(99, q.Coords[0]+0.5, q.Coords[1]+0.5)), 99},
+		{DeleteOp(99), 3},
+	}
+	for _, s := range steps {
+		if set, err = set.Apply(s.op, UpdateOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		check(set, s.want)
+	}
+	check(set.CompactArenas(), 3)
+}
+
 func TestGlobalAndDynamicFacade(t *testing.T) {
 	hotels := dataset.Hotels()
 	g, err := BuildGlobal(hotels, Options{})

@@ -323,7 +323,7 @@ func (gd *GlobalDiagram) around(op Op, quad *quaddiag.Diagram) (*GlobalDiagram, 
 	if err != nil {
 		return nil, err
 	}
-	return &GlobalDiagram{d: nd, byID: indexByID(nd.Points)}, nil
+	return &GlobalDiagram{d: nd}, nil
 }
 
 // WithInsert returns a new diagram covering Points ∪ {p}, maintained

@@ -1,3 +1,10 @@
+// Package router is the scale-out tier: it fronts a pool of read replicas
+// of one dataset, health-checks them over /v1/ready (readiness plus snapshot
+// epoch), and sends each read to the first usable replica in the pool's
+// preference order — the configured order, with healthy epoch-fresh
+// replicas first — failing over on errors and open circuit breakers (the
+// same breaker the typed client uses). Writes are forwarded to the builder
+// node, which is the single source of truth for snapshot epochs.
 package router
 
 import (
@@ -19,16 +26,13 @@ import (
 
 // Config configures a Router.
 type Config struct {
-	// Replicas are the read replicas' base URLs. At least one is required.
+	// Replicas are the read replicas' base URLs, in preference order. At
+	// least one is required; a trailing slash does not make a second
+	// replica.
 	Replicas []string
 	// Primary is the builder's base URL; inserts and deletes forward to it.
 	// Empty rejects writes with 501 (a read-only tier).
 	Primary string
-	// Replication is how many replicas serve each dataset: the first R
-	// nodes in the dataset's ring order are its candidates, the rest are
-	// never consulted for it. 0 (or >= len(Replicas)) means every replica
-	// serves every dataset.
-	Replication int
 	// StaleEpochs is the snapshot lag a replica may accumulate and still be
 	// preferred: a replica whose last observed epoch is more than this many
 	// generations behind the freshest pool member is demoted behind fresh
@@ -64,11 +68,8 @@ type backend struct {
 // replicas expose, so clients point at the router unchanged.
 type Router struct {
 	mux         *http.ServeMux
-	ring        *ring
-	backends    map[string]*backend
-	order       []string // configured replica order, for stable reporting
+	backends    []*backend // configured order: the pool's preference order
 	primary     string
-	replication int
 	staleEpochs uint64
 	interval    time.Duration
 	httpc       *http.Client
@@ -106,11 +107,7 @@ func New(cfg Config) (*Router, error) {
 		reg = metrics.NewRegistry()
 	}
 	rt := &Router{
-		ring:        newRing(cfg.Replicas),
-		backends:    make(map[string]*backend, len(cfg.Replicas)),
-		order:       append([]string(nil), cfg.Replicas...),
 		primary:     cfg.Primary,
-		replication: cfg.Replication,
 		staleEpochs: cfg.StaleEpochs,
 		interval:    cfg.HealthInterval,
 		httpc:       cfg.HTTPClient,
@@ -124,19 +121,22 @@ func New(cfg Config) (*Router, error) {
 		noReplica: reg.Counter("skyrouter_no_replica_total",
 			"Reads with no usable candidate (all breakers open or all failed)."),
 	}
-	for _, base := range cfg.Replicas {
+	seen := make(map[string]bool, len(cfg.Replicas))
+	for _, raw := range cfg.Replicas {
+		base := trimSlash(raw)
+		if seen[base] {
+			return nil, fmt.Errorf("router: duplicate replica %q", base)
+		}
+		seen[base] = true
 		b := &backend{
-			base: trimSlash(base),
+			base: base,
 			br:   client.NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
 		}
 		// Optimistic until the first health pass: with no data yet, every
 		// candidate sorts equal instead of all landing in the last-resort
 		// bucket.
 		b.healthy.Store(true)
-		if _, dup := rt.backends[base]; dup {
-			return nil, fmt.Errorf("router: duplicate replica %q", base)
-		}
-		rt.backends[base] = b
+		rt.backends = append(rt.backends, b)
 	}
 	rt.initRoutes()
 	return rt, nil
@@ -191,12 +191,12 @@ func (rt *Router) Run(ctx context.Context) {
 // pool state deterministically instead of racing a background loop.
 func (rt *Router) HealthCheck(ctx context.Context) {
 	var wg sync.WaitGroup
-	for name, b := range rt.backends {
+	for _, b := range rt.backends {
 		wg.Add(1)
-		go func(name string, b *backend) {
+		go func(b *backend) {
 			defer wg.Done()
-			rt.probe(ctx, name, b)
-		}(name, b)
+			rt.probe(ctx, b)
+		}(b)
 	}
 	wg.Wait()
 }
@@ -206,7 +206,7 @@ func (rt *Router) HealthCheck(ctx context.Context) {
 // replica bootstrap in progress — alive but unable to answer queries) from
 // actually serving. Replicas predating the readiness split answer 404/405
 // there, in which case the probe falls back to /v1/health, the old behavior.
-func (rt *Router) probe(ctx context.Context, name string, b *backend) {
+func (rt *Router) probe(ctx context.Context, b *backend) {
 	ctx, cancel := context.WithTimeout(ctx, healthProbeTimeout)
 	defer cancel()
 	status, epoch, hasEpoch, err := rt.probeURL(ctx, b.base+"/v1/ready")
@@ -226,9 +226,9 @@ func (rt *Router) probe(ctx context.Context, name string, b *backend) {
 		up = 1
 	}
 	rt.reg.Gauge("skyrouter_backend_healthy",
-		"1 while the replica's last health probe succeeded.", "backend", name).Set(up)
+		"1 while the replica's last health probe succeeded.", "backend", b.base).Set(up)
 	rt.reg.Gauge("skyrouter_backend_epoch",
-		"Snapshot epoch the replica last reported.", "backend", name).
+		"Snapshot epoch the replica last reported.", "backend", b.base).
 		Set(float64(b.epoch.Load()))
 }
 
@@ -252,51 +252,37 @@ func (rt *Router) probeURL(ctx context.Context, url string) (status int, epoch u
 	return resp.StatusCode, epoch, hasEpoch, nil
 }
 
-// candidates returns the dataset's replicas in try-order: its ring order
-// restricted to the replication set, partitioned healthy-and-fresh first,
-// then healthy-but-stale, then unhealthy as a last resort (a probe may be
-// wrong, and a stale answer from a live replica beats no answer).
-func (rt *Router) candidates(dataset string) []*backend {
-	names := rt.ring.Order(dataset)
-	if rt.replication > 0 && rt.replication < len(names) {
-		names = names[:rt.replication]
-	}
+// candidates returns the replicas in try-order: the configured order,
+// partitioned healthy-and-fresh first, then healthy-but-stale, then
+// unhealthy as a last resort (a probe may be wrong, and a stale answer from
+// a live replica beats no answer).
+func (rt *Router) candidates() []*backend {
 	var maxEpoch uint64
-	for _, n := range names {
-		if e := rt.backends[n].epoch.Load(); e > maxEpoch {
+	for _, b := range rt.backends {
+		if e := b.epoch.Load(); e > maxEpoch {
 			maxEpoch = e
 		}
 	}
 	fresh := func(b *backend) bool {
 		return b.epoch.Load()+rt.staleEpochs >= maxEpoch
 	}
-	out := make([]*backend, 0, len(names))
-	for _, n := range names { // healthy + fresh
-		if b := rt.backends[n]; b.healthy.Load() && fresh(b) {
+	out := make([]*backend, 0, len(rt.backends))
+	for _, b := range rt.backends { // healthy + fresh
+		if b.healthy.Load() && fresh(b) {
 			out = append(out, b)
 		}
 	}
-	for _, n := range names { // healthy + stale
-		if b := rt.backends[n]; b.healthy.Load() && !fresh(b) {
+	for _, b := range rt.backends { // healthy + stale
+		if b.healthy.Load() && !fresh(b) {
 			out = append(out, b)
 		}
 	}
-	for _, n := range names { // unhealthy
-		if b := rt.backends[n]; !b.healthy.Load() {
+	for _, b := range rt.backends { // unhealthy
+		if !b.healthy.Load() {
 			out = append(out, b)
 		}
 	}
 	return out
-}
-
-// datasetKey extracts the routing key. Single-dataset deployments omit it
-// and hash the same default everywhere, which still yields one fixed
-// preference order per router — cache-friendly across the pool.
-func datasetKey(r *http.Request) string {
-	if d := r.URL.Query().Get("dataset"); d != "" {
-		return d
-	}
-	return "default"
 }
 
 // bufferedResp is a fully-read backend response, safe to forward: the body
@@ -376,7 +362,7 @@ func (rt *Router) handleRead(w http.ResponseWriter, r *http.Request) {
 	}
 	var firstShed, firstUnserved *bufferedResp
 	tried, unserved := 0, 0
-	for _, b := range rt.candidates(datasetKey(r)) {
+	for _, b := range rt.candidates() {
 		if !b.br.Allow() {
 			continue
 		}
@@ -474,8 +460,7 @@ func (rt *Router) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		Replicas []replicaHealth `json:"replicas"`
 	}{Status: "ok"}
 	healthyN := 0
-	for _, name := range rt.order {
-		b := rt.backends[name]
+	for _, b := range rt.backends {
 		rh := replicaHealth{
 			Backend: b.base,
 			Healthy: b.healthy.Load(),

@@ -81,22 +81,54 @@ func get(t *testing.T, rt *Router, path string) (int, string, string) {
 	return rec.Code, rec.Body.String(), rec.Header().Get("X-Sky-Backend")
 }
 
-func TestRouterRoutesToRingOrder(t *testing.T) {
+// Reads go to the first replica in configured order while it is usable,
+// and the order the operator wrote is the order the pool prefers: listing
+// the same replicas the other way round flips the home node.
+func TestRouterRoutesInConfiguredOrder(t *testing.T) {
 	a, b := newFakeReplica(t), newFakeReplica(t)
-	rt := newTestRouter(t, Config{Replicas: []string{a.srv.URL, b.srv.URL}})
-	code, body, backend := get(t, rt, "/v1/skyline?x=1&y=2")
-	if code != 200 {
-		t.Fatalf("code = %d, body %s", code, body)
-	}
-	want := rt.ring.Order("default")[0]
-	if backend != want {
-		t.Fatalf("answered by %s, ring order wants %s", backend, want)
-	}
-	// Same key keeps hitting the same home replica.
-	for i := 0; i < 5; i++ {
-		if _, _, bk := get(t, rt, "/v1/skyline?x=1&y=2"); bk != want {
-			t.Fatalf("routing not sticky: %s then %s", want, bk)
+	for _, pool := range [][]string{{a.srv.URL, b.srv.URL}, {b.srv.URL, a.srv.URL}} {
+		rt := newTestRouter(t, Config{Replicas: pool})
+		for i := 0; i < 5; i++ {
+			code, body, backend := get(t, rt, "/v1/skyline?x=1&y=2")
+			if code != 200 {
+				t.Fatalf("code = %d, body %s", code, body)
+			}
+			if backend != pool[0] {
+				t.Fatalf("pool %v: read %d answered by %s, want the first replica", pool, i, backend)
+			}
 		}
+	}
+}
+
+// A replica listed twice, once with a trailing slash, is one node: New
+// refuses the pool instead of giving it two breakers, which would "fail
+// over" a read to the node that just failed it.
+func TestRouterRejectsDuplicateReplica(t *testing.T) {
+	a, b := newFakeReplica(t), newFakeReplica(t)
+	for _, pool := range [][]string{
+		{a.srv.URL, a.srv.URL},
+		{a.srv.URL + "/", b.srv.URL, a.srv.URL},
+	} {
+		if _, err := New(Config{Replicas: pool}); err == nil || !strings.Contains(err.Error(), "duplicate replica") {
+			t.Fatalf("pool %v: err = %v, want a duplicate replica error", pool, err)
+		}
+	}
+	rt := newTestRouter(t, Config{Replicas: []string{a.srv.URL + "/", b.srv.URL}})
+	if got := rt.backends[0].base; got != a.srv.URL {
+		t.Fatalf("backend base = %q, want the trimmed URL %q", got, a.srv.URL)
+	}
+	// The metric label is the trimmed URL too, so the health gauges and the
+	// error counter of one replica are one series.
+	rt.HealthCheck(context.Background())
+	var prom strings.Builder
+	if err := rt.Metrics().WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("skyrouter_backend_healthy{backend=%q} 1", a.srv.URL); !strings.Contains(prom.String(), want) {
+		t.Fatalf("metrics lack %q:\n%s", want, prom.String())
+	}
+	if strings.Contains(prom.String(), a.srv.URL+"/") {
+		t.Fatalf("metrics label the replica with its untrimmed URL:\n%s", prom.String())
 	}
 }
 
@@ -115,16 +147,13 @@ func TestRouterFailover(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			a, b := newFakeReplica(t), newFakeReplica(t)
 			rt := newTestRouter(t, Config{Replicas: []string{a.srv.URL, b.srv.URL}})
-			order := rt.ring.Order("default")
-			first := map[string]*fakeReplica{a.srv.URL: a, b.srv.URL: b}[order[0]]
-			second := order[1]
-			tc.break1(first)
+			tc.break1(a)
 			code, body, backend := get(t, rt, "/v1/skyline?x=1&y=2")
 			if code != 200 {
 				t.Fatalf("code = %d body %s", code, body)
 			}
-			if backend != second {
-				t.Fatalf("answered by %s, want failover target %s", backend, second)
+			if backend != b.srv.URL {
+				t.Fatalf("answered by %s, want failover target %s", backend, b.srv.URL)
 			}
 			if got := rt.failovers.Value(); (got > 0) != tc.wantFailover {
 				t.Fatalf("failovers = %d, want >0 == %v", got, tc.wantFailover)
@@ -183,9 +212,7 @@ func TestRouterBreakerOpenSkipsBackend(t *testing.T) {
 		BreakerThreshold: 2,
 		BreakerCooldown:  time.Hour, // stays open for the whole test
 	})
-	order := rt.ring.Order("default")
-	reps := map[string]*fakeReplica{a.srv.URL: a, b.srv.URL: b}
-	first, second := reps[order[0]], reps[order[1]]
+	first, second := a, b
 	first.mode.Store("err")
 	// Two failing reads trip the first replica's breaker.
 	for i := 0; i < 2; i++ {
@@ -193,7 +220,7 @@ func TestRouterBreakerOpenSkipsBackend(t *testing.T) {
 			t.Fatalf("read %d failed over wrong: %d %s", i, code, body)
 		}
 	}
-	if s := rt.backends[order[0]].br.State(); s != "open" {
+	if s := rt.backends[0].br.State(); s != "open" {
 		t.Fatalf("first replica breaker = %s, want open", s)
 	}
 	hitsBefore := first.hits.Load()
@@ -217,22 +244,14 @@ func TestRouter4xxNoFailover(t *testing.T) {
 	mux.HandleFunc("GET /v1/health", func(w http.ResponseWriter, r *http.Request) { w.WriteHeader(200) })
 	bad := httptest.NewServer(mux)
 	t.Cleanup(bad.Close)
+	// The 400-answering replica comes first, so the relay is provable.
 	rt := newTestRouter(t, Config{Replicas: []string{bad.URL, b.srv.URL}})
-	// Find a key homed on the 400-answering replica so the relay is provable.
-	key := ""
-	for i := 0; i < 200; i++ {
-		k := fmt.Sprintf("ds%d", i)
-		if rt.ring.Order(k)[0] == bad.URL {
-			key = k
-			break
-		}
-	}
-	if key == "" {
-		t.Fatal("no key homed on the bad replica")
-	}
-	code, _, backend := get(t, rt, "/v1/skyline?x=a&dataset="+key)
+	code, _, backend := get(t, rt, "/v1/skyline?x=a")
 	if code != http.StatusBadRequest || backend != bad.URL {
 		t.Fatalf("4xx relay: code %d backend %s, want 400 from %s", code, backend, bad.URL)
+	}
+	if b.hits.Load() != 0 {
+		t.Fatal("4xx was retried on the next replica")
 	}
 	if rt.failovers.Value() != 0 {
 		t.Fatal("4xx must not count as failover")
@@ -240,21 +259,19 @@ func TestRouter4xxNoFailover(t *testing.T) {
 }
 
 // A stale replica (behind on epochs) is demoted behind fresh ones even when
-// it is the key's home node.
+// it is the first in configured order.
 func TestRouterStaleReplicaDemoted(t *testing.T) {
 	a, b := newFakeReplica(t), newFakeReplica(t)
 	rt := newTestRouter(t, Config{Replicas: []string{a.srv.URL, b.srv.URL}})
-	reps := map[string]*fakeReplica{a.srv.URL: a, b.srv.URL: b}
-	home := rt.ring.Order("default")[0]
-	other := rt.ring.Order("default")[1]
-	reps[home].epoch.Store(3) // home lags
-	reps[other].epoch.Store(7)
+	home, other := a.srv.URL, b.srv.URL
+	a.epoch.Store(3) // home lags
+	b.epoch.Store(7)
 	rt.HealthCheck(context.Background())
 	if code, _, backend := get(t, rt, "/v1/skyline?x=1&y=2"); code != 200 || backend != other {
 		t.Fatalf("stale home not demoted: code %d backend %s, want %s", code, backend, other)
 	}
-	// Once caught up, the home node takes the key back.
-	reps[home].epoch.Store(7)
+	// Once caught up, the home node takes the reads back.
+	a.epoch.Store(7)
 	rt.HealthCheck(context.Background())
 	if _, _, backend := get(t, rt, "/v1/skyline?x=1&y=2"); backend != home {
 		t.Fatalf("caught-up home not restored: backend %s, want %s", backend, home)
@@ -264,33 +281,10 @@ func TestRouterStaleReplicaDemoted(t *testing.T) {
 func TestRouterUnhealthyReplicaDemoted(t *testing.T) {
 	a, b := newFakeReplica(t), newFakeReplica(t)
 	rt := newTestRouter(t, Config{Replicas: []string{a.srv.URL, b.srv.URL}})
-	reps := map[string]*fakeReplica{a.srv.URL: a, b.srv.URL: b}
-	home, other := rt.ring.Order("default")[0], rt.ring.Order("default")[1]
-	reps[home].mode.Store("healthdown")
+	a.mode.Store("healthdown")
 	rt.HealthCheck(context.Background())
-	if _, _, backend := get(t, rt, "/v1/skyline?x=1&y=2"); backend != other {
-		t.Fatalf("unhealthy home not demoted: backend %s, want %s", backend, other)
-	}
-}
-
-func TestRouterReplicationLimitsCandidates(t *testing.T) {
-	a, b, c := newFakeReplica(t), newFakeReplica(t), newFakeReplica(t)
-	rt := newTestRouter(t, Config{
-		Replicas:    []string{a.srv.URL, b.srv.URL, c.srv.URL},
-		Replication: 2,
-	})
-	order := rt.ring.Order("default")
-	reps := map[string]*fakeReplica{a.srv.URL: a, b.srv.URL: b, c.srv.URL: c}
-	// Break the two in-set replicas: the third must NOT be consulted.
-	reps[order[0]].mode.Store("err")
-	reps[order[1]].mode.Store("err")
-	beyond := reps[order[2]]
-	code, _, _ := get(t, rt, "/v1/skyline?x=1&y=2")
-	if code != http.StatusServiceUnavailable {
-		t.Fatalf("code = %d, want 503 with replication=2 and both candidates down", code)
-	}
-	if beyond.hits.Load() != 0 {
-		t.Fatal("replica outside the replication set was consulted")
+	if _, _, backend := get(t, rt, "/v1/skyline?x=1&y=2"); backend != b.srv.URL {
+		t.Fatalf("unhealthy home not demoted: backend %s, want %s", backend, b.srv.URL)
 	}
 }
 
@@ -426,9 +420,9 @@ func TestProbePrefersReadiness(t *testing.T) {
 	}
 	rt.HealthCheck(context.Background())
 
-	check := func(url string, wantHealthy bool, wantEpoch uint64) {
+	check := func(i int, wantHealthy bool, wantEpoch uint64) {
 		t.Helper()
-		b := rt.backends[url]
+		b, url := rt.backends[i], rt.backends[i].base
 		if got := b.healthy.Load(); got != wantHealthy {
 			t.Errorf("%s healthy = %v, want %v", url, got, wantHealthy)
 		}
@@ -436,9 +430,9 @@ func TestProbePrefersReadiness(t *testing.T) {
 			t.Errorf("%s epoch = %d, want %d", url, got, wantEpoch)
 		}
 	}
-	check(both.URL, true, 7)      // readiness view wins over liveness
-	check(starting.URL, false, 0) // alive but not ready: no traffic
-	check(legacy.URL, true, 5)    // fallback keeps old replicas routable
+	check(0, true, 7)  // both: readiness view wins over liveness
+	check(1, false, 0) // starting: alive but not ready, no traffic
+	check(2, true, 5)  // legacy: the fallback keeps old replicas routable
 }
 
 // A kind the replicas' files do not hold is the caller's mistake, not a
@@ -481,12 +475,12 @@ func TestRouterUnservedKindKeepsBreakersClosed(t *testing.T) {
 			t.Fatalf("global read %d: code %d from %q (%s), want the replica's 501 relayed", i, code, backend, body)
 		}
 	}
-	for _, u := range urls {
-		if s := rt.backends[u].br.State(); s != "closed" {
-			t.Fatalf("breaker of %s is %s after unserved-kind reads, want closed", u, s)
+	for _, b := range rt.backends {
+		if s := b.br.State(); s != "closed" {
+			t.Fatalf("breaker of %s is %s after unserved-kind reads, want closed", b.base, s)
 		}
-		if n := rt.backendErrs(rt.backends[u]).Value(); n != 0 {
-			t.Fatalf("%s counted %d backend errors for 501 answers", u, n)
+		if n := rt.backendErrs(b).Value(); n != 0 {
+			t.Fatalf("%s counted %d backend errors for 501 answers", b.base, n)
 		}
 	}
 	if f, n := rt.failovers.Value(), rt.noReplica.Value(); f != 0 || n != 0 {

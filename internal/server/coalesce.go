@@ -11,12 +11,12 @@ import (
 
 // Write coalescing. Inserts and deletes enqueue a pendingOp; whichever
 // writer acquires the writer slot becomes the batch leader, claims up to
-// MaxCoalesce queued ops FIFO, folds them through one incremental
-// maintenance pass (core.DiagramSet.ApplyBatch) and one snapshot swap, and
-// delivers each op its own result — so a burst of writers pays one
-// maintenance pass instead of one per op, while 409/404 attribution stays
-// per-op (a rejected op is skipped inside the batch, it does not poison its
-// neighbours).
+// maxCoalesce queued ops FIFO as soon as it holds the slot, folds them
+// through one incremental maintenance pass (core.DiagramSet.ApplyBatch)
+// and one snapshot swap, and delivers each op its own result — so a burst
+// of writers pays one maintenance pass instead of one per op, while 409/404
+// attribution stays per-op (a rejected op is skipped inside the batch, it
+// does not poison its neighbours).
 //
 // Shedding keeps the strict before-any-state-change guarantee of the
 // pre-coalescing path: a waiter whose deadline expires withdraws its op, but
@@ -24,6 +24,10 @@ import (
 // waiter blocks for the authoritative result even past its deadline, because
 // the batch may already have applied it — answering 503 then would lie about
 // a write that took effect.
+
+// maxCoalesce caps how many queued writes one maintenance pass folds into
+// a single snapshot swap.
+const maxCoalesce = 64
 
 // pendingOp is one queued write and its result channel (buffered; each op
 // receives exactly one result from the leader that claims it).
@@ -59,7 +63,7 @@ func (h *Handler) submitOp(ctx context.Context, op core.Op) (int, error) {
 			return res.points, res.err
 		case h.updateSlot <- struct{}{}:
 			// Leader: run one batch (which may or may not include po if the
-			// queue is longer than MaxCoalesce), then re-check for a result.
+			// queue is longer than maxCoalesce), then re-check for a result.
 			h.runBatch()
 		case <-ctx.Done():
 			if h.withdraw(po) {
@@ -94,15 +98,8 @@ func (h *Handler) withdraw(po *pendingOp) bool {
 // partial batch, and the whole batch either swaps in atomically or sheds.
 func (h *Handler) runBatch() {
 	defer func() { <-h.updateSlot }()
-	if h.coalesceDelay > 0 {
-		// Let a write burst accumulate so one pass absorbs it.
-		time.Sleep(h.coalesceDelay)
-	}
 	h.pendMu.Lock()
-	k := len(h.pending)
-	if k > h.maxCoalesce {
-		k = h.maxCoalesce
-	}
+	k := min(len(h.pending), maxCoalesce)
 	if k == 0 {
 		h.pendMu.Unlock()
 		return

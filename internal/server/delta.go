@@ -70,7 +70,7 @@ type snapshotFile interface {
 // mapping, so the caller must hold the store (acquire) while using it.
 func (st *state) file() (snapshotFile, error) {
 	if st.stored != nil {
-		return st.stored.st, nil
+		return st.stored, nil
 	}
 	return store.NewEncoder(st.quadrant.Cells(), st.epoch)
 }

@@ -5,11 +5,13 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/geom"
+	"repro/internal/store"
 )
 
 // trickyFloats are the values where encoding/json's float rendering has
@@ -127,8 +129,9 @@ func TestEncoderZeroAllocs(t *testing.T) {
 // TestAnswerPathZeroAllocs pins the answer-and-encode step the query
 // handlers run at zero heap allocations once the id and byte pools are warm,
 // for every kind, single and batch, on a built n=64 state with the dynamic
-// kind on. Global answers are merged into the pooled id buffer; answering
-// them through QueryXY, which returns a fresh slice, fails here.
+// kind on, and for a relay's state answering from its mapped file. Global
+// answers are merged into the pooled id buffer; answering them through
+// QueryXY, which returns a fresh slice, fails here.
 func TestAnswerPathZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector, so two pools refill about once per run")
@@ -141,22 +144,39 @@ func TestAnswerPathZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := stateFromSet(set)
+	path := filepath.Join(t.TempDir(), "relay.sky")
+	if err := store.CreateFileEpoch(path, set.Quadrant.Cells(), 1); err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := store.OpenMmap(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Close()
+	built, relay := stateFromSet(set), serveFromState(mapped)
 	queries := [][]float64{{0.1, 0.9}, {0.5, 0.5}, {0.93, 0.07}, {-1, 2}, {0.31, 0.28}, {0.72, 0.41}}
-	for _, kind := range []string{"quadrant", "global", "dynamic"} {
-		d, err := st.diagramFor(kind)
+	for _, c := range []struct {
+		name, kind string
+		st         *state
+	}{
+		{"quadrant", "quadrant", built},
+		{"global", "global", built},
+		{"dynamic", "dynamic", built},
+		{"relay", "quadrant", relay},
+	} {
+		d, err := c.st.diagramFor(c.kind)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, batch := range []bool{false, true} {
 			answer := func() {
 				bp := getBuf()
-				*bp = appendAnswers(*bp, d, kind, queries, batch, st.frags)
+				*bp = appendAnswers(*bp, d, c.kind, queries, batch, c.st.frags)
 				putBuf(bp)
 			}
 			answer() // warm both pools
 			if allocs := testing.AllocsPerRun(200, answer); allocs != 0 {
-				t.Fatalf("%s (batch=%v): %v allocs/op, want 0", kind, batch, allocs)
+				t.Fatalf("%s (batch=%v): %v allocs/op, want 0", c.name, batch, allocs)
 			}
 		}
 	}

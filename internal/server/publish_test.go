@@ -253,12 +253,12 @@ func TestRelayRetiresStoreUnderStreams(t *testing.T) {
 			t.Fatalf("builder snapshot %d: code %d epoch %s", e, rec.Code, rec.Header().Get("X-Sky-Epoch"))
 		}
 		files[e] = rec.Body.Bytes()
-		if err := os.WriteFile(filepath.Join(dir, snapshotFileName(e)), files[e], 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("e%d.sky", e)), files[e], 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 	open := func(e uint64) *store.Store {
-		st, err := store.OpenMmap(filepath.Join(dir, snapshotFileName(e)))
+		st, err := store.OpenMmap(filepath.Join(dir, fmt.Sprintf("e%d.sky", e)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -341,7 +341,7 @@ func TestRelayRetiresStoreUnderStreams(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	last := relay.snapshot().stored.st
+	last := relay.snapshot().stored
 	if got := last.Epoch(); got != epochs {
 		t.Fatalf("relay serves epoch %d, want %d", got, epochs)
 	}

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -21,26 +20,24 @@ import (
 // Replica keeps a serve-from handler in sync with a builder node: it polls
 // GET /v1/snapshot?epoch= with the epoch it currently serves (plus ?from=
 // so a delta-capable primary may answer with just the changed pages, which
-// are patched over the mapping it already serves), and on a 200 writes the
-// resulting bytes to its snapshot directory (temp + fsync + rename, like
-// the builder's own publish), memory-maps it — the CRC check at open rejects
-// any torn download or bad patch, which is then deleted and refetched — and
-// pointer-swaps it into the handler. Neither readers nor the swap block:
-// the old store is closed and its file deleted right after the swap, and
-// the last reader still holding its mapping unmaps it when it finishes.
+// are patched over the mapping it already serves), and on a 200 publishes
+// the resulting bytes as its one file, <Dir>/snapshot.sky, through
+// store.CreateFileFrom: temp file, fsync, an open that checks every CRC
+// and the epoch, rename, directory fsync. A torn download, a bad patch or
+// an epoch that is not newer is refused before the rename, so the file only
+// ever holds a snapshot that opened and was accepted. The new store is then
+// pointer-swapped into the handler. Neither readers nor the swap block:
+// the old store is closed right after the swap, and the last reader still
+// holding its mapping unmaps it when it finishes.
 //
-// A replica that restarts finds its last snapshot in the directory and
-// serves it immediately, then catches up to the builder in one fetch — the
-// cheap bootstrap from ROADMAP item 3 plus the catch-up protocol from
-// item 1.
+// A replica that restarts opens its file with store.Recover and serves it
+// immediately, then catches up to the builder in one fetch.
 type Replica struct {
 	h        *Handler
 	primary  string
-	dir      string
+	path     string // the snapshot file, <Dir>/snapshot.sky
 	interval time.Duration
 	httpc    *http.Client
-
-	curPath string // file backing the currently served store
 
 	// fullNext forces the next poll to skip delta negotiation. Set when a
 	// delta body failed to apply (diverged base, torn or corrupt patch):
@@ -68,8 +65,8 @@ type Replica struct {
 type ReplicaConfig struct {
 	// Primary is the builder's base URL, e.g. "http://builder:8080".
 	Primary string
-	// Dir caches fetched snapshot files; it is created if missing. A
-	// restart re-serves the newest cached snapshot before catching up.
+	// Dir holds the replica's snapshot file; it is created if missing. A
+	// restart re-serves that snapshot before catching up.
 	Dir string
 	// Interval between snapshot polls. 0 means the default of 2s.
 	Interval time.Duration
@@ -87,10 +84,10 @@ const DefaultRefreshInterval = 2 * time.Second
 // DefaultMaxBackoff caps the failure backoff between snapshot polls.
 const DefaultMaxBackoff = 30 * time.Second
 
-// BootstrapReplica brings up a replica: it serves the newest valid cached
-// snapshot if the directory holds one, otherwise blocks fetching the first
-// snapshot from the primary (retrying until ctx is done), and returns the
-// ready-to-serve handler plus the Replica whose Run loop keeps it fresh.
+// BootstrapReplica brings up a replica: it serves the snapshot file in the
+// directory if it opens (store.Recover), otherwise blocks fetching the
+// first snapshot from the primary (retrying until ctx is done), and returns
+// the ready-to-serve handler plus the Replica whose Run loop keeps it fresh.
 func BootstrapReplica(ctx context.Context, rc ReplicaConfig, cfg Config) (*Handler, *Replica, error) {
 	if rc.Primary == "" {
 		return nil, nil, errors.New("server: replica needs a primary URL")
@@ -115,7 +112,7 @@ func BootstrapReplica(ctx context.Context, rc ReplicaConfig, cfg Config) (*Handl
 	}
 	r := &Replica{
 		primary:    strings.TrimRight(rc.Primary, "/"),
-		dir:        rc.Dir,
+		path:       filepath.Join(rc.Dir, "snapshot.sky"),
 		interval:   rc.Interval,
 		maxBackoff: rc.MaxBackoff,
 		rng:        rand.New(rand.NewSource(time.Now().UnixNano())),
@@ -123,10 +120,12 @@ func BootstrapReplica(ctx context.Context, rc ReplicaConfig, cfg Config) (*Handl
 		httpc:      rc.HTTPClient,
 	}
 
-	st, path := r.openCached()
+	st, err := store.Recover(r.path)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		log.Printf("skyserve: replica snapshot %s: %v (fetching)", r.path, err)
+	}
 	for st == nil {
-		var err error
-		st, path, err = r.fetch(ctx, 0)
+		st, err = r.fetch(ctx, 0)
 		if err == nil && st == nil {
 			err = errors.New("primary answered 304 to an empty replica")
 		}
@@ -146,7 +145,6 @@ func BootstrapReplica(ctx context.Context, rc ReplicaConfig, cfg Config) (*Handl
 		return nil, nil, err
 	}
 	r.h = h
-	r.curPath = path
 	r.lastChange = time.Now()
 	reg := h.Metrics()
 	r.refreshes = reg.Counter("skyserve_replica_refreshes_total",
@@ -202,7 +200,7 @@ func (r *Replica) nextDelay() time.Duration {
 // admin hook) can drive the replication deterministically.
 func (r *Replica) Refresh(ctx context.Context) (bool, error) {
 	cur := r.h.snapshot().epoch
-	st, path, err := r.fetch(ctx, cur)
+	st, err := r.fetch(ctx, cur)
 	if err != nil {
 		r.fetchErrs.Inc()
 		r.consecFails++
@@ -217,13 +215,10 @@ func (r *Replica) Refresh(ctx context.Context) (bool, error) {
 	old, err := r.h.SwapStore(st)
 	if err != nil {
 		st.Close()
-		os.Remove(path)
 		r.fetchErrs.Inc()
 		r.consecFails++
 		return false, err
 	}
-	oldPath := r.curPath
-	r.curPath = path
 	r.lastChange = time.Now()
 	r.staleSecs.Set(0)
 	r.consecFails = 0
@@ -231,9 +226,6 @@ func (r *Replica) Refresh(ctx context.Context) (bool, error) {
 	// Close returns at once; a reader still holding the old mapping
 	// unmaps it when it finishes.
 	old.Close()
-	if oldPath != "" && oldPath != path {
-		os.Remove(oldPath)
-	}
 	return true, nil
 }
 
@@ -242,160 +234,93 @@ func (r *Replica) Close() error {
 	if r.h == nil {
 		return nil
 	}
-	snap := r.h.snapshot()
-	if snap.stored != nil {
-		return snap.stored.st.Close()
-	}
-	return nil
+	return r.h.snapshot().stored.Close()
 }
 
-// fetch polls the primary with the given epoch. It returns (nil, "", nil)
-// on 304, or an opened mmap'd store backed by a freshly published file in
-// the snapshot directory. When the replica holds a cached file it offers
-// ?from= and the primary may answer with a delta body, which is patched
-// over the served store's bytes before the same persist path. Any integrity
-// failure — torn body or bad patch caught by a CRC, epoch not newer —
-// deletes the file and errors, so a bad fetch can never become the served
+// fetch polls the primary with the given epoch. It returns (nil, nil) on
+// 304, or the store serving the newer snapshot it published as the
+// replica's file. While serving an epoch it offers ?from= and the primary
+// may answer with a delta body, which is patched over the served store's
+// bytes on the way into the file. Any integrity failure — torn body or bad
+// patch caught by a CRC, epoch not newer — refuses the file before it
+// replaces the served one, so a bad fetch can never become the served
 // snapshot; a failed patch additionally forces the next poll to fetch full.
-func (r *Replica) fetch(ctx context.Context, epoch uint64) (*store.Store, string, error) {
+func (r *Replica) fetch(ctx context.Context, epoch uint64) (*store.Store, error) {
 	url := fmt.Sprintf("%s/v1/snapshot?epoch=%d", r.primary, epoch)
-	wantDelta := epoch > 0 && r.curPath != "" && !r.fullNext
+	wantDelta := epoch > 0 && !r.fullNext
 	if wantDelta {
 		url += fmt.Sprintf("&from=%d", epoch)
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	resp, err := r.httpc.Do(req)
 	if err != nil {
-		return nil, "", fmt.Errorf("snapshot fetch: %w", err)
+		return nil, fmt.Errorf("snapshot fetch: %w", err)
 	}
 	defer resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusNotModified:
 		r.fullNext = false
-		return nil, "", nil
+		return nil, nil
 	case http.StatusOK:
 	default:
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil, "", fmt.Errorf("snapshot fetch: primary answered %s", resp.Status)
+		return nil, fmt.Errorf("snapshot fetch: primary answered %s", resp.Status)
 	}
 	remote, err := strconv.ParseUint(resp.Header.Get("X-Sky-Epoch"), 10, 64)
 	if err != nil || remote <= epoch {
-		return nil, "", fmt.Errorf("snapshot fetch: bad X-Sky-Epoch %q (serving %d)",
+		return nil, fmt.Errorf("snapshot fetch: bad X-Sky-Epoch %q (serving %d)",
 			resp.Header.Get("X-Sky-Epoch"), epoch)
 	}
 
-	write := func(f *os.File) error {
-		_, err := io.Copy(f, resp.Body)
+	write := func(w io.Writer) error {
+		_, err := io.Copy(w, resp.Body)
 		return err
 	}
 	if resp.Header.Get("X-Sky-Snapshot-Mode") == "delta" {
 		if !wantDelta {
-			return nil, "", fmt.Errorf("snapshot fetch: unsolicited delta body")
+			return nil, fmt.Errorf("snapshot fetch: unsolicited delta body")
 		}
 		// Anything that goes wrong from here until the swap means the delta
 		// path is poisoned for this base; converge via a full fetch next.
 		r.fullNext = true
 		delta, err := io.ReadAll(resp.Body)
 		if err != nil {
-			return nil, "", fmt.Errorf("snapshot patch: %w", err)
+			return nil, fmt.Errorf("snapshot patch: %w", err)
 		}
-		write = func(f *os.File) error {
-			if err := r.applyDelta(f, delta); err != nil {
+		write = func(w io.Writer) error {
+			if err := r.applyDelta(w, delta); err != nil {
 				return fmt.Errorf("patch: %w", err)
 			}
 			return nil
 		}
 	}
 
-	final := filepath.Join(r.dir, snapshotFileName(remote))
-	tmp := final + ".tmp"
-	f, err := os.Create(tmp)
+	// The open before the rename checks the CRC trailer, which catches a
+	// truncation the transport did not surface; the next tick refetches.
+	st, err := store.CreateFileFrom(r.path, write, func(st *store.Store) error {
+		if st.Epoch() <= epoch {
+			return fmt.Errorf("file epoch %d not newer than %d", st.Epoch(), epoch)
+		}
+		return nil
+	})
 	if err != nil {
-		return nil, "", err
-	}
-	cpErr := write(f)
-	if cpErr == nil {
-		cpErr = f.Sync()
-	}
-	if err := f.Close(); cpErr == nil {
-		cpErr = err
-	}
-	if cpErr == nil {
-		cpErr = os.Rename(tmp, final)
-	}
-	if cpErr != nil {
-		os.Remove(tmp)
-		return nil, "", fmt.Errorf("snapshot publish: %w", cpErr)
-	}
-
-	st, err := store.OpenMmap(final)
-	if err != nil {
-		// Torn or corrupt download — the CRC trailer catches truncation the
-		// transport didn't surface. Drop it; the next tick refetches.
-		os.Remove(final)
-		return nil, "", fmt.Errorf("snapshot validate: %w", err)
-	}
-	if st.Epoch() <= epoch {
-		st.Close()
-		os.Remove(final)
-		return nil, "", fmt.Errorf("snapshot validate: file epoch %d not newer than %d",
-			st.Epoch(), epoch)
+		return nil, fmt.Errorf("snapshot publish: %w", err)
 	}
 	r.fullNext = false
-	return st, final, nil
+	return st, nil
 }
 
-// applyDelta writes the served snapshot patched by a delta body to f. The
+// applyDelta writes the served snapshot patched by a delta body to w. The
 // base is the served store's own bytes — its mapping, not a re-read of the
-// file — and the patched file goes to f as it is assembled, never whole in
+// file — and the patched file goes to w as it is assembled, never whole in
 // memory; it is the exact full-file bytes the primary serves
 // (store.ApplyDeltaTo refuses anything else by CRC), so the caller persists
 // and validates it exactly like a full download.
-func (r *Replica) applyDelta(f *os.File, delta []byte) error {
-	return r.h.snapshot().stored.st.WithBytes(func(base []byte) error {
-		return store.ApplyDeltaTo(f, base, delta)
+func (r *Replica) applyDelta(w io.Writer, delta []byte) error {
+	return r.h.snapshot().stored.WithBytes(func(base []byte) error {
+		return store.ApplyDeltaTo(w, base, delta)
 	})
-}
-
-// snapshotFileName names the cache file for one epoch.
-func snapshotFileName(epoch uint64) string {
-	return fmt.Sprintf("snap-e%d.sky", epoch)
-}
-
-// openCached returns the newest valid cached snapshot, or nil when the
-// directory has none (first boot, or every cached file failed validation).
-func (r *Replica) openCached() (*store.Store, string) {
-	entries, err := os.ReadDir(r.dir)
-	if err != nil {
-		return nil, ""
-	}
-	type cand struct {
-		epoch uint64
-		path  string
-	}
-	var cands []cand
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasPrefix(name, "snap-e") || !strings.HasSuffix(name, ".sky") {
-			continue
-		}
-		ep, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "snap-e"), ".sky"), 10, 64)
-		if err != nil {
-			continue
-		}
-		cands = append(cands, cand{ep, filepath.Join(r.dir, name)})
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].epoch > cands[j].epoch })
-	for _, c := range cands {
-		st, err := store.OpenMmap(c.path)
-		if err != nil {
-			os.Remove(c.path) // corrupt cache entry; drop it
-			continue
-		}
-		return st, c.path
-	}
-	return nil, ""
 }

@@ -268,7 +268,7 @@ func TestReplicaCatchUpViaDelta(t *testing.T) {
 		t.Fatalf("builder delta hits = %d, want 1", hits)
 	}
 	_, full, _ := fetchSnapshotMode(t, builder.URL, "")
-	cached, err := os.ReadFile(rep.curPath)
+	cached, err := os.ReadFile(rep.path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +364,7 @@ func TestReplicaTornDeltaFallsBackToFull(t *testing.T) {
 		t.Fatalf("epoch after full fallback = %d, want 3", got)
 	}
 	_, full, _ := fetchSnapshotMode(t, builder.URL, "")
-	cached, err := os.ReadFile(rep.curPath)
+	cached, err := os.ReadFile(rep.path)
 	if err != nil {
 		t.Fatal(err)
 	}

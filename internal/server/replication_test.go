@@ -3,16 +3,19 @@ package server
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/dataset"
+	"repro/internal/faultinject"
 	"repro/internal/store"
 )
 
@@ -288,7 +291,8 @@ func TestReplicaRejectsTornSnapshot(t *testing.T) {
 	t.Cleanup(proxy.Close)
 
 	ctx := context.Background()
-	h, rep, err := BootstrapReplica(ctx, ReplicaConfig{Primary: proxy.URL, Dir: t.TempDir()}, Config{})
+	dir := t.TempDir()
+	h, rep, err := BootstrapReplica(ctx, ReplicaConfig{Primary: proxy.URL, Dir: dir}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,6 +305,10 @@ func TestReplicaRejectsTornSnapshot(t *testing.T) {
 	}
 	if got := h.snapshot().epoch; got != 1 {
 		t.Fatalf("torn snapshot changed served epoch to %d", got)
+	}
+	// The torn download never replaced the file: a restart serves epoch 1.
+	if got := restartOffline(t, dir); got != 1 {
+		t.Fatalf("restart after a torn download serves epoch %d, want 1", got)
 	}
 	// Clean link again: the very next refresh recovers.
 	truncate.Store(false)
@@ -343,5 +351,88 @@ func TestReplicaRestartServesFromCache(t *testing.T) {
 	}
 	if got := len(h2.snapshot().points); got != wantPts {
 		t.Fatalf("restarted points = %d, want %d", got, wantPts)
+	}
+}
+
+// restartOffline boots a second replica on dir with the primary down and
+// returns the epoch it serves, which only the replica's file can supply.
+func restartOffline(t *testing.T, dir string) uint64 {
+	t.Helper()
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	h, rep, err := BootstrapReplica(ctx, ReplicaConfig{
+		Primary:  dead.URL,
+		Dir:      dir,
+		Interval: 10 * time.Millisecond,
+	}, Config{})
+	if err != nil {
+		t.Fatalf("restart with the primary down: %v", err)
+	}
+	defer rep.Close()
+	return h.snapshot().epoch
+}
+
+// TestReplicaCrashAtEveryPublishSite fails each step of a replica's publish
+// once during a Refresh: the temporary file's create and fsync, the open
+// that vets it, the rename and the directory fsync. The replica keeps
+// serving the previous epoch. A restart on the same directory with the
+// primary down serves an epoch that opens: the previous one, or the new one
+// when the fault hit after the rename. The next clean Refresh catches up to
+// the builder's exact bytes.
+func TestReplicaCrashAtEveryPublishSite(t *testing.T) {
+	defer faultinject.Deactivate()
+	for _, c := range []struct {
+		site    string
+		restart uint64 // the epoch a restart serves
+	}{
+		{"store.create.create", 1},
+		{"store.create.sync", 1},
+		{"store.open.read", 1},
+		{"store.create.rename", 1},
+		{"store.create.dirsync", 2},
+	} {
+		t.Run(c.site, func(t *testing.T) {
+			builder := newBuilder(t)
+			ctx := context.Background()
+			dir := t.TempDir()
+			h, rep, err := BootstrapReplica(ctx, ReplicaConfig{Primary: builder.URL, Dir: dir}, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rep.Close()
+
+			insertPoint(t, builder.URL, 900)
+			if err := faultinject.Activate(c.site + "=error#1"); err != nil {
+				t.Fatal(err)
+			}
+			swapped, err := rep.Refresh(ctx)
+			faultinject.Deactivate()
+			if swapped || !errors.Is(err, faultinject.ErrInjected) {
+				t.Fatalf("refresh with %s failing: swapped=%v err=%v, want the injected error", c.site, swapped, err)
+			}
+			if got := h.snapshot().epoch; got != 1 {
+				t.Fatalf("replica serves epoch %d after a failed publish, want 1", got)
+			}
+			if got := restartOffline(t, dir); got != c.restart {
+				t.Fatalf("restart serves epoch %d, want %d", got, c.restart)
+			}
+
+			if swapped, err := rep.Refresh(ctx); err != nil || !swapped {
+				t.Fatalf("clean refresh: swapped=%v err=%v", swapped, err)
+			}
+			if got := h.snapshot().epoch; got != 2 {
+				t.Fatalf("replica serves epoch %d after a clean refresh, want 2", got)
+			}
+			_, full, _, _ := fetchSnapshot(t, builder.URL, "")
+			file, err := os.ReadFile(rep.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(file, full) {
+				t.Fatal("replica file differs from the builder's snapshot after catching up")
+			}
+		})
 	}
 }

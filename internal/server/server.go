@@ -25,9 +25,10 @@
 // snapshot with an ETag derived from the epoch, answering 304 when the
 // caller's ?epoch= (or If-None-Match) is already current. BootstrapReplica
 // turns a process into a read replica of a primary exposing that endpoint:
-// it fetches into a local snapshot dir, memory-maps the file, serves it via
-// NewServeFrom, and on each refresh swaps a strictly newer epoch in with
-// SwapStore (see docs/SCALEOUT.md and cmd/skyrouter for the routing tier).
+// it keeps one file in its snapshot dir, memory-maps it, serves it via
+// NewServeFrom, and on each refresh publishes a strictly newer epoch over
+// that file and swaps it in with SwapStore (see docs/SCALEOUT.md and
+// cmd/skyrouter for the routing tier).
 //
 // kind is quadrant (default), global, or dynamic, matched case-insensitively;
 // any other value is a 400 with a JSON error body on every path that accepts
@@ -126,15 +127,6 @@ type Config struct {
 	// BEFORE any state changes, so a shed update is always safe to retry.
 	// 0 means the default of 10s; negative waits forever.
 	UpdateWait time.Duration
-	// MaxCoalesce caps how many queued inserts/deletes one maintenance pass
-	// may fold into a single snapshot swap. 0 means the default of 64;
-	// negative disables coalescing (every op runs its own pass).
-	MaxCoalesce int
-	// CoalesceDelay makes a batch leader wait this long before claiming the
-	// queue, letting a write burst accumulate so one pass absorbs it. Adds
-	// that much latency to every write; 0 (the default) claims immediately,
-	// which already coalesces whatever queued behind the previous pass.
-	CoalesceDelay time.Duration
 	// FullRebuild disables incremental maintenance of the global and
 	// dynamic diagrams: every write rebuilds them from scratch, the
 	// pre-incremental behavior. An escape hatch and benchmark baseline.
@@ -177,7 +169,6 @@ const (
 	DefaultMaxInFlight  = 256
 	DefaultMaxQueue     = 512
 	DefaultUpdateWait   = 10 * time.Second
-	DefaultMaxCoalesce  = 64
 	DefaultCompactRatio = 0.5
 	// retryAfterSeconds is the backoff hint sent with every 429/503 shed
 	// response.
@@ -214,12 +205,11 @@ type state struct {
 	quadrant *core.QuadrantDiagram
 	global   *core.GlobalDiagram
 	dynamic  *core.DynamicDiagram // nil when disabled
-	// stored, when non-nil, is a serve-from snapshot: every query of
-	// storedKind is answered straight from the (ideally memory-mapped)
-	// diagram file, the in-memory diagrams above are all nil, and writes are
+	// stored, when non-nil, is a serve-from snapshot: every query of its
+	// kind is answered straight from the (ideally memory-mapped) diagram
+	// file, the in-memory diagrams above are all nil, and writes are
 	// rejected — the file IS the snapshot.
-	stored     *storeDiagram
-	storedKind string
+	stored *store.Store
 	// frags holds each point's JSON object ({"id":..,"coords":[..]}) encoded
 	// once at snapshot build, so the query hot path assembles responses by
 	// copying bytes instead of marshalling. Rebuilt on every snapshot swap —
@@ -284,15 +274,13 @@ type Handler struct {
 
 	// Write coalescing (see coalesce.go): queued ops awaiting a batch
 	// leader, guarded by pendMu.
-	pendMu        sync.Mutex
-	pending       []*pendingOp
-	maxCoalesce   int
-	coalesceDelay time.Duration
-	fullRebuild   bool
-	coalesced     *metrics.Counter   // writes applied through coalesced batches
-	batchSize     *metrics.Histogram // ops per coalesced batch
-	compactRatio  float64            // arena garbage fraction that triggers compaction; <=0 disables
-	compactions   *metrics.Counter   // arena compactions performed
+	pendMu       sync.Mutex
+	pending      []*pendingOp
+	fullRebuild  bool
+	coalesced    *metrics.Counter   // writes applied through coalesced batches
+	batchSize    *metrics.Histogram // ops per coalesced batch
+	compactRatio float64            // arena garbage fraction that triggers compaction; <=0 disables
+	compactions  *metrics.Counter   // arena compactions performed
 
 	// Durable writes (see durable.go): nil wal means durability is off.
 	wal             *wal.WAL
@@ -367,13 +355,9 @@ func New(pts []geom.Point, cfg Config) (*Handler, error) {
 // and all writes answer 501. The caller keeps ownership of st and must not
 // close it while the handler serves.
 func NewServeFrom(st *store.Store, cfg Config) (*Handler, error) {
-	kind := st.Kind()
-	if kind == "" {
-		return nil, errors.New("server: store has unknown diagram kind")
-	}
 	h := newHandler(cfg)
 	h.readOnly = true
-	first := serveFromState(st, kind)
+	first := serveFromState(st)
 	h.recordState(first)
 	h.setState(first)
 	h.initRoutes()
@@ -382,14 +366,13 @@ func NewServeFrom(st *store.Store, cfg Config) (*Handler, error) {
 
 // serveFromState assembles the snapshot for a serve-from store: the mapped
 // file IS the snapshot, carrying its own epoch stamp.
-func serveFromState(st *store.Store, kind string) *state {
+func serveFromState(st *store.Store) *state {
 	pts := st.Points()
 	return &state{
-		epoch:      st.Epoch(),
-		points:     pts,
-		stored:     &storeDiagram{st: st},
-		storedKind: kind,
-		frags:      pointFrags(pts),
+		epoch:  st.Epoch(),
+		points: pts,
+		stored: st,
+		frags:  pointFrags(pts),
 	}
 }
 
@@ -411,12 +394,6 @@ func newHandler(cfg Config) *Handler {
 	if cfg.UpdateWait == 0 {
 		cfg.UpdateWait = DefaultUpdateWait
 	}
-	if cfg.MaxCoalesce == 0 {
-		cfg.MaxCoalesce = DefaultMaxCoalesce
-	}
-	if cfg.MaxCoalesce < 0 {
-		cfg.MaxCoalesce = 1
-	}
 	if cfg.CompactRatio == 0 {
 		cfg.CompactRatio = DefaultCompactRatio
 	}
@@ -435,8 +412,6 @@ func newHandler(cfg Config) *Handler {
 		updateWait:      cfg.UpdateWait,
 		checkpointBytes: cfg.CheckpointBytes,
 		updateSlot:      make(chan struct{}, 1),
-		maxCoalesce:     cfg.MaxCoalesce,
-		coalesceDelay:   cfg.CoalesceDelay,
 		fullRebuild:     cfg.FullRebuild,
 		compactRatio:    cfg.CompactRatio,
 		start:           time.Now(),
@@ -570,7 +545,7 @@ func (h *Handler) setState(st *state) {
 			"kind", kind).Set(n)
 	}
 	if st.stored != nil {
-		cells(st.storedKind, float64(st.stored.st.NumCells()))
+		cells(st.stored.Kind(), float64(st.stored.NumCells()))
 		return
 	}
 	cells("quadrant", float64(st.quadrant.Grid().NumCells()))
@@ -597,7 +572,7 @@ func (h *Handler) snapshot() *state {
 func (h *Handler) acquire() *state {
 	for {
 		st := h.snapshot()
-		if st.stored == nil || st.stored.st.Acquire() {
+		if st.stored == nil || st.stored.Acquire() {
 			return st
 		}
 		if h.snapshot() == st {
@@ -609,7 +584,7 @@ func (h *Handler) acquire() *state {
 // release ends a read begun by acquire.
 func (st *state) release() {
 	if st.stored != nil {
-		st.stored.st.Release()
+		st.stored.Release()
 	}
 }
 
@@ -760,8 +735,8 @@ func (h *Handler) handleStats(w http.ResponseWriter, _ *http.Request) {
 	}
 	switch {
 	case snap.stored != nil:
-		resp.Cells = snap.stored.st.NumCells()
-		resp.DynamicEnabled = snap.storedKind == "dynamic"
+		resp.Cells = snap.stored.NumCells()
+		resp.DynamicEnabled = snap.stored.Kind() == "dynamic"
 	default:
 		st, err := snap.quadrant.Stats()
 		if err != nil {
@@ -824,16 +799,6 @@ var errKindNotServed = errors.New("kind not present in the served snapshot file"
 // errReadOnly marks writes against a serve-from handler.
 var errReadOnly = errors.New("server is serving a read-only snapshot file")
 
-// storeDiagram adapts a persisted diagram file to the answerer the query
-// handlers take, so they serve a mapped file through the exact same code
-// path as an in-memory diagram. A mapped store's lookup is allocation-free:
-// two rank-table lookups plus a label load from the mapping.
-type storeDiagram struct{ st *store.Store }
-
-func (sd *storeDiagram) AppendQueryXY(dst []int32, x, y float64) []int32 {
-	return append(dst, sd.st.QueryXY(x, y)...)
-}
-
 // normalizeKind canonicalizes the kind parameter. Every path that accepts a
 // kind goes through here, so an unknown value is always a 400 with a JSON
 // error — never a silent fallthrough.
@@ -852,10 +817,10 @@ func normalizeKind(raw string) (string, error) {
 // diagramFor selects the diagram answering the (already normalized) kind.
 func (st *state) diagramFor(kind string) (answerer, error) {
 	if st.stored != nil {
-		if kind == st.storedKind {
+		if kind == st.stored.Kind() {
 			return st.stored, nil
 		}
-		return nil, fmt.Errorf("%w (file contains kind %q)", errKindNotServed, st.storedKind)
+		return nil, fmt.Errorf("%w (file contains kind %q)", errKindNotServed, st.stored.Kind())
 	}
 	switch kind {
 	case "quadrant":

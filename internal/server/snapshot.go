@@ -62,7 +62,7 @@ func (h *Handler) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	defer snap.release()
 	servedKind := "quadrant"
 	if snap.stored != nil {
-		servedKind = snap.storedKind
+		servedKind = snap.stored.Kind()
 	}
 	if kind != servedKind {
 		writeError(w, http.StatusNotImplemented,
@@ -142,11 +142,7 @@ func (h *Handler) SwapStore(st *store.Store) (*store.Store, error) {
 	if !h.readOnly {
 		return nil, fmt.Errorf("server: SwapStore on a non-serve-from handler")
 	}
-	kind := st.Kind()
-	if kind == "" {
-		return nil, fmt.Errorf("server: store has unknown diagram kind")
-	}
-	next := serveFromState(st, kind)
+	next := serveFromState(st)
 	// Hash the new file into the delta ring before publishing, so this node
 	// can relay deltas to replicas chained behind it.
 	h.recordState(next)
@@ -160,5 +156,5 @@ func (h *Handler) SwapStore(st *store.Store) (*store.Store, error) {
 	h.setState(next)
 	h.mu.Unlock()
 	h.swaps.Inc()
-	return prev.stored.st, nil
+	return prev.stored, nil
 }

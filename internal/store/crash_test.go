@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -160,6 +161,76 @@ func TestCrashAtEveryCreateSite(t *testing.T) {
 				t.Fatal("clean rewrite did not publish the new generation")
 			}
 		})
+	}
+}
+
+// TestCreateFileFromRefusesBeforeRename: a streamed file that does not open
+// (torn) or that the caller refuses never replaces the published one and
+// leaves no temporary that Recover could later salvage; an accepted one is
+// published and served.
+func TestCreateFileFromRefusesBeforeRename(t *testing.T) {
+	oldGen, newGen := buildDiagram(t, 30, 25), buildDiagram(t, 60, 26)
+	data, err := Encode(newGen, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "snapshot.sky")
+	if err := CreateFileEpoch(path, oldGen, 1); err != nil {
+		t.Fatal(err)
+	}
+	write := func(b []byte) func(io.Writer) error {
+		return func(w io.Writer) error {
+			_, err := w.Write(b)
+			return err
+		}
+	}
+	newer := func(s *Store) error {
+		if s.Epoch() <= 1 {
+			return fmt.Errorf("epoch %d is not newer than 1", s.Epoch())
+		}
+		return nil
+	}
+	errRefused := errors.New("refused")
+	for _, c := range []struct {
+		name    string
+		data    []byte
+		accept  func(*Store) error
+		wantErr error
+	}{
+		{"torn", data[:len(data)/2], newer, ErrCorrupt},
+		{"refused", data, func(*Store) error { return errRefused }, errRefused},
+	} {
+		st, err := CreateFileFrom(path, write(c.data), c.accept)
+		if st != nil || !errors.Is(err, c.wantErr) {
+			t.Fatalf("%s: store %v, err %v, want %v", c.name, st, err, c.wantErr)
+		}
+		if _, err := os.Stat(path + TempSuffix); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("%s: the temporary is still there (%v)", c.name, err)
+		}
+		s, err := OpenMmap(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !samePoints(s, oldGen) {
+			t.Fatalf("%s: the published file changed", c.name)
+		}
+		s.Close()
+	}
+	st, err := CreateFileFrom(path, write(data), newer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if st.Epoch() != 2 || !samePoints(st, newGen) {
+		t.Fatalf("accepted store serves epoch %d, want the new generation at 2", st.Epoch())
+	}
+	s, err := OpenMmap(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if !samePoints(s, newGen) {
+		t.Fatal("the accepted file is not the one published")
 	}
 }
 

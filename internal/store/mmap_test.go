@@ -84,6 +84,19 @@ func TestMmapQueryXYZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("mapped QueryXY: %v allocs/op, want 0", allocs)
 	}
+	// AppendQueryXY, as a server answers: into a buffer with the capacity.
+	dst := make([]int32, 0, len(d.Points))
+	allocs = testing.AllocsPerRun(300, func() {
+		dst = mm.AppendQueryXY(dst[:0], 13.7, 91.2)
+		dst = mm.AppendQueryXY(dst[:0], -5, 4)
+		dst = mm.AppendQueryXY(dst[:0], 1e9, 1e9)
+	})
+	if allocs != 0 {
+		t.Fatalf("mapped AppendQueryXY: %v allocs/op, want 0", allocs)
+	}
+	if got, want := mm.AppendQueryXY(dst[:0], 13.7, 91.2), mm.QueryXY(13.7, 91.2); !equalI32(got, want) {
+		t.Fatalf("AppendQueryXY = %v, QueryXY = %v", got, want)
+	}
 }
 
 // TestMmapDynamicKind: the dynamic-kind store serves identically mapped.

@@ -52,9 +52,11 @@
 // is crash-safe: it streams to a temporary file in the target's directory,
 // fsyncs it, renames it into place, and fsyncs the directory, so a crash at
 // any instant leaves either the previous generation or the new one — never
-// a torn file under the target name. Recover opens a path after a suspected
-// crash, salvaging a completed-but-unrenamed generation and discarding torn
-// temporaries.
+// a torn file under the target name. CreateFileFrom publishes a file the
+// caller streams the same way, opening it before the rename, so a file that
+// does not open or that the caller refuses never replaces the published
+// one. Recover opens a path after a suspected crash, salvaging a
+// completed-but-unrenamed generation and discarding torn temporaries.
 package store
 
 import (
@@ -142,13 +144,45 @@ func CreateFileDynamic(path string, d *dyndiag.Diagram) error {
 }
 
 func (e *Encoder) createFile(path string) error {
-	return createFile(path, e.writeFile)
+	return createFile(path, e.writeFile, nil)
 }
 
-// createFile runs write against a temporary file beside path, then fsyncs
-// it, renames it over path and fsyncs the directory, hitting a
-// store.create.* failpoint before each step.
-func createFile(path string, write func(io.Writer) error) error {
+// CreateFileFrom is CreateFile for a file the caller streams, such as a
+// download: write puts the complete file into the temporary file, which is
+// fsynced, then opened (OpenMmap) and passed to accept before it is renamed
+// over path. A temporary that does not open, or that accept refuses, is
+// deleted, so path only ever holds a file that opened and was accepted. On
+// success the opened store is returned; it serves the file now at path. On
+// any error no store is returned, though after a failed directory fsync
+// path already holds the new file.
+func CreateFileFrom(path string, write func(io.Writer) error, accept func(*Store) error) (*Store, error) {
+	var st *Store
+	err := createFile(path, write, func(tmp string) error {
+		s, err := OpenMmap(tmp)
+		if err == nil {
+			if err = accept(s); err == nil {
+				st = s
+				return nil
+			}
+			s.Close()
+		}
+		// Deleted so Recover never salvages it; one that survives a failed
+		// removal is overwritten by the next publish.
+		_ = os.Remove(tmp)
+		return err
+	})
+	if err != nil && st != nil {
+		st.Close()
+		st = nil
+	}
+	return st, err
+}
+
+// createFile runs write against a temporary file beside path, fsyncs it,
+// lets check (when non-nil) vet the complete temporary, renames it over
+// path and fsyncs the directory, hitting a store.create.* failpoint before
+// each step but the check.
+func createFile(path string, write func(io.Writer) error, check func(tmp string) error) error {
 	tmp := path + TempSuffix
 	if err := faultinject.Hit("store.create.create"); err != nil {
 		return fmt.Errorf("store: create %s: %w", tmp, err)
@@ -171,6 +205,11 @@ func createFile(path string, write func(io.Writer) error) error {
 	}
 	if err := f.Close(); err != nil {
 		return err
+	}
+	if check != nil {
+		if err := check(tmp); err != nil {
+			return err
+		}
 	}
 	if err := faultinject.Hit("store.create.rename"); err != nil {
 		return fmt.Errorf("store: rename %s: %w", tmp, err)
@@ -598,6 +637,14 @@ func (s *Store) QueryXY(x, y float64) []int32 {
 	defer s.Release()
 	ids, _ := s.result(s.xrank.Rank(x)*s.rows + s.yrank.Rank(y))
 	return ids
+}
+
+// AppendQueryXY appends QueryXY's answer to dst and returns the extended
+// slice: the answer a server encodes, copied into the caller's buffer. The
+// arena is decoded memory, not the mapping, so the copy needs no hold. Once
+// dst has the capacity it performs zero allocations.
+func (s *Store) AppendQueryXY(dst []int32, x, y float64) []int32 {
+	return append(dst, s.QueryXY(x, y)...)
 }
 
 // Cell returns the result of cell (i, j). The slice aliases the shared
