@@ -479,6 +479,13 @@ func BenchmarkE15_ReadLatencyUnderWrites(b *testing.B) {
 // quadratic in distinct coordinates, so the file is already ~12 MB here and
 // a 50k-point diagram would not fit a benchmark iteration budget — the
 // full-vs-delta ratio is what matters, and it only grows with n.
+//
+// The interior leg measures the other write shape: it toggles a point
+// between the grid lines near the middle of the grid, polling for deltas
+// like the delta leg. Each insert adds a row and a column, which re-indexes
+// every label of the file, so each epoch ships about the whole file, as a
+// delta or in full; it reports its bytes/epoch and the share of epochs
+// served as deltas, and asserts no mode.
 func BenchmarkE20_ReplicationBytes(b *testing.B) {
 	pts := experiments.GenQuadrant(dataset.Independent, 1024, benchSeed)
 	maxX, yAtMaxX := -1.0, 0.0
@@ -487,7 +494,12 @@ func BenchmarkE20_ReplicationBytes(b *testing.B) {
 			maxX, yAtMaxX = p.Coords[0], p.Coords[1]
 		}
 	}
-	for _, mode := range []string{"full", "delta"} {
+	mid := func(axis int) float64 {
+		vs := geom.SortedAxis(pts, axis)
+		return (vs[len(vs)/2] + vs[len(vs)/2+1]) / 2
+	}
+	interiorX, interiorY := mid(0), mid(1)
+	for _, mode := range []string{"full", "delta", "interior"} {
 		mode := mode
 		b.Run(mode, func(b *testing.B) {
 			h, err := server.New(pts, server.Config{Workers: -1, MaxDynamicPoints: 1})
@@ -495,12 +507,17 @@ func BenchmarkE20_ReplicationBytes(b *testing.B) {
 				b.Fatal(err)
 			}
 			var total int64
+			deltas := 0
 			epoch := uint64(1)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				var req *httptest.ResponseRecorder
 				if i%2 == 0 {
-					body := fmt.Sprintf(`{"id":9000000,"coords":[%g,%g]}`, maxX+1, yAtMaxX)
+					x, y := maxX+1, yAtMaxX
+					if mode == "interior" {
+						x, y = interiorX, interiorY
+					}
+					body := fmt.Sprintf(`{"id":9000000,"coords":[%g,%g]}`, x, y)
 					r := httptest.NewRequest("POST", "/v1/points", strings.NewReader(body))
 					req = httptest.NewRecorder()
 					h.ServeHTTP(req, r)
@@ -518,7 +535,7 @@ func BenchmarkE20_ReplicationBytes(b *testing.B) {
 				prev := epoch
 				epoch++
 				url := "/v1/snapshot"
-				if mode == "delta" {
+				if mode != "full" {
 					url = fmt.Sprintf("/v1/snapshot?epoch=%d&from=%d", prev, prev)
 				}
 				r := httptest.NewRequest("GET", url, nil)
@@ -527,13 +544,20 @@ func BenchmarkE20_ReplicationBytes(b *testing.B) {
 				if rec.Code != 200 {
 					b.Fatalf("snapshot code %d: %s", rec.Code, rec.Body.String())
 				}
-				if got := rec.Header().Get("X-Sky-Snapshot-Mode"); mode == "delta" && got != "delta" {
+				got := rec.Header().Get("X-Sky-Snapshot-Mode")
+				if mode == "delta" && got != "delta" {
 					b.Fatalf("epoch %d served mode %q, want delta", epoch, got)
+				}
+				if got == "delta" {
+					deltas++
 				}
 				total += int64(rec.Body.Len())
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(total)/float64(b.N), "bytes/epoch")
+			if mode == "interior" {
+				b.ReportMetric(float64(deltas)/float64(b.N), "delta-share")
+			}
 		})
 	}
 }

@@ -147,8 +147,22 @@ func indexByID(pts []Point) map[int32]Point {
 	return m
 }
 
+// checkIDs refuses a point whose id does not fit the int32 every diagram
+// stores ids as: truncated, it would alias another point's id.
+func checkIDs(pts []Point) error {
+	for _, p := range pts {
+		if p.ID != int(int32(p.ID)) {
+			return fmt.Errorf("core: point id %d is outside the int32 range", p.ID)
+		}
+	}
+	return nil
+}
+
 // BuildQuadrant precomputes the quadrant skyline diagram of pts.
 func BuildQuadrant(pts []Point, opts Options) (*QuadrantDiagram, error) {
+	if err := checkIDs(pts); err != nil {
+		return nil, err
+	}
 	alg, err := opts.quadrantAlg(pts)
 	if err != nil {
 		return nil, err
@@ -216,6 +230,9 @@ func (qd *QuadrantDiagram) WithDelete(id int) (*QuadrantDiagram, error) {
 
 // BuildGlobal precomputes the global skyline diagram of pts.
 func BuildGlobal(pts []Point, opts Options) (*GlobalDiagram, error) {
+	if err := checkIDs(pts); err != nil {
+		return nil, err
+	}
 	alg, err := opts.quadrantAlg(pts)
 	if err != nil {
 		return nil, err
@@ -278,6 +295,9 @@ func (gd *GlobalDiagram) Grid() *grid.Grid { return gd.d.Grid }
 // diagram has O(min(s, n^2)^2) subcells for domain size s: building it is
 // only sensible for modest n or tight domains, exactly as the paper reports.
 func BuildDynamic(pts []Point, opts Options) (*DynamicDiagram, error) {
+	if err := checkIDs(pts); err != nil {
+		return nil, err
+	}
 	start := time.Now()
 	var d *dyndiag.Diagram
 	var err error

@@ -43,6 +43,9 @@ func (o Options) hdAlg() (quaddiag.HDAlgorithm, error) {
 
 // BuildQuadrantHD precomputes the d-dimensional first-orthant diagram.
 func BuildQuadrantHD(pts []Point, dim int, opts Options) (*HDQuadrantDiagram, error) {
+	if err := checkIDs(pts); err != nil {
+		return nil, err
+	}
 	alg, err := opts.hdAlg()
 	if err != nil {
 		return nil, err
@@ -76,6 +79,9 @@ func (hd *HDQuadrantDiagram) QueryPoints(q Point) ([]Point, error) {
 
 // BuildGlobalHD precomputes the d-dimensional global diagram.
 func BuildGlobalHD(pts []Point, dim int, opts Options) (*HDGlobalDiagram, error) {
+	if err := checkIDs(pts); err != nil {
+		return nil, err
+	}
 	alg, err := opts.hdAlg()
 	if err != nil {
 		return nil, err
@@ -103,6 +109,9 @@ func (hd *HDGlobalDiagram) QueryPoints(q Point) ([]Point, error) {
 // selection: "" or "scanning" → incremental scan, "subset" → Algorithm 6
 // generalisation, "baseline" → from scratch per subcell.
 func BuildDynamicHD(pts []Point, dim int, opts Options) (*HDDynamicDiagram, error) {
+	if err := checkIDs(pts); err != nil {
+		return nil, err
+	}
 	var d *dyndiag.HDDiagram
 	var err error
 	switch opts.Algorithm {

@@ -57,7 +57,11 @@ type UpdateOptions struct {
 	Workers int
 	// Metrics, when non-nil, receives build instrumentation for full
 	// (re)builds, as Options.Metrics. Incremental derivations are not
-	// builds and do not count toward skydiag_builds_total.
+	// builds and do not count toward skydiag_builds_total; they count the
+	// label tiles they copy and the cells they write instead
+	// (skydiag_maintenance_tiles_copied_total and
+	// skydiag_maintenance_cells_written_total, by kind: quadrant is the
+	// quadrant diagram, global its three reflected components).
 	Metrics *metrics.Registry
 	// FullRebuild disables incremental maintenance of the global and dynamic
 	// diagrams: every op rebuilds them from scratch (concurrently), the
@@ -76,6 +80,17 @@ func (o UpdateOptions) observe(kind string, t0 time.Time) {
 	if o.ObserveKind != nil {
 		o.ObserveKind(kind, time.Since(t0))
 	}
+}
+
+// countWork adds one derivation's maintenance work to the registry.
+func (o UpdateOptions) countWork(kind string, w quaddiag.Work) {
+	if o.Metrics == nil {
+		return
+	}
+	o.Metrics.Counter("skydiag_maintenance_tiles_copied_total",
+		"Label tiles copied by incremental maintenance, by kind.", "kind", kind).Add(int64(w.TilesCopied))
+	o.Metrics.Counter("skydiag_maintenance_cells_written_total",
+		"Cells written by incremental maintenance, by kind.", "kind", kind).Add(int64(w.CellsWritten))
 }
 
 // DiagramSet is an immutable bundle of the three diagram kinds over one
@@ -118,6 +133,9 @@ func (s *DiagramSet) check(op Op) error {
 	if op.Insert {
 		if op.Point.Dim() != 2 {
 			return fmt.Errorf("%w: insert requires a 2-D point, got dimension %d", ErrRejected, op.Point.Dim())
+		}
+		if err := checkIDs([]Point{op.Point}); err != nil {
+			return fmt.Errorf("%w: insert: %v", ErrRejected, err)
 		}
 		for _, q := range s.Points {
 			if q.ID == op.Point.ID {
@@ -173,6 +191,7 @@ func (s *DiagramSet) Apply(op Op, opts UpdateOptions) (*DiagramSet, error) {
 		return nil, fmt.Errorf("core: maintain quadrant: %w", err)
 	}
 	opts.observe("quadrant", t0)
+	opts.countWork("quadrant", quad.d.Work())
 	next := &DiagramSet{Points: pts, Quadrant: quad}
 
 	if opts.FullRebuild {
@@ -188,6 +207,7 @@ func (s *DiagramSet) Apply(op Op, opts UpdateOptions) (*DiagramSet, error) {
 		return nil, fmt.Errorf("core: maintain global: %w", err)
 	}
 	opts.observe("global", t0)
+	opts.countWork("global", next.Global.d.Work())
 
 	if len(pts) <= opts.MaxDynamicPoints {
 		t0 = time.Now()

@@ -1,6 +1,10 @@
 package dyndiag
 
-import "repro/internal/resultset"
+import (
+	"slices"
+
+	"repro/internal/resultset"
+)
 
 // ArenaLive returns the number of arena ids referenced by some subcell and
 // the total arena size; the difference is garbage left by copy-on-write
@@ -9,7 +13,7 @@ func (d *Diagram) ArenaLive() (live, total int) {
 	if d.results == nil {
 		return 0, 0
 	}
-	return resultset.LiveArena(d.labels, d.results)
+	return resultset.LiveArena(d.results, func(visit func([]uint32)) { visit(d.labels) })
 }
 
 // CompactArena returns an equivalent diagram over a garbage-free result
@@ -19,7 +23,8 @@ func (d *Diagram) CompactArena() *Diagram {
 	if d.results == nil {
 		return d
 	}
-	labels, table := resultset.CompactLabels(d.labels, d.results)
+	labels := slices.Clone(d.labels)
+	table := resultset.CompactLabels(d.results, func(relabel func([]uint32)) { relabel(labels) })
 	return &Diagram{
 		Points:  d.Points,
 		Sub:     d.Sub,

@@ -67,7 +67,7 @@ func (d *Diagram) freeze() {
 	for k, ids := range d.scratch {
 		d.labels[k] = in.Intern(ids)
 	}
-	d.results = in.Table()
+	d.results = in.Freeze()
 	d.scratch = nil
 }
 

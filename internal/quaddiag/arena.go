@@ -5,11 +5,12 @@ import "repro/internal/resultset"
 // Arena compaction. Copy-on-write maintenance (WithInsert/WithDelete) leaves
 // unreferenced results behind in the shared arena; these methods measure that
 // garbage and rewrite the diagram against a garbage-free table. Compaction is
-// a pure first-use-order copy (resultset.CompactLabels), so its output is
-// byte-for-byte what a from-scratch rebuild would intern — the periodic
-// rebuild is no longer the only thing that reclaims arena space. Persisting
-// does not depend on it: the store encoder writes any table in that same
-// first-use order through a label remap, without copying the table.
+// a pure first-use-order copy (resultset.CompactLabels) into rank-numbered
+// slots, so its output is byte-for-byte what a from-scratch rebuild would
+// intern and lay out — the periodic rebuild is no longer the only thing that
+// reclaims arena space. Persisting does not depend on it: the store encoder
+// writes any table in that same first-use order through a label remap,
+// without copying the table.
 
 // ArenaLive returns the number of arena ids referenced by some cell and the
 // total arena size; the difference is maintenance garbage.
@@ -17,24 +18,28 @@ func (d *Diagram) ArenaLive() (live, total int) {
 	if d.results == nil {
 		return 0, 0
 	}
-	return resultset.LiveArena(d.labels, d.results)
+	return resultset.LiveArena(d.results, func(visit func([]uint32)) {
+		d.eachColumn(func(_ int, col []uint32) { visit(col) })
+	})
 }
 
 // CompactArena returns an equivalent diagram over a garbage-free result
-// table. The receiver is unchanged; dropping it releases the old arena.
+// table, its slots renumbered by rank over fresh tiles: the layout and
+// labels a fresh build would produce. The receiver is unchanged; dropping
+// it releases the old arena and tiles.
 func (d *Diagram) CompactArena() *Diagram {
 	if d.results == nil {
 		return d
 	}
-	labels, table := resultset.CompactLabels(d.labels, d.results)
-	return &Diagram{
-		Points:  d.Points,
-		Grid:    d.Grid,
-		byID:    d.byID,
-		labels:  labels,
-		results: table,
-		rows:    d.rows,
-	}
+	nd := &Diagram{Points: d.Points, Grid: d.Grid, byID: d.byID, rows: d.rows}
+	nd.layOutDense()
+	nd.results = resultset.CompactLabels(d.results, func(relabel func([]uint32)) {
+		d.eachColumn(func(i int, col []uint32) {
+			relabel(col)
+			nd.putColumn(i, col)
+		})
+	})
+	return nd
 }
 
 // ArenaLive sums the three reflected component tables (masks 1–3). Mask 0

@@ -28,9 +28,10 @@
 // write distinct scratch cells from several goroutines, so no shared
 // structure may be touched during this phase); every public Build* then
 // freezes the scratch into the interned CSR form of package resultset — one
-// uint32 label per cell plus a shared arena — which is the only
-// representation readers ever see. Queries are point location plus one label
-// indirection returning an arena subslice: zero allocations.
+// uint32 label per cell, kept in copy-on-write tiles (tiles.go), plus a
+// shared arena — which is the only representation readers ever see. Queries
+// are point location plus one label indirection returning an arena
+// subslice: zero allocations.
 package quaddiag
 
 import (
@@ -51,11 +52,19 @@ type Diagram struct {
 	Grid   *grid.Grid
 	byID   map[int32]geom.Point
 	// scratch[i*rows+j] is the ascending id list of Sky(C(i,j)) during
-	// construction; freeze() interns it into labels/results and drops it.
+	// construction; freeze() interns it into the label tiles and results
+	// and drops it.
 	scratch [][]int32
-	labels  []uint32
-	results *resultset.Table
-	rows    int
+	// The label of cell (i, j) sits at slot pair (colSlot[i], rowSlot[j])
+	// of the tiles under the tile directory; freeCols and freeRows hold the
+	// slots of deleted lines. See tiles.go.
+	colSlot, rowSlot   []uint32
+	freeCols, freeRows []uint32
+	tiles              []*tile
+	tileRows           int
+	results            *resultset.Table
+	rows               int
+	work               Work
 }
 
 func newDiagram(pts []geom.Point, g *grid.Grid) *Diagram {
@@ -68,19 +77,25 @@ func newDiagram(pts []geom.Point, g *grid.Grid) *Diagram {
 	}
 }
 
-// freeze interns every scratch cell into the CSR table. Idempotent; called by
-// every public constructor before the diagram is handed out. Must not run
-// concurrently with setCell.
+// freeze interns every scratch cell into the CSR table and lays the labels
+// out in rank order over fresh tiles. Idempotent; called by every public
+// constructor before the diagram is handed out. Must not run concurrently
+// with setCell. The table is frozen without its dedup index, which the
+// first write rebuilds.
 func (d *Diagram) freeze() {
 	if d.results != nil {
 		return
 	}
 	in := resultset.NewInterner()
-	d.labels = make([]uint32, len(d.scratch))
-	for k, ids := range d.scratch {
-		d.labels[k] = in.Intern(ids)
+	d.layOutDense()
+	col := make([]uint32, d.rows)
+	for i := range d.colSlot {
+		for j := range col {
+			col[j] = in.Intern(d.scratch[i*d.rows+j])
+		}
+		d.putColumn(i, col)
 	}
-	d.results = in.Table()
+	d.results = in.Freeze()
 	d.scratch = nil
 }
 
@@ -88,15 +103,12 @@ func (d *Diagram) freeze() {
 // diagram-owned storage; callers must not modify it.
 func (d *Diagram) Cell(i, j int) []int32 {
 	if d.results != nil {
-		return d.results.Result(d.labels[i*d.rows+j])
+		return d.results.Result(d.Label(i, j))
 	}
 	return d.scratch[i*d.rows+j]
 }
 
 func (d *Diagram) setCell(i, j int, ids []int32) { d.scratch[i*d.rows+j] = ids }
-
-// Label returns the interned result label of cell (i, j).
-func (d *Diagram) Label(i, j int) uint32 { return d.labels[i*d.rows+j] }
 
 // Results exposes the frozen interned result table backing the diagram.
 func (d *Diagram) Results() *resultset.Table { return d.results }
@@ -104,15 +116,14 @@ func (d *Diagram) Results() *resultset.Table { return d.results }
 // Query answers a quadrant (or global, depending on how the diagram was
 // built) skyline query by point location: O(log n) search plus output size.
 func (d *Diagram) Query(q geom.Point) []int32 {
-	i, j := d.Grid.Locate(q)
-	return d.results.Result(d.labels[i*d.rows+j])
+	return d.results.Result(d.Label(d.Grid.Locate(q)))
 }
 
 // QueryXY is Query without the geom.Point wrapper — the serving hot path.
-// Zero allocations: point location plus one label indirection into the arena.
+// Zero allocations: point location, the label read through the cell's slots
+// and tile, and one indirection into the arena.
 func (d *Diagram) QueryXY(x, y float64) []int32 {
-	i, j := d.Grid.LocateXY(x, y)
-	return d.results.Result(d.labels[i*d.rows+j])
+	return d.results.Result(d.Label(d.Grid.LocateXY(x, y)))
 }
 
 // QueryPoints resolves Query ids back to points.
@@ -165,13 +176,21 @@ func (d *Diagram) Merge() (*polyomino.Partition, error) {
 }
 
 // MemoryFootprint reports the bytes held by the interned representation
-// (labels plus the CSR payload) and what the flat per-cell [][]int32
-// representation would hold — the E16 space comparison.
+// (label tiles and slots plus the CSR payload) and what the flat per-cell
+// [][]int32 representation would hold — the E16 space comparison.
 func (d *Diagram) MemoryFootprint() (interned, flat int) {
-	interned = 4*len(d.labels) + d.results.PayloadBytes()
-	for _, l := range d.labels {
-		flat += sliceBytes(d.results.Result(l))
+	interned = 8*len(d.tiles) + 4*(len(d.colSlot)+len(d.rowSlot)+len(d.freeCols)+len(d.freeRows)) +
+		d.results.PayloadBytes()
+	for _, t := range d.tiles {
+		if t != nil {
+			interned += 4 * len(t)
+		}
 	}
+	d.eachColumn(func(_ int, col []uint32) {
+		for _, l := range col {
+			flat += sliceBytes(d.results.Result(l))
+		}
+	})
 	return interned, flat
 }
 
@@ -191,18 +210,20 @@ func (d *Diagram) ComputeStats() (Stats, error) {
 		return Stats{}, err
 	}
 	var sum, max int
-	for _, l := range d.labels {
-		n := d.results.Len(l)
-		sum += n
-		if n > max {
-			max = n
+	d.eachColumn(func(_ int, col []uint32) {
+		for _, l := range col {
+			n := d.results.Len(l)
+			sum += n
+			if n > max {
+				max = n
+			}
 		}
-	}
+	})
 	return Stats{
 		N:           len(d.Points),
-		Cells:       len(d.labels),
+		Cells:       d.Grid.NumCells(),
 		Polyominoes: part.NumRegions,
-		AvgSkySize:  float64(sum) / float64(len(d.labels)),
+		AvgSkySize:  float64(sum) / float64(d.Grid.NumCells()),
 		MaxSkySize:  max,
 	}, nil
 }

@@ -85,7 +85,8 @@ func BuildGlobalAround(quad *Diagram, alg Algorithm, workers int) (*GlobalDiagra
 func (gd *GlobalDiagram) Reflected(mask int) *Diagram { return gd.reflected[mask] }
 
 // componentLabel returns the mask component's label for cell (i, j),
-// reading the reflected diagram at the flipped index.
+// reading the reflected diagram at the flipped index, through that
+// component's own slots.
 func (gd *GlobalDiagram) componentLabel(mask, i, j int) uint32 {
 	if mask&1 != 0 {
 		i = gd.Grid.Cols() - 1 - i
@@ -93,7 +94,7 @@ func (gd *GlobalDiagram) componentLabel(mask, i, j int) uint32 {
 	if mask&2 != 0 {
 		j = gd.rows - 1 - j
 	}
-	return gd.reflected[mask].labels[i*gd.rows+j]
+	return gd.reflected[mask].Label(i, j)
 }
 
 // QuadrantCell returns the quadrant-mask component of cell (i, j). The

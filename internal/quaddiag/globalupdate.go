@@ -52,6 +52,19 @@ func (gd *GlobalDiagram) derive(quad *Diagram, update func(rd *Diagram, mask int
 	return ngd, nil
 }
 
+// Work sums the maintenance work of the three reflected components (masks
+// 1–3): what deriving gd wrote besides its mask-0 component, the quadrant
+// diagram, which reports its own.
+func (gd *GlobalDiagram) Work() Work {
+	var w Work
+	for mask := 1; mask < 4; mask++ {
+		rw := gd.reflected[mask].work
+		w.TilesCopied += rw.TilesCopied
+		w.CellsWritten += rw.CellsWritten
+	}
+	return w
+}
+
 // Equal reports whether two global diagrams answer every query identically.
 func (gd *GlobalDiagram) Equal(o *GlobalDiagram) bool {
 	if gd.Grid.Cols() != o.Grid.Cols() || gd.Grid.Rows() != o.Grid.Rows() {

@@ -2,6 +2,7 @@ package quaddiag
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/geom"
@@ -14,22 +15,29 @@ import (
 // deletions without a full rebuild, using the sweeping algorithm's locality
 // observation: a point influences only the cells in its lower-left region.
 //
-//   - Insert: every unaffected cell is copied; an affected cell's new result
-//     is derived from its old one in O(result) time, because the only
-//     candidate whose relationships changed is the new point (if any old
-//     skyline member dominates it the result is untouched; otherwise it
-//     joins and evicts exactly the members it dominates).
-//   - Delete: unaffected cells are copied, and so is any affected cell whose
-//     old result does not contain the removed point — removing a non-skyline
-//     member never changes a skyline. Only the cells that listed the removed
-//     point are recomputed from their up/right neighbours (removing a result
-//     member can expose points the old result does not mention, so those
-//     cells need the Theorem 1 identity, not a copy-based derivation).
+//   - Insert: a new line splits a column (row) in two. The piece past the
+//     line keeps its slot and results, as the point is no candidate there;
+//     the piece before it takes a free slot and starts from the same
+//     results. Each cell of the point's lower-left region derives its new
+//     result from its old one in O(result) time, because the only candidate
+//     whose relationships changed is the new point (if any old skyline
+//     member dominates it the result is untouched; otherwise it joins and
+//     evicts exactly the members it dominates).
+//   - Delete: a line no other point keeps goes and frees its slot, and the
+//     two columns (rows) it parted merge into the piece past it, which
+//     keeps its slot and results. A cell whose old result does not list
+//     the removed point is unchanged — removing a non-skyline member never
+//     changes a skyline. Only the cells that listed it are recomputed from
+//     their up/right neighbours (removing a result member can expose points
+//     the old result does not mention, so those cells need the Theorem 1
+//     identity, not a copy-based derivation).
 //
-// Both are copy-on-write over the interned table: the new diagram's interner
-// is seeded from the old table (claiming it, so the shared arena grows in
-// place past the old table's length), unaffected cells carry their labels
-// over in O(1), and only affected cells pay an intern. Results no longer
+// Both are copy-on-write twice over. The label tiles: the new diagram shares
+// every tile of the old one and copies a tile only when it writes a cell in
+// it (tiles.go), so a write allocates in proportion to the tiles it changes.
+// The interned table: the new diagram's interner is seeded from the old
+// table (claiming it, so the shared arena grows in place past the old
+// table's length), and only written cells pay an intern. Results no longer
 // referenced by any cell stay in the shared arena as garbage; CompactArena
 // (or any fresh Build*) drops it.
 //
@@ -49,73 +57,67 @@ func (d *Diagram) WithInsert(p geom.Point) (*Diagram, error) {
 	copy(pts, d.Points)
 	pts[len(d.Points)] = p
 
+	// p's lines are column pi-1's right line and row pj-1's upper line. A
+	// new line splits a column (row) in two: the piece past the line keeps
+	// the old slot and its results, and the piece before it takes a free
+	// slot and starts from the same results.
 	g := grid.NewGrid(pts)
-	in := resultset.NewInternerFrom(d.results)
-	nd := &Diagram{
-		Points: pts,
-		Grid:   g,
-		byID:   pointIndex(pts),
-		labels: make([]uint32, g.Cols()*g.Rows()),
-		rows:   g.Rows(),
+	pi, pj := g.LocateXY(p.X(), p.Y())
+	newCol, newRow := g.Cols() > d.Grid.Cols(), g.Rows() > d.rows
+	colSlot, freeCols := d.colSlot, d.freeCols
+	if newCol {
+		colSlot, freeCols = withSlot(colSlot, freeCols, pi-1)
 	}
-	// Old lines ⊆ new lines: exactly one old cell contains each new cell.
-	// The containing column/row depends on one axis only, so the binary
-	// searches are hoisted out of the O(cells) loop.
-	oldCol, oldRow, cys := containingCells(g, d.Grid)
+	rowSlot, freeRows := d.rowSlot, d.freeRows
+	if newRow {
+		rowSlot, freeRows = withSlot(rowSlot, freeRows, pj-1)
+	}
+	nd, w := d.derive(pts, g, colSlot, rowSlot, freeCols, freeRows)
+	// The new lines' cells outside p's lower-left region keep their results.
+	if newRow {
+		for i := pi; i < g.Cols(); i++ {
+			w.set(i, pj-1, nd.Label(i, pj))
+		}
+	}
+	if newCol {
+		for j := pj; j < nd.rows; j++ {
+			w.set(pi-1, j, nd.Label(pi, j))
+		}
+	}
+
+	// The lower-left region, where both corner coordinates are below p's:
+	// p is a candidate there and nowhere else. A cell on a new line reads
+	// its old result from the piece past the line. Such a cell always
+	// changes, so it is always written: no point lies strictly between the
+	// new line and the old one before it, so no member of its old result
+	// can dominate p.
+	in := resultset.NewInternerFrom(d.results)
 	// scratch holds each changed cell's result until Intern copies it.
 	var scratch []int32
-	for i := 0; i < g.Cols(); i++ {
-		base, obase := i*nd.rows, oldCol[i]*d.rows
-		cx, _ := g.Corner(i, 0)
-		if !(p.X() > cx) {
-			// p is not a candidate anywhere in this column: pure label carry.
-			for j := 0; j < g.Rows(); j++ {
-				nd.labels[base+j] = d.labels[obase+oldRow[j]]
-			}
-			continue
+	for i := 0; i < pi; i++ {
+		si := i
+		if newCol && i == pi-1 {
+			si = pi
 		}
-		for j := 0; j < g.Rows(); j++ {
-			oldLabel := d.labels[obase+oldRow[j]]
-			if !(p.Y() > cys[j]) {
-				nd.labels[base+j] = oldLabel // p is not a candidate here
-				continue
+		for j := 0; j < pj; j++ {
+			sj := j
+			if newRow && j == pj-1 {
+				sj = pj
 			}
-			ids, changed := insertIntoResult(scratch, d.byID, d.results.Result(oldLabel), p)
-			if !changed {
-				nd.labels[base+j] = oldLabel
-				continue
+			ids, changed := insertIntoResult(scratch, nd.byID, d.results.Result(nd.Label(si, sj)), p)
+			if changed {
+				scratch = ids
+				w.set(i, j, in.Intern(ids))
 			}
-			scratch = ids
-			nd.labels[base+j] = in.Intern(ids)
 		}
 	}
 	nd.results = in.Table()
 	return nd, nil
 }
 
-// containingCells maps every column/row of grid g to the column/row of grid
-// old whose cell contains g's corners on that axis (used in both directions:
-// insert refines the grid, delete coarsens it), and returns g's per-row
-// corner ordinates for reuse in cell loops.
-func containingCells(g, old *grid.Grid) (oldCol, oldRow []int, cys []float64) {
-	oldCol = make([]int, g.Cols())
-	for i := range oldCol {
-		cx, _ := g.Corner(i, 0)
-		oldCol[i] = countLE(old.Xs, cx)
-	}
-	oldRow = make([]int, g.Rows())
-	cys = make([]float64, g.Rows())
-	for j := range oldRow {
-		_, cy := g.Corner(0, j)
-		oldRow[j] = countLE(old.Ys, cy)
-		cys[j] = cy
-	}
-	return oldCol, oldRow, cys
-}
-
 // insertIntoResult derives Sky(candidates ∪ {p}) from Sky(candidates),
 // building it in dst's memory. When the result is unchanged it reports
-// changed=false, and returns dst untouched, so the caller can carry the old
+// changed=false, and returns dst untouched, so the caller can keep the old
 // cell's label instead of re-interning.
 func insertIntoResult(dst []int32, byID map[int32]geom.Point, old []int32, p geom.Point) (ids []int32, changed bool) {
 	// If any old member dominates p, nothing changes: transitivity
@@ -159,71 +161,93 @@ func (d *Diagram) WithDelete(id int) (*Diagram, error) {
 	if !found {
 		return nil, fmt.Errorf("quaddiag: delete: id %d not present", id)
 	}
-	g := grid.NewGrid(pts)
-	in := resultset.NewInternerFrom(d.results)
-	nd := &Diagram{
-		Points: pts,
-		Grid:   g,
-		byID:   pointIndex(pts),
-		labels: make([]uint32, g.Cols()*g.Rows()),
-		rows:   g.Rows(),
-	}
 
-	// Pass 1: copy every unaffected cell's label. New lines ⊆ old lines, and
-	// any old cell inside a new one carries the same (unchanged) result — the
-	// halves across the removed point's lines can only differ where the
-	// removed point was a candidate.
+	// In the old grid the removed point's lines are column ri-1's right
+	// line and row rj-1's upper line. A line no other point keeps goes with
+	// it, and the two columns (rows) it parted merge into one, which keeps
+	// the slot and results of the piece past the line: the removed point
+	// was no candidate there, and no other point lies between the lines.
+	g := grid.NewGrid(pts)
+	ri, rj := d.Grid.LocateXY(removed.X(), removed.Y())
+	colSlot, freeCols := d.colSlot, d.freeCols
+	if g.Cols() < d.Grid.Cols() {
+		colSlot, freeCols = withoutSlot(colSlot, freeCols, ri-1)
+	}
+	rowSlot, freeRows := d.rowSlot, d.freeRows
+	if g.Rows() < d.rows {
+		rowSlot, freeRows = withoutSlot(rowSlot, freeRows, rj-1)
+	}
+	nd, w := d.derive(pts, g, colSlot, rowSlot, freeCols, freeRows)
+
+	// The affected lower-left rectangle, top-right to bottom-left. The cells
+	// whose old result lists the removed point are recomputed with the
+	// Theorem 1 identity: every up/right neighbour is either outside the
+	// rectangle, unchanged, or already recomputed, and out-of-range
+	// neighbours are empty — exactly the scanning construction restricted to
+	// the removed point's influence region. Cells are read back through the
+	// interner, which resolves old and freshly interned labels alike.
 	iMax := countLT(g.Xs, removed.X())
 	jMax := countLT(g.Ys, removed.Y())
-	oldCol, oldRow, _ := containingCells(g, d.Grid)
-	for i := 0; i < g.Cols(); i++ {
-		base, obase := i*nd.rows, oldCol[i]*d.rows
-		for j := 0; j < g.Rows(); j++ {
-			if i <= iMax && j <= jMax {
-				continue // affected; pass 2
-			}
-			nd.labels[base+j] = d.labels[obase+oldRow[j]]
-		}
-	}
-	// Pass 2: the affected lower-left rectangle, top-right to bottom-left.
-	// A cell whose old result does not list the removed point carries its
-	// label — removing a non-skyline member never changes a skyline (the old
-	// cell read through the lower-left constituent has the same corner, hence
-	// the same candidate set minus the removed point). The cells that DID
-	// list it are recomputed with the Theorem 1 identity: every up/right
-	// neighbour is either unaffected (copied in pass 1), carried, or already
-	// recomputed, and out-of-range neighbours are empty — exactly the
-	// scanning construction restricted to the removed point's influence
-	// region. Cells are read back through the interner, which resolves
-	// copied, carried, and freshly interned labels alike.
+	in := resultset.NewInternerFrom(d.results)
 	rid := int32(id)
-	byXY := grid.IndexByCoords(pts)
+	var corners cornerIndex
 	// scratch holds each recomputed cell's result until Intern copies it.
 	var scratch []int32
 	cellOrNil := func(i, j int) []int32 {
 		if i >= g.Cols() || j >= g.Rows() {
 			return nil
 		}
-		return in.Result(nd.labels[i*nd.rows+j])
+		return in.Result(nd.Label(i, j))
 	}
 	for i := iMax; i >= 0; i-- {
-		base, obase := i*nd.rows, oldCol[i]*d.rows
 		for j := jMax; j >= 0; j-- {
-			oldLabel := d.labels[obase+oldRow[j]]
-			if !containsLabelID(d.results.Result(oldLabel), rid) {
-				nd.labels[base+j] = oldLabel
+			if !containsLabelID(d.results.Result(nd.Label(i, j)), rid) {
 				continue
 			}
-			if ps := g.PointsAtUpperRight(i, j, byXY); len(ps) > 0 {
-				scratch = appendSortedIDs(scratch[:0], ps)
-			} else {
-				scratch = appendMergeSubtract(scratch[:0], cellOrNil(i+1, j), cellOrNil(i, j+1), cellOrNil(i+1, j+1))
+			scratch = corners.appendAtUpperRight(scratch[:0], g, pts, i, j)
+			if len(scratch) == 0 {
+				scratch = appendMergeSubtract(scratch, cellOrNil(i+1, j), cellOrNil(i, j+1), cellOrNil(i+1, j+1))
 			}
-			nd.labels[base+j] = in.Intern(scratch)
+			w.set(i, j, in.Intern(scratch))
 		}
 	}
 	nd.results = in.Table()
 	return nd, nil
+}
+
+// cornerIndex finds the points on a cell's upper-right corner — Theorem 1's
+// exception, more than one point when the dataset holds exact duplicates —
+// from each point's column on the grid rather than a coordinate map. A
+// point sits on the lower-left corner of the cell it locates to, so the
+// points on cell (i, j)'s upper-right corner are those locating to
+// (i+1, j+1). The index is built on first use.
+type cornerIndex struct {
+	// head[c] is 1 + the index of a point in column c (0: none), and
+	// next[k] likewise chains the points of point k's column.
+	head, next []int32
+}
+
+// appendAtUpperRight appends to dst the ascending ids of the points of pts
+// on the upper-right corner of g's cell (i, j).
+func (c *cornerIndex) appendAtUpperRight(dst []int32, g *grid.Grid, pts []geom.Point, i, j int) []int32 {
+	if i+1 >= g.Cols() || j+1 >= g.Rows() {
+		return dst
+	}
+	if c.head == nil {
+		c.head, c.next = make([]int32, g.Cols()), make([]int32, len(pts))
+		for k, p := range pts {
+			col, _ := g.LocateXY(p.X(), p.Y())
+			c.next[k], c.head[col] = c.head[col], int32(k+1)
+		}
+	}
+	n := len(dst)
+	for k := c.head[i+1]; k != 0; k = c.next[k-1] {
+		if p := pts[k-1]; p.Y() == g.Ys[j] {
+			dst = append(dst, int32(p.ID))
+		}
+	}
+	slices.Sort(dst[n:])
+	return dst
 }
 
 // containsLabelID reports whether the sorted result contains id.
@@ -243,11 +267,6 @@ func containsLabelID(ids []int32, id int32) bool {
 // countLT returns the number of sorted values < v.
 func countLT(vs []float64, v float64) int {
 	return sort.Search(len(vs), func(k int) bool { return vs[k] >= v })
-}
-
-// countLE returns the number of sorted values <= v.
-func countLE(vs []float64, v float64) int {
-	return sort.Search(len(vs), func(k int) bool { return vs[k] > v })
 }
 
 func pointIndex(pts []geom.Point) map[int32]geom.Point {

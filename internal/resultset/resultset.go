@@ -46,7 +46,8 @@
 // re-placing slots from their stored fingerprints, never rehashing content.
 // The index travels with the arena: Interner.Table hands it to the frozen
 // table and the claimant takes it over. Tables that arrive without one
-// (NewTable, CompactLabels, a fork's seed) build it lazily on first intern.
+// (Interner.Freeze, NewTable, CompactLabels, a fork's seed) build it lazily
+// on first intern.
 package resultset
 
 import (
@@ -143,49 +144,58 @@ func place(index []uint64, s uint64) {
 	index[i] = s
 }
 
-// LiveArena returns the arena usage of a table as seen by a label array:
-// live is the number of arena ids reachable from some label in labels (each
-// distinct result counted once), total is the whole arena. The difference is
-// garbage left behind by copy-on-write maintenance — results no cell
-// references anymore. O(len(labels) + NumResults), with one bit of scratch
-// per result.
-func LiveArena(labels []uint32, t *Table) (live, total int) {
+// LiveArena returns the arena usage of a table as seen by a diagram's
+// cells: cells must call visit with every cell's label, in runs of any
+// length and in any order. live is the number of arena ids reachable from
+// some cell (each distinct result counted once), total is the whole arena.
+// The difference is garbage left behind by copy-on-write maintenance —
+// results no cell references anymore. O(cells + NumResults), with one bit
+// of scratch per result.
+func LiveArena(t *Table, cells func(visit func(labels []uint32))) (live, total int) {
 	seen := make([]uint64, (t.NumResults()+63)/64)
-	for _, l := range labels {
-		if w, bit := l/64, uint64(1)<<(l%64); seen[w]&bit == 0 {
-			seen[w] |= bit
-			live += t.Len(l)
+	cells(func(labels []uint32) {
+		for _, l := range labels {
+			if w, bit := l/64, uint64(1)<<(l%64); seen[w]&bit == 0 {
+				seen[w] |= bit
+				live += t.Len(l)
+			}
 		}
-	}
+	})
 	return live, t.ArenaLen()
 }
 
-// CompactLabels rewrites a label array against a garbage-free copy of its
-// table, assigning new labels in first-use order over labels. Because a
-// fresh build interns cells in exactly that order (row-major) and assigns
-// labels in first-appearance order, the compacted table and label array are
+// CompactLabels returns a garbage-free copy of t holding exactly the results
+// a diagram's cells reference. cells must call relabel with every cell's
+// label, in runs, in cell order; relabel rewrites each run in place to the
+// new table's labels, assigned in first-use order, for the caller to store.
+// Because a fresh build interns cells in exactly that order and assigns
+// labels in first-appearance order, the compacted table and labels are
 // byte-identical to what a from-scratch rebuild of the same diagram would
 // produce — compaction is a pure copy, no hashing or recomputation.
 //
-// The input is not modified; the returned table shares nothing with t, so
-// dropping t releases its garbage. It starts a new lineage without an index.
-func CompactLabels(labels []uint32, t *Table) ([]uint32, *Table) {
-	remap := make([]uint32, t.NumResults()) // old label -> new label + 1
-	live, _ := LiveArena(labels, t)
-	newIDs := make([]int32, 0, live)
-	newOffsets := make([]uint32, 1, len(t.offsets))
-	out := make([]uint32, len(labels))
-	for k, l := range labels {
-		nl := remap[l]
-		if nl == 0 {
-			newIDs = append(newIDs, t.Result(l)...)
-			newOffsets = append(newOffsets, uint32(len(newIDs)))
-			nl = uint32(len(newOffsets) - 1)
-			remap[l] = nl
+// t is not modified and the new table shares nothing with it, so dropping
+// t releases its garbage. It starts a new lineage without an index.
+func CompactLabels(t *Table, cells func(relabel func(labels []uint32))) *Table {
+	remap := make([]uint32, t.NumResults())    // old label -> new label + 1
+	order := make([]uint32, 0, t.NumResults()) // old labels in new-label order
+	n := 0
+	cells(func(labels []uint32) {
+		for k, l := range labels {
+			if remap[l] == 0 {
+				order = append(order, l)
+				remap[l] = uint32(len(order))
+				n += t.Len(l)
+			}
+			labels[k] = remap[l] - 1
 		}
-		out[k] = nl - 1
+	})
+	ids := make([]int32, 0, n)
+	offsets := make([]uint32, 1, len(order)+1)
+	for _, l := range order {
+		ids = append(ids, t.Result(l)...)
+		offsets = append(offsets, uint32(len(ids)))
 	}
-	return out, &Table{ids: newIDs, offsets: newOffsets}
+	return &Table{ids: ids, offsets: offsets}
 }
 
 // Interner hash-conses id lists into a growing CSR table.
@@ -279,5 +289,16 @@ func (in *Interner) NumResults() int { return len(in.offsets) - 1 }
 func (in *Interner) Table() *Table {
 	t := &Table{ids: in.ids, offsets: in.offsets, index: in.index}
 	in.ids, in.offsets, in.index = clamp(in.ids), clamp(in.offsets), nil
+	return t
+}
+
+// Freeze is Table without the index: the frozen table hands on its arena's
+// spare capacity but not the dedup index, which its first claimant rebuilds
+// in one O(results) pass, as after a compaction. A fresh build freezes this
+// way — most built tables are served, not maintained, and the index would
+// otherwise stay as large as the table's results through their lifetime.
+func (in *Interner) Freeze() *Table {
+	t := in.Table()
+	t.index = nil
 	return t
 }

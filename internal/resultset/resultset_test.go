@@ -292,6 +292,34 @@ func TestInternAfterTableCopies(t *testing.T) {
 	checkPrefix(t, frozen, 40)
 }
 
+// A fresh build freezes its table without the dedup index; the table's
+// first claimant rebuilds it on its first intern, in one pass, and still
+// dedups against every result the table holds.
+func TestFreezeDropsIndex(t *testing.T) {
+	in := NewInterner()
+	for k := 0; k < 40; k++ {
+		in.Intern([]int32{int32(k), int32(k)})
+	}
+	table := in.Freeze()
+	if table.index != nil {
+		t.Fatalf("frozen table holds a %d-slot index, want none", len(table.index))
+	}
+	claim := NewInternerFrom(table)
+	if claim.index != nil {
+		t.Fatal("claimant took an index the table did not have")
+	}
+	if l := claim.Intern([]int32{7, 7}); l != 7 {
+		t.Fatalf("claimant interned a held result to label %d, want 7", l)
+	}
+	if claim.index == nil || 4*claim.NumResults() > 3*len(claim.index) {
+		t.Fatalf("claimant's first intern left index %d slots for %d results", len(claim.index), claim.NumResults())
+	}
+	if l := claim.Intern([]int32{-1}); l != 40 {
+		t.Fatalf("claimant's new result got label %d, want 40", l)
+	}
+	wantResults(t, "claimant", claim.Result, 40, []int32{-1})
+}
+
 // Readers of generation k must stay correct, and race-free, while the
 // lineage claims and appends generations k+1..k+20 past its length.
 func TestReadersOfOldGenerationDuringGrowth(t *testing.T) {
@@ -423,7 +451,12 @@ func FuzzLineage(f *testing.F) {
 				for i := range labels {
 					labels[i] = uint32(next() % len(x.m))
 				}
-				out, ct := CompactLabels(labels, x.t)
+				// Relabel a copy in two runs, split at a random cell.
+				out, cut := slices.Clone(labels), next()%len(labels)
+				ct := CompactLabels(x.t, func(relabel func([]uint32)) {
+					relabel(out[:cut])
+					relabel(out[cut:])
+				})
 				var m model
 				for i, l := range labels {
 					if slices.Index(m, x.m[l]) < 0 {

@@ -1018,6 +1018,11 @@ func (h *Handler) handleInsert(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "coords must be finite")
 		return
 	}
+	if req.ID != int(int32(req.ID)) {
+		// Diagrams store ids as int32; a wider id would alias another's.
+		writeError(w, http.StatusBadRequest, "id must be within the int32 range")
+		return
+	}
 	p := geom.Point{ID: req.ID, Coords: req.Coords}
 
 	n, err := h.submitOp(r.Context(), core.InsertOp(p))

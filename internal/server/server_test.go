@@ -252,3 +252,34 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// TestInsertRejectsIDOutsideInt32 posts a point whose id, 4294967301, wraps
+// to 5 in the int32 ids every diagram stores: accepted, it would alias the
+// hotel with id 5. The insert must be refused with 400 before it is queued,
+// and answers must stay as they were.
+func TestInsertRejectsIDOutsideInt32(t *testing.T) {
+	srv, hotels := newTestServer(t)
+	var before, after skylineResponse
+	if code := getJSON(t, srv.URL+"/v1/skyline?x=9&y=9", &before); code != 200 {
+		t.Fatalf("query code %d", code)
+	}
+	resp, err := http.Post(srv.URL+"/v1/points", "application/json",
+		strings.NewReader(`{"id":4294967301,"coords":[10,10]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("insert of id 4294967301: code %d, want 400", resp.StatusCode)
+	}
+	var stats statsResponse
+	if code := getJSON(t, srv.URL+"/v1/stats", &stats); code != 200 || stats.Points != len(hotels) {
+		t.Fatalf("after the refused insert: stats code %d, %d points, want %d", code, stats.Points, len(hotels))
+	}
+	if code := getJSON(t, srv.URL+"/v1/skyline?x=9&y=9", &after); code != 200 {
+		t.Fatalf("query code %d", code)
+	}
+	if fmt.Sprint(after.IDs) != fmt.Sprint(before.IDs) {
+		t.Fatalf("answer at (9,9) changed from %v to %v", before.IDs, after.IDs)
+	}
+}

@@ -77,7 +77,7 @@ func TestCrashAtEveryCreateSite(t *testing.T) {
 	}
 	laterOff := pagesOff + later*labelPageSize
 	var writes writeEnds
-	e, err := quadrantEncoder(newGen, 7)
+	e, err := NewEncoder(newGen, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

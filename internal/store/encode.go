@@ -27,7 +27,7 @@ const chunkSize = 32 << 10
 //
 // The file is canonical: labels are numbered in first-use order over the
 // cells and the arena holds exactly the results some cell references, in
-// that order. A fresh build's table already is (canonicalCSR) and is written
+// that order. A fresh build's table already is (canonical) and is written
 // verbatim. A maintained one is put into that order as it is written,
 // through a first-use remap array of one uint32 per table result — never a
 // re-freeze or an intermediate copy of the table — so persisting a
@@ -35,18 +35,25 @@ const chunkSize = 32 << 10
 // never writes maintenance garbage (whose result count can exceed the cell
 // count and would be rejected as corrupt on open).
 //
-// An Encoder reads the diagram each time it writes, and the diagram must not
-// change meanwhile; the diagrams this package encodes never do.
+// The encoder reads the cell labels a page at a time, in file order: a
+// quadrant diagram's through its label tiles (quaddiag.Diagram.CellLabels)
+// into one page of scratch the Encoder holds, so no encode builds a flat
+// label array; a dynamic diagram's straight from its flat array. An Encoder
+// reads the diagram each time it writes, and the diagram must not change
+// meanwhile; the diagrams this package encodes never do. The page scratch
+// makes an Encoder unsafe for concurrent use.
 type Encoder struct {
-	pts    []geom.Point
-	labels []uint32
-	table  *resultset.Table
+	pts   []geom.Point
+	quad  *quaddiag.Diagram // the quadrant kind's labels; nil for dynamic
+	flat  []uint32          // the dynamic kind's labels, row-major
+	table *resultset.Table
 	// remap[l] is old label l's canonical label + 1 (0: no cell uses it);
 	// nil when the table is canonical already.
 	remap      []uint32
 	cols, rows int
 	kind       int
 	epoch      uint64
+	page       [CellsPerPage]uint32 // scratch for one page of quad's labels
 
 	numResults, numIDs, numPages           int
 	indexOff, pagesOff, arenaOff, arenaEnd int
@@ -55,66 +62,88 @@ type Encoder struct {
 // NewEncoder prepares the version-4 file of a quadrant diagram stamped with
 // a replication epoch: the bytes Encode returns and every writer emits.
 func NewEncoder(d *quaddiag.Diagram, epoch uint64) (*Encoder, error) {
-	e, err := quadrantEncoder(d, epoch)
-	if err != nil {
+	e := &Encoder{}
+	if err := e.initQuadrant(d, epoch); err != nil {
 		return nil, err
 	}
-	return &e, nil
+	return e, nil
 }
 
-func quadrantEncoder(d *quaddiag.Diagram, epoch uint64) (Encoder, error) {
-	labels, table := d.ExportCSR()
-	return newEncoder(d.Points, labels, table, d.Grid.Cols(), d.Grid.Rows(), kindQuadrant, epoch)
-}
-
-func dynamicEncoder(d *dyndiag.Diagram, epoch uint64) (Encoder, error) {
-	labels, table := d.ExportCSR()
-	return newEncoder(d.Points, labels, table, d.Sub.Cols(), d.Sub.Rows(), kindDynamic, epoch)
-}
-
-func newEncoder(pts []geom.Point, labels []uint32, table *resultset.Table, cols, rows, kind int, epoch uint64) (Encoder, error) {
-	if len(labels) == 0 {
-		return Encoder{}, fmt.Errorf("store: diagram has no cells")
+func dynamicEncoder(d *dyndiag.Diagram, epoch uint64) (*Encoder, error) {
+	e := &Encoder{}
+	if err := e.initDynamic(d, epoch); err != nil {
+		return nil, err
 	}
-	e := Encoder{
-		pts: pts, labels: labels, table: table,
-		cols: cols, rows: rows, kind: kind, epoch: epoch,
-		numResults: table.NumResults(), numIDs: table.ArenaLen(),
+	return e, nil
+}
+
+func (e *Encoder) initQuadrant(d *quaddiag.Diagram, epoch uint64) error {
+	e.quad = d
+	return e.init(d.Points, d.Results(), d.Grid.Cols(), d.Grid.Rows(), kindQuadrant, epoch)
+}
+
+func (e *Encoder) initDynamic(d *dyndiag.Diagram, epoch uint64) error {
+	labels, table := d.ExportCSR()
+	e.flat = labels
+	return e.init(d.Points, table, d.Sub.Cols(), d.Sub.Rows(), kindDynamic, epoch)
+}
+
+func (e *Encoder) init(pts []geom.Point, table *resultset.Table, cols, rows, kind int, epoch uint64) error {
+	if cols*rows == 0 {
+		return fmt.Errorf("store: diagram has no cells")
 	}
-	if !canonicalCSR(labels, table) {
+	e.pts, e.table = pts, table
+	e.cols, e.rows, e.kind, e.epoch = cols, rows, kind, epoch
+	e.numResults, e.numIDs = table.NumResults(), table.ArenaLen()
+	e.numPages = (cols*rows + CellsPerPage - 1) / CellsPerPage
+	if !e.canonical() {
 		e.remap = make([]uint32, table.NumResults())
 		e.numResults, e.numIDs = 0, 0
-		for _, l := range labels {
-			if e.remap[l] == 0 {
-				e.numResults++
-				e.remap[l] = uint32(e.numResults)
-				e.numIDs += table.Len(l)
+		for pg := 0; pg < e.numPages; pg++ {
+			for _, l := range e.labels(pg) {
+				if e.remap[l] == 0 {
+					e.numResults++
+					e.remap[l] = uint32(e.numResults)
+					e.numIDs += table.Len(l)
+				}
 			}
 		}
 	}
-	e.numPages = (len(labels) + CellsPerPage - 1) / CellsPerPage
 	e.indexOff = headerSize + len(pts)*(8+8*dimOf(pts))
 	e.pagesOff = e.indexOff + e.numPages*indexEntrySz
 	e.arenaOff = e.pagesOff + e.numPages*labelPageSize
 	e.arenaEnd = e.arenaOff + 8 + 4*(e.numResults+1) + 4*e.numIDs
-	return e, nil
+	return nil
 }
 
-// canonicalCSR reports whether labels reference every table result exactly
+// labels returns the labels of page pg's cells, as the table numbers them.
+// A quadrant diagram's are read into the page scratch, valid until the next
+// call.
+func (e *Encoder) labels(pg int) []uint32 {
+	k := pg * CellsPerPage
+	if e.quad == nil {
+		return e.flat[k:min(k+CellsPerPage, len(e.flat))]
+	}
+	return e.page[:e.quad.CellLabels(e.page[:], k)]
+}
+
+// canonical reports whether the cells reference every table result exactly
 // in first-appearance order — the shape a fresh build's freeze produces. A
 // maintained (copy-on-write updated) diagram fails this: its arena carries
 // garbage results no cell references anymore, and its labels are not in
 // first-use order.
-func canonicalCSR(labels []uint32, table *resultset.Table) bool {
+func (e *Encoder) canonical() bool {
 	next := uint32(0)
-	for _, l := range labels {
-		if l == next {
-			next++
-		} else if l > next {
-			return false
+	for pg := 0; pg < e.numPages; pg++ {
+		for _, l := range e.labels(pg) {
+			if l == next {
+				next++
+			} else if l > next {
+				return false
+			}
 		}
 	}
-	return int(next) == table.NumResults()
+	return int(next) == e.table.NumResults()
 }
 
 // Size returns the length of the file in bytes.
@@ -204,27 +233,12 @@ func (e *Encoder) emit(fw *fileWriter) {
 		// meets each result's first use exactly when its new label comes up
 		// next: one pass writes the offsets, a second the ids.
 		fw.u32(0)
-		next, n := uint32(1), uint32(0)
-		for _, l := range e.labels {
-			if e.remap[l] != next {
-				continue
-			}
+		n := uint32(0)
+		e.eachFirstUse(func(l uint32) {
 			n += uint32(e.table.Len(l))
 			fw.u32(n)
-			if next++; int(next) > e.numResults {
-				break
-			}
-		}
-		next = 1
-		for _, l := range e.labels {
-			if e.remap[l] != next {
-				continue
-			}
-			putAll(fw, e.table.Result(l))
-			if next++; int(next) > e.numResults {
-				break
-			}
-		}
+		})
+		e.eachFirstUse(func(l uint32) { putAll(fw, e.table.Result(l)) })
 	}
 	fw.u32(fw.endSection())
 
@@ -236,10 +250,25 @@ func (e *Encoder) emit(fw *fileWriter) {
 	fw.flush()
 }
 
+// eachFirstUse calls f with every result's label in canonical order: a pass
+// over the cells meets each result's first use exactly when its canonical
+// label comes up next.
+func (e *Encoder) eachFirstUse(f func(l uint32)) {
+	next := uint32(1)
+	for pg := 0; pg < e.numPages && int(next) <= e.numResults; pg++ {
+		for _, l := range e.labels(pg) {
+			if e.remap[l] == next {
+				f(l)
+				next++
+			}
+		}
+	}
+}
+
 // putPage encodes label page pg into page and returns it.
 func (e *Encoder) putPage(page []byte, pg int) []byte {
 	be := binary.BigEndian
-	cells := e.labels[pg*CellsPerPage : min((pg+1)*CellsPerPage, len(e.labels))]
+	cells := e.labels(pg)
 	if e.remap == nil {
 		for i, l := range cells {
 			be.PutUint32(page[4*i:], l)
@@ -366,8 +395,8 @@ func (fw *fileWriter) flush() {
 // that the caller owns. The buffer and, for a maintained diagram, the remap
 // are the only allocations.
 func Encode(d *quaddiag.Diagram, epoch uint64) ([]byte, error) {
-	e, err := quadrantEncoder(d, epoch)
-	if err != nil {
+	var e Encoder
+	if err := e.initQuadrant(d, epoch); err != nil {
 		return nil, err
 	}
 	return e.encode(), nil
@@ -388,8 +417,8 @@ func Write(w io.Writer, d *quaddiag.Diagram) error {
 // WriteEpoch is Write with an explicit replication epoch stamped into the
 // header — the builder's snapshot generation, negotiated by replicas.
 func WriteEpoch(w io.Writer, d *quaddiag.Diagram, epoch uint64) error {
-	e, err := quadrantEncoder(d, epoch)
-	if err != nil {
+	var e Encoder
+	if err := e.initQuadrant(d, epoch); err != nil {
 		return err
 	}
 	return e.writeFile(w)

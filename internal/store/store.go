@@ -127,7 +127,7 @@ func CreateFile(path string, d *quaddiag.Diagram) error {
 // CreateFileEpoch is CreateFile with a replication epoch stamped into the
 // header. The file streams from the diagram into the temporary file.
 func CreateFileEpoch(path string, d *quaddiag.Diagram, epoch uint64) error {
-	e, err := quadrantEncoder(d, epoch)
+	e, err := NewEncoder(d, epoch)
 	if err != nil {
 		return err
 	}
