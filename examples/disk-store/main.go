@@ -62,8 +62,8 @@ func main() {
 	fmt.Printf("replica: shopper at (%.0f, %.0f) sees %d frontier products\n",
 		q.X(), q.Y(), len(ids))
 
-	// A burst of shoppers: each answer is two rank-table loads and a label
-	// load from the mapped file.
+	// A burst of shoppers: each answer is two rank-table loads, a label load
+	// and the answer's ids decoded from the mapped file.
 	queries := make([]geom.Point, 2000)
 	results := make([][]int32, len(queries))
 	total := 0

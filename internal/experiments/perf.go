@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/dyndiag"
 	"repro/internal/quaddiag"
@@ -269,9 +270,10 @@ func E17(c Config) Table {
 
 // E19 measures the serve-from-file path against an in-memory build: replica
 // bootstrap cost (build vs open) and per-query latency through the in-memory
-// diagram and the memory-mapped store (rank-table locate + label load from
-// the mapping). Both paths are first asserted to answer identically over a
-// probe sweep.
+// diagram and the memory-mapped store (rank-table locate, label load and the
+// answer's ids decoded from the mapping). Both paths are first asserted to
+// answer identically over a probe sweep, and both are timed as a server
+// answers: AppendQueryXY into one reused buffer.
 func E19(c Config) Table {
 	n, s := 600, 2048
 	samples, batch := 300, 200
@@ -289,10 +291,10 @@ func E19(c Config) Table {
 	us := func(d time.Duration) string { return fmt.Sprintf("%.3f", float64(d.Nanoseconds())/1000) }
 	pts := GenDomain(dataset.Independent, n, s, c.seed())
 
-	var d *quaddiag.Diagram
+	var d *core.QuadrantDiagram
 	buildTime := c.time(func() {
 		var err error
-		d, err = quaddiag.BuildScanning(pts)
+		d, err = core.BuildQuadrant(pts, core.Options{})
 		if err != nil {
 			panic(err)
 		}
@@ -303,7 +305,7 @@ func E19(c Config) Table {
 	}
 	defer os.RemoveAll(dir)
 	path := filepath.Join(dir, "diagram.sky")
-	if err := store.CreateFile(path, d); err != nil {
+	if err := store.CreateFile(path, d.Cells()); err != nil {
 		panic(err)
 	}
 
@@ -322,16 +324,20 @@ func E19(c Config) Table {
 	xmax, ymax := float64(s), float64(s)
 	assertSameResults("mmap", xmax, ymax, d.QueryXY, mapped.QueryXY)
 
-	row := func(name string, boot time.Duration, q func(x, y float64) []int32) {
-		p50, p99 := latencyPercentiles(samples, batch, xmax, ymax, q)
+	row := func(name string, boot time.Duration, appendQuery func(dst []int32, x, y float64) []int32) {
+		buf := make([]int32, 0, n)
+		p50, p99 := latencyPercentiles(samples, batch, xmax, ymax, func(x, y float64) []int32 {
+			buf = appendQuery(buf[:0], x, y)
+			return buf
+		})
 		t.Rows = append(t.Rows, []string{name,
 			fmt.Sprintf("%.3f", float64(boot.Microseconds())/1000), us(p50), us(p99), "yes"})
 	}
-	row("in-memory build", buildTime, d.QueryXY)
+	row("in-memory build", buildTime, d.AppendQueryXY)
 	mappedName := "mmap file"
 	if !mapped.Mapped() {
 		mappedName = "mmap file (read into memory)"
 	}
-	row(mappedName, mmapTime, mapped.QueryXY)
+	row(mappedName, mmapTime, mapped.AppendQueryXY)
 	return t
 }

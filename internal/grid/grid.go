@@ -49,6 +49,10 @@ func NewGrid(pts []geom.Point) *Grid {
 	return g
 }
 
+// Ranks returns the grid's O(1) point-location tables over Xs and Ys, for a
+// reader that keeps them without the grid.
+func (g *Grid) Ranks() (x, y *Rank) { return g.xrank, g.yrank }
+
 // Cols returns the number of cell columns, len(Xs)+1.
 func (g *Grid) Cols() int { return len(g.Xs) + 1 }
 
@@ -223,6 +227,10 @@ func lineValues(lines []Line) []float64 {
 	}
 	return vs
 }
+
+// Ranks returns the subgrid's O(1) point-location tables over its line
+// values, for a reader that keeps them without the subgrid.
+func (sg *SubGrid) Ranks() (x, y *Rank) { return sg.xrank, sg.yrank }
 
 // Cols returns the number of subcell columns.
 func (sg *SubGrid) Cols() int { return len(sg.XLines) + 1 }

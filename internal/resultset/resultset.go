@@ -46,8 +46,8 @@
 // re-placing slots from their stored fingerprints, never rehashing content.
 // The index travels with the arena: Interner.Table hands it to the frozen
 // table and the claimant takes it over. Tables that arrive without one
-// (Interner.Freeze, NewTable, CompactLabels, a fork's seed) build it lazily
-// on first intern.
+// (Interner.Freeze, CompactLabels, a fork's seed) build it lazily on first
+// intern.
 package resultset
 
 import (
@@ -67,25 +67,6 @@ type Table struct {
 	// results; it passes to the claimant, and nil means build on first use.
 	index   []uint64
 	claimed atomic.Bool
-}
-
-// NewTable assembles a table from raw CSR arrays, validating the structural
-// invariants (used by deserializers; Interner-built tables hold them by
-// construction). The slices are retained, not copied; their capacity is
-// clamped, so growing the table never writes into the caller's memory.
-func NewTable(offsets []uint32, ids []int32) (*Table, bool) {
-	if len(offsets) == 0 || offsets[0] != 0 {
-		return nil, false
-	}
-	for i := 1; i < len(offsets); i++ {
-		if offsets[i] < offsets[i-1] {
-			return nil, false
-		}
-	}
-	if int(offsets[len(offsets)-1]) != len(ids) {
-		return nil, false
-	}
-	return &Table{ids: clamp(ids), offsets: clamp(offsets)}, true
 }
 
 // NumResults returns the number of distinct interned results.

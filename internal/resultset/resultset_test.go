@@ -84,24 +84,6 @@ func TestNewInternerFromSharesAndExtends(t *testing.T) {
 	}
 }
 
-func TestNewTableValidates(t *testing.T) {
-	if _, ok := NewTable([]uint32{0, 2, 5}, []int32{1, 2, 3, 4, 5}); !ok {
-		t.Fatal("valid table rejected")
-	}
-	if _, ok := NewTable(nil, nil); ok {
-		t.Fatal("empty offsets accepted")
-	}
-	if _, ok := NewTable([]uint32{1, 2}, []int32{9, 9}); ok {
-		t.Fatal("offsets[0] != 0 accepted")
-	}
-	if _, ok := NewTable([]uint32{0, 3, 2}, []int32{1, 2}); ok {
-		t.Fatal("descending offsets accepted")
-	}
-	if _, ok := NewTable([]uint32{0, 2}, []int32{1, 2, 3}); ok {
-		t.Fatal("arena length mismatch accepted")
-	}
-}
-
 func TestInternRandomizedAgainstMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	in := NewInterner()

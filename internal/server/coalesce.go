@@ -38,14 +38,17 @@ type pendingOp struct {
 
 type opResult struct {
 	points int
-	err    error
+	// epoch is the snapshot the op's batch left published: for an applied
+	// op, the first epoch that holds it.
+	epoch uint64
+	err   error
 }
 
 // submitOp runs one insert/delete through the coalescing queue end to end:
 // enqueue, then either lead a batch or wait for another leader to deliver
 // the result. The slot wait is bounded by ctx (Config.UpdateWait plus the
 // client's own deadline) exactly like the pre-coalescing writer path.
-func (h *Handler) submitOp(ctx context.Context, op core.Op) (int, error) {
+func (h *Handler) submitOp(ctx context.Context, op core.Op) (opResult, error) {
 	h.queueDepth.Add(1)
 	defer h.queueDepth.Add(-1)
 	if h.updateWait > 0 {
@@ -60,7 +63,7 @@ func (h *Handler) submitOp(ctx context.Context, op core.Op) (int, error) {
 	for {
 		select {
 		case res := <-po.done:
-			return res.points, res.err
+			return res, res.err
 		case h.updateSlot <- struct{}{}:
 			// Leader: run one batch (which may or may not include po if the
 			// queue is longer than maxCoalesce), then re-check for a result.
@@ -68,12 +71,12 @@ func (h *Handler) submitOp(ctx context.Context, op core.Op) (int, error) {
 		case <-ctx.Done():
 			if h.withdraw(po) {
 				h.shed.Inc()
-				return 0, fmt.Errorf("%w: %v", errUpdateShed, ctx.Err())
+				return opResult{}, fmt.Errorf("%w: %v", errUpdateShed, ctx.Err())
 			}
 			// Already claimed by a leader: the op may be applied, so the
 			// shed path is no longer safe. Wait for the real result.
 			res := <-po.done
-			return res.points, res.err
+			return res, res.err
 		}
 	}
 }
@@ -189,7 +192,7 @@ func (h *Handler) runBatch() {
 	h.batchSize.Observe(float64(len(batch)))
 	h.rebuildLat.ObserveDuration(time.Since(start))
 	for i, po := range batch {
-		po.done <- opResult{points: results[i].Points, err: results[i].Err}
+		po.done <- opResult{points: results[i].Points, epoch: pub.epoch, err: results[i].Err}
 	}
 	h.maybeCompact()
 	h.maybeCheckpoint(pub)

@@ -20,15 +20,17 @@
 //	DELETE /v1/points/{id}                         delete a point
 //
 // Query, batch, health, stats, and snapshot responses carry the serving
-// snapshot's replication epoch in an X-Sky-Epoch header. /v1/snapshot is the
-// replication feed: it streams the store-format bytes of the current
-// snapshot with an ETag derived from the epoch, answering 304 when the
-// caller's ?epoch= (or If-None-Match) is already current. BootstrapReplica
-// turns a process into a read replica of a primary exposing that endpoint:
-// it keeps one file in its snapshot dir, memory-maps it, serves it via
-// NewServeFrom, and on each refresh publishes a strictly newer epoch over
-// that file and swaps it in with SwapStore (see docs/SCALEOUT.md and
-// cmd/skyrouter for the routing tier).
+// snapshot's replication epoch in an X-Sky-Epoch header. An applied insert
+// or delete carries the epoch of the batch that applied it — the first
+// epoch whose reads hold the write — and a rejected one (409/404) carries
+// none. /v1/snapshot is the replication feed: it streams the store-format
+// bytes of the current snapshot with an ETag derived from the epoch,
+// answering 304 when the caller's ?epoch= (or If-None-Match) is already
+// current. BootstrapReplica turns a process into a read replica of a
+// primary exposing that endpoint: it keeps one file in its snapshot dir,
+// memory-maps it, serves it via NewServeFrom, and on each refresh
+// publishes a strictly newer epoch over that file and swaps it in with
+// SwapStore (see docs/SCALEOUT.md and cmd/skyrouter for the routing tier).
 //
 // kind is quadrant (default), global, or dynamic, matched case-insensitively;
 // any other value is a 400 with a JSON error body on every path that accepts
@@ -198,8 +200,9 @@ type state struct {
 	// epoch is the snapshot generation: 1 for the initial build, +1 per
 	// applied write batch (compaction republishes the same epoch — answers
 	// are unchanged). A serve-from snapshot carries its file's epoch. The
-	// epoch is echoed on every response as X-Sky-Epoch, stamps published
-	// snapshot files, and drives the /v1/snapshot catch-up negotiation.
+	// epoch is echoed on every read response as X-Sky-Epoch, and on the
+	// ack of every write its batch applied; it stamps published snapshot
+	// files and drives the /v1/snapshot catch-up negotiation.
 	epoch    uint64
 	points   []geom.Point
 	quadrant *core.QuadrantDiagram
@@ -350,7 +353,8 @@ func New(pts []geom.Point, cfg Config) (*Handler, error) {
 // NewServeFrom serves skyline queries directly from a persisted diagram
 // file opened as st — typically via store.OpenMmap, so the snapshot IS the
 // mapped file: no diagram build, no materialization, queries resolve by
-// rank-table point location plus a label load from the mapping. Only the
+// rank-table point location plus a label load from the mapping, and the
+// answer's ids are decoded from it into the response buffer. Only the
 // file's kind is served (the file holds exactly one diagram); other kinds
 // and all writes answer 501. The caller keeps ownership of st and must not
 // close it while the handler serves.
@@ -1025,12 +1029,13 @@ func (h *Handler) handleInsert(w http.ResponseWriter, r *http.Request) {
 	}
 	p := geom.Point{ID: req.ID, Coords: req.Coords}
 
-	n, err := h.submitOp(r.Context(), core.InsertOp(p))
+	res, err := h.submitOp(r.Context(), core.InsertOp(p))
 	if err != nil {
 		writeUpdateError(w, err, http.StatusConflict)
 		return
 	}
-	writeJSON(w, http.StatusCreated, map[string]int{"points": n})
+	setEpochHeader(w, res.epoch)
+	writeJSON(w, http.StatusCreated, map[string]int{"points": res.points})
 }
 
 // writeUpdateError maps a submitOp failure: a shed wait is 503 +
@@ -1059,10 +1064,11 @@ func (h *Handler) handleDelete(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid id")
 		return
 	}
-	n, err := h.submitOp(r.Context(), core.DeleteOp(id))
+	res, err := h.submitOp(r.Context(), core.DeleteOp(id))
 	if err != nil {
 		writeUpdateError(w, err, http.StatusNotFound)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]int{"points": n})
+	setEpochHeader(w, res.epoch)
+	writeJSON(w, http.StatusOK, map[string]int{"points": res.points})
 }

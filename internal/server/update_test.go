@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -246,5 +247,116 @@ func TestBatchBodyCapScalesWithMaxBatch(t *testing.T) {
 	def.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/skyline/batch", strings.NewReader(body)))
 	if rec.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("default server accepted a %d-byte body: code %d", len(body), rec.Code)
+	}
+}
+
+// ackEpoch is one write's answer: its status and X-Sky-Epoch header.
+type ackEpoch struct {
+	code  int
+	epoch string
+}
+
+// sendWrite sends one insert (body set) or delete to base and returns its
+// status and epoch header; a transport error is status -1.
+func sendWrite(base, method, path, body string) ackEpoch {
+	req, err := http.NewRequest(method, base+path, strings.NewReader(body))
+	if err != nil {
+		return ackEpoch{code: -1}
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return ackEpoch{code: -1}
+	}
+	resp.Body.Close()
+	return ackEpoch{resp.StatusCode, resp.Header.Get("X-Sky-Epoch")}
+}
+
+// readEpoch queries the quadrant skyline at (x, y) on base and returns the
+// epoch that answered and the answer's ids.
+func readEpoch(t *testing.T, base string, x, y float64) (string, []int32) {
+	t.Helper()
+	resp, err := http.Get(fmt.Sprintf("%s/v1/skyline?x=%g&y=%g", base, x, y))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var sky skylineResponse
+	if err := json.NewDecoder(resp.Body).Decode(&sky); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("read (%g,%g): status %d, %v", x, y, resp.StatusCode, err)
+	}
+	return resp.Header.Get("X-Sky-Epoch"), sky.IDs
+}
+
+// TestWriteAckCarriesBatchEpoch: an applied insert or delete answers with
+// X-Sky-Epoch set to the epoch of the batch that applied it — the first
+// epoch whose read holds the write — and a rejected op answers with none.
+// A lone write gets the epoch after the one before it; ops coalesced into
+// one batch all get that batch's epoch.
+func TestWriteAckCarriesBatchEpoch(t *testing.T) {
+	h, err := New(dataset.Hotels(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+
+	// Lone writes: (200,200) is the whole skyline above (199.5,199.5) once
+	// inserted, and nothing is there before or after its delete.
+	e0, ids := readEpoch(t, srv.URL, 199.5, 199.5)
+	if len(ids) != 0 || e0 != "1" {
+		t.Fatalf("before the insert: epoch %s, ids %v", e0, ids)
+	}
+	ack := sendWrite(srv.URL, http.MethodPost, "/v1/points", `{"id":700000,"coords":[200,200]}`)
+	if ack != (ackEpoch{http.StatusCreated, "2"}) {
+		t.Fatalf("lone insert ack = %+v, want 201 at epoch 2", ack)
+	}
+	if e, ids := readEpoch(t, srv.URL, 199.5, 199.5); e != "2" || len(ids) != 1 || ids[0] != 700000 {
+		t.Fatalf("after the insert: epoch %s, ids %v, want epoch 2 holding 700000", e, ids)
+	}
+	ack = sendWrite(srv.URL, http.MethodDelete, "/v1/points/700000", "")
+	if ack != (ackEpoch{http.StatusOK, "3"}) {
+		t.Fatalf("lone delete ack = %+v, want 200 at epoch 3", ack)
+	}
+	if e, ids := readEpoch(t, srv.URL, 199.5, 199.5); e != "3" || len(ids) != 0 {
+		t.Fatalf("after the delete: epoch %s, ids %v, want epoch 3 without 700000", e, ids)
+	}
+
+	// One batch: four inserts, a duplicate insert and a delete of an absent
+	// id, parked in the queue and applied together.
+	h.updateSlot <- struct{}{}
+	type write struct{ method, path, body string }
+	writes := []write{
+		{http.MethodPost, "/v1/points", `{"id":1,"coords":[5,5]}`},
+		{http.MethodDelete, "/v1/points/123456", ""},
+	}
+	for i := 0; i < 4; i++ {
+		writes = append(writes, write{http.MethodPost, "/v1/points",
+			fmt.Sprintf(`{"id":%d,"coords":[%d,%d]}`, 800000+i, 150+i, 150-i)})
+	}
+	acks := make([]chan ackEpoch, len(writes))
+	for i, w := range writes {
+		acks[i] = make(chan ackEpoch, 1)
+		go func() { acks[i] <- sendWrite(srv.URL, w.method, w.path, w.body) }()
+	}
+	waitFor(t, time.Second, func() bool {
+		h.pendMu.Lock()
+		defer h.pendMu.Unlock()
+		return len(h.pending) == len(writes)
+	})
+	if e, ids := readEpoch(t, srv.URL, 149.5, 145.5); e != "3" || len(ids) != 0 {
+		t.Fatalf("batch queued: epoch %s, ids %v, want epoch 3 without the batch", e, ids)
+	}
+	<-h.updateSlot
+	want := []ackEpoch{{http.StatusConflict, ""}, {http.StatusNotFound, ""}}
+	for range 4 {
+		want = append(want, ackEpoch{http.StatusCreated, "4"})
+	}
+	for i, ch := range acks {
+		if got := <-ch; got != want[i] {
+			t.Errorf("%s %s %s: ack %+v, want %+v", writes[i].method, writes[i].path, writes[i].body, got, want[i])
+		}
+	}
+	if e, ids := readEpoch(t, srv.URL, 149.5, 145.5); e != "4" || len(ids) != 4 {
+		t.Fatalf("after the batch: epoch %s, ids %v, want epoch 4 holding the 4 inserts", e, ids)
 	}
 }

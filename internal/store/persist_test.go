@@ -12,7 +12,7 @@ import (
 
 // churnQuadrant applies a few inserts and deletes so the diagram carries
 // copy-on-write arena garbage, returning the maintained diagram.
-func churnQuadrant(t *testing.T, d *quaddiag.Diagram) *quaddiag.Diagram {
+func churnQuadrant(t testing.TB, d *quaddiag.Diagram) *quaddiag.Diagram {
 	t.Helper()
 	var err error
 	for k := 0; k < 6; k++ {

@@ -31,13 +31,13 @@
 // A Store is a view over one byte slice holding a whole file. New parses
 // it in place: it verifies the trailer CRC before trusting any header
 // field, bounds every header-declared count by the slice before sizing
-// anything from it, and checks the arena's own CRC, so a torn write or a
-// flipped bit anywhere is ErrCorrupt at open instead of a wrong skyline
-// later. Label pages are read straight from the slice; the points and the
-// arena are decoded once (the file is big-endian, so the int32 arena cannot
-// be aliased on little-endian hosts). Point location is O(1) via rank
-// tables over the rebuilt grid lines, and QueryXY answers with zero
-// allocations.
+// anything from it, and checks the arena's own CRC and its offsets where
+// they lie, so a torn write or a flipped bit anywhere is ErrCorrupt at open
+// instead of a wrong skyline later. Label pages and the arena are read
+// straight from the slice; only the points are decoded, and the grid lines
+// rebuilt from them. Point location is O(1) via rank tables over those
+// lines, and AppendQueryXY decodes the answer's ids from the arena into the
+// caller's buffer with zero allocations.
 //
 // OpenMmap serves a file from a read-only memory map, or, where the
 // platform has no mmap or the map fails, from the whole file read into
@@ -68,6 +68,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/dyndiag"
@@ -75,7 +76,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/grid"
 	"repro/internal/quaddiag"
-	"repro/internal/resultset"
 )
 
 const (
@@ -293,7 +293,9 @@ func Recover(path string) (*Store, error) {
 	return nil, err
 }
 
-// Store serves queries from one diagram file's bytes.
+// Store serves queries from one diagram file's bytes. It holds only the
+// points, the rank tables and the bytes: labels and results are read from
+// the file where they lie.
 type Store struct {
 	// data is the whole file: a read-only memory map when mapped is set,
 	// otherwise memory the garbage collector owns. It never changes after
@@ -313,9 +315,10 @@ type Store struct {
 	// grid.Rank), so a query is two array loads plus a label indirection.
 	xrank, yrank *grid.Rank
 	points       []geom.Point
-	// table is the interned result arena; a label resolves to a subslice of
-	// it without copying.
-	table *resultset.Table
+	// offsets and ids are the arena section's interned result table, read in
+	// place: (#results+1) big-endian uint32 offsets, then the big-endian ids
+	// they index. Label l names ids[4*offsets[l]:4*offsets[l+1]].
+	offsets, ids []byte
 
 	// active counts holds on data: Acquire holds and in-flight reads, plus
 	// closed once Close has begun, so a hold and Close's mark change in one
@@ -379,10 +382,10 @@ func checkHead(data []byte) error {
 }
 
 // New parses a complete store file and serves queries from it. The Store
-// keeps data, reading label pages in place, so the caller must not modify
-// it afterwards. The trailer CRC is verified before any header field is
-// trusted, and every header-declared count is bounded by len(data) before
-// anything is sized from it.
+// keeps data, reading label pages and the arena in place, so the caller
+// must not modify it afterwards. The trailer CRC is verified before any
+// header field is trusted, and every header-declared count is bounded by
+// len(data) before anything is sized from it.
 func New(data []byte) (*Store, error) {
 	if err := checkHead(data); err != nil {
 		return nil, err
@@ -406,7 +409,7 @@ func New(data []byte) (*Store, error) {
 		return nil, fmt.Errorf("%w: unknown diagram kind %d", ErrCorrupt, s.kind)
 	}
 	if cpp := be.Uint32(data[32:]); cpp != CellsPerPage {
-		return nil, fmt.Errorf("store: page shape %d not supported (want %d)", cpp, CellsPerPage)
+		return nil, fmt.Errorf("%w: header: %d cells per page, want %d", ErrCorrupt, cpp, CellsPerPage)
 	}
 	if dim := be.Uint32(data[12:]); s.cols <= 0 || s.rows <= 0 || dim != 2 {
 		return nil, fmt.Errorf("%w: header: cols=%d rows=%d dim=%d", ErrCorrupt, s.cols, s.rows, dim)
@@ -456,35 +459,29 @@ func New(data []byte) (*Store, error) {
 		c[1] = math.Float64frombits(be.Uint64(rec[16:]))
 		s.points[i] = geom.Point{ID: int(int64(be.Uint64(rec))), Coords: c}
 	}
-	var xs, ys []float64
 	if s.kind == kindDynamic {
 		sg := grid.NewSubGrid(s.points)
 		if sg.Cols() != s.cols || sg.Rows() != s.rows {
 			return nil, fmt.Errorf("%w: points imply a %dx%d subgrid, header says %dx%d",
 				ErrCorrupt, sg.Cols(), sg.Rows(), s.cols, s.rows)
 		}
-		xs = make([]float64, len(sg.XLines))
-		for i, l := range sg.XLines {
-			xs[i] = l.V
-		}
-		ys = make([]float64, len(sg.YLines))
-		for i, l := range sg.YLines {
-			ys[i] = l.V
-		}
+		s.xrank, s.yrank = sg.Ranks()
 	} else {
 		g := grid.NewGrid(s.points)
 		if g.Cols() != s.cols || g.Rows() != s.rows {
 			return nil, fmt.Errorf("%w: points imply a %dx%d grid, header says %dx%d",
 				ErrCorrupt, g.Cols(), g.Rows(), s.cols, s.rows)
 		}
-		xs, ys = g.Xs, g.Ys
+		s.xrank, s.yrank = g.Ranks()
 	}
-	s.xrank, s.yrank = grid.NewRank(xs), grid.NewRank(ys)
 	return s, nil
 }
 
-// parseArena bounds, CRC-checks and decodes the arena section (its own
-// trailing CRC included) into the interned result table.
+// parseArena bounds and CRC-checks the arena section (its own trailing CRC
+// included) and checks its offsets where they lie: the first is 0, none
+// decreases, and the last equals the id count, so every result a label
+// names lies inside the ids. It keeps the offsets and ids as subslices of
+// sec and allocates nothing.
 func (s *Store) parseArena(sec []byte) error {
 	be := binary.BigEndian
 	numResults, numIDs := uint64(be.Uint32(sec)), uint64(be.Uint32(sec[4:]))
@@ -501,19 +498,17 @@ func (s *Store) parseArena(sec []byte) error {
 	if crc32.ChecksumIEEE(sec[:crcOff]) != be.Uint32(sec[crcOff:]) {
 		return fmt.Errorf("%w: arena checksum mismatch", ErrCorrupt)
 	}
-	offsets := make([]uint32, numResults+1)
-	for i := range offsets {
-		offsets[i] = be.Uint32(sec[8+4*i:])
+	offsets := sec[8:idsOff]
+	last := be.Uint32(offsets)
+	ok := last == 0
+	for o := 4; ok && o < len(offsets); o += 4 {
+		v := be.Uint32(offsets[o:])
+		ok, last = v >= last, v
 	}
-	ids := make([]int32, numIDs)
-	for i := range ids {
-		ids[i] = int32(be.Uint32(sec[idsOff+4*uint64(i):]))
-	}
-	t, ok := resultset.NewTable(offsets, ids)
-	if !ok {
+	if !ok || uint64(last) != numIDs {
 		return fmt.Errorf("%w: arena offsets are not a valid CSR table", ErrCorrupt)
 	}
-	s.table = t
+	s.offsets, s.ids = offsets, sec[idsOff:crcOff]
 	return nil
 }
 
@@ -628,46 +623,51 @@ func kindName(kind int) string {
 // from the file read into memory.
 func (s *Store) Mapped() bool { return s.mapped }
 
-// QueryXY answers a skyline query — the serving hot path: two rank-table
-// loads, a label load from the file's bytes, and a subslice of the shared
-// arena, with no lock and zero allocations. A nil result means an empty
-// skyline. The result aliases the arena and must not be modified.
-func (s *Store) QueryXY(x, y float64) []int32 {
+// QueryXY answers a skyline query into a fresh slice, as AppendQueryXY
+// answers it. A nil result means an empty skyline.
+func (s *Store) QueryXY(x, y float64) []int32 { return s.AppendQueryXY(nil, x, y) }
+
+// AppendQueryXY appends the answer to the skyline query (x, y) to dst and
+// returns the extended slice — the serving hot path: two rank-table loads, a
+// label load from the file's bytes, and the result's ids decoded from the
+// arena into dst, with no lock. The whole copy reads the file's bytes, so it
+// runs under a hold. Once dst has the capacity it performs zero allocations.
+func (s *Store) AppendQueryXY(dst []int32, x, y float64) []int32 {
 	s.active.Add(1)
 	defer s.Release()
-	ids, _ := s.result(s.xrank.Rank(x)*s.rows + s.yrank.Rank(y))
-	return ids
+	dst, _ = s.appendResult(dst, s.xrank.Rank(x)*s.rows+s.yrank.Rank(y))
+	return dst
 }
 
-// AppendQueryXY appends QueryXY's answer to dst and returns the extended
-// slice: the answer a server encodes, copied into the caller's buffer. The
-// arena is decoded memory, not the mapping, so the copy needs no hold. Once
-// dst has the capacity it performs zero allocations.
-func (s *Store) AppendQueryXY(dst []int32, x, y float64) []int32 {
-	return append(dst, s.QueryXY(x, y)...)
-}
-
-// Cell returns the result of cell (i, j). The slice aliases the shared
-// arena and must not be modified.
+// Cell returns the result of cell (i, j) in a fresh slice.
 func (s *Store) Cell(i, j int) ([]int32, error) {
 	if i < 0 || j < 0 || i >= s.cols || j >= s.rows {
 		return nil, fmt.Errorf("store: cell (%d,%d) out of range %dx%d", i, j, s.cols, s.rows)
 	}
 	s.active.Add(1)
 	defer s.Release()
-	ids, ok := s.result(i*s.rows + j)
+	ids, ok := s.appendResult(nil, i*s.rows+j)
 	if !ok {
 		return nil, fmt.Errorf("%w: cell (%d,%d) has no result label", ErrCorrupt, i, j)
 	}
 	return ids, nil
 }
 
-// result resolves a cell's label, reporting false for a label that names
-// no result (padding or damage).
-func (s *Store) result(cell int) ([]int32, bool) {
-	label := binary.BigEndian.Uint32(s.labels[4*cell:])
-	if label >= uint32(s.table.NumResults()) {
-		return nil, false
+// appendResult appends the result a cell's label names to dst, reporting
+// false for a label that names no result (padding or damage). The caller
+// holds the store.
+func (s *Store) appendResult(dst []int32, cell int) ([]int32, bool) {
+	be := binary.BigEndian
+	label := be.Uint32(s.labels[4*cell:])
+	if label >= uint32(len(s.offsets)/4-1) {
+		return dst, false
 	}
-	return s.table.Result(label), true
+	off := s.offsets[4*int(label):]
+	lo, hi := be.Uint32(off), be.Uint32(off[4:])
+	ids := s.ids[4*int(lo) : 4*int(hi)]
+	dst = slices.Grow(dst, len(ids)/4)
+	for ; len(ids) >= 4; ids = ids[4:] {
+		dst = append(dst, int32(be.Uint32(ids)))
+	}
+	return dst, true
 }

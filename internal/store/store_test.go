@@ -27,7 +27,7 @@ func putTrailer(buf []byte) {
 	binary.BigEndian.PutUint32(buf[n+8:], crc32.ChecksumIEEE(buf[:n]))
 }
 
-func buildDiagram(t *testing.T, n int, seed int64) *quaddiag.Diagram {
+func buildDiagram(t testing.TB, n int, seed int64) *quaddiag.Diagram {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	pts := make([]geom.Point, n)

@@ -1,0 +1,205 @@
+package store
+
+import (
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"path/filepath"
+	"runtime"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// arenaSection returns where a valid file's arena section starts and where
+// its CRC lies, from the header's page count and pages offset and the
+// arena's own counts.
+func arenaSection(data []byte) (off, crcOff int) {
+	be := binary.BigEndian
+	off = int(be.Uint64(data[52:])) + int(be.Uint64(data[36:]))*labelPageSize
+	numResults, numIDs := int(be.Uint32(data[off:])), int(be.Uint32(data[off+4:]))
+	return off, off + 8 + 4*(numResults+1) + 4*numIDs
+}
+
+// maintainedFile encodes a diagram of n points after a few maintained
+// writes, so its table went through copy-on-write and first-use remapping.
+func maintainedFile(tb testing.TB, n int, seed int64) []byte {
+	tb.Helper()
+	data, err := Encode(churnQuadrant(tb, buildDiagram(tb, n, seed)), 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
+// TestNewReadsArenaInPlace pins the open path to a view over the file: New
+// checks the arena section where it lies and keeps it as a slice of the
+// file, so opening a maintained n=150 file allocates only the points and
+// the rank tables. Those are 16.4 kB, 12% of the file's 134 kB arena
+// section, where an open that decodes the arena allocates it all again.
+func TestNewReadsArenaInPlace(t *testing.T) {
+	data := maintainedFile(t, 150, 150)
+	off, crcOff := arenaSection(data)
+	arena := uint64(crcOff + 4 - off)
+	least := uint64(1<<63 - 1)
+	var before, after runtime.MemStats
+	for k := 0; k < 5; k++ {
+		runtime.ReadMemStats(&before)
+		s, err := New(data)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.KeepAlive(s)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least*100 >= arena*15 {
+		t.Fatalf("New allocated %d bytes for a %d-byte arena section (%d-byte file), want < 15%%",
+			least, arena, len(data))
+	}
+}
+
+// storeMutation applies one fuzz input to a valid file: keep truncates it
+// to its first keep bytes (keep past the end keeps it whole), and each
+// 5-byte record of flips XORs its last byte into the byte at its first
+// four's big-endian offset, modulo the length. The arena section's CRC, if
+// the cut left it in place, and the trailer CRC are then recomputed, so a
+// mutation reaches New's structural checks instead of its checksums.
+func storeMutation(raw []byte, keep uint32, flips []byte) []byte {
+	b := append([]byte(nil), raw[:min(int(keep), len(raw))]...)
+	for ; len(flips) >= 5 && len(b) > 0; flips = flips[5:] {
+		b[int(binary.BigEndian.Uint32(flips)%uint32(len(b)))] ^= flips[4]
+	}
+	if off, crcOff := arenaSection(raw); crcOff+4 <= len(b)-trailerSize {
+		binary.BigEndian.PutUint32(b[crcOff:], crc32.ChecksumIEEE(b[off:crcOff]))
+	}
+	if len(b) >= trailerSize {
+		putTrailer(b)
+	}
+	return b
+}
+
+// flip is one storeMutation record: XOR mask into the byte at off.
+func flip(off int, mask byte) []byte {
+	return append(binary.BigEndian.AppendUint32(nil, uint32(off)), mask)
+}
+
+// FuzzStoreNew drives the one parser the read path trusts: every offset New
+// accepts is later indexed in the file's bytes. Each input mutates a valid
+// maintained file (storeMutation), and New must either refuse it — with
+// ErrCorrupt or an unsupported-version error — or return a store whose
+// every cell answers through Cell and AppendQueryXY without panicking. A
+// Cell that refuses a label naming no result must say ErrCorrupt, and
+// AppendQueryXY must answer what Cell answers for the cell it locates.
+func FuzzStoreNew(f *testing.F) {
+	raw := maintainedFile(f, 15, 73)
+	whole := uint32(len(raw))
+	// TestMmapEquivalenceOverCorruptionMatrix's torn writes and bit rot.
+	stride := len(raw)/97 + 1
+	for cut := 0; cut < len(raw); cut += stride {
+		f.Add(uint32(cut), []byte(nil))
+	}
+	stride = len(raw)/101 + 1
+	offsets := []int{0, 8, 11, headerSize, len(raw) - trailerSize, len(raw) - 1}
+	for off := stride; off < len(raw); off += stride {
+		offsets = append(offsets, off)
+	}
+	for _, off := range offsets {
+		f.Add(whole, flip(off, 0x01))
+	}
+	f.Add(whole, []byte(nil))
+	// Past the CRCs: a second offset above the third (decreasing offsets),
+	// a last offset one off the id count, and a first label past the
+	// results.
+	arenaOff, crcOff := arenaSection(raw)
+	numIDs := int(binary.BigEndian.Uint32(raw[arenaOff+4:]))
+	f.Add(whole, flip(arenaOff+12, 0x80))
+	f.Add(whole, flip(crcOff-4*numIDs-1, 0x01))
+	f.Add(whole, flip(int(binary.BigEndian.Uint64(raw[52:])), 0x80))
+
+	f.Fuzz(func(t *testing.T, keep uint32, flips []byte) {
+		s, err := New(storeMutation(raw, keep, flips))
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) && !strings.Contains(err.Error(), "unsupported version") {
+				t.Fatalf("New refused with an error that is neither ErrCorrupt nor an unsupported version: %v", err)
+			}
+			return
+		}
+		cells := make([][]int32, s.NumCells())
+		for i := 0; i < s.cols; i++ {
+			for j := 0; j < s.rows; j++ {
+				ids, err := s.Cell(i, j)
+				if err != nil && !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("Cell(%d,%d): %v", i, j, err)
+				}
+				cells[i*s.rows+j] = ids
+			}
+		}
+		// Probe every line, every gap between lines and both outsides, so
+		// every column and row is located at least once.
+		var xs, ys []float64
+		for _, p := range s.Points() {
+			xs, ys = append(xs, p.X()), append(ys, p.Y())
+		}
+		var dst []int32
+		for _, x := range probes(xs) {
+			for _, y := range probes(ys) {
+				dst = s.AppendQueryXY(dst[:0], x, y)
+				if want := cells[s.xrank.Rank(x)*s.rows+s.yrank.Rank(y)]; !slices.Equal(dst, want) {
+					t.Fatalf("AppendQueryXY(%v, %v) = %v, Cell = %v", x, y, dst, want)
+				}
+			}
+		}
+	})
+}
+
+// probes returns each distinct value of vs, the midpoints between
+// neighbours, and a value below and above them all.
+func probes(vs []float64) []float64 {
+	slices.Sort(vs)
+	vs = slices.Compact(vs)
+	if len(vs) == 0 {
+		return []float64{0}
+	}
+	out := []float64{vs[0] - 1, vs[len(vs)-1] + 1}
+	for k, v := range vs {
+		out = append(out, v)
+		if k > 0 {
+			out = append(out, vs[k-1]+(v-vs[k-1])/2)
+		}
+	}
+	return out
+}
+
+// BenchmarkQueryStore times the lookup every replica, relay and serve-from
+// node answers with: AppendQueryXY on a mapped n=400 file into one reused
+// buffer, over a probe walk covering many cells.
+func BenchmarkQueryStore(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "diag.sky")
+	if err := CreateFile(path, buildDiagram(b, 400, 23)); err != nil {
+		b.Fatal(err)
+	}
+	s, err := OpenMmap(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	if !s.Mapped() {
+		b.Log("mmap unavailable: serving the file read into memory")
+	}
+	dst := make([]int32, 0, 1024)
+	b.ReportAllocs()
+	b.ResetTimer()
+	x, y := 0.0, 100.0
+	for i := 0; i < b.N; i++ {
+		dst = s.AppendQueryXY(dst[:0], x, y)
+		x += 3.7
+		if x > 100 {
+			x -= 100
+		}
+		y -= 4.1
+		if y < 0 {
+			y += 100
+		}
+	}
+}

@@ -7,10 +7,10 @@
 # max allocs/op, and for E20 the median bytes/epoch. Exits non-zero on any
 # regression gate; the ratio gates read the medians:
 #
-#   - zero-allocation contract: any run of BenchmarkQuery* (internal/core),
-#     BenchmarkEncode* (internal/server), or BenchmarkLocate* (internal/grid)
-#     reporting a nonzero allocs/op — that contract is what the read path's
-#     latency depends on;
+#   - zero-allocation contract: any run of BenchmarkQuery* (internal/core,
+#     internal/store), BenchmarkEncode* (internal/server), or
+#     BenchmarkLocate* (internal/grid) reporting a nonzero allocs/op — that
+#     contract is what the read path's latency depends on;
 #   - maintenance contract: BenchmarkUpdateIncremental not at least 3x
 #     faster than BenchmarkUpdateFullRebuild (internal/core) — incremental
 #     maintenance regressing toward rebuild-shaped costs (the measured
@@ -58,7 +58,7 @@ echo "== host $header"
 
 echo "== bench (benchtime=$benchtime, count=$count)"
 go test -run '^$' -bench 'BenchmarkQuery|BenchmarkEncode|BenchmarkUpdate|BenchmarkLocate' -benchmem \
-    -benchtime "$benchtime" -count "$count" ./internal/core/ ./internal/server/ ./internal/grid/ | tee "$tmp"
+    -benchtime "$benchtime" -count "$count" ./internal/core/ ./internal/store/ ./internal/server/ ./internal/grid/ | tee "$tmp"
 
 echo "== bench E18 write throughput (WAL gate)"
 go test -run '^$' -bench 'BenchmarkE18_WriteThroughput/(incremental|wal)/writers=1$' -benchmem \
