@@ -97,6 +97,19 @@ func (b *Breaker) Record(ok bool) {
 	}
 }
 
+// Abandon hands back an allowed call that ended with no outcome, such as
+// one whose own caller hung up. Nothing is counted and the breaker stays
+// where it is; if the call was the half-open probe, the next caller is
+// admitted as the probe instead.
+func (b *Breaker) Abandon() {
+	if b == nil {
+		return
+	}
+	b.mu.Lock()
+	b.probing = false
+	b.mu.Unlock()
+}
+
 // Opens returns how many times the breaker has (re)opened.
 func (b *Breaker) Opens() int64 {
 	if b == nil {

@@ -15,8 +15,9 @@ import (
 // through a fresh breaker the way a real caller would (Record only after an
 // admitted Allow) and checks the final state, open count, and admission.
 // Steps: 'f' = admitted call fails, 'o' = admitted call succeeds (sheds are
-// recorded as successes, so 'o' also models a Retry-After shed), 's' = sleep
-// past the cooldown.
+// recorded as successes, so 'o' also models a Retry-After shed), 'a' =
+// admitted call is abandoned (its caller hung up), 's' = sleep past the
+// cooldown.
 func TestBreakerSequences(t *testing.T) {
 	const cooldown = 25 * time.Millisecond
 	cases := []struct {
@@ -37,6 +38,8 @@ func TestBreakerSequences(t *testing.T) {
 		{"successful probe closes", 2, "ffso", BreakerClosed, 1, true},
 		{"one failure after recovery stays closed", 2, "ffsof", BreakerClosed, 1, true},
 		{"second open needs a full fresh streak", 2, "ffsoff", BreakerOpen, 2, false},
+		{"abandoned calls count nothing", 2, "faaa", BreakerClosed, 0, true},
+		{"abandoned probe admits the next caller", 2, "ffsa", BreakerHalfOpen, 1, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -52,6 +55,10 @@ func TestBreakerSequences(t *testing.T) {
 						continue
 					}
 					b.Record(step == 'o')
+				case 'a':
+					if b.Allow() {
+						b.Abandon()
+					}
 				default:
 					t.Fatalf("step %d: unknown step %q", i, step)
 				}

@@ -19,11 +19,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -177,10 +180,34 @@ func (c *Client) Stats(ctx context.Context) (Stats, error) {
 // Skyline answers a skyline query of the given kind ("quadrant", "global",
 // or "dynamic") at (x, y).
 func (c *Client) Skyline(ctx context.Context, kind string, x, y float64) (Result, error) {
+	var room [128]byte
+	u := append(room[:0], c.base...)
+	u = append(u, "/v1/skyline?kind="...)
+	u = append(u, url.QueryEscape(kind)...)
+	u = append(u, "&x="...)
+	u = appendQueryFloat(u, x)
+	u = append(u, "&y="...)
+	u = appendQueryFloat(u, y)
 	var r Result
-	path := fmt.Sprintf("/v1/skyline?kind=%s&x=%g&y=%g", kind, x, y)
-	err := c.getJSON(ctx, path, &r)
+	err := c.do(ctx, http.MethodGet, string(u), nil, func(data []byte) (err error) {
+		r, err = decodeResult(data)
+		return err
+	})
 	return r, err
+}
+
+// appendQueryFloat appends f as %g formats it, with an exponent's '+'
+// escaped: a bare '+' in a query value decodes as a space.
+func appendQueryFloat(b []byte, f float64) []byte {
+	var room [32]byte
+	for _, c := range strconv.AppendFloat(room[:0], f, 'g', -1, 64) {
+		if c == '+' {
+			b = append(b, "%2B"...)
+		} else {
+			b = append(b, c)
+		}
+	}
+	return b
 }
 
 // Insert adds a point to the served dataset.
@@ -189,21 +216,26 @@ func (c *Client) Insert(ctx context.Context, p geom.Point) error {
 	if err != nil {
 		return err
 	}
-	return c.do(ctx, http.MethodPost, "/v1/points", body, nil)
+	return c.do(ctx, http.MethodPost, c.base+"/v1/points", body, nil)
 }
 
 // Delete removes a point from the served dataset.
 func (c *Client) Delete(ctx context.Context, id int) error {
-	return c.do(ctx, http.MethodDelete, fmt.Sprintf("/v1/points/%d", id), nil, nil)
+	return c.do(ctx, http.MethodDelete, c.base+"/v1/points/"+strconv.Itoa(id), nil, nil)
 }
 
 func (c *Client) getJSON(ctx context.Context, path string, out interface{}) error {
-	return c.do(ctx, http.MethodGet, path, nil, out)
+	return c.do(ctx, http.MethodGet, c.base+path, nil, func(data []byte) error {
+		return json.Unmarshal(data, out)
+	})
 }
 
-// do issues the request under the retry policy described in the package
-// comment, consulting the circuit breaker before every attempt.
-func (c *Client) do(ctx context.Context, method, path string, body []byte, out interface{}) error {
+// do issues the request to target (the base URL and a path) under the retry
+// policy described in the package comment, consulting the circuit breaker
+// before every attempt. A 2xx body goes to decode, when there is one, which
+// must not keep it: the body is read into a pooled buffer.
+func (c *Client) do(ctx context.Context, method, target string, body []byte, decode func([]byte) error) error {
+	path := target[len(c.base):] // what errors name
 	idempotent := method == http.MethodGet
 	var lastErr error
 	for attempt := 0; attempt <= c.retries; attempt++ {
@@ -221,7 +253,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out i
 		if body != nil {
 			rd = bytes.NewReader(body)
 		}
-		req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
+		req, err := http.NewRequestWithContext(ctx, method, target, rd)
 		if err != nil {
 			return err
 		}
@@ -256,8 +288,21 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out i
 				}
 			}
 		}
-		data, err := io.ReadAll(resp.Body)
+		bp, err := ReadBody(resp.Body, resp.ContentLength, math.MaxInt)
 		resp.Body.Close()
+		sc := resp.StatusCode
+		// Everything the attempt needs of the body is taken from it before
+		// it goes back to the pool.
+		var msg string
+		var decodeErr error
+		switch {
+		case err != nil:
+		case sc < 200 || sc >= 300:
+			msg = errMessage(*bp)
+		case decode != nil:
+			decodeErr = decode(*bp)
+		}
+		ReleaseBody(bp)
 		if err != nil {
 			c.breakerRecord(false)
 			lastErr = err
@@ -272,7 +317,6 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out i
 			continue
 		}
 
-		sc := resp.StatusCode
 		retryAfter, hasRetryAfter := parseRetryAfter(resp.Header.Get("Retry-After"))
 		shed := sc == http.StatusTooManyRequests ||
 			(sc == http.StatusServiceUnavailable && hasRetryAfter)
@@ -283,7 +327,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out i
 			// resend. Not a breaker failure.
 			c.nShed.Add(1)
 			c.breakerRecord(true)
-			lastErr = &APIError{StatusCode: sc, Message: errMessage(data)}
+			lastErr = &APIError{StatusCode: sc, Message: msg}
 			if !idempotent && !hasRetryAfter {
 				return lastErr
 			}
@@ -298,7 +342,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out i
 			}
 		case sc >= 500:
 			c.breakerRecord(false)
-			lastErr = &APIError{StatusCode: sc, Message: errMessage(data)}
+			lastErr = &APIError{StatusCode: sc, Message: msg}
 			if !idempotent {
 				return lastErr
 			}
@@ -309,19 +353,71 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out i
 			}
 		case sc < 200 || sc >= 300:
 			c.breakerRecord(true)
-			return &APIError{StatusCode: sc, Message: errMessage(data)}
+			return &APIError{StatusCode: sc, Message: msg}
 		default:
 			c.breakerRecord(true)
-			if out != nil {
-				if err := json.Unmarshal(data, out); err != nil {
-					return fmt.Errorf("skyline service: decode %s: %w", path, err)
-				}
+			if decodeErr != nil {
+				return fmt.Errorf("skyline service: decode %s: %w", path, decodeErr)
 			}
 			return nil
 		}
 	}
 	return fmt.Errorf("skyline service: %s %s failed after %d attempts: %w",
 		method, path, c.retries+1, lastErr)
+}
+
+// bodyPool recycles response bodies, stored as *[]byte so Put does not
+// allocate. A body over maxPooledBody is left to the collector.
+var bodyPool sync.Pool
+
+const maxPooledBody = 64 << 10
+
+// ReadBody reads rd to EOF, at most limit bytes, into a pooled buffer with
+// room for size (the body's Content-Length, -1 when unknown) and for the
+// read that sees EOF, so a body of known length is read without growing
+// the buffer. The length is trusted only up to maxPooledBody: a larger or
+// a false one cannot allocate more than that before the bytes arrive, and
+// the buffer grows as they do, as io.ReadAll's does. The buffer is
+// returned on error too; pass it to ReleaseBody once nothing reads it. The
+// router buffers its forwards through it.
+func ReadBody(rd io.Reader, size int64, limit int) (*[]byte, error) {
+	want := 512 // io.ReadAll's first buffer, for a body of unknown length
+	if size >= 0 {
+		want = int(min(size, int64(limit), maxPooledBody-1)) + 1
+	}
+	bp, _ := bodyPool.Get().(*[]byte)
+	if bp == nil || cap(*bp) < want {
+		if bp != nil {
+			bodyPool.Put(bp)
+		}
+		b := make([]byte, 0, want)
+		bp = &b
+	}
+	b := (*bp)[:0]
+	var err error
+	for len(b) < limit {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		var n int
+		n, err = rd.Read(b[len(b):min(cap(b), limit)])
+		b = b[:len(b)+n]
+		if err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			break
+		}
+	}
+	*bp = b
+	return bp, err
+}
+
+// ReleaseBody returns a ReadBody buffer to the pool.
+func ReleaseBody(bp *[]byte) {
+	if bp != nil && cap(*bp) <= maxPooledBody {
+		bodyPool.Put(bp)
+	}
 }
 
 // breakerAllow gates an attempt on the circuit breaker: open and cooling

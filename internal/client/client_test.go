@@ -3,8 +3,11 @@ package client
 import (
 	"context"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -154,5 +157,28 @@ func TestNetworkErrorRetry(t *testing.T) {
 	}
 	if time.Since(start) < 2*time.Millisecond {
 		t.Fatal("retries with backoff should have taken at least two backoffs")
+	}
+}
+
+// A Content-Length is trusted only up to the pooled size: a length of
+// 2^63-1 on a short body is a read error, not a panic sizing the buffer,
+// and no announced length allocates more than the pool's size before the
+// bytes arrive.
+func TestReadBodyBoundsContentLength(t *testing.T) {
+	for _, size := range []int64{1 << 20, math.MaxInt64} {
+		bp, err := ReadBody(strings.NewReader("short"), size, math.MaxInt)
+		if err != nil || string(*bp) != "short" || cap(*bp) > maxPooledBody {
+			t.Fatalf("size %d: read %q into cap %d, %v; want \"short\" within %d bytes",
+				size, *bp, cap(*bp), err, maxPooledBody)
+		}
+		ReleaseBody(bp)
+	}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", strconv.FormatInt(math.MaxInt64, 10))
+		w.Write([]byte(`{"kind":"quadrant"`))
+	}))
+	defer srv.Close()
+	if res, err := New(srv.URL, WithRetries(0)).Skyline(context.Background(), "quadrant", 1, 2); err == nil {
+		t.Fatalf("a short body under a 2^63-1 length decoded as %+v", res)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -46,8 +47,11 @@ type Config struct {
 	// default; negative disables the breakers.
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	// HTTPClient overrides the transport used for proxying and health
-	// checks. nil uses a client with a 15s timeout.
+	// HTTPClient's Transport carries the forwards and the health probes
+	// (nil: http.DefaultTransport), and its Timeout bounds each forward's
+	// round trip and body read together (0: unbounded). A forward calls the
+	// Transport directly, so a 3xx is relayed, not followed. nil uses a
+	// client with a 15s timeout.
 	HTTPClient *http.Client
 	// Metrics receives the router's instrumentation; nil means a fresh
 	// registry, retrievable via Router.Metrics.
@@ -55,12 +59,23 @@ type Config struct {
 }
 
 // backend is one replica's routing state: health and epoch are written by
-// the health loop, the breaker by the data path.
+// the health loop, the breaker by the data path. url and name are made once
+// at New and shared, never mutated, by every forward.
 type backend struct {
 	base    string
+	url     *url.URL // base, parsed; a forward copies it
+	name    []string // the X-Sky-Backend value of every relayed answer
 	br      *client.Breaker
 	healthy atomic.Bool
 	epoch   atomic.Uint64
+}
+
+func newBackend(base string, br *client.Breaker) (*backend, error) {
+	u, err := url.Parse(base)
+	if err != nil {
+		return nil, fmt.Errorf("router: backend %q: %w", base, err)
+	}
+	return &backend{base: base, url: u, name: []string{base}, br: br}, nil
 }
 
 // Router fans skyline reads out across replicas and forwards writes to the
@@ -69,10 +84,12 @@ type backend struct {
 type Router struct {
 	mux         *http.ServeMux
 	backends    []*backend // configured order: the pool's preference order
-	primary     string
+	primary     *backend   // nil: writes answer 501
 	staleEpochs uint64
 	interval    time.Duration
-	httpc       *http.Client
+	httpc       *http.Client      // health probes
+	transport   http.RoundTripper // forwards: httpc's Transport
+	timeout     time.Duration     // one forward's bound: httpc's Timeout
 
 	reg       *metrics.Registry
 	requests  *metrics.Counter
@@ -107,10 +124,11 @@ func New(cfg Config) (*Router, error) {
 		reg = metrics.NewRegistry()
 	}
 	rt := &Router{
-		primary:     cfg.Primary,
 		staleEpochs: cfg.StaleEpochs,
 		interval:    cfg.HealthInterval,
 		httpc:       cfg.HTTPClient,
+		transport:   cfg.HTTPClient.Transport,
+		timeout:     cfg.HTTPClient.Timeout,
 		reg:         reg,
 		requests: reg.Counter("skyrouter_requests_total",
 			"Requests routed, all endpoints."),
@@ -121,6 +139,15 @@ func New(cfg Config) (*Router, error) {
 		noReplica: reg.Counter("skyrouter_no_replica_total",
 			"Reads with no usable candidate (all breakers open or all failed)."),
 	}
+	if rt.transport == nil {
+		rt.transport = http.DefaultTransport
+	}
+	if cfg.Primary != "" {
+		var err error
+		if rt.primary, err = newBackend(trimSlash(cfg.Primary), nil); err != nil {
+			return nil, err
+		}
+	}
 	seen := make(map[string]bool, len(cfg.Replicas))
 	for _, raw := range cfg.Replicas {
 		base := trimSlash(raw)
@@ -128,9 +155,9 @@ func New(cfg Config) (*Router, error) {
 			return nil, fmt.Errorf("router: duplicate replica %q", base)
 		}
 		seen[base] = true
-		b := &backend{
-			base: base,
-			br:   client.NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
+		b, err := newBackend(base, client.NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown))
+		if err != nil {
+			return nil, err
 		}
 		// Optimistic until the first health pass: with no data yet, every
 		// candidate sorts equal instead of all landing in the last-resort
@@ -252,11 +279,11 @@ func (rt *Router) probeURL(ctx context.Context, url string) (status int, epoch u
 	return resp.StatusCode, epoch, hasEpoch, nil
 }
 
-// candidates returns the replicas in try-order: the configured order,
-// partitioned healthy-and-fresh first, then healthy-but-stale, then
+// candidates appends the replicas to out in try-order: the configured
+// order, partitioned healthy-and-fresh first, then healthy-but-stale, then
 // unhealthy as a last resort (a probe may be wrong, and a stale answer from
 // a live replica beats no answer).
-func (rt *Router) candidates() []*backend {
+func (rt *Router) candidates(out []*backend) []*backend {
 	var maxEpoch uint64
 	for _, b := range rt.backends {
 		if e := b.epoch.Load(); e > maxEpoch {
@@ -266,7 +293,6 @@ func (rt *Router) candidates() []*backend {
 	fresh := func(b *backend) bool {
 		return b.epoch.Load()+rt.staleEpochs >= maxEpoch
 	}
-	out := make([]*backend, 0, len(rt.backends))
 	for _, b := range rt.backends { // healthy + fresh
 		if b.healthy.Load() && fresh(b) {
 			out = append(out, b)
@@ -287,62 +313,83 @@ func (rt *Router) candidates() []*backend {
 
 // bufferedResp is a fully-read backend response, safe to forward: the body
 // arrived complete before the first byte goes to the client, so a replica
-// dying mid-transfer can never produce a torn downstream answer.
+// dying mid-transfer can never produce a torn downstream answer. Its body is
+// pooled (client.ReadBody): whoever holds it last calls release, written or
+// dropped.
 type bufferedResp struct {
 	status  int
 	header  http.Header
-	body    []byte
-	backend string
+	body    *[]byte
+	backend []string // X-Sky-Backend
 }
 
-// forwardHeaders are the response headers the router relays.
-var forwardHeaders = []string{"Content-Type", "X-Sky-Epoch", "ETag", "Retry-After"}
+// forwardHeaders are the response headers the router relays, in canonical
+// form, because the relay reads and writes the header maps directly.
+var forwardHeaders = []string{"Content-Type", "X-Sky-Epoch", "Etag", "Retry-After", "Location"}
 
-func (br *bufferedResp) write(w http.ResponseWriter) {
+// write relays the answer. The relayed headers share the backend's value
+// slices, which nothing mutates once the response is read.
+func (br bufferedResp) write(w http.ResponseWriter) {
 	h := w.Header()
 	for _, k := range forwardHeaders {
-		if v := br.header.Get(k); v != "" {
-			h.Set(k, v)
+		if v := br.header[k]; len(v) > 0 && v[0] != "" {
+			h[k] = v
 		}
 	}
-	h.Set("X-Sky-Backend", br.backend)
+	h["X-Sky-Backend"] = br.backend
 	w.WriteHeader(br.status)
-	w.Write(br.body)
+	w.Write(*br.body)
 }
 
-func (br *bufferedResp) shed() bool {
+func (br bufferedResp) release() { client.ReleaseBody(br.body) }
+
+func (br bufferedResp) shed() bool {
 	return br.status == http.StatusTooManyRequests ||
 		(br.status == http.StatusServiceUnavailable && br.header.Get("Retry-After") != "")
 }
 
-// forward replays the (already buffered) request against one backend and
-// buffers the full response.
-func (rt *Router) forward(r *http.Request, body []byte, b *backend) (*bufferedResp, error) {
-	url := b.base + r.URL.Path
-	if r.URL.RawQuery != "" {
-		url += "?" + r.URL.RawQuery
+// hopHeader is the header of every bodiless forward, shared and never
+// mutated. Asking for an identity body keeps the transport from adding an
+// Accept-Encoding of its own, which costs a header map per request.
+var hopHeader = http.Header{"Accept-Encoding": {"identity"}}
+
+// forward replays the (already buffered) request against one backend
+// through the transport and buffers the full response. The configured
+// Timeout bounds the round trip and the body read together.
+func (rt *Router) forward(r *http.Request, body []byte, b *backend) (bufferedResp, error) {
+	ctx := r.Context()
+	if rt.timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, rt.timeout)
+		defer cancel()
 	}
-	var rd io.Reader
+	u := *b.url // a base with a path prefixes it to the request's
+	u.Path, u.RawPath, u.RawQuery = b.url.Path+r.URL.Path, "", r.URL.RawQuery
+	out := http.Request{
+		Method: r.Method, URL: &u, Header: hopHeader,
+		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+	}
 	if body != nil {
-		rd = bytes.NewReader(body)
+		out.Header = hopHeader.Clone()
+		if ct := r.Header.Get("Content-Type"); ct != "" {
+			out.Header.Set("Content-Type", ct)
+		}
+		out.ContentLength = int64(len(body))
+		out.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil }
+		out.Body, _ = out.GetBody()
 	}
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, url, rd)
+	resp, err := rt.transport.RoundTrip(out.WithContext(ctx))
 	if err != nil {
-		return nil, err
-	}
-	if ct := r.Header.Get("Content-Type"); ct != "" {
-		req.Header.Set("Content-Type", ct)
-	}
-	resp, err := rt.httpc.Do(req)
-	if err != nil {
-		return nil, err
+		return bufferedResp{}, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxProxyBody))
+	br := bufferedResp{status: resp.StatusCode, header: resp.Header, backend: b.name}
+	br.body, err = client.ReadBody(resp.Body, resp.ContentLength, maxProxyBody)
 	if err != nil {
-		return nil, fmt.Errorf("read %s response: %w", b.base, err)
+		br.release()
+		return bufferedResp{}, fmt.Errorf("read %s response: %w", b.base, err)
 	}
-	return &bufferedResp{status: resp.StatusCode, header: resp.Header, body: data, backend: b.base}, nil
+	return br, nil
 }
 
 // handleRead routes one read with failover. Candidates are tried in order;
@@ -353,22 +400,33 @@ func (rt *Router) forward(r *http.Request, body []byte, b *backend) (*bufferedRe
 // file lacks): it records success, counts as no failure, and the next
 // candidate is asked. If every candidate shed, the first shed is
 // forwarded; else if one answered 501, the first 501 is; if none was
-// usable, 503 + Retry-After.
+// usable, 503 + Retry-After. A caller that hangs up ends the read at once:
+// its cancellation is no replica's failure, so it counts on no breaker, and
+// a half-open probe it held is handed back (Breaker.Abandon).
 func (rt *Router) handleRead(w http.ResponseWriter, r *http.Request) {
 	body, err := readBody(w, r)
 	if err != nil {
 		writeError(w, http.StatusRequestEntityTooLarge, err.Error())
 		return
 	}
-	var firstShed, firstUnserved *bufferedResp
+	var firstShed, firstUnserved bufferedResp
+	defer func() {
+		firstShed.release()
+		firstUnserved.release()
+	}()
 	tried, unserved := 0, 0
-	for _, b := range rt.candidates() {
+	var room [8]*backend // a pool of up to 8 is ordered on the stack
+	for _, b := range rt.candidates(room[:0]) {
 		if !b.br.Allow() {
 			continue
 		}
 		tried++
 		resp, err := rt.forward(r, body, b)
 		if err != nil {
+			if r.Context().Err() != nil {
+				b.br.Abandon() // a half-open probe goes to the next caller
+				return
+			}
 			b.br.Record(false)
 			rt.backendErrs(b).Inc()
 			log.Printf("skyrouter: %s %s via %s: %v", r.Method, r.URL.Path, b.base, err)
@@ -377,33 +435,39 @@ func (rt *Router) handleRead(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case resp.shed():
 			b.br.Record(true)
-			if firstShed == nil {
+			if firstShed.body == nil {
 				firstShed = resp
+			} else {
+				resp.release()
 			}
 		case resp.status == http.StatusNotImplemented:
 			b.br.Record(true)
 			unserved++
-			if firstUnserved == nil {
+			if firstUnserved.body == nil {
 				firstUnserved = resp
+			} else {
+				resp.release()
 			}
 		case resp.status >= 500:
 			b.br.Record(false)
 			rt.backendErrs(b).Inc()
+			resp.release()
 		default:
 			b.br.Record(true)
 			if tried-unserved > 1 {
 				rt.failovers.Inc()
 			}
 			resp.write(w)
+			resp.release()
 			return
 		}
 	}
-	if firstShed != nil {
+	if firstShed.body != nil {
 		rt.sheds.Inc()
 		firstShed.write(w)
 		return
 	}
-	if firstUnserved != nil {
+	if firstUnserved.body != nil {
 		firstUnserved.write(w)
 		return
 	}
@@ -415,7 +479,7 @@ func (rt *Router) handleRead(w http.ResponseWriter, r *http.Request) {
 // handleWrite forwards a mutation to the builder — the single writer, so
 // there is no failover target. Responses (including sheds) relay verbatim.
 func (rt *Router) handleWrite(w http.ResponseWriter, r *http.Request) {
-	if rt.primary == "" {
+	if rt.primary == nil {
 		writeError(w, http.StatusNotImplemented, "router has no primary; writes are not accepted")
 		return
 	}
@@ -424,12 +488,13 @@ func (rt *Router) handleWrite(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusRequestEntityTooLarge, err.Error())
 		return
 	}
-	resp, err := rt.forward(r, body, &backend{base: trimSlash(rt.primary)})
+	resp, err := rt.forward(r, body, rt.primary)
 	if err != nil {
 		writeError(w, http.StatusBadGateway, fmt.Sprintf("primary unreachable: %v", err))
 		return
 	}
 	resp.write(w)
+	resp.release()
 }
 
 func (rt *Router) backendErrs(b *backend) *metrics.Counter {

@@ -286,7 +286,7 @@ func (r *Replica) fetch(ctx context.Context, epoch uint64) (*store.Store, error)
 		// Anything that goes wrong from here until the swap means the delta
 		// path is poisoned for this base; converge via a full fetch next.
 		r.fullNext = true
-		delta, err := io.ReadAll(resp.Body)
+		delta, err := readDelta(resp.Body, resp.ContentLength, r.h.snapshot().stored.Size())
 		if err != nil {
 			return nil, fmt.Errorf("snapshot patch: %w", err)
 		}
@@ -311,6 +311,21 @@ func (r *Replica) fetch(ctx context.Context, epoch uint64) (*store.Store, error)
 	}
 	r.fullNext = false
 	return st, nil
+}
+
+// readDelta reads a delta body of the given Content-Length into one buffer
+// of that size. The builder always sends the length, and sends a delta only
+// when it is smaller than the full file, so a length above served (the size
+// of the file served now) is wrong and allocates nothing up front: such a
+// body, like one of unknown length (-1), is read growing, as io.ReadAll
+// does. A body shorter than its length is an error.
+func readDelta(body io.Reader, size, served int64) ([]byte, error) {
+	if size < 0 || size > served {
+		return io.ReadAll(body)
+	}
+	delta := make([]byte, size)
+	_, err := io.ReadFull(body, delta)
+	return delta, err
 }
 
 // applyDelta writes the served snapshot patched by a delta body to w. The

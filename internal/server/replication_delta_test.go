@@ -372,3 +372,30 @@ func TestReplicaTornDeltaFallsBackToFull(t *testing.T) {
 		t.Fatal("replica bytes diverge after torn-delta recovery")
 	}
 }
+
+// readDelta reads a delta of known length into one buffer of exactly that
+// size, where io.ReadAll grows by doubling. A length above the served
+// file's size is wrong and sizes nothing, and a body shorter than its
+// length is an error.
+func TestReadDeltaSizedFromContentLength(t *testing.T) {
+	body := bytes.Repeat([]byte("delta"), 23<<10/5)
+	rd := bytes.NewReader(body)
+	var got []byte
+	var err error
+	allocs := testing.AllocsPerRun(10, func() {
+		rd.Reset(body)
+		got, err = readDelta(rd, int64(len(body)), 1<<20)
+	})
+	if err != nil || !bytes.Equal(got, body) || cap(got) != len(body) || allocs != 1 {
+		t.Fatalf("read %d of %d bytes into capacity %d with %v allocations (err %v), want all in one exact buffer",
+			len(got), len(body), cap(got), allocs, err)
+	}
+	for _, size := range []int64{-1, 1 << 40} {
+		if got, err := readDelta(bytes.NewReader(body), size, 1<<20); err != nil || !bytes.Equal(got, body) {
+			t.Fatalf("length %d: read %d bytes, err %v; want the whole body", size, len(got), err)
+		}
+	}
+	if _, err := readDelta(bytes.NewReader(body[:100]), int64(len(body)), 1<<20); err == nil {
+		t.Fatal("a body shorter than its Content-Length was read without error")
+	}
+}

@@ -87,6 +87,7 @@ import (
 	"log"
 	"math"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -634,6 +635,19 @@ func (h *Handler) instrument(endpoint string, fn http.HandlerFunc) http.HandlerF
 		"HTTP request latency in seconds, by endpoint.", "endpoint", endpoint)
 	errs := h.reg.Counter("skyserve_http_errors_total",
 		"HTTP responses with status >= 400, by endpoint.", "endpoint", endpoint)
+	// The endpoint's request counter of each status code, resolved in the
+	// registry once: a request after the first of its code only loads it.
+	var byCode sync.Map // int -> *metrics.Counter
+	requests := func(code int) *metrics.Counter {
+		if c, ok := byCode.Load(code); ok {
+			return c.(*metrics.Counter)
+		}
+		c := h.reg.Counter("skyserve_http_requests_total",
+			"HTTP requests, by endpoint and status code.",
+			"endpoint", endpoint, "code", strconv.Itoa(code))
+		byCode.Store(code, c)
+		return c
+	}
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w}
@@ -650,9 +664,7 @@ func (h *Handler) instrument(endpoint string, fn http.HandlerFunc) http.HandlerF
 			}
 			lat.ObserveDuration(time.Since(start))
 			h.requests.Inc()
-			h.reg.Counter("skyserve_http_requests_total",
-				"HTTP requests, by endpoint and status code.",
-				"endpoint", endpoint, "code", strconv.Itoa(sw.code)).Inc()
+			requests(sw.code).Inc()
 			if sw.code >= 400 {
 				errs.Inc()
 			}
@@ -851,15 +863,51 @@ func parseCoord(s, name string) (float64, error) {
 	return v, nil
 }
 
+// skylineParams returns the kind, x and y of a raw query as url.Values'
+// Get would after url.ParseQuery, without building the map: pairs split at
+// '&', a pair holding ';' or a bad escape skipped, keys and values
+// unescaped (url.QueryUnescape returns its input when there is nothing to
+// unescape), and the first value of a key kept.
+func skylineParams(raw string) (kind, x, y string) {
+	var vals [3]string
+	var seen [3]bool
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		k, err := url.QueryUnescape(k)
+		if err != nil {
+			continue
+		}
+		i := 0
+		switch k {
+		case "kind":
+		case "x":
+			i = 1
+		case "y":
+			i = 2
+		default:
+			continue
+		}
+		if v, err = url.QueryUnescape(v); err == nil && !seen[i] {
+			vals[i], seen[i] = v, true
+		}
+	}
+	return vals[0], vals[1], vals[2]
+}
+
 func (h *Handler) handleSkyline(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	kind, err := normalizeKind(q.Get("kind"))
+	rawKind, rawX, rawY := skylineParams(r.URL.RawQuery)
+	kind, err := normalizeKind(rawKind)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	x, errX := parseCoord(q.Get("x"), "x")
-	y, errY := parseCoord(q.Get("y"), "y")
+	x, errX := parseCoord(rawX, "x")
+	y, errY := parseCoord(rawY, "y")
 	if errX != nil || errY != nil {
 		writeError(w, http.StatusBadRequest, "x and y must be finite numbers")
 		return

@@ -3,8 +3,10 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
@@ -281,5 +283,41 @@ func TestInsertRejectsIDOutsideInt32(t *testing.T) {
 	}
 	if fmt.Sprint(after.IDs) != fmt.Sprint(before.IDs) {
 		t.Fatalf("answer at (9,9) changed from %v to %v", before.IDs, after.IDs)
+	}
+}
+
+// skylineParams reads kind, x and y from a raw query exactly as url.Values'
+// Get does after r.URL.Query(): the first good value of a key wins, pairs
+// with a ';' or a bad escape are skipped, and keys and values are
+// unescaped. Pinned on hand-picked queries and on random ones built from
+// the pieces that matter.
+func TestSkylineParamsMatchURLValues(t *testing.T) {
+	queries := []string{
+		"",
+		"kind=global&x=1&y=2",
+		"x=1&x=2&y=3&y=&kind=dynamic&kind=quadrant",
+		"x=1;y=2&y=3",
+		"x=%zz&x=4&y=5",
+		"ki%6Ed=global&%78=1e%2B06&y=+2",
+		"kind&x=&y",
+		"&&x=1&&y=2&",
+		"kind=a+b%26c&x=1&y=2&sky_span=7",
+	}
+	pieces := []string{"kind", "x", "y", "k", "=", "&", ";", "%", "%2", "%78", "%zz", "+", "1", "-2.5", "global", "%3D"}
+	rnd := rand.New(rand.NewSource(1))
+	for i := 0; i < 5000; i++ {
+		var b strings.Builder
+		for n := rnd.Intn(12); n > 0; n-- {
+			b.WriteString(pieces[rnd.Intn(len(pieces))])
+		}
+		queries = append(queries, b.String())
+	}
+	for _, raw := range queries {
+		v, _ := url.ParseQuery(raw)
+		kind, x, y := skylineParams(raw)
+		if kind != v.Get("kind") || x != v.Get("x") || y != v.Get("y") {
+			t.Fatalf("%q: kind=%q x=%q y=%q, url.Values says %q %q %q",
+				raw, kind, x, y, v.Get("kind"), v.Get("x"), v.Get("y"))
+		}
 	}
 }

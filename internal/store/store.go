@@ -34,7 +34,8 @@
 // anything from it, and checks the arena's own CRC and its offsets where
 // they lie, so a torn write or a flipped bit anywhere is ErrCorrupt at open
 // instead of a wrong skyline later. Label pages and the arena are read
-// straight from the slice; only the points are decoded, and the grid lines
+// straight from the slice; only the points are decoded, and checked to mean
+// a dataset (finite coordinates, distinct int32 ids), and the grid lines
 // rebuilt from them. Point location is O(1) via rank tables over those
 // lines, and AppendQueryXY decodes the answer's ids from the arena into the
 // caller's buffer with zero allocations.
@@ -450,14 +451,31 @@ func New(data []byte) (*Store, error) {
 		return nil, err
 	}
 
+	// The points must mean a dataset: finite coordinates and distinct int32
+	// ids (a wider id would alias another in every int32-keyed map).
 	s.points = make([]geom.Point, numPoints)
 	coords := make([]float64, 2*numPoints)
+	ids := make([]int32, numPoints)
 	for i := range s.points {
 		rec := data[headerSize+i*recordSize:]
 		c := coords[2*i : 2*i+2 : 2*i+2]
 		c[0] = math.Float64frombits(be.Uint64(rec[8:]))
 		c[1] = math.Float64frombits(be.Uint64(rec[16:]))
-		s.points[i] = geom.Point{ID: int(int64(be.Uint64(rec))), Coords: c}
+		id := int64(be.Uint64(rec))
+		if id != int64(int32(id)) {
+			return nil, fmt.Errorf("%w: point %d: id %d outside int32", ErrCorrupt, i, id)
+		}
+		if math.IsNaN(c[0]) || math.IsInf(c[0], 0) || math.IsNaN(c[1]) || math.IsInf(c[1], 0) {
+			return nil, fmt.Errorf("%w: point %d (id %d): non-finite coordinate %v", ErrCorrupt, i, id, c)
+		}
+		ids[i] = int32(id)
+		s.points[i] = geom.Point{ID: int(id), Coords: c}
+	}
+	slices.Sort(ids)
+	for i := 1; i < len(ids); i++ {
+		if ids[i] == ids[i-1] {
+			return nil, fmt.Errorf("%w: duplicate point id %d", ErrCorrupt, ids[i])
+		}
 	}
 	if s.kind == kindDynamic {
 		sg := grid.NewSubGrid(s.points)

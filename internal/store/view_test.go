@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 	"path/filepath"
 	"runtime"
 	"slices"
@@ -201,5 +202,45 @@ func BenchmarkQueryStore(b *testing.B) {
 		if y < 0 {
 			y += 100
 		}
+	}
+}
+
+// TestNewRefusesMeaninglessPoints: a CRC-clean file whose points do not
+// mean a dataset is ErrCorrupt at open. Each case writes one bad point
+// record into a maintained n=15 file and reseals the trailer: a non-finite
+// coordinate (the grid would gain a NaN or infinite line the labels were
+// not computed for), a duplicate id, and an id outside int32 (it would
+// alias another id in the server's int32-keyed maps).
+func TestNewRefusesMeaninglessPoints(t *testing.T) {
+	raw := maintainedFile(t, 15, 73)
+	const recordSize = 8 + 8*2
+	rec := func(b []byte, i int) []byte { return b[headerSize+i*recordSize:] }
+	be := binary.BigEndian
+	cases := []struct {
+		name, want string
+		spoil      func(b []byte)
+	}{
+		{"NaN x", "non-finite", func(b []byte) { be.PutUint64(rec(b, 3)[8:], math.Float64bits(math.NaN())) }},
+		{"+Inf y", "non-finite", func(b []byte) { be.PutUint64(rec(b, 7)[16:], math.Float64bits(math.Inf(1))) }},
+		{"-Inf x", "non-finite", func(b []byte) { be.PutUint64(rec(b, 14)[8:], math.Float64bits(math.Inf(-1))) }},
+		{"duplicate id", "duplicate point id", func(b []byte) { copy(rec(b, 9)[:8], rec(b, 2)[:8]) }},
+		{"id outside int32", "outside int32", func(b []byte) { be.PutUint64(rec(b, 5), be.Uint64(rec(b, 5))+1<<32) }},
+		{"negative id outside int32", "outside int32", func(b []byte) {
+			id := int64(math.MinInt32) - 1
+			be.PutUint64(rec(b, 0), uint64(id))
+		}},
+	}
+	if _, err := New(raw); err != nil {
+		t.Fatalf("the unspoilt file: %v", err)
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			b := slices.Clone(raw)
+			tc.spoil(b)
+			putTrailer(b)
+			if _, err := New(b); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("New = %v, want ErrCorrupt naming %q", err, tc.want)
+			}
+		})
 	}
 }

@@ -32,7 +32,14 @@
 #   - replication contract: delta snapshot catch-up in
 #     BenchmarkE20_ReplicationBytes not moving at least 5x fewer bytes per
 #     epoch than the full stream on the trailing-edge churn workload (the
-#     measured headroom is ~145x; see EXPERIMENTS.md E20).
+#     measured headroom is ~145x; see EXPERIMENTS.md E20);
+#   - router hop contract: a loopback quadrant read through a default-Config
+#     router (BenchmarkReadRouted, internal/router) costing more than 80
+#     allocs/op over the same read sent straight to the builder
+#     (BenchmarkReadDirect) — the hop's per-read allocations creeping back
+#     (the measured hop is 73 allocs/op; see docs/PERFORMANCE.md, "The
+#     routed read"). These two allocate by design (HTTP on both ends), so
+#     they run on their own line, outside the zero-allocation contract.
 #
 #   ./scripts/bench.sh              # full run, writes BENCH_serve.json
 #   BENCHTIME=10x ./scripts/bench.sh  # quick smoke (CI uses this)
@@ -63,6 +70,10 @@ go test -run '^$' -bench 'BenchmarkQuery|BenchmarkEncode|BenchmarkUpdate|Benchma
 echo "== bench E18 write throughput (WAL gate)"
 go test -run '^$' -bench 'BenchmarkE18_WriteThroughput/(incremental|wal)/writers=1$' -benchmem \
     -benchtime "$benchtime" -count "$count" . | tee -a "$tmp"
+
+echo "== bench routed read (router hop gate)"
+go test -run '^$' -bench 'BenchmarkRead(Routed|Direct)$' -benchmem \
+    -benchtime "$benchtime" -count "$count" ./internal/router/ | tee -a "$tmp"
 
 echo "== bench E20 replication bytes (delta gate)"
 go test -run '^$' -bench 'BenchmarkE20_ReplicationBytes' -benchmem \
@@ -122,6 +133,8 @@ END {
         if (name == "BenchmarkE18_WriteThroughput/wal/writers=1")         walOn = nsMed
         if (name == "BenchmarkE20_ReplicationBytes/full")  fullBpe = bpeMed
         if (name == "BenchmarkE20_ReplicationBytes/delta") deltaBpe = bpeMed
+        if (name == "BenchmarkReadRouted") routedA = aMed
+        if (name == "BenchmarkReadDirect") directA = aMed
     }
     printf "\n"
     if (bad != "") { print "REGRESSION: " bad > "/dev/stderr"; exit 1 }
@@ -148,6 +161,11 @@ END {
     if (fullBpe + 0 > 0 && deltaBpe + 0 > 0 && deltaBpe * 5 > fullBpe + 0) {
         printf "REGRESSION: delta catch-up ships %s bytes/epoch vs %s full (medians; want >=5x fewer)\n", \
             deltaBpe, fullBpe > "/dev/stderr"
+        exit 1
+    }
+    if (routedA + 0 > 0 && directA + 0 > 0 && routedA - directA > 80) {
+        printf "REGRESSION: the router hop costs %d allocs/op (routed %s, direct %s; medians; want <= 80)\n", \
+            routedA - directA, routedA, directA > "/dev/stderr"
         exit 1
     }
 }' "$tmp" > "$tmp.body"
