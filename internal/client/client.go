@@ -257,16 +257,17 @@ func (c *Client) do(ctx context.Context, method, target string, body []byte, dec
 		if err != nil {
 			return err
 		}
-		if body != nil {
-			req.Header.Set("Content-Type", "application/json")
-		}
+		c.setHeader(req, body != nil)
 		resp, err := c.httpc.Do(req)
 		if err != nil {
-			c.breakerRecord(false)
-			lastErr = err
 			if ctx.Err() != nil {
+				// The caller gave up: no outcome of the service's, so the
+				// attempt counts on no breaker, and is not retried.
+				c.br.Abandon()
 				return fmt.Errorf("skyline service: %s %s: %w", method, path, err)
 			}
+			c.breakerRecord(false)
+			lastErr = err
 			if !idempotent && !isConnectError(err) {
 				// The write may have reached the server; resending could
 				// apply it twice.
@@ -304,6 +305,10 @@ func (c *Client) do(ctx context.Context, method, target string, body []byte, dec
 		}
 		ReleaseBody(bp)
 		if err != nil {
+			if ctx.Err() != nil {
+				c.br.Abandon()
+				return fmt.Errorf("skyline service: %s %s: %w", method, path, err)
+			}
 			c.breakerRecord(false)
 			lastErr = err
 			if !idempotent {
@@ -364,6 +369,31 @@ func (c *Client) do(ctx context.Context, method, target string, body []byte, dec
 	}
 	return fmt.Errorf("skyline service: %s %s failed after %d attempts: %w",
 		method, path, c.retries+1, lastErr)
+}
+
+// The headers of every request, shared and never mutated. Asking for an
+// identity body keeps the transport from adding an Accept-Encoding of its
+// own, which costs a header map per request.
+var (
+	identityHeader = http.Header{"Accept-Encoding": {"identity"}}
+	jsonBodyHeader = http.Header{"Accept-Encoding": {"identity"}, "Content-Type": {"application/json"}}
+)
+
+// setHeader gives req the shared headers, with a JSON Content-Type when it
+// carries a body. An http.Client with a cookie jar writes the jar's cookies
+// into req.Header, so with one set req keeps a map of its own.
+func (c *Client) setHeader(req *http.Request, jsonBody bool) {
+	if c.httpc.Jar == nil {
+		req.Header = identityHeader
+		if jsonBody {
+			req.Header = jsonBodyHeader
+		}
+		return
+	}
+	req.Header.Set("Accept-Encoding", "identity")
+	if jsonBody {
+		req.Header.Set("Content-Type", "application/json")
+	}
 }
 
 // bodyPool recycles response bodies, stored as *[]byte so Put does not

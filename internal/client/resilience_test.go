@@ -210,6 +210,37 @@ func TestShedDoesNotTripBreaker(t *testing.T) {
 	}
 }
 
+// TestCallerCancelDoesNotTripBreaker: a call its own caller cancels ends
+// with no outcome of the service's. Three calls cancelled at 20 ms against
+// a healthy server that answers in 200 ms must neither open a 3-failure
+// breaker nor be retried, so the next call with a live context succeeds.
+func TestCallerCancelDoesNotTripBreaker(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(200 * time.Millisecond)
+		w.Header().Set("Content-Type", "application/json")
+		w.Write([]byte(`{"kind":"quadrant","query":[1,2],"ids":[7],"points":[{"id":7,"coords":[3,4]}]}`))
+	}))
+	defer srv.Close()
+
+	c := New(srv.URL, WithRetries(2), WithBackoff(time.Millisecond),
+		WithBreaker(3, time.Hour))
+	for i := 0; i < 3; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		_, err := c.Skyline(ctx, "quadrant", 1, 2)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("call %d: want the caller's deadline, got %v", i, err)
+		}
+	}
+	if ctr := c.Counters(); ctr.BreakerOpens != 0 || ctr.Retries != 0 {
+		t.Fatalf("cancelled calls: %+v, want no breaker open and no retry", ctr)
+	}
+	res, err := c.Skyline(context.Background(), "quadrant", 1, 2)
+	if err != nil || len(res.IDs) != 1 || res.IDs[0] != 7 {
+		t.Fatalf("live call after cancelled ones: %+v, %v", res, err)
+	}
+}
+
 // TestRetryAfterParsing pins the header grammar: delay-seconds, HTTP dates,
 // and the 5s stall cap.
 func TestRetryAfterParsing(t *testing.T) {

@@ -38,6 +38,13 @@
 //     slices, so its first append copies the arena, and it builds a private
 //     dedup index in one O(results) pass on its first intern.
 //
+// A maintained lineage regrows its arena and offsets to twice their length
+// when full. Compaction leaves an arena of exactly the live results, L, and
+// the next compaction comes when about as much garbage has piled up (the
+// server compacts at half garbage), so each compaction cycle copies the
+// arena once on the way from L to 2L. A fresh build's Freeze keeps the
+// capacity append left it: most built tables are served, not maintained.
+//
 // Dedup never rescans the arena per update. Each lineage owns one
 // open-addressing index: a power-of-two array of uint64 slots, each holding
 // a result's 32-bit content fingerprint (high half) and its label+1 (low
@@ -184,6 +191,10 @@ type Interner struct {
 	ids     []int32
 	offsets []uint32
 	index   []uint64 // fingerprint<<32 | label+1 per slot; nil until first Intern
+	// doubling marks a maintained lineage (NewInternerFrom): a full arena
+	// or offsets table regrows to twice its length, not by append's
+	// smaller steps for large slices.
+	doubling bool
 }
 
 // NewInterner returns an empty interner.
@@ -200,9 +211,9 @@ func NewInterner() *Interner {
 // allocation and never a scan, and the table is never modified.
 func NewInternerFrom(t *Table) *Interner {
 	if t.claimed.CompareAndSwap(false, true) {
-		return &Interner{ids: t.ids, offsets: t.offsets, index: t.index}
+		return &Interner{ids: t.ids, offsets: t.offsets, index: t.index, doubling: true}
 	}
-	return &Interner{ids: clamp(t.ids), offsets: clamp(t.offsets)}
+	return &Interner{ids: clamp(t.ids), offsets: clamp(t.offsets), doubling: true}
 }
 
 // Intern returns the label of ids, appending it to the arena if its content
@@ -223,6 +234,10 @@ func (in *Interner) Intern(ids []int32) uint32 {
 		i = (i + 1) & mask
 	}
 	label := uint32(in.NumResults())
+	if in.doubling {
+		in.ids = reserve(in.ids, len(ids))
+		in.offsets = reserve(in.offsets, 1)
+	}
 	in.ids = append(in.ids, ids...)
 	in.offsets = append(in.offsets, uint32(len(in.ids)))
 	in.index[i] = uint64(fp)<<32 | uint64(label+1)
@@ -236,6 +251,17 @@ func (in *Interner) Intern(ids []int32) uint32 {
 		in.index = grown
 	}
 	return label
+}
+
+// reserve makes room for n more elements of s, regrowing a full s to at
+// least twice its length: a lineage whose live results grow from L to 2L
+// between compactions then copies its arena once, where append's 1.25x
+// steps for large slices copy it about four times.
+func reserve[E any](s []E, n int) []E {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	return slices.Grow(s, max(len(s), n))
 }
 
 // buildIndex indexes every result the interner holds, in one pass, sized so

@@ -454,3 +454,43 @@ func FuzzLineage(f *testing.F) {
 		}
 	})
 }
+
+// TestLineageRegrowsOncePerDoubling: a maintained lineage seeded from a
+// compacted table (an arena of exactly its L live ids) grows to 2L, as it
+// does between two of the server's compactions, reallocating its arena and
+// its offsets at most once each, where append's steps of about 1.25x for
+// large slices copy each several times.
+func TestLineageRegrowsOncePerDoubling(t *testing.T) {
+	const results, width = 5000, 4
+	ids := make([]int32, 0, results*width)
+	offsets := make([]uint32, 1, results+1)
+	for r := 0; r < results; r++ {
+		for k := 0; k < width; k++ {
+			ids = append(ids, int32(r+k))
+		}
+		offsets = append(offsets, uint32(len(ids)))
+	}
+	tbl := &Table{ids: ids, offsets: offsets}
+	arenaGrowths, offsetGrowths := 0, 0
+	next := int32(1 << 20)
+	for len(tbl.ids) < 2*results*width {
+		in := NewInternerFrom(tbl)
+		for k := 0; k < 16; k++ { // one write's worth of new results
+			in.Intern([]int32{next, next + 1, next + 2, next + 3})
+			next += 4
+		}
+		grown := in.Table()
+		if cap(grown.ids) != cap(tbl.ids) {
+			arenaGrowths++
+		}
+		if cap(grown.offsets) != cap(tbl.offsets) {
+			offsetGrowths++
+		}
+		tbl = grown
+	}
+	if arenaGrowths > 1 || offsetGrowths > 1 {
+		t.Fatalf("growing the lineage from %d to %d ids reallocated the arena %d times and the offsets %d times, want at most once each",
+			results*width, len(tbl.ids), arenaGrowths, offsetGrowths)
+	}
+	wantResults(t, "grown lineage", tbl.Result, results-1, []int32{results - 1, results, results + 1, results + 2})
+}

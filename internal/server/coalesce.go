@@ -177,11 +177,11 @@ func (h *Handler) runBatch() {
 			h.walCommits.Inc()
 			h.walBytes.Set(float64(h.wal.Size()))
 		}
+		// Nothing is encoded here: the epoch is laid out at its first
+		// stream (a poll or a checkpoint) and hashed at its first poll, so
+		// an epoch that nothing streams costs neither.
 		st := stateFromSet(next)
 		st.epoch = epoch
-		// Hash the canonical bytes into the delta ring before the swap, so a
-		// replica that sees the new epoch can always ask for a delta to it.
-		h.recordState(st)
 		h.mu.Lock()
 		h.setState(st)
 		h.mu.Unlock()
@@ -195,7 +195,9 @@ func (h *Handler) runBatch() {
 		po.done <- opResult{points: results[i].Points, epoch: pub.epoch, err: results[i].Err}
 	}
 	h.maybeCompact()
-	h.maybeCheckpoint(pub)
+	// The published state, compacted or not, holds pub's epoch: checkpoint
+	// the one a poll would stream, so the epoch is laid out once.
+	h.maybeCheckpoint(h.snapshot())
 }
 
 // maybeCompact reclaims copy-on-write arena garbage once it crosses the

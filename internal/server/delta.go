@@ -8,13 +8,16 @@ import (
 	"repro/internal/store"
 )
 
-// Delta snapshot serving. Every publish (initial build, coalesced write
-// batch, serve-from swap) records a page-hash manifest of the canonical
-// snapshot bytes into a bounded ring. A replica that polls with
+// Delta snapshot serving. The first time an epoch is streamed through
+// /v1/snapshot (as a full body or as a delta), the page-hash manifest of its
+// canonical bytes is recorded into a bounded ring; a boot, and a relay's
+// swap, record theirs when they publish. A replica that polls with
 // ?from=<its epoch> is answered with only the pages that changed since that
 // epoch when the ring still holds it and the delta actually saves bytes;
 // every other case falls back to the full stream, individually counted —
-// the protocol never guesses. See docs/SCALEOUT.md for the wire format.
+// the protocol never guesses. A write records nothing: an epoch no replica
+// fetches is never hashed, and every epoch a replica can hold was streamed
+// to it. See docs/SCALEOUT.md for the wire format.
 
 // DefaultDeltaRing is how many epochs of page-hash manifests a handler
 // retains for delta serving. A manifest costs ~0.2% of the snapshot file
@@ -55,11 +58,11 @@ func (r *manifestRing) get(epoch uint64) *store.Manifest {
 
 // snapshotFile is a state's canonical file — exactly what a full
 // /v1/snapshot body carries: a builder streams it from its quadrant diagram
-// through the store encoder, one chunk at a time, each time it is used; a
-// relay's is its store's own file, written straight from the mapping.
-// Canonical persist makes the bytes deterministic: the same point set
-// yields the same bytes no matter which maintenance history (or which node)
-// produced the state.
+// through the state's one store encoder, one chunk at a time; a relay's is
+// its store's own file, written straight from the mapping. Canonical
+// persist makes the bytes deterministic: the same point set yields the same
+// bytes no matter which maintenance history (or which node) produced the
+// state.
 type snapshotFile interface {
 	Size() int64
 	WriteTo(w io.Writer) (int64, error)
@@ -72,40 +75,72 @@ func (st *state) file() (snapshotFile, error) {
 	if st.stored != nil {
 		return st.stored, nil
 	}
-	return store.NewEncoder(st.quadrant.Cells(), st.epoch)
+	e, err := st.encoder()
+	if err != nil {
+		return nil, err
+	}
+	return e, nil
 }
 
-// recordState hashes the state's canonical bytes into the manifest ring so a
-// later ?from= request can be answered with a delta. Called on the publish
-// path right before the snapshot becomes visible; failures only cost delta
-// eligibility (the epoch falls back to full streams), never correctness.
-func (h *Handler) recordState(st *state) {
+// encoder returns a builder state's layout of its file: one store.Encoder,
+// built on first use and shared by every later one — the manifest, each
+// delta and full body, and the checkpoint — so an epoch is laid out once
+// however many times it streams.
+func (st *state) encoder() (*store.Encoder, error) {
+	st.encOnce.Do(func() {
+		st.enc, st.encErr = store.NewEncoder(st.quadrant.Cells(), st.epoch)
+	})
+	return st.enc, st.encErr
+}
+
+// recordState returns the manifest of the state's file, hashing it and
+// recording it in the ring on the first call: at the epoch's first stream,
+// or when a boot or a relay swap publishes the state. Later calls, from
+// concurrent first polls too, share that one pass. nil means deltas are
+// disabled or the hash failed, which only costs delta eligibility (the
+// epoch falls back to full streams), never correctness.
+func (h *Handler) recordState(st *state) *store.Manifest {
 	if h.ring == nil {
-		return
+		return nil
 	}
-	f, err := st.file()
-	if err == nil {
-		var m *store.Manifest
-		if m, err = f.Manifest(); err == nil {
-			h.ring.add(m)
-			return
+	st.manOnce.Do(func() {
+		f, err := st.file()
+		if err == nil {
+			var m *store.Manifest
+			if m, err = f.Manifest(); err == nil {
+				h.encoded(st, "manifest", m.Size)
+				h.ring.add(m)
+				st.man = m
+				return
+			}
 		}
+		log.Printf("skyserve: delta manifest for epoch %d skipped: %v", st.epoch, err)
+	})
+	return st.man
+}
+
+// encoded counts n bytes a builder's encoder streamed for one use. A relay
+// streams its mapped file and encodes nothing.
+func (h *Handler) encoded(st *state, use string, n int64) {
+	if st.stored == nil {
+		h.reg.Counter("skyserve_snapshot_encoded_bytes_total",
+			"Bytes a builder's snapshot encoder streamed, by use: manifest, delta, full body, checkpoint.",
+			"use", use).Add(n)
 	}
-	log.Printf("skyserve: delta manifest for epoch %d skipped: %v", st.epoch, err)
 }
 
 // tryDelta answers a ?from=N request with a delta body against the current
-// file f, or reports why it cannot (each fallback reason is a counter
-// series). The delta's pages are the ones the recorded manifests of the two
-// epochs mark as changed, taken from f as it streams by; f is checked
-// against the current epoch's manifest on the way, so a delta is never built
-// from bytes other than the ones recorded.
-func (h *Handler) tryDelta(snap *state, f snapshotFile, from uint64) ([]byte, bool) {
+// file f, whose manifest is cur, or reports why it cannot (each fallback
+// reason is a counter series). The delta's pages are the ones the manifests
+// of the two epochs mark as changed, taken from f as it streams by; f is
+// checked against cur on the way, so a delta is never built from bytes
+// other than the ones recorded.
+func (h *Handler) tryDelta(snap *state, cur *store.Manifest, f snapshotFile, from uint64) ([]byte, bool) {
 	if h.ring == nil {
 		h.deltaFallback("disabled")
 		return nil, false
 	}
-	base, cur := h.ring.get(from), h.ring.get(snap.epoch)
+	base := h.ring.get(from)
 	if base == nil || cur == nil {
 		h.deltaFallback("ring_miss")
 		return nil, false
@@ -126,13 +161,15 @@ func (h *Handler) tryDelta(snap *state, f snapshotFile, from uint64) ([]byte, bo
 		return nil, false
 	}
 	var delta []byte
-	if _, err = f.WriteTo(dw); err == nil {
+	n, err := f.WriteTo(dw)
+	h.encoded(snap, "delta", n)
+	if err == nil {
 		delta, err = dw.Bytes()
 	}
 	if err != nil {
-		// The served bytes are not the ones recorded at publish: the
-		// canonical-persist guarantee regressed. Worth a log line, not a
-		// wrong delta.
+		// The served bytes are not the ones recorded at the first stream:
+		// the canonical-persist guarantee regressed. Worth a log line, not
+		// a wrong delta.
 		log.Printf("skyserve: delta: epoch %d: %v", snap.epoch, err)
 		h.deltaFallback("mismatch")
 		return nil, false

@@ -168,20 +168,25 @@ func (h *Handler) checkpointAsync(snap *state) {
 }
 
 // checkpointNow persists a builder snapshot as the checkpoint file (atomic
-// temp+fsync+rename, the file streamed from the diagram into the temporary
-// file) and truncates the WAL below its epoch. Best-effort by design: on
-// failure the WAL keeps every record and the previous checkpoint stays in
-// place, so durability is never weakened — only disk reclamation is
-// deferred.
+// temp+fsync+rename, the file streamed through the state's encoder into the
+// temporary file) and truncates the WAL below its epoch. Best-effort by
+// design: on failure the WAL keeps every record and the previous checkpoint
+// stays in place, so durability is never weakened — only disk reclamation
+// is deferred.
 func (h *Handler) checkpointNow(snap *state) error {
 	h.ckptMu.Lock()
 	defer h.ckptMu.Unlock()
 	if snap.epoch <= h.lastCkpt.Load() {
 		return nil
 	}
-	if err := store.CreateFileEpoch(h.snapPath, snap.quadrant.Cells(), snap.epoch); err != nil {
+	e, err := snap.encoder()
+	if err == nil {
+		err = e.CreateFile(h.snapPath)
+	}
+	if err != nil {
 		return fmt.Errorf("persist: %w", err)
 	}
+	h.encoded(snap, "checkpoint", e.Size())
 	h.lastCkpt.Store(snap.epoch)
 	if err := h.wal.Checkpoint(snap.epoch); err != nil {
 		return fmt.Errorf("truncate: %w", err)

@@ -219,6 +219,18 @@ type state struct {
 	// copying bytes instead of marshalling. Rebuilt on every snapshot swap —
 	// the map is immutable once published, like everything else in state.
 	frags map[int32][]byte
+	// epochHeader is the X-Sky-Epoch value every read answered from this
+	// state carries, made once when setState publishes it.
+	epochHeader []string
+
+	// A builder state's file is laid out once, by encoder on first use,
+	// and hashed once, by recordState at the epoch's first stream (a
+	// relay's at its swap); both then serve every later use.
+	encOnce sync.Once
+	enc     *store.Encoder
+	encErr  error
+	manOnce sync.Once
+	man     *store.Manifest
 }
 
 // pointFrags precomputes every point's JSON fragment for a snapshot.
@@ -539,6 +551,7 @@ func (h *Handler) Metrics() *metrics.Registry { return h.reg }
 // setState publishes a new snapshot and refreshes the diagram size gauges.
 // Callers must hold h.mu for writing (or be the constructor).
 func (h *Handler) setState(st *state) {
+	st.epochHeader = []string{strconv.FormatUint(st.epoch, 10)}
 	h.st = st
 	h.reg.Gauge("skyserve_points", "Points in the served dataset.").
 		Set(float64(len(st.points)))
@@ -701,6 +714,18 @@ func (h *Handler) handleReady(w http.ResponseWriter, _ *http.Request) {
 // without extra round trips.
 func setEpochHeader(w http.ResponseWriter, epoch uint64) {
 	w.Header().Set("X-Sky-Epoch", strconv.FormatUint(epoch, 10))
+}
+
+// jsonContentType is the Content-Type of every JSON read answer, shared and
+// never mutated.
+var jsonContentType = []string{"application/json"}
+
+// setReadHeader stamps a read answered from st with its epoch and JSON
+// content type. Both values are shared slices, so a read allocates neither.
+func (st *state) setReadHeader(w http.ResponseWriter) {
+	hdr := w.Header()
+	hdr["X-Sky-Epoch"] = st.epochHeader
+	hdr["Content-Type"] = jsonContentType
 }
 
 func (h *Handler) handleMetrics(w http.ResponseWriter, _ *http.Request) {
@@ -932,8 +957,7 @@ func (h *Handler) handleSkyline(w http.ResponseWriter, r *http.Request) {
 	}
 	bp := getBuf()
 	buf := appendAnswers(*bp, d, kind, [][]float64{{x, y}}, false, snap.frags)
-	setEpochHeader(w, snap.epoch)
-	w.Header().Set("Content-Type", "application/json")
+	snap.setReadHeader(w)
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(buf)
 	*bp = buf
@@ -1024,8 +1048,7 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 	buf := appendAnswers(*bp, d, kind, req.Queries, true, snap.frags)
 	h.reg.Counter("skyserve_batch_queries_total",
 		"Queries answered through /v1/skyline/batch.").Add(int64(len(req.Queries)))
-	setEpochHeader(w, snap.epoch)
-	w.Header().Set("Content-Type", "application/json")
+	snap.setReadHeader(w)
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(buf)
 	*bp = buf

@@ -86,12 +86,15 @@ func (h *Handler) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 
 // sendSnapshot writes one snapshot response from the state's file: the
 // delta against ?from= when the ring allows and it is smaller, the full
-// file otherwise.
+// file otherwise. The epoch's first stream, of either kind, records its
+// manifest first, so a replica that now holds the epoch can later catch up
+// from it by delta.
 func (h *Handler) sendSnapshot(w http.ResponseWriter, r *http.Request, snap *state, f snapshotFile) {
+	cur := h.recordState(snap)
 	var body io.WriterTo = f
 	mode, size := "full", f.Size()
 	if from, err := strconv.ParseUint(r.URL.Query().Get("from"), 10, 64); err == nil {
-		if delta, ok := h.tryDelta(snap, f, from); ok {
+		if delta, ok := h.tryDelta(snap, cur, f, from); ok {
 			body, mode, size = bytes.NewReader(delta), "delta", int64(len(delta))
 			h.deltaHits.Inc()
 		}
@@ -103,6 +106,9 @@ func (h *Handler) sendSnapshot(w http.ResponseWriter, r *http.Request, snap *sta
 	h.reg.Counter("skyserve_snapshot_bytes_total",
 		"Snapshot body bytes put on the wire via /v1/snapshot, by transfer mode.",
 		"mode", mode).Add(n)
+	if mode == "full" {
+		h.encoded(snap, "full", n)
+	}
 	if err != nil {
 		// The status line is already on the wire; the replica detects the
 		// torn body by CRC (patch CRC for deltas, trailer CRC at open for

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"sync"
 
 	"repro/internal/dyndiag"
 	"repro/internal/geom"
@@ -37,11 +38,12 @@ const chunkSize = 32 << 10
 //
 // The encoder reads the cell labels a page at a time, in file order: a
 // quadrant diagram's through its label tiles (quaddiag.Diagram.CellLabels)
-// into one page of scratch the Encoder holds, so no encode builds a flat
+// into one page of scratch each stream holds, so no encode builds a flat
 // label array; a dynamic diagram's straight from its flat array. An Encoder
 // reads the diagram each time it writes, and the diagram must not change
-// meanwhile; the diagrams this package encodes never do. The page scratch
-// makes an Encoder unsafe for concurrent use.
+// meanwhile; the diagrams this package encodes never do. Once built, an
+// Encoder is never written again: any number of streams may run through it
+// at once, each with its own chunk and page scratch.
 type Encoder struct {
 	pts   []geom.Point
 	quad  *quaddiag.Diagram // the quadrant kind's labels; nil for dynamic
@@ -53,7 +55,6 @@ type Encoder struct {
 	cols, rows int
 	kind       int
 	epoch      uint64
-	page       [CellsPerPage]uint32 // scratch for one page of quad's labels
 
 	numResults, numIDs, numPages           int
 	indexOff, pagesOff, arenaOff, arenaEnd int
@@ -96,11 +97,12 @@ func (e *Encoder) init(pts []geom.Point, table *resultset.Table, cols, rows, kin
 	e.cols, e.rows, e.kind, e.epoch = cols, rows, kind, epoch
 	e.numResults, e.numIDs = table.NumResults(), table.ArenaLen()
 	e.numPages = (cols*rows + CellsPerPage - 1) / CellsPerPage
-	if !e.canonical() {
+	var page [CellsPerPage]uint32
+	if !e.canonical(&page) {
 		e.remap = make([]uint32, table.NumResults())
 		e.numResults, e.numIDs = 0, 0
 		for pg := 0; pg < e.numPages; pg++ {
-			for _, l := range e.labels(pg) {
+			for _, l := range e.labels(&page, pg) {
 				if e.remap[l] == 0 {
 					e.numResults++
 					e.remap[l] = uint32(e.numResults)
@@ -117,14 +119,13 @@ func (e *Encoder) init(pts []geom.Point, table *resultset.Table, cols, rows, kin
 }
 
 // labels returns the labels of page pg's cells, as the table numbers them.
-// A quadrant diagram's are read into the page scratch, valid until the next
-// call.
-func (e *Encoder) labels(pg int) []uint32 {
+// A quadrant diagram's are read into page, the caller's scratch.
+func (e *Encoder) labels(page *[CellsPerPage]uint32, pg int) []uint32 {
 	k := pg * CellsPerPage
 	if e.quad == nil {
 		return e.flat[k:min(k+CellsPerPage, len(e.flat))]
 	}
-	return e.page[:e.quad.CellLabels(e.page[:], k)]
+	return page[:e.quad.CellLabels(page[:], k)]
 }
 
 // canonical reports whether the cells reference every table result exactly
@@ -132,10 +133,10 @@ func (e *Encoder) labels(pg int) []uint32 {
 // maintained (copy-on-write updated) diagram fails this: its arena carries
 // garbage results no cell references anymore, and its labels are not in
 // first-use order.
-func (e *Encoder) canonical() bool {
+func (e *Encoder) canonical(page *[CellsPerPage]uint32) bool {
 	next := uint32(0)
 	for pg := 0; pg < e.numPages; pg++ {
-		for _, l := range e.labels(pg) {
+		for _, l := range e.labels(page, pg) {
 			if l == next {
 				next++
 			} else if l > next {
@@ -149,11 +150,20 @@ func (e *Encoder) canonical() bool {
 // Size returns the length of the file in bytes.
 func (e *Encoder) Size() int64 { return int64(e.arenaEnd + 4 + trailerSize) }
 
-// WriteTo writes the file to w through one chunkSize buffer. It implements
-// io.WriterTo.
+// chunks recycles WriteTo's chunkSize buffers, stored as *[]byte so Put
+// does not allocate.
+var chunks = sync.Pool{New: func() any {
+	b := make([]byte, chunkSize)
+	return &b
+}}
+
+// WriteTo writes the file to w through one chunkSize buffer, taken from a
+// pool. It implements io.WriterTo.
 func (e *Encoder) WriteTo(w io.Writer) (int64, error) {
-	fw := fileWriter{w: w, buf: make([]byte, chunkSize)}
+	bp := chunks.Get().(*[]byte)
+	fw := fileWriter{w: w, buf: *bp}
 	e.emit(&fw)
+	chunks.Put(bp)
 	return fw.written, fw.err
 }
 
@@ -209,7 +219,7 @@ func (e *Encoder) emit(fw *fileWriter) {
 	// room past the pending bytes, checksum it, and let the entry overwrite
 	// it. The page is encoded again, for good, in its own section.
 	for pg := 0; pg < e.numPages; pg++ {
-		crc := crc32.ChecksumIEEE(e.putPage(fw.room(labelPageSize), pg))
+		crc := crc32.ChecksumIEEE(e.putPage(fw.room(labelPageSize), &fw.page, pg))
 		ent := fw.room(indexEntrySz)
 		be.PutUint64(ent, uint64(e.pagesOff+pg*labelPageSize))
 		be.PutUint32(ent[8:], labelPageSize)
@@ -217,7 +227,7 @@ func (e *Encoder) emit(fw *fileWriter) {
 		fw.commit(indexEntrySz)
 	}
 	for pg := 0; pg < e.numPages; pg++ {
-		e.putPage(fw.room(labelPageSize), pg)
+		e.putPage(fw.room(labelPageSize), &fw.page, pg)
 		fw.commit(labelPageSize)
 	}
 
@@ -234,11 +244,11 @@ func (e *Encoder) emit(fw *fileWriter) {
 		// next: one pass writes the offsets, a second the ids.
 		fw.u32(0)
 		n := uint32(0)
-		e.eachFirstUse(func(l uint32) {
+		e.eachFirstUse(&fw.page, func(l uint32) {
 			n += uint32(e.table.Len(l))
 			fw.u32(n)
 		})
-		e.eachFirstUse(func(l uint32) { putAll(fw, e.table.Result(l)) })
+		e.eachFirstUse(&fw.page, func(l uint32) { putAll(fw, e.table.Result(l)) })
 	}
 	fw.u32(fw.endSection())
 
@@ -253,10 +263,10 @@ func (e *Encoder) emit(fw *fileWriter) {
 // eachFirstUse calls f with every result's label in canonical order: a pass
 // over the cells meets each result's first use exactly when its canonical
 // label comes up next.
-func (e *Encoder) eachFirstUse(f func(l uint32)) {
+func (e *Encoder) eachFirstUse(page *[CellsPerPage]uint32, f func(l uint32)) {
 	next := uint32(1)
 	for pg := 0; pg < e.numPages && int(next) <= e.numResults; pg++ {
-		for _, l := range e.labels(pg) {
+		for _, l := range e.labels(page, pg) {
 			if e.remap[l] == next {
 				f(l)
 				next++
@@ -265,10 +275,11 @@ func (e *Encoder) eachFirstUse(f func(l uint32)) {
 	}
 }
 
-// putPage encodes label page pg into page and returns it.
-func (e *Encoder) putPage(page []byte, pg int) []byte {
+// putPage encodes label page pg into page and returns it, reading the
+// labels through scratch.
+func (e *Encoder) putPage(page []byte, scratch *[CellsPerPage]uint32, pg int) []byte {
 	be := binary.BigEndian
-	cells := e.labels(pg)
+	cells := e.labels(scratch, pg)
 	if e.remap == nil {
 		for i, l := range cells {
 			be.PutUint32(page[4*i:], l)
@@ -287,10 +298,12 @@ func (e *Encoder) putPage(page []byte, pg int) []byte {
 // fileWriter emits a file's bytes in order and keeps their CRC32 for the
 // arena's and the trailer's checksums. With w set, the bytes pass through
 // buf, a chunk flushed to w whenever it fills; with w nil, buf is as long
-// as the whole file and is itself the output.
+// as the whole file and is itself the output. It is one stream's state, so
+// it holds the stream's page of label scratch too.
 type fileWriter struct {
-	w   io.Writer
-	buf []byte
+	w    io.Writer
+	buf  []byte
+	page [CellsPerPage]uint32 // scratch for one page of a quadrant diagram's labels
 	// buf[:n] is pending; buf[:folded] is covered by crc (and by secCRC,
 	// in a section). Lengths, not reslices, so that emitting a value
 	// writes no pointer.

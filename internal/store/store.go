@@ -132,7 +132,7 @@ func CreateFileEpoch(path string, d *quaddiag.Diagram, epoch uint64) error {
 	if err != nil {
 		return err
 	}
-	return e.createFile(path)
+	return e.CreateFile(path)
 }
 
 // CreateFileDynamic is CreateFile for a dynamic diagram.
@@ -141,10 +141,12 @@ func CreateFileDynamic(path string, d *dyndiag.Diagram) error {
 	if err != nil {
 		return err
 	}
-	return e.createFile(path)
+	return e.CreateFile(path)
 }
 
-func (e *Encoder) createFile(path string) error {
+// CreateFile writes the encoder's file to path atomically, as the package's
+// CreateFile does, streaming it into the temporary file.
+func (e *Encoder) CreateFile(path string) error {
 	return createFile(path, e.writeFile, nil)
 }
 
