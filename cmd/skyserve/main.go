@@ -91,7 +91,7 @@ func main() {
 	refresh := flag.Duration("refresh", server.DefaultRefreshInterval, "replica mode: snapshot poll interval")
 	deltaRing := flag.Int("delta-ring", 0,
 		"per-epoch snapshot manifests retained for page-delta catch-up: 0 default ("+
-			strconv.Itoa(server.DefaultDeltaRing)+"), negative disables deltas")
+			strconv.Itoa(server.DefaultDeltaRing)+")")
 	addr := flag.String("addr", ":8080", "listen address")
 	maxDyn := flag.Int("max-dynamic", 128, "largest dataset for which the dynamic diagram is built")
 	maxBatch := flag.Int("max-batch", 8192, "largest accepted /v1/skyline/batch query count")
@@ -201,8 +201,8 @@ func main() {
 		if !st.Mapped() {
 			mode = "the file read into memory (mmap unavailable)"
 		}
-		log.Printf("skyserve: serving %s diagram from %s via %s, read-only (epoch %d)",
-			st.Kind(), *serveFrom, mode, st.Epoch())
+		log.Printf("skyserve: serving quadrant diagram from %s via %s, read-only (epoch %d)",
+			*serveFrom, mode, st.Epoch())
 		h, err = server.NewServeFrom(st, cfg)
 		if err != nil {
 			log.Fatal(err)

@@ -48,7 +48,8 @@ const (
 // Client talks to one skyline query service. It is safe for concurrent use.
 type Client struct {
 	base       string
-	httpc      *http.Client
+	transport  http.RoundTripper // carries every request
+	timeout    time.Duration     // one attempt's bound; 0 is none
 	retries    int
 	backoff    time.Duration
 	maxBackoff time.Duration
@@ -65,8 +66,15 @@ type Client struct {
 // Option configures a Client.
 type Option func(*Client)
 
-// WithHTTPClient substitutes the underlying *http.Client.
-func WithHTTPClient(h *http.Client) Option { return func(c *Client) { c.httpc = h } }
+// WithHTTPClient sets what carries the requests: h's Transport (nil:
+// http.DefaultTransport), with h's Timeout bounding each attempt's round
+// trip and body read together (0: unbounded). Nothing else of h is used:
+// a request calls the Transport directly, as the router's forwards do, so
+// no redirect is followed and no cookie jar is consulted. The default is
+// http.DefaultTransport with a 10s timeout.
+func WithHTTPClient(h *http.Client) Option {
+	return func(c *Client) { c.transport, c.timeout = h.Transport, h.Timeout }
+}
 
 // WithRetries sets how many times a retryable failure is retried. Default 2.
 func WithRetries(n int) Option { return func(c *Client) { c.retries = n } }
@@ -96,7 +104,7 @@ func WithBreaker(threshold int, cooldown time.Duration) Option {
 func New(base string, opts ...Option) *Client {
 	c := &Client{
 		base:             strings.TrimRight(base, "/"),
-		httpc:            &http.Client{Timeout: 10 * time.Second},
+		timeout:          10 * time.Second,
 		retries:          2,
 		backoff:          50 * time.Millisecond,
 		maxBackoff:       DefaultMaxBackoff,
@@ -105,6 +113,9 @@ func New(base string, opts ...Option) *Client {
 	}
 	for _, o := range opts {
 		o(c)
+	}
+	if c.transport == nil {
+		c.transport = http.DefaultTransport
 	}
 	c.br = NewBreaker(c.breakerThreshold, c.breakerCooldown)
 	return c
@@ -249,16 +260,24 @@ func (c *Client) do(ctx context.Context, method, target string, body []byte, dec
 		if attempt > 0 {
 			c.nRetries.Add(1)
 		}
-		var rd io.Reader
-		if body != nil {
-			rd = bytes.NewReader(body)
+		// The timeout bounds the round trip and the body read together.
+		actx, cancel := ctx, context.CancelFunc(func() {})
+		if c.timeout > 0 {
+			actx, cancel = context.WithTimeout(ctx, c.timeout)
 		}
-		req, err := http.NewRequestWithContext(ctx, method, target, rd)
+		var rd io.Reader
+		header := identityHeader
+		if body != nil {
+			rd, header = bytes.NewReader(body), jsonBodyHeader
+		}
+		req, err := http.NewRequestWithContext(actx, method, target, rd)
 		if err != nil {
+			cancel()
 			return err
 		}
-		c.setHeader(req, body != nil)
-		resp, err := c.httpc.Do(req)
+		req.Header = header
+		resp, bp, err := c.send(req)
+		cancel()
 		if err != nil {
 			if ctx.Err() != nil {
 				// The caller gave up: no outcome of the service's, so the
@@ -289,38 +308,18 @@ func (c *Client) do(ctx context.Context, method, target string, body []byte, dec
 				}
 			}
 		}
-		bp, err := ReadBody(resp.Body, resp.ContentLength, math.MaxInt)
-		resp.Body.Close()
 		sc := resp.StatusCode
 		// Everything the attempt needs of the body is taken from it before
 		// it goes back to the pool.
 		var msg string
 		var decodeErr error
 		switch {
-		case err != nil:
 		case sc < 200 || sc >= 300:
 			msg = errMessage(*bp)
 		case decode != nil:
 			decodeErr = decode(*bp)
 		}
 		ReleaseBody(bp)
-		if err != nil {
-			if ctx.Err() != nil {
-				c.br.Abandon()
-				return fmt.Errorf("skyline service: %s %s: %w", method, path, err)
-			}
-			c.breakerRecord(false)
-			lastErr = err
-			if !idempotent {
-				return fmt.Errorf("skyline service: %s %s: %w", method, path, err)
-			}
-			if attempt < c.retries {
-				if err := c.sleep(ctx, c.delay(attempt)); err != nil {
-					return err
-				}
-			}
-			continue
-		}
 
 		retryAfter, hasRetryAfter := parseRetryAfter(resp.Header.Get("Retry-After"))
 		shed := sc == http.StatusTooManyRequests ||
@@ -379,21 +378,22 @@ var (
 	jsonBodyHeader = http.Header{"Accept-Encoding": {"identity"}, "Content-Type": {"application/json"}}
 )
 
-// setHeader gives req the shared headers, with a JSON Content-Type when it
-// carries a body. An http.Client with a cookie jar writes the jar's cookies
-// into req.Header, so with one set req keeps a map of its own.
-func (c *Client) setHeader(req *http.Request, jsonBody bool) {
-	if c.httpc.Jar == nil {
-		req.Header = identityHeader
-		if jsonBody {
-			req.Header = jsonBodyHeader
-		}
-		return
+// send sends req through the transport and reads the whole response body
+// into a pooled buffer, which the caller passes to ReleaseBody. An error
+// leaves no response and no buffer: a body that cannot be read whole fails
+// the attempt as a lost connection does.
+func (c *Client) send(req *http.Request) (*http.Response, *[]byte, error) {
+	resp, err := c.transport.RoundTrip(req)
+	if err != nil {
+		return nil, nil, err
 	}
-	req.Header.Set("Accept-Encoding", "identity")
-	if jsonBody {
-		req.Header.Set("Content-Type", "application/json")
+	bp, err := ReadBody(resp.Body, resp.ContentLength, math.MaxInt)
+	resp.Body.Close()
+	if err != nil {
+		ReleaseBody(bp)
+		return nil, nil, err
 	}
+	return resp, bp, nil
 }
 
 // bodyPool recycles response bodies, stored as *[]byte so Put does not

@@ -241,6 +241,39 @@ func TestCallerCancelDoesNotTripBreaker(t *testing.T) {
 	}
 }
 
+// TestTimeoutBoundsStalledBody: the HTTP client's Timeout bounds an
+// attempt's body read as well as its round trip. A server that sends its
+// headers at once and then stalls the body past the timeout fails the call
+// within about the timeout, and as the service's failure: it records one
+// breaker failure, where a caller's own cancellation records none.
+func TestTimeoutBoundsStalledBody(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write([]byte(`{"kind":`))
+		w.(http.Flusher).Flush()
+		select {
+		case <-time.After(5 * time.Second):
+		case <-r.Context().Done():
+		}
+	}))
+	defer srv.Close()
+
+	const timeout = 200 * time.Millisecond
+	c := New(srv.URL, WithHTTPClient(&http.Client{Timeout: timeout}), WithRetries(0),
+		WithBreaker(3, time.Hour))
+	start := time.Now()
+	_, err := c.Skyline(context.Background(), "quadrant", 1, 2)
+	if elapsed := time.Since(start); err == nil || elapsed < timeout || elapsed > 10*timeout {
+		t.Fatalf("stalled body: err %v after %v, want a failure after about %v", err, elapsed, timeout)
+	}
+	c.br.mu.Lock()
+	fails := c.br.consecFails
+	c.br.mu.Unlock()
+	if fails != 1 {
+		t.Fatalf("breaker recorded %d failures, want 1", fails)
+	}
+}
+
 // TestRetryAfterParsing pins the header grammar: delay-seconds, HTTP dates,
 // and the 5s stall cap.
 func TestRetryAfterParsing(t *testing.T) {

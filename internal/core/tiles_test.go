@@ -106,15 +106,14 @@ func TestUpdateChainAcrossTiles(t *testing.T) {
 		if !set.Equal(fresh) {
 			t.Fatalf("step %d %s: maintained set differs from rebuild (n=%d)", step, op, len(set.Points))
 		}
-		got, err := store.Encode(set.Quadrant.Cells(), 1)
-		if err != nil {
+		var got, want bytes.Buffer
+		if err := store.WriteEpoch(&got, set.Quadrant.Cells(), 1); err != nil {
 			t.Fatal(err)
 		}
-		want, err := store.Encode(fresh.Quadrant.Cells(), 1)
-		if err != nil {
+		if err := store.WriteEpoch(&want, fresh.Quadrant.Cells(), 1); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, want) {
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
 			t.Fatalf("step %d %s: maintained quadrant diagram encodes to other bytes than a rebuild", step, op)
 		}
 	}

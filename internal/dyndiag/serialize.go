@@ -1,9 +1,6 @@
 package dyndiag
 
-import (
-	"repro/internal/geom"
-	"repro/internal/resultset"
-)
+import "repro/internal/geom"
 
 // Export returns the diagram's points and per-subcell results (row-major,
 // cells[i*rows+j]) for serialization. The cell slices alias the diagram's
@@ -16,10 +13,4 @@ func (d *Diagram) Export() (pts []geom.Point, cells [][]int32) {
 		}
 	}
 	return d.Points, cells
-}
-
-// ExportCSR returns the diagram's interned form for zero-copy serialization:
-// the row-major per-subcell labels and the shared result table.
-func (d *Diagram) ExportCSR() (labels []uint32, table *resultset.Table) {
-	return d.labels, d.results
 }

@@ -228,10 +228,6 @@ func lineValues(lines []Line) []float64 {
 	return vs
 }
 
-// Ranks returns the subgrid's O(1) point-location tables over its line
-// values, for a reader that keeps them without the subgrid.
-func (sg *SubGrid) Ranks() (x, y *Rank) { return sg.xrank, sg.yrank }
-
 // Cols returns the number of subcell columns.
 func (sg *SubGrid) Cols() int { return len(sg.XLines) + 1 }
 

@@ -385,7 +385,7 @@ func TestChaosReplicaKillFailover(t *testing.T) {
 	if v := h.Metrics().Counter("skyserve_snapshot_delta_fallbacks_total", "", "reason", "mismatch").Value(); v != 0 {
 		t.Fatalf("%d polls streamed bytes that differ from the manifest recorded at publish", v)
 	}
-	for _, reason := range []string{"ring_miss", "not_smaller", "kind", "disabled"} {
+	for _, reason := range []string{"ring_miss", "not_smaller"} {
 		v := h.Metrics().Counter("skyserve_snapshot_delta_fallbacks_total", "", "reason", reason).Value()
 		fallbacks += v
 		if v > 0 {

@@ -180,7 +180,7 @@ func TestSnapshotNegotiationRacingSwap(t *testing.T) {
 					errs <- fmt.Sprintf("bad epoch header %q", epochHdr)
 					return
 				}
-				if want := snapshotETag(epoch, "quadrant"); etag != want {
+				if want := snapshotETag(epoch); etag != want {
 					errs <- fmt.Sprintf("etag %s does not match header epoch %d (want %s)", etag, epoch, want)
 					return
 				}

@@ -96,13 +96,10 @@ func (st *state) encoder() (*store.Encoder, error) {
 // recordState returns the manifest of the state's file, hashing it and
 // recording it in the ring on the first call: at the epoch's first stream,
 // or when a boot or a relay swap publishes the state. Later calls, from
-// concurrent first polls too, share that one pass. nil means deltas are
-// disabled or the hash failed, which only costs delta eligibility (the
-// epoch falls back to full streams), never correctness.
+// concurrent first polls too, share that one pass. nil means the hash
+// failed, which only costs delta eligibility (the epoch falls back to full
+// streams), never correctness.
 func (h *Handler) recordState(st *state) *store.Manifest {
-	if h.ring == nil {
-		return nil
-	}
 	st.manOnce.Do(func() {
 		f, err := st.file()
 		if err == nil {
@@ -136,22 +133,12 @@ func (h *Handler) encoded(st *state, use string, n int64) {
 // checked against cur on the way, so a delta is never built from bytes
 // other than the ones recorded.
 func (h *Handler) tryDelta(snap *state, cur *store.Manifest, f snapshotFile, from uint64) ([]byte, bool) {
-	if h.ring == nil {
-		h.deltaFallback("disabled")
-		return nil, false
-	}
 	base := h.ring.get(from)
 	if base == nil || cur == nil {
 		h.deltaFallback("ring_miss")
 		return nil, false
 	}
-	dw, err := store.NewDeltaWriter(base, cur)
-	if err != nil {
-		// Kind changed across the two epochs; the full stream is always
-		// correct.
-		h.deltaFallback("kind")
-		return nil, false
-	}
+	dw := store.NewDeltaWriter(base, cur)
 	if int64(dw.Len()) >= cur.Size {
 		// Near-total rewrite (e.g. an insert that added a grid line and
 		// re-indexed the cells): shipping "the delta" would cost more than

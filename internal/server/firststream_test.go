@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/quaddiag"
 	"repro/internal/store"
 )
 
@@ -20,6 +21,18 @@ import (
 // state's one encoder, from any number of goroutines at once.
 
 var encodedUses = []string{"manifest", "delta", "full", "checkpoint"}
+
+// epochFile encodes d's file stamped with epoch apart from any handler, as
+// store.WriteEpoch streams it into a fresh buffer: a reference that shares
+// no encoder with the state it checks.
+func epochFile(t testing.TB, d *quaddiag.Diagram, epoch uint64) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := store.WriteEpoch(&buf, d, epoch); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
 
 // encodedBytes reads skyserve_snapshot_encoded_bytes_total for every use.
 func encodedBytes(h *Handler) map[string]int64 {
@@ -117,10 +130,7 @@ func TestConcurrentStreamsOfOneEpoch(t *testing.T) {
 	waitFor(t, 5*time.Second, func() bool { return !h.ckptInFlight.Load() })
 	trailingToggle(t, h, pts, 1)
 	snap := h.snapshot()
-	want, err := store.Encode(snap.quadrant.Cells(), snap.epoch)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := epochFile(t, snap.quadrant.Cells(), snap.epoch)
 	before := encodedBytes(h)
 
 	const polls = 8

@@ -93,11 +93,7 @@ func TestPublishAllocationsBoundedByFileSize(t *testing.T) {
 	if live, total := snap.quadrant.Cells().ArenaLive(); live == total {
 		t.Fatal("test premise broken: the diagram carries no maintenance garbage")
 	}
-	data, err := store.Encode(snap.quadrant.Cells(), snap.epoch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	size := float64(len(data))
+	size := float64(len(epochFile(t, snap.quadrant.Cells(), snap.epoch)))
 
 	firstStream := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -123,11 +119,7 @@ func TestPublishAllocationsBoundedByFileSize(t *testing.T) {
 		t.Fatal(err)
 	}
 	const spare = 1 << 40
-	otherData, err := store.Encode(other.snapshot().quadrant.Cells(), spare)
-	if err != nil {
-		t.Fatal(err)
-	}
-	otherManifest, err := store.NewManifest(otherData)
+	otherManifest, err := store.NewManifest(epochFile(t, other.snapshot().quadrant.Cells(), spare))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +150,7 @@ func TestPublishAllocationsBoundedByFileSize(t *testing.T) {
 		r    testing.BenchmarkResult
 	}{{"first stream", firstStream}, {"delta poll", poll}, {"not_smaller poll", wholePoll}, {"full poll", fullPoll}} {
 		ratio := float64(c.r.AllocedBytesPerOp()) / size
-		t.Logf("%s: %d B/op = %.2fx the %d-byte file", c.name, c.r.AllocedBytesPerOp(), ratio, len(data))
+		t.Logf("%s: %d B/op = %.2fx the %.0f-byte file", c.name, c.r.AllocedBytesPerOp(), ratio, size)
 		if ratio > 0.25 {
 			t.Errorf("%s allocates %.2fx the file size, want <= 0.25x", c.name, ratio)
 		}

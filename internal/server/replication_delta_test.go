@@ -119,8 +119,8 @@ func TestSnapshotDeltaNegotiation(t *testing.T) {
 }
 
 // TestSnapshotDeltaFallbacks pins every documented fallback to a correct,
-// counted full stream: base epoch evicted from the ring, delta not smaller
-// than the file, and deltas disabled outright.
+// counted full stream: base epoch evicted from the ring, and delta not
+// smaller than the file.
 func TestSnapshotDeltaFallbacks(t *testing.T) {
 	t.Run("ring_miss", func(t *testing.T) {
 		srv, h := newDeltaBuilder(t, Config{DeltaRing: 1})
@@ -157,19 +157,24 @@ func TestSnapshotDeltaFallbacks(t *testing.T) {
 			t.Fatalf("not_smaller fallbacks = %d, want 1", got)
 		}
 	})
+}
 
-	t.Run("disabled", func(t *testing.T) {
-		srv, h := newDeltaBuilder(t, Config{DeltaRing: -1})
-		insertPoint(t, srv.URL, 700)
-		deletePoint(t, srv.URL, 700) // even the ideal delta case must fall back
-		code, _, mode := fetchSnapshotMode(t, srv.URL, "?epoch=1&from=1")
-		if code != 200 || mode != "full" {
-			t.Fatalf("code %d mode %s, want full", code, mode)
-		}
-		if got := counterValue(h, "skyserve_snapshot_delta_fallbacks_total", "reason", "disabled"); got != 1 {
-			t.Fatalf("disabled fallbacks = %d, want 1", got)
-		}
-	})
+// TestNegativeDeltaRingMeansDefault: a negative DeltaRing selects the
+// default ring, as 0 does, so a replica inside it still catches up by delta.
+func TestNegativeDeltaRingMeansDefault(t *testing.T) {
+	srv, h := newDeltaBuilder(t, Config{DeltaRing: -1})
+	insertPoint(t, srv.URL, 700)
+	deletePoint(t, srv.URL, 700)
+	code, _, mode := fetchSnapshotMode(t, srv.URL, "?epoch=1&from=1")
+	if code != 200 || mode != "delta" {
+		t.Fatalf("code %d mode %s, want a delta", code, mode)
+	}
+	if got := counterValue(h, "skyserve_snapshot_delta_hits_total"); got != 1 {
+		t.Fatalf("delta hits = %d, want 1", got)
+	}
+	if h.ring.cap != DefaultDeltaRing {
+		t.Fatalf("ring holds %d epochs, want the default %d", h.ring.cap, DefaultDeltaRing)
+	}
 }
 
 // TestSnapshotDeltaChurnByteEquivalence drives a randomized churn chain

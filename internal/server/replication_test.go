@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -16,6 +17,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/faultinject"
+	"repro/internal/quaddiag"
 	"repro/internal/store"
 )
 
@@ -49,8 +51,8 @@ func TestSnapshotEndpointNegotiation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("snapshot body does not open as a store: %v", err)
 	}
-	if st.Epoch() != 1 || st.Kind() != "quadrant" {
-		t.Fatalf("snapshot epoch %d kind %s", st.Epoch(), st.Kind())
+	if st.Epoch() != 1 {
+		t.Fatalf("snapshot epoch %d", st.Epoch())
 	}
 	// The snapshot must answer like the live server.
 	ids := st.QueryXY(10, 80)
@@ -112,6 +114,63 @@ func TestSnapshotEndpointNegotiation(t *testing.T) {
 	}
 	if code, _, _, _ := fetchSnapshot(t, srv.URL, "?kind=bogus"); code != http.StatusBadRequest {
 		t.Fatalf("kind=bogus: code %d, want 400", code)
+	}
+}
+
+// TestSnapshotKindWire pins what /v1/snapshot answers for each ?kind= on a
+// builder and on a serve-from node. A snapshot file holds the quadrant
+// diagram only: quadrant, or no kind, streams it with X-Sky-Epoch and an
+// ETag naming the epoch and the kind; another known kind is 501 and an
+// unknown one 400, with neither header.
+func TestSnapshotKindWire(t *testing.T) {
+	builder, _ := newTestServer(t)
+	d, err := quaddiag.BuildScanning(dataset.Hotels())
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "hotels.sky")
+	if err := store.CreateFileEpoch(path, d, 5); err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.OpenMmap(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	h, err := NewServeFrom(st, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveFrom := httptest.NewServer(h)
+	t.Cleanup(serveFrom.Close)
+
+	for _, node := range []struct{ name, url, epoch string }{
+		{"builder", builder.URL, "1"},
+		{"serve-from", serveFrom.URL, "5"},
+	} {
+		for _, c := range []struct {
+			query string
+			code  int
+		}{
+			{"", http.StatusOK},
+			{"?kind=quadrant", http.StatusOK},
+			{"?kind=global", http.StatusNotImplemented},
+			{"?kind=dynamic", http.StatusNotImplemented},
+			{"?kind=nope", http.StatusBadRequest},
+		} {
+			code, body, epoch, etag := fetchSnapshot(t, node.url, c.query)
+			wantEpoch, wantETag := "", ""
+			if c.code == http.StatusOK {
+				wantEpoch, wantETag = node.epoch, `"sky-e`+node.epoch+`-quadrant"`
+				if s, err := store.New(body); err != nil || fmt.Sprint(s.Epoch()) != node.epoch {
+					t.Errorf("%s %q: body is not the epoch-%s file (%v)", node.name, c.query, node.epoch, err)
+				}
+			}
+			if code != c.code || epoch != wantEpoch || etag != wantETag {
+				t.Errorf("%s %q: code %d, X-Sky-Epoch %q, ETag %s; want %d, %q, %s",
+					node.name, c.query, code, epoch, etag, c.code, wantEpoch, wantETag)
+			}
+		}
 	}
 }
 

@@ -3,8 +3,8 @@
 // builds the diagrams, every replica answers skyline queries with a point
 // location each. A replica can skip the build entirely: NewServeFrom
 // serves a persisted diagram file (ideally memory-mapped via
-// store.OpenMmap) as a read-only snapshot — only the file's kind is
-// served, writes answer 501.
+// store.OpenMmap) as a read-only snapshot — only the file's kind,
+// quadrant, is served, writes answer 501.
 //
 // Endpoints:
 //
@@ -159,8 +159,7 @@ type Config struct {
 	CompactRatio float64
 	// DeltaRing sets how many epochs of page-hash manifests are retained so
 	// GET /v1/snapshot?from=N can answer with a delta instead of the full
-	// file (see docs/SCALEOUT.md). 0 means the default of 32; negative
-	// disables delta serving (every catch-up is a full stream).
+	// file (see docs/SCALEOUT.md). 0 or negative means the default of 32.
 	DeltaRing int
 	// Metrics receives the handler's instrumentation. nil means a fresh
 	// registry, retrievable via Handler.Metrics.
@@ -209,8 +208,8 @@ type state struct {
 	quadrant *core.QuadrantDiagram
 	global   *core.GlobalDiagram
 	dynamic  *core.DynamicDiagram // nil when disabled
-	// stored, when non-nil, is a serve-from snapshot: every query of its
-	// kind is answered straight from the (ideally memory-mapped) diagram
+	// stored, when non-nil, is a serve-from snapshot: every quadrant query
+	// is answered straight from the (ideally memory-mapped) diagram
 	// file, the in-memory diagrams above are all nil, and writes are
 	// rejected — the file IS the snapshot.
 	stored *store.Store
@@ -310,7 +309,7 @@ type Handler struct {
 	walBytes        *metrics.Gauge
 
 	// Delta snapshot serving (see delta.go): ring retains per-epoch page
-	// hashes of the published bytes; nil means deltas are disabled.
+	// hashes of the published bytes.
 	ring      *manifestRing
 	deltaHits *metrics.Counter // snapshot requests answered with a delta body
 
@@ -368,8 +367,8 @@ func New(pts []geom.Point, cfg Config) (*Handler, error) {
 // mapped file: no diagram build, no materialization, queries resolve by
 // rank-table point location plus a label load from the mapping, and the
 // answer's ids are decoded from it into the response buffer. Only the
-// file's kind is served (the file holds exactly one diagram); other kinds
-// and all writes answer 501. The caller keeps ownership of st and must not
+// file's kind, quadrant, is served (a store file holds that one diagram);
+// other kinds and all writes answer 501. The caller keeps ownership of st and must not
 // close it while the handler serves.
 func NewServeFrom(st *store.Store, cfg Config) (*Handler, error) {
 	h := newHandler(cfg)
@@ -417,6 +416,9 @@ func newHandler(cfg Config) *Handler {
 	if cfg.CheckpointBytes == 0 {
 		cfg.CheckpointBytes = DefaultCheckpointBytes
 	}
+	if cfg.DeltaRing <= 0 {
+		cfg.DeltaRing = DefaultDeltaRing
+	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = metrics.NewRegistry()
@@ -431,6 +433,7 @@ func newHandler(cfg Config) *Handler {
 		updateSlot:      make(chan struct{}, 1),
 		fullRebuild:     cfg.FullRebuild,
 		compactRatio:    cfg.CompactRatio,
+		ring:            newManifestRing(cfg.DeltaRing),
 		start:           time.Now(),
 		reg:             reg,
 		requests: reg.Counter("skyserve_requests_total",
@@ -463,13 +466,6 @@ func newHandler(cfg Config) *Handler {
 			"Arena compactions triggered by the garbage-ratio policy."),
 		deltaHits: reg.Counter("skyserve_snapshot_delta_hits_total",
 			"Snapshot catch-ups answered with a page-level delta body."),
-	}
-	if cfg.DeltaRing >= 0 {
-		n := cfg.DeltaRing
-		if n == 0 {
-			n = DefaultDeltaRing
-		}
-		h.ring = newManifestRing(n)
 	}
 	if cfg.MaxInFlight > 0 {
 		h.slots = make(chan struct{}, cfg.MaxInFlight)
@@ -563,7 +559,7 @@ func (h *Handler) setState(st *state) {
 			"kind", kind).Set(n)
 	}
 	if st.stored != nil {
-		cells(st.stored.Kind(), float64(st.stored.NumCells()))
+		cells("quadrant", float64(st.stored.NumCells()))
 		return
 	}
 	cells("quadrant", float64(st.quadrant.Grid().NumCells()))
@@ -777,7 +773,6 @@ func (h *Handler) handleStats(w http.ResponseWriter, _ *http.Request) {
 	switch {
 	case snap.stored != nil:
 		resp.Cells = snap.stored.NumCells()
-		resp.DynamicEnabled = snap.stored.Kind() == "dynamic"
 	default:
 		st, err := snap.quadrant.Stats()
 		if err != nil {
@@ -834,8 +829,8 @@ type skylineResponse struct {
 var errDynamicDisabled = errors.New("dynamic diagram disabled for this dataset size")
 
 // errKindNotServed marks queries for a kind the serve-from snapshot file
-// does not contain (each file holds exactly one diagram).
-var errKindNotServed = errors.New("kind not present in the served snapshot file")
+// does not contain: every file holds the quadrant diagram only.
+var errKindNotServed = errors.New(`kind not present in the served snapshot file (file contains kind "quadrant")`)
 
 // errReadOnly marks writes against a serve-from handler.
 var errReadOnly = errors.New("server is serving a read-only snapshot file")
@@ -858,10 +853,10 @@ func normalizeKind(raw string) (string, error) {
 // diagramFor selects the diagram answering the (already normalized) kind.
 func (st *state) diagramFor(kind string) (answerer, error) {
 	if st.stored != nil {
-		if kind == st.stored.Kind() {
+		if kind == "quadrant" {
 			return st.stored, nil
 		}
-		return nil, fmt.Errorf("%w (file contains kind %q)", errKindNotServed, st.stored.Kind())
+		return nil, errKindNotServed
 	}
 	switch kind {
 	case "quadrant":

@@ -26,20 +26,21 @@ import (
 // whose epoch is still inside the publisher's manifest ring may be answered
 // with a page-level delta body (X-Sky-Snapshot-Mode: delta) that patches
 // its cached file into the current bytes; every other case — ring miss,
-// kind change, delta no smaller than the file — falls back to the full
-// current snapshot, so any replica catches up in exactly one fetch either
-// way. See delta.go and docs/SCALEOUT.md.
+// delta no smaller than the file — falls back to the full current
+// snapshot, so any replica catches up in exactly one fetch either way. See
+// delta.go and docs/SCALEOUT.md.
 
 // snapshotETag is the entity tag for one published snapshot generation.
-func snapshotETag(epoch uint64, kind string) string {
-	return fmt.Sprintf("%q", fmt.Sprintf("sky-e%d-%s", epoch, kind))
+func snapshotETag(epoch uint64) string {
+	return fmt.Sprintf(`"sky-e%d-quadrant"`, epoch)
 }
 
 // handleSnapshot serves the current snapshot in store format.
 //
 //	GET /v1/snapshot?epoch=3            full snapshot, or 304 if epoch <= 3
 //	GET /v1/snapshot?epoch=3&from=3     delta against epoch 3 when possible
-//	GET /v1/snapshot?kind=dynamic       explicit kind (must match what's served)
+//	GET /v1/snapshot?kind=quadrant      the one kind a snapshot file holds;
+//	                                    global or dynamic answers 501
 //
 // Each request streams the snapshot's file — a builder encodes its
 // in-memory quadrant diagram (the replication artifact) chunk by chunk, a
@@ -54,22 +55,17 @@ func (h *Handler) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	if kind != "quadrant" {
+		writeError(w, http.StatusNotImplemented, `snapshot serves kind "quadrant" only`)
+		return
+	}
 	snap := h.acquire()
 	if snap == nil {
 		errStoreClosed(w)
 		return
 	}
 	defer snap.release()
-	servedKind := "quadrant"
-	if snap.stored != nil {
-		servedKind = snap.stored.Kind()
-	}
-	if kind != servedKind {
-		writeError(w, http.StatusNotImplemented,
-			fmt.Sprintf("snapshot serves kind %q only", servedKind))
-		return
-	}
-	etag := snapshotETag(snap.epoch, servedKind)
+	etag := snapshotETag(snap.epoch)
 	setEpochHeader(w, snap.epoch)
 	w.Header().Set("ETag", etag)
 	if notModified(r, snap.epoch, etag) {

@@ -59,10 +59,7 @@ func TestCrashAtEveryCreateSite(t *testing.T) {
 	defer faultinject.Deactivate()
 	oldGen := buildDiagram(t, 30, 21)
 	newGen := buildDiagram(t, 200, 22)
-	data, err := Encode(newGen, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := fileBytes(t, newGen, 7)
 	pagesOff := int(binary.BigEndian.Uint64(data[52:]))
 	if numPages := int(binary.BigEndian.Uint64(data[36:])); pagesOff+numPages*labelPageSize < 3*chunkSize {
 		t.Fatalf("test premise broken: label pages end at byte %d, within the first chunks", pagesOff+numPages*labelPageSize)
@@ -170,10 +167,7 @@ func TestCrashAtEveryCreateSite(t *testing.T) {
 // published and served.
 func TestCreateFileFromRefusesBeforeRename(t *testing.T) {
 	oldGen, newGen := buildDiagram(t, 30, 25), buildDiagram(t, 60, 26)
-	data, err := Encode(newGen, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := fileBytes(t, newGen, 2)
 	path := filepath.Join(t.TempDir(), "snapshot.sky")
 	if err := CreateFileEpoch(path, oldGen, 1); err != nil {
 		t.Fatal(err)

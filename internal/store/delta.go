@@ -60,7 +60,6 @@ const (
 // 4 KiB page size it costs ~0.2% of the file it describes.
 type Manifest struct {
 	Epoch uint64 // replication epoch from the header
-	Kind  string // "quadrant" or "dynamic"
 	Size  int64  // total file size in bytes
 	CRC   uint32 // CRC32 (IEEE) of the entire file
 
@@ -77,11 +76,11 @@ type deltaSection struct {
 // and hashes its pages. A file of another format version is refused, with
 // the same unsupported-version error New gives.
 func NewManifest(data []byte) (*Manifest, error) {
-	secs, kind, epoch, err := deltaSections(data)
+	secs, epoch, err := deltaSections(data)
 	if err != nil {
 		return nil, err
 	}
-	mw := newManifestWriter(secs, kind, epoch)
+	mw := newManifestWriter(secs, epoch)
 	mw.Write(data)
 	return mw.manifest()
 }
@@ -95,9 +94,9 @@ type manifestWriter struct {
 	h   uint64 // FNV-1a of the current page's bytes so far
 }
 
-func newManifestWriter(secs [deltaNumSections]deltaSection, kind string, epoch uint64) *manifestWriter {
+func newManifestWriter(secs [deltaNumSections]deltaSection, epoch uint64) *manifestWriter {
 	last := secs[deltaNumSections-1]
-	m := &Manifest{Epoch: epoch, Kind: kind, Size: last.off + last.len, secs: secs}
+	m := &Manifest{Epoch: epoch, Size: last.off + last.len, secs: secs}
 	var pages int64
 	for _, sec := range secs {
 		pages += deltaPageCount(sec.len)
@@ -148,9 +147,9 @@ func (mw *manifestWriter) manifest() (*Manifest, error) {
 
 // deltaSections splits a store file into the six delta sections:
 // header | points | index | label pages | arena offsets | arena ids+trailer.
-func deltaSections(data []byte) (secs [deltaNumSections]deltaSection, kind string, epoch uint64, err error) {
+func deltaSections(data []byte) (secs [deltaNumSections]deltaSection, epoch uint64, err error) {
 	if err := checkHead(data); err != nil {
-		return secs, "", 0, err
+		return secs, 0, err
 	}
 	be := binary.BigEndian
 	size := int64(len(data))
@@ -158,28 +157,25 @@ func deltaSections(data []byte) (secs [deltaNumSections]deltaSection, kind strin
 	indexOff := int64(be.Uint64(data[44:]))
 	pagesOff := int64(be.Uint64(data[52:]))
 	arenaOff := pagesOff + numPages*labelPageSize
-	switch k := int(be.Uint32(data[60:])); k {
-	case kindQuadrant, kindDynamic:
-		kind = kindName(k)
-	default:
-		return secs, "", 0, fmt.Errorf("%w: delta: unknown kind %d", ErrCorrupt, k)
+	if k := be.Uint32(data[60:]); k != kindQuadrant {
+		return secs, 0, fmt.Errorf("%w: delta: unknown kind %d", ErrCorrupt, k)
 	}
 	epoch = be.Uint64(data[64:])
 	// The arena opens with #results, #ids; the offsets table (#results+1
 	// uint32s) follows, then the ids array. Splitting there keeps an appended
 	// result from shifting the ids array off its page grid.
 	if arenaOff < 0 || arenaOff+8 > size {
-		return secs, "", 0, fmt.Errorf("%w: delta: arena offset %d outside %d-byte file", ErrCorrupt, arenaOff, size)
+		return secs, 0, fmt.Errorf("%w: delta: arena offset %d outside %d-byte file", ErrCorrupt, arenaOff, size)
 	}
 	idsOff := arenaOff + 8 + 4*(int64(be.Uint32(data[arenaOff:]))+1)
 	bounds := [deltaNumSections + 1]int64{0, headerSize, indexOff, pagesOff, arenaOff, idsOff, size}
 	for i := 0; i < deltaNumSections; i++ {
 		if bounds[i+1] < bounds[i] || bounds[i+1] > size {
-			return secs, "", 0, fmt.Errorf("%w: delta: section bounds %v out of order for %d-byte file", ErrCorrupt, bounds, size)
+			return secs, 0, fmt.Errorf("%w: delta: section bounds %v out of order for %d-byte file", ErrCorrupt, bounds, size)
 		}
 		secs[i] = deltaSection{off: bounds[i], len: bounds[i+1] - bounds[i]}
 	}
-	return secs, kind, epoch, nil
+	return secs, epoch, nil
 }
 
 func deltaPageCount(secLen int64) int64 {
@@ -210,15 +206,11 @@ func fnvUpdate(h uint64, b []byte) uint64 {
 
 // Delta encodes the patch that turns base's file into cur's file, where data
 // is cur's complete serialized bytes (the encoder needs the actual changed
-// page contents, not just their hashes). The two manifests must describe the
-// same diagram kind, and data must be the file cur describes. The caller
-// decides whether the result is worth shipping: a near-total rewrite can
-// come out larger than the full file.
+// page contents, not just their hashes), and must be the file cur describes.
+// The caller decides whether the result is worth shipping: a near-total
+// rewrite can come out larger than the full file.
 func Delta(base, cur *Manifest, data []byte) ([]byte, error) {
-	dw, err := NewDeltaWriter(base, cur)
-	if err != nil {
-		return nil, err
-	}
+	dw := NewDeltaWriter(base, cur)
 	dw.Write(data)
 	return dw.Bytes()
 }
@@ -249,15 +241,8 @@ type deltaChange struct {
 	page, start, end, pos int64
 }
 
-// NewDeltaWriter lays out the delta from base to cur. The manifests must
-// describe the same diagram kind.
-func NewDeltaWriter(base, cur *Manifest) (*DeltaWriter, error) {
-	if base == nil || cur == nil {
-		return nil, fmt.Errorf("store: delta: nil manifest")
-	}
-	if base.Kind != cur.Kind {
-		return nil, fmt.Errorf("store: delta: kind changed %s -> %s", base.Kind, cur.Kind)
-	}
+// NewDeltaWriter lays out the delta from base to cur.
+func NewDeltaWriter(base, cur *Manifest) *DeltaWriter {
 	dw := &DeltaWriter{base: base, cur: cur, size: deltaHdrSize}
 	for s := 0; s < deltaNumSections; s++ {
 		cs, bs := cur.secs[s], base.secs[s]
@@ -273,7 +258,7 @@ func NewDeltaWriter(base, cur *Manifest) (*DeltaWriter, error) {
 			}
 		}
 	}
-	return dw, nil
+	return dw
 }
 
 // Len returns the length of the delta in bytes.

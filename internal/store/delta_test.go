@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/dyndiag"
 	"repro/internal/geom"
 	"repro/internal/quaddiag"
 )
@@ -73,9 +72,6 @@ func TestManifestSectionsCoverFile(t *testing.T) {
 	}
 	if m.Epoch != 7 {
 		t.Fatalf("manifest epoch = %d, want 7", m.Epoch)
-	}
-	if m.Kind != "quadrant" {
-		t.Fatalf("manifest kind = %q", m.Kind)
 	}
 	if m.Size != int64(len(data)) {
 		t.Fatalf("manifest size = %d, want %d", m.Size, len(data))
@@ -150,33 +146,6 @@ func TestDeltaRandomChurnChain(t *testing.T) {
 		if len(files) > 4 {
 			patchBetween(t, files[len(files)-5], cur) // laggard, 4 epochs behind
 		}
-	}
-}
-
-func TestDeltaKindMismatchRefused(t *testing.T) {
-	q := serializeEpoch(t, churnBase(t, 30, 51), 1)
-	dpts := churnBase(t, 30, 52)
-	dd, err := dyndiag.BuildScanning(dpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteDynamicEpoch(&buf, dd, 2); err != nil {
-		t.Fatal(err)
-	}
-	qm, err := NewManifest(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dm, err := NewManifest(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dm.Kind != "dynamic" {
-		t.Fatalf("dynamic manifest kind = %q", dm.Kind)
-	}
-	if _, err := Delta(qm, dm, buf.Bytes()); err == nil {
-		t.Fatal("Delta across kinds must refuse")
 	}
 }
 
@@ -288,7 +257,7 @@ func FuzzApplyDelta(f *testing.F) {
 // version field differs from a valid file: the trailer CRC is recomputed.
 func TestDeltaLegacyVersionNotEligible(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Write(&buf, buildDiagram(t, 20, 81)); err != nil {
+	if err := WriteEpoch(&buf, buildDiagram(t, 20, 81), 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, v := range []uint32{1, 2, 3} {

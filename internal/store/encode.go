@@ -8,7 +8,6 @@ import (
 	"math"
 	"sync"
 
-	"repro/internal/dyndiag"
 	"repro/internal/geom"
 	"repro/internal/quaddiag"
 	"repro/internal/resultset"
@@ -36,67 +35,38 @@ const chunkSize = 32 << 10
 // never writes maintenance garbage (whose result count can exceed the cell
 // count and would be rejected as corrupt on open).
 //
-// The encoder reads the cell labels a page at a time, in file order: a
-// quadrant diagram's through its label tiles (quaddiag.Diagram.CellLabels)
-// into one page of scratch each stream holds, so no encode builds a flat
-// label array; a dynamic diagram's straight from its flat array. An Encoder
-// reads the diagram each time it writes, and the diagram must not change
-// meanwhile; the diagrams this package encodes never do. Once built, an
-// Encoder is never written again: any number of streams may run through it
-// at once, each with its own chunk and page scratch.
+// The encoder reads the cell labels a page at a time, in file order,
+// through the diagram's label tiles (quaddiag.Diagram.CellLabels) into one
+// page of scratch each stream holds, so no encode builds a flat label
+// array. An Encoder reads the diagram each time it writes, and the diagram
+// must not change meanwhile; the diagrams this package encodes never do.
+// Once built, an Encoder is never written again: any number of streams may
+// run through it at once, each with its own chunk and page scratch.
 type Encoder struct {
-	pts   []geom.Point
-	quad  *quaddiag.Diagram // the quadrant kind's labels; nil for dynamic
-	flat  []uint32          // the dynamic kind's labels, row-major
-	table *resultset.Table
+	quad  *quaddiag.Diagram
+	table *resultset.Table // quad.Results()
 	// remap[l] is old label l's canonical label + 1 (0: no cell uses it);
 	// nil when the table is canonical already.
-	remap      []uint32
-	cols, rows int
-	kind       int
-	epoch      uint64
+	remap []uint32
+	epoch uint64
 
 	numResults, numIDs, numPages           int
 	indexOff, pagesOff, arenaOff, arenaEnd int
 }
 
 // NewEncoder prepares the version-4 file of a quadrant diagram stamped with
-// a replication epoch: the bytes Encode returns and every writer emits.
+// a replication epoch: the bytes every writer emits.
 func NewEncoder(d *quaddiag.Diagram, epoch uint64) (*Encoder, error) {
-	e := &Encoder{}
-	if err := e.initQuadrant(d, epoch); err != nil {
-		return nil, err
+	cells := d.Grid.NumCells()
+	if cells == 0 {
+		return nil, fmt.Errorf("store: diagram has no cells")
 	}
-	return e, nil
-}
-
-func dynamicEncoder(d *dyndiag.Diagram, epoch uint64) (*Encoder, error) {
-	e := &Encoder{}
-	if err := e.initDynamic(d, epoch); err != nil {
-		return nil, err
+	table := d.Results()
+	e := &Encoder{
+		quad: d, table: table, epoch: epoch,
+		numResults: table.NumResults(), numIDs: table.ArenaLen(),
+		numPages: (cells + CellsPerPage - 1) / CellsPerPage,
 	}
-	return e, nil
-}
-
-func (e *Encoder) initQuadrant(d *quaddiag.Diagram, epoch uint64) error {
-	e.quad = d
-	return e.init(d.Points, d.Results(), d.Grid.Cols(), d.Grid.Rows(), kindQuadrant, epoch)
-}
-
-func (e *Encoder) initDynamic(d *dyndiag.Diagram, epoch uint64) error {
-	labels, table := d.ExportCSR()
-	e.flat = labels
-	return e.init(d.Points, table, d.Sub.Cols(), d.Sub.Rows(), kindDynamic, epoch)
-}
-
-func (e *Encoder) init(pts []geom.Point, table *resultset.Table, cols, rows, kind int, epoch uint64) error {
-	if cols*rows == 0 {
-		return fmt.Errorf("store: diagram has no cells")
-	}
-	e.pts, e.table = pts, table
-	e.cols, e.rows, e.kind, e.epoch = cols, rows, kind, epoch
-	e.numResults, e.numIDs = table.NumResults(), table.ArenaLen()
-	e.numPages = (cols*rows + CellsPerPage - 1) / CellsPerPage
 	var page [CellsPerPage]uint32
 	if !e.canonical(&page) {
 		e.remap = make([]uint32, table.NumResults())
@@ -111,21 +81,17 @@ func (e *Encoder) init(pts []geom.Point, table *resultset.Table, cols, rows, kin
 			}
 		}
 	}
-	e.indexOff = headerSize + len(pts)*(8+8*dimOf(pts))
+	e.indexOff = headerSize + len(d.Points)*(8+8*dimOf(d.Points))
 	e.pagesOff = e.indexOff + e.numPages*indexEntrySz
 	e.arenaOff = e.pagesOff + e.numPages*labelPageSize
 	e.arenaEnd = e.arenaOff + 8 + 4*(e.numResults+1) + 4*e.numIDs
-	return nil
+	return e, nil
 }
 
-// labels returns the labels of page pg's cells, as the table numbers them.
-// A quadrant diagram's are read into page, the caller's scratch.
+// labels reads the labels of page pg's cells, as the table numbers them,
+// into page, the caller's scratch.
 func (e *Encoder) labels(page *[CellsPerPage]uint32, pg int) []uint32 {
-	k := pg * CellsPerPage
-	if e.quad == nil {
-		return e.flat[k:min(k+CellsPerPage, len(e.flat))]
-	}
-	return page[:e.quad.CellLabels(page[:], k)]
+	return page[:e.quad.CellLabels(page[:], pg*CellsPerPage)]
 }
 
 // canonical reports whether the cells reference every table result exactly
@@ -170,7 +136,7 @@ func (e *Encoder) WriteTo(w io.Writer) (int64, error) {
 // Manifest returns the file's delta manifest — NewManifest of its bytes —
 // hashing the pages as the file streams by instead of holding it.
 func (e *Encoder) Manifest() (*Manifest, error) {
-	mw := newManifestWriter(e.sections(), kindName(e.kind), e.epoch)
+	mw := newManifestWriter(e.sections(), e.epoch)
 	if _, err := e.WriteTo(mw); err != nil {
 		return nil, err
 	}
@@ -197,18 +163,19 @@ func (e *Encoder) emit(fw *fileWriter) {
 	clear(h)
 	copy(h[0:8], magic)
 	be.PutUint32(h[8:], version)
-	be.PutUint32(h[12:], uint32(dimOf(e.pts)))
-	be.PutUint64(h[16:], uint64(len(e.pts)))
-	be.PutUint32(h[24:], uint32(e.cols))
-	be.PutUint32(h[28:], uint32(e.rows))
+	pts := e.quad.Points
+	be.PutUint32(h[12:], uint32(dimOf(pts)))
+	be.PutUint64(h[16:], uint64(len(pts)))
+	be.PutUint32(h[24:], uint32(e.quad.Grid.Cols()))
+	be.PutUint32(h[28:], uint32(e.quad.Grid.Rows()))
 	be.PutUint32(h[32:], CellsPerPage)
 	be.PutUint64(h[36:], uint64(e.numPages))
 	be.PutUint64(h[44:], uint64(e.indexOff))
 	be.PutUint64(h[52:], uint64(e.pagesOff))
-	be.PutUint32(h[60:], uint32(e.kind))
+	be.PutUint32(h[60:], kindQuadrant)
 	be.PutUint64(h[64:], e.epoch)
 	fw.commit(headerSize)
-	for _, p := range e.pts {
+	for _, p := range pts {
 		fw.u64(uint64(int64(p.ID)))
 		for _, c := range p.Coords {
 			fw.u64(math.Float64bits(c))
@@ -296,14 +263,13 @@ func (e *Encoder) putPage(page []byte, scratch *[CellsPerPage]uint32, pg int) []
 }
 
 // fileWriter emits a file's bytes in order and keeps their CRC32 for the
-// arena's and the trailer's checksums. With w set, the bytes pass through
-// buf, a chunk flushed to w whenever it fills; with w nil, buf is as long
-// as the whole file and is itself the output. It is one stream's state, so
-// it holds the stream's page of label scratch too.
+// arena's and the trailer's checksums. The bytes pass through buf, a chunk
+// flushed to w whenever it fills. It is one stream's state, so it holds the
+// stream's page of label scratch too.
 type fileWriter struct {
 	w    io.Writer
 	buf  []byte
-	page [CellsPerPage]uint32 // scratch for one page of a quadrant diagram's labels
+	page [CellsPerPage]uint32 // scratch for one page of the diagram's labels
 	// buf[:n] is pending; buf[:folded] is covered by crc (and by secCRC,
 	// in a section). Lengths, not reslices, so that emitting a value
 	// writes no pointer.
@@ -388,13 +354,9 @@ func (fw *fileWriter) endSection() uint32 {
 	return fw.secCRC
 }
 
-// flush hands the pending bytes to w and empties the chunk. Without w the
-// buffer is the output and keeps everything.
+// flush hands the pending bytes to w and empties the chunk.
 func (fw *fileWriter) flush() {
 	fw.fold()
-	if fw.w == nil {
-		return
-	}
 	if fw.err == nil {
 		var k int
 		k, fw.err = fw.w.Write(fw.buf[:fw.n])
@@ -403,50 +365,11 @@ func (fw *fileWriter) flush() {
 	fw.n, fw.folded = 0, 0
 }
 
-// Encode returns the complete version-4 file of a quadrant diagram, stamped
-// with a replication epoch, in a fresh buffer of exactly the file's size
-// that the caller owns. The buffer and, for a maintained diagram, the remap
-// are the only allocations.
-func Encode(d *quaddiag.Diagram, epoch uint64) ([]byte, error) {
-	var e Encoder
-	if err := e.initQuadrant(d, epoch); err != nil {
-		return nil, err
-	}
-	return e.encode(), nil
-}
-
-func (e *Encoder) encode() []byte {
-	fw := fileWriter{buf: make([]byte, e.Size())}
-	e.emit(&fw)
-	return fw.buf
-}
-
-// Write serialises a quadrant diagram to w in the current (version 4,
-// interned CSR) format with epoch 0 (an unversioned snapshot).
-func Write(w io.Writer, d *quaddiag.Diagram) error {
-	return WriteEpoch(w, d, 0)
-}
-
-// WriteEpoch is Write with an explicit replication epoch stamped into the
-// header — the builder's snapshot generation, negotiated by replicas.
+// WriteEpoch writes a quadrant diagram's file to w, stamped with a
+// replication epoch — the builder's snapshot generation, negotiated by
+// replicas.
 func WriteEpoch(w io.Writer, d *quaddiag.Diagram, epoch uint64) error {
-	var e Encoder
-	if err := e.initQuadrant(d, epoch); err != nil {
-		return err
-	}
-	return e.writeFile(w)
-}
-
-// WriteDynamic serialises a dynamic diagram to w. The subcell grid is
-// rebuilt deterministically from the points on open, exactly like the cell
-// grid of the quadrant form.
-func WriteDynamic(w io.Writer, d *dyndiag.Diagram) error {
-	return WriteDynamicEpoch(w, d, 0)
-}
-
-// WriteDynamicEpoch is WriteDynamic with an explicit replication epoch.
-func WriteDynamicEpoch(w io.Writer, d *dyndiag.Diagram, epoch uint64) error {
-	e, err := dynamicEncoder(d, epoch)
+	e, err := NewEncoder(d, epoch)
 	if err != nil {
 		return err
 	}

@@ -2,12 +2,12 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
 	"testing"
 
-	"repro/internal/dyndiag"
 	"repro/internal/geom"
 	"repro/internal/quaddiag"
 )
@@ -52,20 +52,10 @@ func goldenQuadrantMaintained(t *testing.T) *quaddiag.Diagram {
 	return d
 }
 
-// goldenDynamic is an n=24 dynamic diagram.
-func goldenDynamic(t *testing.T) *dyndiag.Diagram {
-	t.Helper()
-	d, err := dyndiag.BuildScanning(buildDiagram(t, 24, 93).Points)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return d
-}
-
 // TestGoldenFiles pins the v4 encoding byte for byte against files written
-// by an earlier, independent writer: a fresh quadrant diagram, a maintained
-// one whose labels the encoder must put into canonical order, and a dynamic
-// diagram.
+// by an earlier, independent writer — a fresh quadrant diagram, and a
+// maintained one whose labels the encoder must put into canonical order —
+// and checks that those files still open.
 func TestGoldenFiles(t *testing.T) {
 	cases := []struct {
 		file  string
@@ -79,7 +69,6 @@ func TestGoldenFiles(t *testing.T) {
 			}
 			return WriteEpoch(b, d, 27)
 		}},
-		{"dynamic-n24.sky", func(b *bytes.Buffer) error { return WriteDynamicEpoch(b, goldenDynamic(t), 3) }},
 	}
 	for _, c := range cases {
 		t.Run(c.file, func(t *testing.T) {
@@ -100,6 +89,33 @@ func TestGoldenFiles(t *testing.T) {
 			if !bytes.Equal(got.Bytes(), want) {
 				t.Fatalf("encoded %d bytes differ from the %d-byte golden file %s", got.Len(), len(want), path)
 			}
+			if _, err := New(want); err != nil {
+				t.Fatalf("golden file %s does not open: %v", path, err)
+			}
 		})
+	}
+}
+
+// TestDynamicKindFileRefused: testdata/dynamic-n24.sky is a well-formed v4
+// file of header kind 2, the dynamic diagram, which earlier writers could
+// produce. Every file now holds the quadrant diagram, so each reader of a
+// file refuses kind 2 as it refuses any unknown kind: as ErrCorrupt.
+func TestDynamicKindFileRefused(t *testing.T) {
+	path := filepath.Join("testdata", "dynamic-n24.sky")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(data); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("New: err = %v, want ErrCorrupt", err)
+	}
+	if s, err := OpenMmap(path); !errors.Is(err, ErrCorrupt) {
+		if s != nil {
+			s.Close()
+		}
+		t.Errorf("OpenMmap: err = %v, want ErrCorrupt", err)
+	}
+	if _, err := NewManifest(data); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("NewManifest: err = %v, want ErrCorrupt", err)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/dyndiag"
 	"repro/internal/geom"
 )
 
@@ -30,9 +29,6 @@ func TestMmapServesIdenticalAnswers(t *testing.T) {
 	defer mm.Close()
 	if !mm.Mapped() {
 		t.Fatal("OpenMmap fell back to reading the file on a platform with mmap")
-	}
-	if mm.Kind() != "quadrant" {
-		t.Fatalf("Kind = %q, want quadrant", mm.Kind())
 	}
 	for i := 0; i < d.Grid.Cols(); i++ {
 		for j := 0; j < d.Grid.Rows(); j++ {
@@ -89,34 +85,6 @@ func TestMmapQueryXYZeroAllocs(t *testing.T) {
 	}
 	if got, want := mm.AppendQueryXY(dst[:0], 13.7, 91.2), mm.QueryXY(13.7, 91.2); !equalI32(got, want) {
 		t.Fatalf("AppendQueryXY = %v, QueryXY = %v", got, want)
-	}
-}
-
-// TestMmapDynamicKind: the dynamic-kind store serves identically mapped.
-func TestMmapDynamicKind(t *testing.T) {
-	pts := buildDiagram(t, 10, 71).Points
-	d, err := dyndiag.BuildScanning(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "dyn.sky")
-	if err := CreateFileDynamic(path, d); err != nil {
-		t.Fatal(err)
-	}
-	rd := readStore(t, path)
-	mm, err := OpenMmap(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mm.Close()
-	if mm.Kind() != "dynamic" {
-		t.Fatalf("Kind = %q, want dynamic", mm.Kind())
-	}
-	for k := 0; k < 300; k++ {
-		x, y := float64(k%113)*0.9, float64((k*41)%127)*0.8
-		if a, b := rd.QueryXY(x, y), mm.QueryXY(x, y); !equalI32(a, b) {
-			t.Fatalf("dynamic query (%v,%v): in memory %v, mmap %v", x, y, a, b)
-		}
 	}
 }
 

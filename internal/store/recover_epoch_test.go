@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/dyndiag"
 	"repro/internal/faultinject"
 	"repro/internal/geom"
 )
@@ -182,23 +181,6 @@ func TestEpochRoundTripAndByteFidelity(t *testing.T) {
 			t.Fatalf("%s: WithBytes: %v", name, err)
 		}
 	}
-
-	// Dynamic kind carries the epoch the same way.
-	dd, err := dyndiag.BuildScanning(d.Points)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var dbuf bytes.Buffer
-	if err := WriteDynamicEpoch(&dbuf, dd, 9); err != nil {
-		t.Fatal(err)
-	}
-	ds, err := New(dbuf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ds.Kind() != "dynamic" || ds.Epoch() != 9 {
-		t.Fatalf("dynamic roundtrip: kind %q epoch %d, want dynamic 9", ds.Kind(), ds.Epoch())
-	}
 }
 
 // TestPreEpochFilesReadAsEpochZero: a file written without an epoch must
@@ -207,7 +189,7 @@ func TestEpochRoundTripAndByteFidelity(t *testing.T) {
 func TestPreEpochFilesReadAsEpochZero(t *testing.T) {
 	d := buildDiagram(t, 20, 85)
 	var plain bytes.Buffer
-	if err := Write(&plain, d); err != nil {
+	if err := WriteEpoch(&plain, d, 0); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "plain.sky")

@@ -1,14 +1,15 @@
-// Package store persists skyline diagrams in one binary file format and
-// serves point-location queries straight from a file's bytes — the
-// deployment shape of a precomputation structure: build once on a beefy
+// Package store persists the quadrant skyline diagram in one binary file
+// format and serves point-location queries straight from a file's bytes —
+// the deployment shape of a precomputation structure: build once on a beefy
 // machine, ship the file, and answer queries on small ones with no build or
 // materialization step.
 //
 // File layout (all integers big-endian), format version 4:
 //
 //	header   magic "SKYDSTO1", version, dim, #points, cols, rows,
-//	         cellsPerPage, #pages, index offset, pages offset, kind,
-//	         epoch, 8 reserved zero bytes — 80 bytes
+//	         cellsPerPage, #pages, index offset, pages offset, kind (1,
+//	         quadrant: the one kind), epoch, 8 reserved zero bytes — 80
+//	         bytes
 //	points   id:int64, coords: dim × float64  (grid lines are rebuilt from
 //	         these on open, exactly as the in-memory constructors do)
 //	index    per page: offset:uint64, length:uint32, crc32:uint32
@@ -26,7 +27,7 @@
 // ahead) and routers use it to measure staleness; Epoch returns it, and the
 // trailer CRC covers it like every other header byte, so a flipped epoch is
 // ErrCorrupt, not a silent time warp. Files of any other version are
-// refused.
+// refused, and a header naming another kind is ErrCorrupt.
 //
 // A Store is a view over one byte slice holding a whole file. New parses
 // it in place: it verifies the trailer CRC before trusting any header
@@ -48,8 +49,7 @@
 // An Encoder writes a diagram's file sequentially, in file order, through
 // one small chunk: every section's offset follows from the counts before
 // the first byte, so a writer, a manifest (Encoder.Manifest) or a delta
-// (DeltaWriter) takes a file of any size without holding it. Encode lays
-// the same bytes out in one buffer of exactly the file's size. CreateFile
+// (DeltaWriter) takes a file of any size without holding it. CreateFile
 // is crash-safe: it streams to a temporary file in the target's directory,
 // fsyncs it, renames it into place, and fsyncs the directory, so a crash at
 // any instant leaves either the previous generation or the new one — never
@@ -72,7 +72,6 @@ import (
 	"slices"
 	"sync/atomic"
 
-	"repro/internal/dyndiag"
 	"repro/internal/faultinject"
 	"repro/internal/geom"
 	"repro/internal/grid"
@@ -105,11 +104,9 @@ const (
 // disk (retry). Neither does a file of another format version.
 var ErrCorrupt = errors.New("store: corrupt file")
 
-// Diagram kinds stored in the header.
-const (
-	kindQuadrant = 1
-	kindDynamic  = 2
-)
+// kindQuadrant is the diagram kind in every file's header, the only kind
+// this package reads or writes.
+const kindQuadrant = 1
 
 // TempSuffix is appended to the target path for the intermediate file
 // CreateFile writes before the atomic rename. Recover knows to look for it.
@@ -129,15 +126,6 @@ func CreateFile(path string, d *quaddiag.Diagram) error {
 // header. The file streams from the diagram into the temporary file.
 func CreateFileEpoch(path string, d *quaddiag.Diagram, epoch uint64) error {
 	e, err := NewEncoder(d, epoch)
-	if err != nil {
-		return err
-	}
-	return e.CreateFile(path)
-}
-
-// CreateFileDynamic is CreateFile for a dynamic diagram.
-func CreateFileDynamic(path string, d *dyndiag.Diagram) error {
-	e, err := dynamicEncoder(d, 0)
 	if err != nil {
 		return err
 	}
@@ -230,7 +218,7 @@ func createFile(path string, write func(io.Writer) error, check func(tmp string)
 // failpoint once per label page, in file order. When it fires, only the
 // bytes before that page reach w — the torn prefix a crash mid-write leaves
 // behind — and the injected error is returned. Every writer of a file to a
-// destination (Write*, CreateFile*) writes through one.
+// destination (WriteEpoch, CreateFile*) writes through one.
 type pageTearer struct {
 	w   io.Writer
 	off int64 // bytes passed on so far
@@ -306,7 +294,6 @@ type Store struct {
 	data   []byte
 	mapped bool
 
-	kind       int
 	cols, rows int
 	// epoch is the replication generation stamped by the builder that
 	// published this snapshot.
@@ -405,11 +392,10 @@ func New(data []byte) (*Store, error) {
 		data:  data,
 		cols:  int(be.Uint32(data[24:])),
 		rows:  int(be.Uint32(data[28:])),
-		kind:  int(be.Uint32(data[60:])),
 		epoch: be.Uint64(data[64:]),
 	}
-	if s.kind != kindQuadrant && s.kind != kindDynamic {
-		return nil, fmt.Errorf("%w: unknown diagram kind %d", ErrCorrupt, s.kind)
+	if k := be.Uint32(data[60:]); k != kindQuadrant {
+		return nil, fmt.Errorf("%w: unknown diagram kind %d", ErrCorrupt, k)
 	}
 	if cpp := be.Uint32(data[32:]); cpp != CellsPerPage {
 		return nil, fmt.Errorf("%w: header: %d cells per page, want %d", ErrCorrupt, cpp, CellsPerPage)
@@ -479,21 +465,12 @@ func New(data []byte) (*Store, error) {
 			return nil, fmt.Errorf("%w: duplicate point id %d", ErrCorrupt, ids[i])
 		}
 	}
-	if s.kind == kindDynamic {
-		sg := grid.NewSubGrid(s.points)
-		if sg.Cols() != s.cols || sg.Rows() != s.rows {
-			return nil, fmt.Errorf("%w: points imply a %dx%d subgrid, header says %dx%d",
-				ErrCorrupt, sg.Cols(), sg.Rows(), s.cols, s.rows)
-		}
-		s.xrank, s.yrank = sg.Ranks()
-	} else {
-		g := grid.NewGrid(s.points)
-		if g.Cols() != s.cols || g.Rows() != s.rows {
-			return nil, fmt.Errorf("%w: points imply a %dx%d grid, header says %dx%d",
-				ErrCorrupt, g.Cols(), g.Rows(), s.cols, s.rows)
-		}
-		s.xrank, s.yrank = g.Ranks()
+	g := grid.NewGrid(s.points)
+	if g.Cols() != s.cols || g.Rows() != s.rows {
+		return nil, fmt.Errorf("%w: points imply a %dx%d grid, header says %dx%d",
+			ErrCorrupt, g.Cols(), g.Rows(), s.cols, s.rows)
 	}
+	s.xrank, s.yrank = g.Ranks()
 	return s, nil
 }
 
@@ -626,17 +603,6 @@ func (s *Store) Manifest() (*Manifest, error) {
 		return err
 	})
 	return m, err
-}
-
-// Kind returns the stored diagram kind, "quadrant" or "dynamic".
-func (s *Store) Kind() string { return kindName(s.kind) }
-
-// kindName names a header kind as Kind and Manifest.Kind report it.
-func kindName(kind int) string {
-	if kind == kindDynamic {
-		return "dynamic"
-	}
-	return "quadrant"
 }
 
 // Mapped reports whether the store serves from a memory map rather than

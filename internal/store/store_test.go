@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/dyndiag"
 	"repro/internal/geom"
 	"repro/internal/quaddiag"
 )
@@ -42,10 +41,20 @@ func buildDiagram(t testing.TB, n int, seed int64) *quaddiag.Diagram {
 	return d
 }
 
+// fileBytes returns d's file stamped with epoch, as WriteEpoch streams it.
+func fileBytes(tb testing.TB, d *quaddiag.Diagram, epoch uint64) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := WriteEpoch(&buf, d, epoch); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 func TestRoundTripQueries(t *testing.T) {
 	d := buildDiagram(t, 60, 1)
 	var buf bytes.Buffer
-	if err := Write(&buf, d); err != nil {
+	if err := WriteEpoch(&buf, d, 0); err != nil {
 		t.Fatal(err)
 	}
 	s, err := New(buf.Bytes())
@@ -112,7 +121,7 @@ func TestFileRoundTrip(t *testing.T) {
 func TestCorruptionDetected(t *testing.T) {
 	d := buildDiagram(t, 40, 4)
 	var buf bytes.Buffer
-	if err := Write(&buf, d); err != nil {
+	if err := WriteEpoch(&buf, d, 0); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -156,7 +165,7 @@ func TestCorruptionDetected(t *testing.T) {
 func TestCellRangeErrors(t *testing.T) {
 	d := buildDiagram(t, 10, 5)
 	var buf bytes.Buffer
-	if err := Write(&buf, d); err != nil {
+	if err := WriteEpoch(&buf, d, 0); err != nil {
 		t.Fatal(err)
 	}
 	s, err := New(buf.Bytes())
@@ -174,7 +183,7 @@ func TestCellRangeErrors(t *testing.T) {
 func TestConcurrentReaders(t *testing.T) {
 	d := buildDiagram(t, 50, 6)
 	var buf bytes.Buffer
-	if err := Write(&buf, d); err != nil {
+	if err := WriteEpoch(&buf, d, 0); err != nil {
 		t.Fatal(err)
 	}
 	s, err := New(buf.Bytes())
@@ -214,7 +223,7 @@ func TestEmptyDiagramRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Write(&buf, d); err != nil {
+	if err := WriteEpoch(&buf, d, 0); err != nil {
 		t.Fatal(err) // one empty cell is fine
 	}
 	s, err := New(buf.Bytes())
@@ -227,46 +236,10 @@ func TestEmptyDiagramRejected(t *testing.T) {
 	}
 }
 
-func TestDynamicStoreRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	pts := make([]geom.Point, 12)
-	for i := range pts {
-		pts[i] = geom.Pt2(i, float64(rng.Intn(24)), float64(rng.Intn(24)))
-	}
-	d, err := dyndiag.BuildScanning(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteDynamic(&buf, d); err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.NumCells() != d.Sub.NumSubcells() {
-		t.Fatalf("NumCells = %d, want %d", s.NumCells(), d.Sub.NumSubcells())
-	}
-	for trial := 0; trial < 400; trial++ {
-		q := geom.Pt2(-1, rng.Float64()*30-3, rng.Float64()*30-3)
-		got := s.QueryXY(q.X(), q.Y())
-		want := d.Query(q)
-		if len(got) != len(want) {
-			t.Fatalf("q=%v: %v vs %v", q, got, want)
-		}
-		for k := range want {
-			if got[k] != want[k] {
-				t.Fatalf("q=%v: %v vs %v", q, got, want)
-			}
-		}
-	}
-}
-
 func TestCorruptHeaderCountsRejectedBeforeAllocation(t *testing.T) {
 	d := buildDiagram(t, 30, 9)
 	var buf bytes.Buffer
-	if err := Write(&buf, d); err != nil {
+	if err := WriteEpoch(&buf, d, 0); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -324,7 +297,7 @@ func TestCorruptHeaderCountsRejectedBeforeAllocation(t *testing.T) {
 func TestConcurrentDistinctPages(t *testing.T) {
 	d := buildDiagram(t, 80, 10) // 81x81 grid: ~26 pages
 	var buf bytes.Buffer
-	if err := Write(&buf, d); err != nil {
+	if err := WriteEpoch(&buf, d, 0); err != nil {
 		t.Fatal(err)
 	}
 	s, err := New(buf.Bytes()) // thrashing cache

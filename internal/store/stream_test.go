@@ -7,18 +7,15 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/dyndiag"
 	"repro/internal/geom"
 	"repro/internal/quaddiag"
 )
 
-// Streaming equivalence: the encoder's sequential writer emits Encode's
-// bytes, and every sink a streamed file passes through — the manifest
-// hasher, the delta writer, a patch written by ApplyDeltaTo — yields what
-// the in-memory functions give for those bytes.
+// Streaming equivalence: every sink a streamed file passes through — the
+// manifest hasher, the delta writer, a patch written by ApplyDeltaTo —
+// yields what the in-memory functions give for the file's bytes.
 
-// streamCase is one file to stream, with an earlier file of the same kind
-// for a delta base.
+// streamCase is one file to stream, with an earlier file for a delta base.
 type streamCase struct {
 	name string
 	enc  *Encoder
@@ -35,13 +32,6 @@ func streamCases(t *testing.T) []streamCase {
 		}
 		return e
 	}
-	dyn := func(d *dyndiag.Diagram, epoch uint64) *Encoder {
-		e, err := dynamicEncoder(d, epoch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e
-	}
 	for _, n := range []int{20, 60, 150} {
 		fresh := buildDiagram(t, n, int64(n))
 		maintained := churnQuadrant(t, fresh)
@@ -50,24 +40,8 @@ func streamCases(t *testing.T) []streamCase {
 			t.Fatalf("n=%d: test premise broken: maintained diagram is canonical", n)
 		}
 		cases = append(cases,
-			streamCase{"fresh", freshEnc, maintainedEnc.encode()},
-			streamCase{"maintained", maintainedEnc, freshEnc.encode()})
-
-		dfresh, err := dyndiag.BuildScanning(fresh.Points[:n/5])
-		if err != nil {
-			t.Fatal(err)
-		}
-		dmaint, err := dfresh.WithInsert(geom.Pt2(6000, 55.5, 44.25))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dmaint, err = dmaint.WithDelete(fresh.Points[1].ID); err != nil {
-			t.Fatal(err)
-		}
-		dfreshEnc, dmaintEnc := dyn(dfresh, 3), dyn(dmaint, 4)
-		cases = append(cases,
-			streamCase{"dynamic", dfreshEnc, dmaintEnc.encode()},
-			streamCase{"dynamic-maintained", dmaintEnc, dfreshEnc.encode()})
+			streamCase{"fresh", freshEnc, fileBytes(t, maintained, 2)},
+			streamCase{"maintained", maintainedEnc, fileBytes(t, fresh, 1)})
 	}
 	return cases
 }
@@ -86,24 +60,21 @@ func chop(t *testing.T, w io.Writer, data []byte, rng *rand.Rand) {
 }
 
 // TestStreamingMatchesInMemory pins each streamed form to its in-memory
-// counterpart over fresh, maintained and dynamic diagrams at several n: the
-// bytes WriteTo emits are Encode's, Encoder.Manifest is NewManifest of those
-// bytes, a DeltaWriter fed the stream returns Delta's bytes, and
-// ApplyDeltaTo writes exactly what ApplyDelta returns. Store.WriteTo and
-// Store.Manifest match too, and the sinks give the same results whatever
-// the sizes of the writes that feed them.
+// counterpart over fresh and maintained diagrams at several n: WriteTo
+// emits Size bytes, Encoder.Manifest is NewManifest of those bytes, a
+// DeltaWriter fed the stream returns Delta's bytes, and ApplyDeltaTo
+// writes exactly what ApplyDelta returns. Store.WriteTo and Store.Manifest
+// match too, and the sinks give the same results whatever the sizes of the
+// writes that feed them.
 func TestStreamingMatchesInMemory(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, c := range streamCases(t) {
-		want := c.enc.encode()
 		var got bytes.Buffer
 		n, err := c.enc.WriteTo(&got)
-		if err != nil || n != int64(len(want)) || c.enc.Size() != n {
-			t.Fatalf("%s (%d bytes): WriteTo wrote %d bytes, Size %d, err %v", c.name, len(want), n, c.enc.Size(), err)
+		if err != nil || n != int64(got.Len()) || c.enc.Size() != n {
+			t.Fatalf("%s (%d bytes): WriteTo wrote %d bytes, Size %d, err %v", c.name, got.Len(), n, c.enc.Size(), err)
 		}
-		if !bytes.Equal(got.Bytes(), want) {
-			t.Fatalf("%s: streamed %d bytes differ from Encode's %d", c.name, got.Len(), len(want))
-		}
+		want := got.Bytes()
 
 		wantM, err := NewManifest(want)
 		if err != nil {
@@ -116,7 +87,7 @@ func TestStreamingMatchesInMemory(t *testing.T) {
 		if !reflect.DeepEqual(gotM, wantM) {
 			t.Fatalf("%s: streamed manifest differs from NewManifest of the bytes", c.name)
 		}
-		mw := newManifestWriter(c.enc.sections(), kindName(c.enc.kind), c.enc.epoch)
+		mw := newManifestWriter(c.enc.sections(), c.enc.epoch)
 		chop(t, mw, want, rng)
 		if m, err := mw.manifest(); err != nil || !reflect.DeepEqual(m, wantM) {
 			t.Fatalf("%s: manifest of chopped writes differs (%v)", c.name, err)
@@ -134,10 +105,7 @@ func TestStreamingMatchesInMemory(t *testing.T) {
 			func(w io.Writer) { c.enc.WriteTo(w) },
 			func(w io.Writer) { chop(t, w, want, rng) },
 		} {
-			dw, err := NewDeltaWriter(baseM, gotM)
-			if err != nil {
-				t.Fatal(err)
-			}
+			dw := NewDeltaWriter(baseM, gotM)
 			feed(dw)
 			gotD, err := dw.Bytes()
 			if err != nil || dw.Len() != len(wantD) || !bytes.Equal(gotD, wantD) {
@@ -212,14 +180,7 @@ func TestApplyDeltaToAllocations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, err := Encode(d, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cur, err := Encode(next, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
+		base, cur := fileBytes(t, d, 1), fileBytes(t, next, 2)
 		delta := patchBetween(t, base, cur)
 		r := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

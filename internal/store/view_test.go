@@ -26,11 +26,7 @@ func arenaSection(data []byte) (off, crcOff int) {
 // writes, so its table went through copy-on-write and first-use remapping.
 func maintainedFile(tb testing.TB, n int, seed int64) []byte {
 	tb.Helper()
-	data, err := Encode(churnQuadrant(tb, buildDiagram(tb, n, seed)), 1)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return data
+	return fileBytes(tb, churnQuadrant(tb, buildDiagram(tb, n, seed)), 1)
 }
 
 // TestNewReadsArenaInPlace pins the open path to a view over the file: New
