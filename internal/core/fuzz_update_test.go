@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/geom"
@@ -18,9 +19,11 @@ var fuzzOpts = UpdateOptions{MaxDynamicPoints: 32}
 
 // decodeOps turns a fuzz input into an op sequence: each 3-byte group is one
 // op — [kind, a, b] decodes to a delete of id a%16 when kind%4 == 0, else an
-// insert at lattice location (a%10, b%10). Ids cycle through 0..15, so
-// duplicate-insert and missing-delete rejections occur naturally; the decoder
-// keeps them (Apply must reject them without corrupting the set).
+// insert at lattice location (a%10, b%10). Insert ids cycle through 0..15,
+// counting up, or down from 15 when bit 2 of kind is set, so inserts land
+// after, before and between the live ids, and duplicate-insert and
+// missing-delete rejections occur naturally; the decoder keeps them (Apply
+// must reject them without corrupting the set).
 func decodeOps(raw []byte) []Op {
 	const maxOps = 12
 	var ops []Op
@@ -31,7 +34,11 @@ func decodeOps(raw []byte) []Op {
 			ops = append(ops, DeleteOp(int(a%16)))
 			continue
 		}
-		ops = append(ops, InsertOp(geom.Pt2(nextID%16, float64(a%10), float64(b%10))))
+		id := nextID % 16
+		if kind&4 != 0 {
+			id = 15 - id
+		}
+		ops = append(ops, InsertOp(geom.Pt2(id, float64(a%10), float64(b%10))))
 		nextID++
 	}
 	return ops
@@ -44,6 +51,9 @@ func FuzzIncrementalMatchesRebuild(f *testing.F) {
 	f.Add([]byte{1, 3, 7, 1, 3, 7, 0, 0, 0})          // duplicate location, then delete
 	f.Add([]byte{1, 0, 0, 1, 9, 9, 1, 0, 9, 1, 9, 0}) // the four lattice corners
 	f.Add([]byte{0, 5, 5, 1, 5, 5, 0, 0, 0})          // delete from empty, insert, delete it
+	// Descending ids 15, 14, 13, 12, each below every live id; then 4
+	// (below them all), 5 and 9 (between live ids); then deletes of 14, 4.
+	f.Add([]byte{5, 2, 7, 5, 6, 1, 5, 4, 4, 5, 8, 3, 1, 1, 9, 1, 7, 0, 5, 3, 2, 0, 14, 0, 0, 4, 0})
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		if len(raw) > 36 {
 			raw = raw[:36]
@@ -61,6 +71,7 @@ func FuzzIncrementalMatchesRebuild(f *testing.F) {
 				t.Fatalf("op %d (%s): %v", i, op, err)
 			}
 			set = next
+			assertIDOrder(t, set, fmt.Sprintf("op %d (%s)", i, op))
 			fresh, err := BuildSet(set.Points, fuzzOpts)
 			if err != nil {
 				t.Fatalf("op %d (%s): rebuild: %v", i, op, err)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/geom"
 	"repro/internal/metrics"
 	"repro/internal/quaddiag"
 )
@@ -99,6 +100,7 @@ func (o UpdateOptions) countWork(kind string, w quaddiag.Work) {
 // diagram's mask-0 component, held once. BuildSet, Apply and CompactArenas
 // keep it so.
 type DiagramSet struct {
+	// Points is the quadrant diagram's point slice, in ascending id order.
 	Points   []Point
 	Quadrant *QuadrantDiagram
 	Global   *GlobalDiagram
@@ -116,9 +118,9 @@ func BuildSet(pts []Point, opts UpdateOptions) (*DiagramSet, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: build global: %w", err)
 	}
-	set := &DiagramSet{Points: pts, Quadrant: quad, Global: glob}
+	set := &DiagramSet{Points: quad.d.Points, Quadrant: quad, Global: glob}
 	if len(pts) <= opts.MaxDynamicPoints {
-		set.Dynamic, err = BuildDynamic(pts, bo)
+		set.Dynamic, err = BuildDynamic(set.Points, bo)
 		if err != nil {
 			return nil, fmt.Errorf("core: build dynamic: %w", err)
 		}
@@ -137,19 +139,15 @@ func (s *DiagramSet) check(op Op) error {
 		if err := checkIDs([]Point{op.Point}); err != nil {
 			return fmt.Errorf("%w: insert: %v", ErrRejected, err)
 		}
-		for _, q := range s.Points {
-			if q.ID == op.Point.ID {
-				return fmt.Errorf("%w: insert: id %d already present", ErrRejected, op.Point.ID)
-			}
+		if _, dup := geom.SearchID(s.Points, op.Point.ID); dup {
+			return fmt.Errorf("%w: insert: id %d already present", ErrRejected, op.Point.ID)
 		}
 		return nil
 	}
-	for _, q := range s.Points {
-		if q.ID == op.ID {
-			return nil
-		}
+	if _, ok := geom.SearchID(s.Points, op.ID); !ok {
+		return fmt.Errorf("%w: delete: id %d not present", ErrRejected, op.ID)
 	}
-	return fmt.Errorf("%w: delete: id %d not present", ErrRejected, op.ID)
+	return nil
 }
 
 // Apply returns the set advanced by one op. Rejections (ErrRejected) leave
@@ -165,19 +163,6 @@ func (s *DiagramSet) Apply(op Op, opts UpdateOptions) (*DiagramSet, error) {
 	if s.Global.d.Reflected(0) != s.Quadrant.d {
 		return nil, errors.New("core: the set's global diagram is not built around its quadrant diagram")
 	}
-	var pts []Point
-	if op.Insert {
-		pts = make([]Point, len(s.Points)+1)
-		copy(pts, s.Points)
-		pts[len(s.Points)] = op.Point
-	} else {
-		pts = make([]Point, 0, len(s.Points))
-		for _, q := range s.Points {
-			if q.ID != op.ID {
-				pts = append(pts, q)
-			}
-		}
-	}
 
 	t0 := time.Now()
 	var quad *QuadrantDiagram
@@ -192,6 +177,7 @@ func (s *DiagramSet) Apply(op Op, opts UpdateOptions) (*DiagramSet, error) {
 	}
 	opts.observe("quadrant", t0)
 	opts.countWork("quadrant", quad.d.Work())
+	pts := quad.d.Points
 	next := &DiagramSet{Points: pts, Quadrant: quad}
 
 	if opts.FullRebuild {

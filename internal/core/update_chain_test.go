@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -29,10 +30,9 @@ func TestUpdateChainMatchesRebuild(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			pts := make([]geom.Point, 0, 16)
-			nextID := 0
-			for i := 0; i < 12; i++ {
-				pts = append(pts, geom.Pt2(nextID, float64(rng.Intn(domain)), float64(rng.Intn(domain))))
-				nextID++
+			ids := newChainIDs(12)
+			for _, id := range ids.base() {
+				pts = append(pts, geom.Pt2(id, float64(rng.Intn(domain)), float64(rng.Intn(domain))))
 			}
 			cur, err := BuildQuadrant(pts, Options{})
 			if err != nil {
@@ -40,8 +40,7 @@ func TestUpdateChainMatchesRebuild(t *testing.T) {
 			}
 			for step := 0; step < 40; step++ {
 				if len(pts) == 0 || rng.Intn(2) == 0 {
-					p := geom.Pt2(nextID, float64(rng.Intn(domain)), float64(rng.Intn(domain)))
-					nextID++
+					p := geom.Pt2(ids.next(rng, pts), float64(rng.Intn(domain)), float64(rng.Intn(domain)))
 					cur, err = cur.WithInsert(p)
 					if err != nil {
 						t.Fatalf("seed=%d step=%d insert %v: %v", seed, step, p, err)
@@ -55,6 +54,9 @@ func TestUpdateChainMatchesRebuild(t *testing.T) {
 						t.Fatalf("seed=%d step=%d delete %d: %v", seed, step, id, err)
 					}
 					pts = append(pts[:k], pts[k+1:]...)
+				}
+				if !ascendingByID(cur.Cells().Points) {
+					t.Fatalf("seed=%d step=%d: points out of id order: %v", seed, step, cur.Cells().Points)
 				}
 				fresh, err := BuildQuadrant(pts, Options{})
 				if err != nil {
@@ -127,6 +129,68 @@ func TestUpdateChainDuplicateCoordinates(t *testing.T) {
 	}
 }
 
+// chainIDs draws the ids a chain inserts: above every id drawn so far,
+// below every one, or in a gap between live ids (a deleted id included),
+// so inserts land at the end, the front and the middle of a diagram's
+// id-ordered points.
+type chainIDs struct{ lo, hi int }
+
+// newChainIDs returns a source whose base ids are n ids 100, 103, 106, …,
+// which leave gaps between them and room below.
+func newChainIDs(n int) *chainIDs { return &chainIDs{lo: 100, hi: 100 + 3*n} }
+
+// base returns the base ids.
+func (c *chainIDs) base() []int {
+	var ids []int
+	for id := c.lo; id < c.hi; id += 3 {
+		ids = append(ids, id)
+	}
+	return ids
+}
+
+// next draws an insert's id, none of pts's.
+func (c *chainIDs) next(rng *rand.Rand, pts []geom.Point) int {
+	switch rng.Intn(3) {
+	case 0:
+		c.lo--
+		return c.lo
+	case 1:
+		for try := 0; try < 8; try++ {
+			id := c.lo + rng.Intn(c.hi-c.lo)
+			if !slices.ContainsFunc(pts, func(p geom.Point) bool { return p.ID == id }) {
+				return id
+			}
+		}
+	}
+	c.hi++
+	return c.hi - 1
+}
+
+// ascendingByID reports whether the ids of pts ascend strictly.
+func ascendingByID(pts []geom.Point) bool {
+	for k := 1; k < len(pts); k++ {
+		if pts[k-1].ID >= pts[k].ID {
+			return false
+		}
+	}
+	return true
+}
+
+// assertIDOrder checks that a set's points, and every quadrant component's,
+// ascend by id, and that the set's points are its quadrant diagram's slice.
+func assertIDOrder(t *testing.T, set *DiagramSet, ctx string) {
+	t.Helper()
+	quad := set.Quadrant.Cells().Points
+	if len(quad) != len(set.Points) || len(quad) > 0 && &quad[0] != &set.Points[0] {
+		t.Fatalf("%s: the set's points are not its quadrant diagram's", ctx)
+	}
+	for mask := 0; mask < 4; mask++ {
+		if pts := set.Global.d.Reflected(mask).Points; !ascendingByID(pts) {
+			t.Fatalf("%s: global mask %d points out of id order: %v", ctx, mask, pts)
+		}
+	}
+}
+
 // chainOpts keeps the dynamic diagram alive for every chain below: the point
 // counts stay far under the threshold, so every op maintains all three kinds.
 var chainOpts = UpdateOptions{MaxDynamicPoints: 64}
@@ -138,6 +202,7 @@ var chainOpts = UpdateOptions{MaxDynamicPoints: 64}
 // into failures so a randomized chain logs its seed and step.
 func assertSetMatchesRebuild(t *testing.T, set *DiagramSet, rng *rand.Rand, domain int, ctx string) {
 	t.Helper()
+	assertIDOrder(t, set, ctx)
 	fresh, err := BuildSet(set.Points, chainOpts)
 	if err != nil {
 		t.Fatalf("%s: rebuild: %v", ctx, err)
@@ -179,8 +244,8 @@ func assertSetMatchesRebuild(t *testing.T, set *DiagramSet, rng *rand.Rand, doma
 // from the small lattice, biased toward the tie-heavy cases — exact duplicates
 // of live locations and boundary coordinates (domain edges and points outside
 // the current bounding box), the regimes where incremental carry decisions
-// are most fragile.
-func randomOp(rng *rand.Rand, pts []geom.Point, domain int, nextID *int) Op {
+// are most fragile — with ids from ids.
+func randomOp(rng *rand.Rand, pts []geom.Point, domain int, ids *chainIDs) Op {
 	if len(pts) > 0 && rng.Intn(2) == 1 {
 		return DeleteOp(pts[rng.Intn(len(pts))].ID)
 	}
@@ -195,9 +260,7 @@ func randomOp(rng *rand.Rand, pts []geom.Point, domain int, nextID *int) Op {
 		edges := []float64{0, float64(domain - 1), -1, float64(domain)}
 		x, y = edges[rng.Intn(len(edges))], edges[rng.Intn(len(edges))]
 	}
-	p := geom.Pt2(*nextID, x, y)
-	*nextID++
-	return InsertOp(p)
+	return InsertOp(geom.Pt2(ids.next(rng, pts), x, y))
 }
 
 // TestUpdateChainAllKindsMatchesRebuild is the full differential form of the
@@ -217,17 +280,16 @@ func TestUpdateChainAllKindsMatchesRebuild(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			pts := make([]geom.Point, 0, 16)
-			nextID := 0
-			for i := 0; i < 8; i++ {
-				pts = append(pts, geom.Pt2(nextID, float64(rng.Intn(domain)), float64(rng.Intn(domain))))
-				nextID++
+			ids := newChainIDs(8)
+			for _, id := range ids.base() {
+				pts = append(pts, geom.Pt2(id, float64(rng.Intn(domain)), float64(rng.Intn(domain))))
 			}
 			set, err := BuildSet(pts, chainOpts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for step := 0; step < steps; step++ {
-				op := randomOp(rng, set.Points, domain, &nextID)
+				op := randomOp(rng, set.Points, domain, ids)
 				next, err := set.Apply(op, chainOpts)
 				if err != nil {
 					t.Fatalf("seed=%d step=%d %s: %v", seed, step, op, err)

@@ -9,8 +9,10 @@
 package geom
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -246,6 +248,38 @@ func dedupFloats(sorted []float64) []float64 {
 	return out
 }
 
+// ByID returns pts in ascending id order: pts itself when its ids already
+// ascend, otherwise a sorted copy. The diagrams, the snapshot states and
+// the store all keep points in this order, so an id is found by SearchID
+// instead of through a map.
+func ByID(pts []Point) []Point {
+	if slices.IsSortedFunc(pts, cmpID) {
+		return pts
+	}
+	out := slices.Clone(pts)
+	slices.SortFunc(out, cmpID)
+	return out
+}
+
+func cmpID(a, b Point) int { return cmp.Compare(a.ID, b.ID) }
+
+// SearchID returns the position of id in pts, whose ids ascend, and whether
+// a point there has it; when none does, the position is where a point of
+// that id would go. A binary search without sort.Search's closure call per
+// probe.
+func SearchID(pts []Point, id int) (int, bool) {
+	lo, hi := 0, len(pts)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if pts[m].ID < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(pts) && pts[lo].ID == id
+}
+
 // IDs extracts the identifiers of pts in order.
 func IDs(pts []Point) []int {
 	ids := make([]int, len(pts))
@@ -280,10 +314,10 @@ func EqualIDSets(a, b []int) bool {
 	return true
 }
 
-// Reflect returns a copy of pts with the coordinates of the axes selected by
-// mask negated (bit i set negates axis i). Reflection maps quadrant `mask`
-// onto the first quadrant, which is how the global skyline diagram reuses the
-// quadrant algorithms (Section IV).
+// Reflect returns a copy of pts, in pts's order, with the coordinates of the
+// axes selected by mask negated (bit i set negates axis i). Reflection maps
+// quadrant `mask` onto the first quadrant, which is how the global skyline
+// diagram reuses the quadrant algorithms (Section IV).
 func Reflect(pts []Point, mask int) []Point {
 	out := make([]Point, len(pts))
 	for i, p := range pts {

@@ -267,3 +267,36 @@ func TestRectContainsDimMismatch(t *testing.T) {
 		t.Fatal("dimension mismatch must not be contained")
 	}
 }
+
+// TestByIDAndSearchID: ByID returns an id-ordered slice itself and sorts a
+// copy of any other, leaving the input alone; SearchID finds every present
+// id and places every absent one where it would go.
+func TestByIDAndSearchID(t *testing.T) {
+	ordered := []Point{Pt2(-4, 0, 0), Pt2(2, 1, 1), Pt2(5, 2, 2), Pt2(9, 3, 3)}
+	if got := ByID(ordered); &got[0] != &ordered[0] {
+		t.Fatal("ByID copied an ordered slice")
+	}
+	shuffled := []Point{ordered[2], ordered[0], ordered[3], ordered[1]}
+	got := ByID(shuffled)
+	for i, p := range got {
+		if p.ID != ordered[i].ID {
+			t.Fatalf("ByID = %v, want %v", IDs(got), IDs(ordered))
+		}
+	}
+	if shuffled[0].ID != 5 {
+		t.Fatal("ByID reordered its input")
+	}
+	for _, c := range []struct{ id, pos int }{{-4, 0}, {2, 1}, {5, 2}, {9, 3}} {
+		if k, ok := SearchID(ordered, c.id); k != c.pos || !ok {
+			t.Fatalf("SearchID(%d) = %d, %v; want %d, true", c.id, k, ok, c.pos)
+		}
+	}
+	for _, c := range []struct{ id, pos int }{{-5, 0}, {0, 1}, {3, 2}, {7, 3}, {10, 4}} {
+		if k, ok := SearchID(ordered, c.id); k != c.pos || ok {
+			t.Fatalf("SearchID(%d) = %d, %v; want %d, false", c.id, k, ok, c.pos)
+		}
+	}
+	if k, ok := SearchID(nil, 1); k != 0 || ok {
+		t.Fatalf("SearchID on no points = %d, %v", k, ok)
+	}
+}

@@ -22,6 +22,7 @@ package grid
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/geom"
@@ -34,8 +35,8 @@ type Grid struct {
 	// so there are len(Xs)+1 columns and len(Ys)+1 rows.
 	Xs, Ys []float64
 
-	// O(1) point-location tables (see Rank). nil on struct-literal grids,
-	// which fall back to the binary search.
+	// O(1) point-location tables (see Rank). nil on struct-literal and
+	// Unranked grids, which fall back to the binary search.
 	xrank, yrank *Rank
 }
 
@@ -48,6 +49,72 @@ func NewGrid(pts []geom.Point) *Grid {
 	g.xrank, g.yrank = NewRank(g.Xs), NewRank(g.Ys)
 	return g
 }
+
+// WithLines returns the grid of g's points and one more at (x, y): each axis
+// gains the point's line unless it has it already. An axis that gains no
+// line is g's, shared with its rank table; one that gains a line is an O(n)
+// copy with no sort, and has a rank table only when g's axis has one.
+func (g *Grid) WithLines(x, y float64) *Grid {
+	ng := *g
+	if k, ok := slices.BinarySearch(g.Xs, x); !ok {
+		ng.Xs = withValue(g.Xs, k, x)
+		ng.xrank = rerank(g.xrank, ng.Xs)
+	}
+	if k, ok := slices.BinarySearch(g.Ys, y); !ok {
+		ng.Ys = withValue(g.Ys, k, y)
+		ng.yrank = rerank(g.yrank, ng.Ys)
+	}
+	return &ng
+}
+
+// WithoutLines returns g without its line x when dropX and without its line
+// y when dropY: the grid left when the point at (x, y) goes and no other
+// point keeps the dropped lines. Each dropped line must be one of g's. The
+// axes are derived as in WithLines.
+func (g *Grid) WithoutLines(x, y float64, dropX, dropY bool) *Grid {
+	ng := *g
+	if dropX {
+		k, _ := slices.BinarySearch(g.Xs, x)
+		ng.Xs = withoutValue(g.Xs, k)
+		ng.xrank = rerank(g.xrank, ng.Xs)
+	}
+	if dropY {
+		k, _ := slices.BinarySearch(g.Ys, y)
+		ng.Ys = withoutValue(g.Ys, k)
+		ng.yrank = rerank(g.yrank, ng.Ys)
+	}
+	return &ng
+}
+
+// withValue returns a copy of vs with v inserted at k.
+func withValue(vs []float64, k int, v float64) []float64 {
+	out := make([]float64, len(vs)+1)
+	copy(out, vs[:k])
+	out[k] = v
+	copy(out[k+1:], vs[k:])
+	return out
+}
+
+// withoutValue returns a copy of vs without its value at k.
+func withoutValue(vs []float64, k int) []float64 {
+	out := make([]float64, len(vs)-1)
+	copy(out, vs[:k])
+	copy(out[k:], vs[k+1:])
+	return out
+}
+
+// rerank returns the rank table of an axis derived from the one r covers:
+// none when r is nil.
+func rerank(r *Rank, vs []float64) *Rank {
+	if r == nil {
+		return nil
+	}
+	return NewRank(vs)
+}
+
+// Unranked returns g without its rank tables: locating on it is the binary
+// search. Its axes are g's, shared.
+func (g *Grid) Unranked() *Grid { return &Grid{Xs: g.Xs, Ys: g.Ys} }
 
 // Ranks returns the grid's O(1) point-location tables over Xs and Ys, for a
 // reader that keeps them without the grid.

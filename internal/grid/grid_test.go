@@ -3,6 +3,7 @@ package grid
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -244,5 +245,49 @@ func TestHyperSubGrid(t *testing.T) {
 	}
 	if _, err := sg.Locate(geom.Pt2(-1, 1, 2)); err == nil {
 		t.Fatal("dimension mismatch must fail")
+	}
+}
+
+// TestDerivedGridsMatchNewGrid: a grid derived by one point's lines, added
+// or dropped, has the axes NewGrid builds for the new point set and locates
+// every probe alike, ranked where its base is ranked and unranked where its
+// base is. Coordinates come from a small lattice, so a line is often kept
+// by another point (an axis shared, not copied) and a point often lands on
+// a line the grid has.
+func TestDerivedGridsMatchNewGrid(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	lattice := func() float64 { return float64(rng.Intn(12)) }
+	for trial := 0; trial < 200; trial++ {
+		var pts []geom.Point
+		for i := 0; i < 1+rng.Intn(10); i++ {
+			pts = append(pts, geom.Pt2(i, lattice(), lattice()))
+		}
+		p := geom.Pt2(99, lattice(), lattice())
+		grown := append(append([]geom.Point(nil), pts...), p)
+		for _, base := range []*Grid{NewGrid(pts), NewGrid(pts).Unranked()} {
+			check := func(op string, got, want *Grid) {
+				t.Helper()
+				if !slices.Equal(got.Xs, want.Xs) || !slices.Equal(got.Ys, want.Ys) {
+					t.Fatalf("trial %d %s: axes %v %v, want %v %v", trial, op, got.Xs, got.Ys, want.Xs, want.Ys)
+				}
+				if (got.xrank != nil) != (base.xrank != nil) || (got.yrank != nil) != (base.yrank != nil) {
+					t.Fatalf("trial %d %s: rank tables %v, base's %v", trial, op, got.xrank != nil, base.xrank != nil)
+				}
+				for q := -1.0; q <= 12; q += 0.5 {
+					gi, gj := got.LocateXY(q, 11-q)
+					if wi, wj := want.LocateXY(q, 11-q); gi != wi || gj != wj {
+						t.Fatalf("trial %d %s: locate(%g) = %d,%d, want %d,%d", trial, op, q, gi, gj, wi, wj)
+					}
+				}
+			}
+			added := base.WithLines(p.X(), p.Y())
+			check("insert", added, NewGrid(grown))
+			keepX, keepY := false, false
+			for _, q := range pts {
+				keepX = keepX || q.X() == p.X()
+				keepY = keepY || q.Y() == p.Y()
+			}
+			check("delete", added.WithoutLines(p.X(), p.Y(), !keepX, !keepY), NewGrid(pts))
+		}
 	}
 }

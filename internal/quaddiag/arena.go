@@ -31,7 +31,7 @@ func (d *Diagram) CompactArena() *Diagram {
 	if d.results == nil {
 		return d
 	}
-	nd := &Diagram{Points: d.Points, Grid: d.Grid, byID: d.byID, rows: d.rows}
+	nd := &Diagram{Points: d.Points, Grid: d.Grid, rows: d.rows}
 	nd.layOutDense()
 	nd.results = resultset.CompactLabels(d.results, func(relabel func([]uint32)) {
 		d.eachColumn(func(i int, col []uint32) {

@@ -48,9 +48,9 @@ import (
 // Diagram is a computed skyline diagram at cell granularity: the skyline
 // result of every skyline cell (Definition 6).
 type Diagram struct {
+	// Points ascend by id (geom.ByID), so an id is found by geom.SearchID.
 	Points []geom.Point
 	Grid   *grid.Grid
-	byID   map[int32]geom.Point
 	// scratch[i*rows+j] is the ascending id list of Sky(C(i,j)) during
 	// construction; freeze() interns it into the label tiles and results
 	// and drops it.
@@ -71,21 +71,21 @@ func newDiagram(pts []geom.Point, g *grid.Grid) *Diagram {
 	return &Diagram{
 		Points:  pts,
 		Grid:    g,
-		byID:    pointIndex(pts),
 		scratch: make([][]int32, g.Cols()*g.Rows()),
 		rows:    g.Rows(),
 	}
 }
 
-// freeze interns every scratch cell into the CSR table and lays the labels
-// out in rank order over fresh tiles. Idempotent; called by every public
-// constructor before the diagram is handed out. Must not run concurrently
-// with setCell. The table is frozen without its dedup index, which the
-// first write rebuilds.
+// freeze interns every scratch cell into the CSR table, lays the labels out
+// in rank order over fresh tiles, and puts the points in id order.
+// Idempotent; called by every public constructor before the diagram is
+// handed out. Must not run concurrently with setCell. The table is frozen
+// without its dedup index, which the first write rebuilds.
 func (d *Diagram) freeze() {
 	if d.results != nil {
 		return
 	}
+	d.Points = geom.ByID(d.Points)
 	in := resultset.NewInterner()
 	d.layOutDense()
 	col := make([]uint32, d.rows)
@@ -131,13 +131,13 @@ func (d *Diagram) QueryPoints(q geom.Point) []geom.Point {
 	return d.Resolve(d.Query(q))
 }
 
-// Resolve maps ids to the corresponding points through the index built at
-// construction time.
+// Resolve maps ids to the corresponding points, searching Points; an id of
+// no point is skipped.
 func (d *Diagram) Resolve(ids []int32) []geom.Point {
 	out := make([]geom.Point, 0, len(ids))
 	for _, id := range ids {
-		if p, ok := d.byID[id]; ok {
-			out = append(out, p)
+		if k, ok := geom.SearchID(d.Points, int(id)); ok {
+			out = append(out, d.Points[k])
 		}
 	}
 	return out

@@ -75,6 +75,11 @@ func BuildGlobalAround(quad *Diagram, alg Algorithm, workers int) (*GlobalDiagra
 			return nil, err
 		}
 	}
+	// Reads locate on mask 0's grid and flip the index (componentLabel), so
+	// the other components' grids keep no rank tables.
+	for mask := 1; mask < 4; mask++ {
+		gd.reflected[mask].Grid = gd.reflected[mask].Grid.Unranked()
+	}
 	return gd, nil
 }
 

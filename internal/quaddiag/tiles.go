@@ -169,7 +169,7 @@ type tileWriter struct {
 // directory shares every tile of d, and the writer of its labels.
 func (d *Diagram) derive(pts []geom.Point, g *grid.Grid, colSlot, rowSlot, freeCols, freeRows []uint32) (*Diagram, *tileWriter) {
 	nd := &Diagram{
-		Points: pts, Grid: g, byID: pointIndex(pts), rows: g.Rows(),
+		Points: pts, Grid: g, rows: g.Rows(),
 		colSlot: colSlot, rowSlot: rowSlot, freeCols: freeCols, freeRows: freeRows,
 		tileRows: tilesFor(len(rowSlot) + len(freeRows)),
 	}

@@ -161,9 +161,11 @@ func allocBytes(f func()) uint64 {
 }
 
 // TestWriteAllocatesChangedTiles measures the label bytes one component's
-// interior writes allocate at n=400: what a write allocates beyond the
-// point slice, grid and id index of its new point set (measured by building
-// those alone). Over alternating interior inserts and deletes, the median
+// interior writes allocate at n=400: what a write allocates beyond its new
+// point slice and each grid axis it derives, with that axis's rank table
+// (measured by building those alone; the diagram is a fresh build's, whose
+// grid has rank tables, as mask 0's does). Over alternating interior
+// inserts and deletes, the median
 // of each allocates less than a quarter of the 4 bytes per cell a flat
 // label array takes, which every write allocated before labels were tiled.
 // The median leaves out the writes that grow the result table's arena or
@@ -188,12 +190,17 @@ func TestWriteAllocatesChangedTiles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		base := d
 		d = nd
 		return float64(b) - float64(allocBytes(func() {
 			pts := make([]geom.Point, len(nd.Points))
 			copy(pts, nd.Points)
-			grid.NewGrid(pts)
-			pointIndex(pts)
+			if nd.Grid.Cols() != base.Grid.Cols() {
+				grid.NewRank(slices.Clone(nd.Grid.Xs))
+			}
+			if nd.Grid.Rows() != base.Grid.Rows() {
+				grid.NewRank(slices.Clone(nd.Grid.Ys))
+			}
 		}))
 	}
 	const writes = 21

@@ -41,27 +41,32 @@ import (
 // referenced by any cell stay in the shared arena as garbage; CompactArena
 // (or any fresh Build*) drops it.
 //
-// Both return a new Diagram; the receiver is unchanged.
+// Both return a new Diagram; the receiver is unchanged. Neither sorts
+// anything or builds an id map: the points stay in id order, so the new
+// point's place and every result member's coordinates are found by binary
+// search (memberIndex), and the new grid is the old one with at most one
+// line added or dropped per axis (grid.WithLines, grid.WithoutLines), with
+// rank tables only where the old grid had them.
 
 // WithInsert returns the diagram of Points ∪ {p}.
 func (d *Diagram) WithInsert(p geom.Point) (*Diagram, error) {
 	if p.Dim() != 2 {
 		return nil, fmt.Errorf("quaddiag: insert requires a 2-D point, got dimension %d", p.Dim())
 	}
-	for _, q := range d.Points {
-		if q.ID == p.ID {
-			return nil, fmt.Errorf("quaddiag: insert: id %d already present", p.ID)
-		}
+	k, dup := geom.SearchID(d.Points, p.ID)
+	if dup {
+		return nil, fmt.Errorf("quaddiag: insert: id %d already present", p.ID)
 	}
 	pts := make([]geom.Point, len(d.Points)+1)
-	copy(pts, d.Points)
-	pts[len(d.Points)] = p
+	copy(pts, d.Points[:k])
+	pts[k] = p
+	copy(pts[k+1:], d.Points[k:])
 
 	// p's lines are column pi-1's right line and row pj-1's upper line. A
 	// new line splits a column (row) in two: the piece past the line keeps
 	// the old slot and its results, and the piece before it takes a free
 	// slot and starts from the same results.
-	g := grid.NewGrid(pts)
+	g := d.Grid.WithLines(p.X(), p.Y())
 	pi, pj := g.LocateXY(p.X(), p.Y())
 	newCol, newRow := g.Cols() > d.Grid.Cols(), g.Rows() > d.rows
 	colSlot, freeCols := d.colSlot, d.freeCols
@@ -92,6 +97,7 @@ func (d *Diagram) WithInsert(p geom.Point) (*Diagram, error) {
 	// new line and the old one before it, so no member of its old result
 	// can dominate p.
 	in := resultset.NewInternerFrom(d.results)
+	members := memberIndex{pts: d.Points}
 	// scratch holds each changed cell's result until Intern copies it.
 	var scratch []int32
 	for i := 0; i < pi; i++ {
@@ -104,7 +110,7 @@ func (d *Diagram) WithInsert(p geom.Point) (*Diagram, error) {
 			if newRow && j == pj-1 {
 				sj = pj
 			}
-			ids, changed := insertIntoResult(scratch, nd.byID, d.results.Result(nd.Label(si, sj)), p)
+			ids, changed := insertIntoResult(scratch, &members, d.results.Result(nd.Label(si, sj)), p)
 			if changed {
 				scratch = ids
 				w.set(i, j, in.Intern(ids))
@@ -116,21 +122,22 @@ func (d *Diagram) WithInsert(p geom.Point) (*Diagram, error) {
 }
 
 // insertIntoResult derives Sky(candidates ∪ {p}) from Sky(candidates),
-// building it in dst's memory. When the result is unchanged it reports
-// changed=false, and returns dst untouched, so the caller can keep the old
-// cell's label instead of re-interning.
-func insertIntoResult(dst []int32, byID map[int32]geom.Point, old []int32, p geom.Point) (ids []int32, changed bool) {
+// building it in dst's memory, with the members' coordinates from members.
+// When the result is unchanged it reports changed=false, and returns dst
+// untouched, so the caller can keep the old cell's label instead of
+// re-interning.
+func insertIntoResult(dst []int32, members *memberIndex, old []int32, p geom.Point) (ids []int32, changed bool) {
 	// If any old member dominates p, nothing changes: transitivity
 	// guarantees a dominated candidate is dominated by a skyline member.
 	for _, id := range old {
-		if geom.Dominates(byID[id], p) {
+		if geom.Dominates(*members.point(id), p) {
 			return dst, false
 		}
 	}
 	out := dst[:0]
 	inserted := false
 	for _, id := range old {
-		if geom.Dominates(p, byID[id]) {
+		if geom.Dominates(p, *members.point(id)) {
 			continue // evicted by p
 		}
 		if !inserted && int32(p.ID) < id {
@@ -145,29 +152,52 @@ func insertIntoResult(dst []int32, byID map[int32]geom.Point, old []int32, p geo
 	return out, true
 }
 
+// memberIndex finds result members among an insert's base points, which
+// ascend by id, by geom.SearchID. One member is looked up in many of the
+// cells an insert visits, so the positions found are kept in a small
+// direct-mapped table. The index lives on the inserting call's stack: it
+// allocates nothing and keeps nothing from one write to the next.
+type memberIndex struct {
+	pts []geom.Point
+	// seen[id % memberSlots] is the last id looked up in that slot, with
+	// its position + 1 (0: none yet).
+	seen [memberSlots]struct{ id, pos1 int32 }
+}
+
+const memberSlots = 1024
+
+// point returns the base point of id, which must be one of them.
+func (m *memberIndex) point(id int32) *geom.Point {
+	e := &m.seen[uint32(id)%memberSlots]
+	if e.pos1 == 0 || e.id != id {
+		k, _ := geom.SearchID(m.pts, int(id))
+		e.id, e.pos1 = id, int32(k)+1
+	}
+	return &m.pts[e.pos1-1]
+}
+
 // WithDelete returns the diagram of Points \ {id}.
 func (d *Diagram) WithDelete(id int) (*Diagram, error) {
-	var removed geom.Point
-	found := false
-	pts := make([]geom.Point, 0, len(d.Points))
-	for _, q := range d.Points {
-		if q.ID == id {
-			removed = q
-			found = true
-			continue
-		}
-		pts = append(pts, q)
-	}
+	k, found := geom.SearchID(d.Points, id)
 	if !found {
 		return nil, fmt.Errorf("quaddiag: delete: id %d not present", id)
 	}
+	removed := d.Points[k]
+	pts := make([]geom.Point, len(d.Points)-1)
+	copy(pts, d.Points[:k])
+	copy(pts[k:], d.Points[k+1:])
 
 	// In the old grid the removed point's lines are column ri-1's right
 	// line and row rj-1's upper line. A line no other point keeps goes with
 	// it, and the two columns (rows) it parted merge into one, which keeps
 	// the slot and results of the piece past the line: the removed point
 	// was no candidate there, and no other point lies between the lines.
-	g := grid.NewGrid(pts)
+	keepX, keepY := false, false
+	for _, q := range pts {
+		keepX = keepX || q.X() == removed.X()
+		keepY = keepY || q.Y() == removed.Y()
+	}
+	g := d.Grid.WithoutLines(removed.X(), removed.Y(), !keepX, !keepY)
 	ri, rj := d.Grid.LocateXY(removed.X(), removed.Y())
 	colSlot, freeCols := d.colSlot, d.freeCols
 	if g.Cols() < d.Grid.Cols() {
@@ -267,12 +297,4 @@ func containsLabelID(ids []int32, id int32) bool {
 // countLT returns the number of sorted values < v.
 func countLT(vs []float64, v float64) int {
 	return sort.Search(len(vs), func(k int) bool { return vs[k] >= v })
-}
-
-func pointIndex(pts []geom.Point) map[int32]geom.Point {
-	m := make(map[int32]geom.Point, len(pts))
-	for _, p := range pts {
-		m[int32(p.ID)] = p
-	}
-	return m
 }

@@ -208,7 +208,7 @@ func (h *Handler) runBatch() {
 // pre-compaction snapshot — rewrites the arenas in first-use order entirely
 // outside the read lock, then publishes the compacted snapshot with one more
 // pointer swap. Answers are unchanged (only dead entries are dropped), and
-// the point set is identical, so the JSON fragments carry over verbatim.
+// so is the point set.
 func (h *Handler) maybeCompact() {
 	if h.compactRatio <= 0 {
 		return
@@ -231,7 +231,6 @@ func (h *Handler) maybeCompact() {
 		quadrant: next.Quadrant,
 		global:   next.Global,
 		dynamic:  next.Dynamic,
-		frags:    base.frags,
 	}
 	h.mu.Lock()
 	h.setState(st)
@@ -273,6 +272,5 @@ func stateFromSet(set *core.DiagramSet) *state {
 		quadrant: set.Quadrant,
 		global:   set.Global,
 		dynamic:  set.Dynamic,
-		frags:    pointFrags(set.Points),
 	}
 }

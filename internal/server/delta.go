@@ -60,9 +60,9 @@ func (r *manifestRing) get(epoch uint64) *store.Manifest {
 // /v1/snapshot body carries: a builder streams it from its quadrant diagram
 // through the state's one store encoder, one chunk at a time; a relay's is
 // its store's own file, written straight from the mapping. Canonical
-// persist makes the bytes deterministic: the same point set yields the same
-// bytes no matter which maintenance history (or which node) produced the
-// state.
+// persist makes the bytes deterministic: the same point set, points in id
+// order, yields the same bytes no matter which maintenance history (or
+// which node) produced the state.
 type snapshotFile interface {
 	Size() int64
 	WriteTo(w io.Writer) (int64, error)

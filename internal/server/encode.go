@@ -4,15 +4,18 @@ import (
 	"math"
 	"strconv"
 	"sync"
+
+	"repro/internal/geom"
 )
 
 // Pooled append-based JSON encoding for the two hot read endpoints. The
 // generic encoding/json path allocates per response (reflection scratch,
 // intermediate slices, the encoder itself); the query handlers instead append
-// into a pooled buffer using precomputed per-point fragments, so a cache-warm
-// query performs zero heap allocations after routing. Byte-for-byte output
-// compatibility with encoding/json (including the trailing newline
-// json.Encoder emits) is pinned by TestEncodeMatchesEncodingJSON.
+// into a pooled buffer, rendering each answered point from the snapshot's
+// id-ordered points, so a cache-warm query performs zero heap allocations
+// after routing. Byte-for-byte output compatibility with encoding/json
+// (including the trailing newline json.Encoder emits) is pinned by
+// TestEncodeMatchesEncodingJSON.
 
 // bufPool recycles response buffers. Stored as *[]byte so Put does not
 // allocate an interface box; buffers keep whatever capacity they grew to, so
@@ -47,11 +50,11 @@ type answerer interface {
 // appendAnswers is the answer-and-encode step both query handlers share.
 // Each query is answered against d into a pooled id buffer, which the
 // encoder then reads: a batch renders in handleBatch's form, a single query
-// (batch false, queries[0]) in handleSkyline's, with its points from frags.
+// (batch false, queries[0]) in handleSkyline's, with its points from pts.
 // Quadrant and dynamic answers copy an arena slice into the buffer and
 // global ones merge their four quadrant components there, so once both
 // pools are warm the step allocates nothing for any kind.
-func appendAnswers(b []byte, d answerer, kind string, queries [][]float64, batch bool, frags map[int32][]byte) []byte {
+func appendAnswers(b []byte, d answerer, kind string, queries [][]float64, batch bool, pts []geom.Point) []byte {
 	ip := idsPool.Get().(*[]int32)
 	ids := *ip
 	if batch {
@@ -62,7 +65,7 @@ func appendAnswers(b []byte, d answerer, kind string, queries [][]float64, batch
 	} else {
 		x, y := queries[0][0], queries[0][1]
 		ids = d.AppendQueryXY(ids[:0], x, y)
-		b = appendSkylineResponse(b, kind, x, y, ids, frags)
+		b = appendSkylineResponse(b, kind, x, y, ids, pts)
 	}
 	*ip = ids[:0]
 	idsPool.Put(ip)
@@ -91,9 +94,10 @@ func appendJSONFloat(b []byte, f float64) []byte {
 
 // appendSkylineResponse renders the single-query response. kind must already
 // be normalized (it is embedded without escaping), ids are only read, and
-// every id must have a fragment in frags — both are derived from the same
-// immutable snapshot, so lookups cannot miss.
-func appendSkylineResponse(b []byte, kind string, x, y float64, ids []int32, frags map[int32][]byte) []byte {
+// they ascend and name points of pts, which ascend by id too — both come
+// from the same immutable snapshot — so each id's point is found by a
+// search past the one before.
+func appendSkylineResponse(b []byte, kind string, x, y float64, ids []int32, pts []geom.Point) []byte {
 	b = append(b, `{"kind":"`...)
 	b = append(b, kind...)
 	b = append(b, `","query":[`...)
@@ -108,14 +112,31 @@ func appendSkylineResponse(b []byte, kind string, x, y float64, ids []int32, fra
 		b = strconv.AppendInt(b, int64(id), 10)
 	}
 	b = append(b, `],"points":[`...)
+	k := 0
 	for i, id := range ids {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = append(b, frags[id]...)
+		off, _ := geom.SearchID(pts[k:], int(id))
+		k += off
+		b = appendPointJSON(b, pts[k])
 	}
 	b = append(b, "]}\n"...)
 	return b
+}
+
+// appendPointJSON appends p as encoding/json renders its pointJSON.
+func appendPointJSON(b []byte, p geom.Point) []byte {
+	b = append(b, `{"id":`...)
+	b = strconv.AppendInt(b, int64(p.ID), 10)
+	b = append(b, `,"coords":[`...)
+	for i, c := range p.Coords {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendJSONFloat(b, c)
+	}
+	return append(b, "]}"...)
 }
 
 // appendBatchResponse renders the batch response, answering each query

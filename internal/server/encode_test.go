@@ -14,6 +14,32 @@ import (
 	"repro/internal/store"
 )
 
+// The wire schema of the two query endpoints: the structs the handlers
+// once marshalled with encoding/json, which the append encoders must render
+// byte for byte, and which the tests decode responses into.
+type pointJSON struct {
+	ID     int       `json:"id"`
+	Coords []float64 `json:"coords"`
+}
+
+type skylineResponse struct {
+	Kind   string      `json:"kind"`
+	Query  []float64   `json:"query"`
+	IDs    []int32     `json:"ids"`
+	Points []pointJSON `json:"points"`
+}
+
+type batchResult struct {
+	Query []float64 `json:"query"`
+	IDs   []int32   `json:"ids"`
+}
+
+type batchResponse struct {
+	Kind    string        `json:"kind"`
+	Count   int           `json:"count"`
+	Results []batchResult `json:"results"`
+}
+
 // trickyFloats are the values where encoding/json's float rendering has
 // special cases: format switchover at 1e-6 and 1e21, exponent zero-stripping,
 // negative zero, and shortest-round-trip precision.
@@ -46,8 +72,11 @@ func TestEncodeMatchesEncodingJSON(t *testing.T) {
 	// response structs the handlers used to marshal.
 	pts := []geom.Point{
 		geom.Pt2(3, 14, 91), geom.Pt2(8, 2.5, 0.125), geom.Pt2(10, 1e-9, 5e20),
+		geom.Pt2(12, math.Copysign(0, -1), 1e21), geom.Pt2(1<<30, 1.0/3.0, -7e-7),
 	}
-	frags := pointFrags(pts)
+	for _, f := range floats {
+		pts = append(pts, geom.Pt2(pts[len(pts)-1].ID+1+rng.Intn(3), f, -f))
+	}
 	cases := []struct {
 		ids  []int32
 		x, y float64
@@ -55,6 +84,9 @@ func TestEncodeMatchesEncodingJSON(t *testing.T) {
 		{[]int32{3, 8, 10}, 10, 80},
 		{[]int32{8}, 1e-7, -0.5},
 		{nil, 1e21, math.Copysign(0, -1)},
+		{[]int32{10, 12, 1 << 30}, 0.5, 0.5},
+		{[]int32{3}, 1, 1},
+		{allIDs(pts), -3, 2e-9},
 	}
 	for _, tc := range cases {
 		resp := skylineResponse{Kind: "quadrant", Query: []float64{tc.x, tc.y},
@@ -71,7 +103,7 @@ func TestEncodeMatchesEncodingJSON(t *testing.T) {
 		if err := json.NewEncoder(&want).Encode(resp); err != nil {
 			t.Fatal(err)
 		}
-		got := appendSkylineResponse(nil, "quadrant", tc.x, tc.y, tc.ids, frags)
+		got := appendSkylineResponse(nil, "quadrant", tc.x, tc.y, tc.ids, pts)
 		if !bytes.Equal(got, want.Bytes()) {
 			t.Fatalf("single response:\n got %q\nwant %q", got, want.Bytes())
 		}
@@ -99,17 +131,25 @@ func TestEncodeMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
+// allIDs returns the ids of pts, in their order.
+func allIDs(pts []geom.Point) []int32 {
+	ids := make([]int32, len(pts))
+	for i, p := range pts {
+		ids[i] = int32(p.ID)
+	}
+	return ids
+}
+
 // TestEncoderZeroAllocs pins the pooled encoding paths at zero heap
 // allocations once a buffer of sufficient capacity is in the pool.
 func TestEncoderZeroAllocs(t *testing.T) {
 	pts := []geom.Point{geom.Pt2(3, 14, 91), geom.Pt2(8, 2.5, 0.125)}
-	frags := pointFrags(pts)
 	ids := []int32{3, 8}
 	queries := [][]float64{{10, 80}, {20, 30}, {1e-8, 5}}
 
 	single := testing.AllocsPerRun(200, func() {
 		bp := getBuf()
-		*bp = appendSkylineResponse(*bp, "quadrant", 10.5, 80.25, ids, frags)
+		*bp = appendSkylineResponse(*bp, "quadrant", 10.5, 80.25, ids, pts)
 		putBuf(bp)
 	})
 	if single != 0 {
@@ -171,7 +211,7 @@ func TestAnswerPathZeroAllocs(t *testing.T) {
 		for _, batch := range []bool{false, true} {
 			answer := func() {
 				bp := getBuf()
-				*bp = appendAnswers(*bp, d, c.kind, queries, batch, c.st.frags)
+				*bp = appendAnswers(*bp, d, c.kind, queries, batch, c.st.points)
 				putBuf(bp)
 			}
 			answer() // warm both pools
@@ -184,21 +224,17 @@ func TestAnswerPathZeroAllocs(t *testing.T) {
 
 func BenchmarkEncodeSkylineResponse(b *testing.B) {
 	pts := []geom.Point{geom.Pt2(3, 14, 91), geom.Pt2(8, 2.5, 0.125), geom.Pt2(10, 7, 7)}
-	frags := pointFrags(pts)
 	ids := []int32{3, 8, 10}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bp := getBuf()
-		*bp = appendSkylineResponse(*bp, "quadrant", 10.5, 80.25, ids, frags)
+		*bp = appendSkylineResponse(*bp, "quadrant", 10.5, 80.25, ids, pts)
 		putBuf(bp)
 	}
 }
 
 func BenchmarkEncodeBatchResponse(b *testing.B) {
-	pts := []geom.Point{geom.Pt2(3, 14, 91), geom.Pt2(8, 2.5, 0.125)}
-	frags := pointFrags(pts)
-	_ = frags
 	ids := []int32{3, 8}
 	queries := make([][]float64, 64)
 	for i := range queries {

@@ -203,7 +203,10 @@ type state struct {
 	// epoch is echoed on every read response as X-Sky-Epoch, and on the
 	// ack of every write its batch applied; it stamps published snapshot
 	// files and drives the /v1/snapshot catch-up negotiation.
-	epoch    uint64
+	epoch uint64
+	// points ascend by id: a builder state's are its DiagramSet's (the
+	// quadrant diagram's), a serve-from or replica state's the store's.
+	// A single-query answer renders its points from them.
 	points   []geom.Point
 	quadrant *core.QuadrantDiagram
 	global   *core.GlobalDiagram
@@ -213,11 +216,6 @@ type state struct {
 	// file, the in-memory diagrams above are all nil, and writes are
 	// rejected — the file IS the snapshot.
 	stored *store.Store
-	// frags holds each point's JSON object ({"id":..,"coords":[..]}) encoded
-	// once at snapshot build, so the query hot path assembles responses by
-	// copying bytes instead of marshalling. Rebuilt on every snapshot swap —
-	// the map is immutable once published, like everything else in state.
-	frags map[int32][]byte
 	// epochHeader is the X-Sky-Epoch value every read answered from this
 	// state carries, made once when setState publishes it.
 	epochHeader []string
@@ -230,21 +228,6 @@ type state struct {
 	encErr  error
 	manOnce sync.Once
 	man     *store.Manifest
-}
-
-// pointFrags precomputes every point's JSON fragment for a snapshot.
-func pointFrags(pts []geom.Point) map[int32][]byte {
-	frags := make(map[int32][]byte, len(pts))
-	for _, p := range pts {
-		j, err := json.Marshal(pointJSON{ID: p.ID, Coords: p.Coords})
-		if err != nil {
-			// Unreachable: pointJSON has no unmarshallable fields. Keep the
-			// map entry present so a hot-path lookup never misses.
-			j = []byte("null")
-		}
-		frags[int32(p.ID)] = j
-	}
-	return frags
 }
 
 // Handler serves skyline queries for one dataset.
@@ -383,12 +366,10 @@ func NewServeFrom(st *store.Store, cfg Config) (*Handler, error) {
 // serveFromState assembles the snapshot for a serve-from store: the mapped
 // file IS the snapshot, carrying its own epoch stamp.
 func serveFromState(st *store.Store) *state {
-	pts := st.Points()
 	return &state{
 		epoch:  st.Epoch(),
-		points: pts,
+		points: st.Points(),
 		stored: st,
-		frags:  pointFrags(pts),
 	}
 }
 
@@ -812,18 +793,6 @@ func (h *Handler) handleStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-type pointJSON struct {
-	ID     int       `json:"id"`
-	Coords []float64 `json:"coords"`
-}
-
-type skylineResponse struct {
-	Kind   string      `json:"kind"`
-	Query  []float64   `json:"query"`
-	IDs    []int32     `json:"ids"`
-	Points []pointJSON `json:"points"`
-}
-
 // errDynamicDisabled marks dynamic-kind queries against a dataset too large
 // for the dynamic diagram.
 var errDynamicDisabled = errors.New("dynamic diagram disabled for this dataset size")
@@ -951,7 +920,7 @@ func (h *Handler) handleSkyline(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	bp := getBuf()
-	buf := appendAnswers(*bp, d, kind, [][]float64{{x, y}}, false, snap.frags)
+	buf := appendAnswers(*bp, d, kind, [][]float64{{x, y}}, false, snap.points)
 	snap.setReadHeader(w)
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(buf)
@@ -969,17 +938,6 @@ func statusForKindErr(err error) int {
 type batchRequest struct {
 	Kind    string      `json:"kind"`
 	Queries [][]float64 `json:"queries"`
-}
-
-type batchResult struct {
-	Query []float64 `json:"query"`
-	IDs   []int32   `json:"ids"`
-}
-
-type batchResponse struct {
-	Kind    string        `json:"kind"`
-	Count   int           `json:"count"`
-	Results []batchResult `json:"results"`
 }
 
 // handleBatch answers every query in the request against one snapshot, so a
@@ -1040,7 +998,7 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	bp := getBuf()
-	buf := appendAnswers(*bp, d, kind, req.Queries, true, snap.frags)
+	buf := appendAnswers(*bp, d, kind, req.Queries, true, snap.points)
 	h.reg.Counter("skyserve_batch_queries_total",
 		"Queries answered through /v1/skyline/batch.").Add(int64(len(req.Queries)))
 	snap.setReadHeader(w)

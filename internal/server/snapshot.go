@@ -14,8 +14,9 @@ import (
 // Snapshot replication. The builder node exposes its published snapshot as
 // a store-format file over GET /v1/snapshot; read replicas poll it with
 // their current epoch and swap the fetched file in via SwapStore. The store
-// file is the replication artifact: canonicalized (same point set => same
-// bytes regardless of maintenance history), CRC-trailed (a torn fetch fails
+// file is the replication artifact: canonicalized (the same point set,
+// points in id order => the same bytes regardless of maintenance history),
+// CRC-trailed (a torn fetch fails
 // at open, so the transport needs no integrity protocol), and mmap-ready (a
 // replica serves it without materialization).
 //

@@ -1,9 +1,10 @@
 // Delta snapshots: page-level diffs between two canonical store files.
 //
-// The canonical persist (the encoder numbers labels in first-use order and
-// writes only the results some cell references) guarantees that the same
-// point set serializes to the same bytes no matter what maintenance history
-// produced it, so a byte diff between two epochs is well-defined. A Manifest
+// The canonical persist (the encoder writes the points in id order, numbers
+// labels in first-use order and writes only the results some cell
+// references) guarantees that the same point set, its points in id order,
+// serializes to the same bytes no matter what maintenance history produced
+// it, so a byte diff between two epochs is well-defined. A Manifest
 // records per-page hashes of one epoch's file; Delta emits only the pages
 // whose hash changed between two manifests, plus whatever tail a grown
 // section added; ApplyDelta patches a base file into the new file and

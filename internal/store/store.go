@@ -440,10 +440,14 @@ func New(data []byte) (*Store, error) {
 	}
 
 	// The points must mean a dataset: finite coordinates and distinct int32
-	// ids (a wider id would alias another in every int32-keyed map).
+	// ids (a wider id would alias another in every int32 result). They are
+	// served in id order: a file whose ids ascend strictly, as every file
+	// this package writes does, is checked for that in the same pass that
+	// reads it, which is also the duplicate check; any other file (an older
+	// writer's) is sorted once here.
 	s.points = make([]geom.Point, numPoints)
 	coords := make([]float64, 2*numPoints)
-	ids := make([]int32, numPoints)
+	ascending := true
 	for i := range s.points {
 		rec := data[headerSize+i*recordSize:]
 		c := coords[2*i : 2*i+2 : 2*i+2]
@@ -456,13 +460,15 @@ func New(data []byte) (*Store, error) {
 		if math.IsNaN(c[0]) || math.IsInf(c[0], 0) || math.IsNaN(c[1]) || math.IsInf(c[1], 0) {
 			return nil, fmt.Errorf("%w: point %d (id %d): non-finite coordinate %v", ErrCorrupt, i, id, c)
 		}
-		ids[i] = int32(id)
 		s.points[i] = geom.Point{ID: int(id), Coords: c}
+		ascending = ascending && (i == 0 || s.points[i-1].ID < s.points[i].ID)
 	}
-	slices.Sort(ids)
-	for i := 1; i < len(ids); i++ {
-		if ids[i] == ids[i-1] {
-			return nil, fmt.Errorf("%w: duplicate point id %d", ErrCorrupt, ids[i])
+	if !ascending {
+		s.points = geom.ByID(s.points)
+		for i := 1; i < len(s.points); i++ {
+			if s.points[i].ID == s.points[i-1].ID {
+				return nil, fmt.Errorf("%w: duplicate point id %d", ErrCorrupt, s.points[i].ID)
+			}
 		}
 	}
 	g := grid.NewGrid(s.points)
@@ -533,7 +539,8 @@ func (s *Store) unmap() error {
 	return munmapFile(s.data)
 }
 
-// Points returns the stored dataset.
+// Points returns the stored dataset in ascending id order, whatever order
+// the file holds it in. The caller must not modify it.
 func (s *Store) Points() []geom.Point { return s.points }
 
 // NumCells returns the diagram size.

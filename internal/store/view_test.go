@@ -5,11 +5,15 @@ import (
 	"errors"
 	"hash/crc32"
 	"math"
+	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/geom"
+	"repro/internal/quaddiag"
 )
 
 // arenaSection returns where a valid file's arena section starts and where
@@ -238,5 +242,132 @@ func TestNewRefusesMeaninglessPoints(t *testing.T) {
 				t.Fatalf("New = %v, want ErrCorrupt naming %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// unorderedPoints returns a copy of the file raw, which holds its points in
+// id order, with every point record moved one place on (the last to the
+// front) and the trailer resealed: a file like those a v4 writer that kept
+// insertion order wrote.
+func unorderedPoints(raw []byte) []byte {
+	const recordSize = 8 + 8*2
+	b := slices.Clone(raw)
+	n := int(binary.BigEndian.Uint64(raw[16:]))
+	for i := 0; i < n; i++ {
+		copy(b[headerSize+(i+1)%n*recordSize:][:recordSize], raw[headerSize+i*recordSize:])
+	}
+	putTrailer(b)
+	return b
+}
+
+// TestUnorderedPointsFileOpensInIDOrder pins the upgrade path of a v4 file
+// whose points are not in id order, as every file written from unsorted
+// input, or after inserting an id below a live one, was before the writer
+// kept points ordered: New and OpenMmap accept it, serve its points in id
+// order, and answer every cell as the ordered file does. A duplicate id in
+// such a file is still ErrCorrupt.
+func TestUnorderedPointsFileOpensInIDOrder(t *testing.T) {
+	ordered := maintainedFile(t, 40, 19)
+	unordered := unorderedPoints(ordered)
+	if slices.Equal(ordered, unordered) {
+		t.Fatal("test premise broken: the permuted file is the ordered one")
+	}
+	want, err := New(ordered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "unordered.sky")
+	if err := os.WriteFile(path, unordered, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := OpenMmap(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Close()
+	read, err := New(unordered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]*Store{"New": read, "OpenMmap": mapped} {
+		if !slices.EqualFunc(s.Points(), want.Points(), func(a, b geom.Point) bool {
+			return a.ID == b.ID && slices.Equal(a.Coords, b.Coords)
+		}) {
+			t.Fatalf("%s: points %v, want the ordered file's %v", name, s.Points(), want.Points())
+		}
+		for c := 0; c < want.NumCells(); c++ {
+			i, j := c/want.rows, c%want.rows
+			got, err := s.Cell(i, j)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w, _ := want.Cell(i, j); !slices.Equal(got, w) {
+				t.Fatalf("%s: cell (%d,%d) = %v, want %v", name, i, j, got, w)
+			}
+		}
+	}
+
+	dup := slices.Clone(unordered)
+	const recordSize = 8 + 8*2
+	copy(dup[headerSize+9*recordSize:][:8], dup[headerSize+2*recordSize:][:8])
+	putTrailer(dup)
+	if _, err := New(dup); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "duplicate point id") {
+		t.Fatalf("New of an unordered file with a duplicate id = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestSamePointSetSameBytes pins the claim that the file is a function of
+// the point set: two histories that reach one set — inserting a and b in
+// either order, and each inserting an id below every live one and
+// replacing a point in the middle of the id range — encode byte for byte
+// alike, with and without CompactArena, and like a fresh build of the set
+// from its points in reverse order.
+func TestSamePointSetSameBytes(t *testing.T) {
+	var pts []geom.Point
+	for _, p := range buildDiagram(t, 40, 5).Points {
+		pts = append(pts, geom.Pt2(p.ID+100, p.X(), p.Y()))
+	}
+	base, err := quaddiag.BuildScanning(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := geom.Pt2(1000, 41.125, 12.375), geom.Pt2(117, 7.0625, 63.8125)
+	low := geom.Pt2(3, 55.5625, 2.9375)
+	apply := func(ops ...func(*quaddiag.Diagram) (*quaddiag.Diagram, error)) *quaddiag.Diagram {
+		t.Helper()
+		d := base
+		for _, op := range ops {
+			if d, err = op(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return d
+	}
+	insert := func(p geom.Point) func(*quaddiag.Diagram) (*quaddiag.Diagram, error) {
+		return func(d *quaddiag.Diagram) (*quaddiag.Diagram, error) { return d.WithInsert(p) }
+	}
+	del := func(d *quaddiag.Diagram) (*quaddiag.Diagram, error) { return d.WithDelete(117) }
+	one := apply(insert(a), del, insert(b), insert(low))
+	other := apply(insert(low), del, insert(b), insert(a))
+	reversed := slices.Clone(one.Points)
+	slices.Reverse(reversed)
+	fresh, err := quaddiag.BuildScanning(reversed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBytes := fileBytes(t, one, 9)
+	for name, d := range map[string]*quaddiag.Diagram{
+		"other order": other, "compacted": one.CompactArena(),
+		"other order compacted": other.CompactArena(), "fresh build": fresh,
+	} {
+		if got := fileBytes(t, d, 9); !slices.Equal(got, wantBytes) {
+			diff := 0
+			for k := range min(len(got), len(wantBytes)) {
+				if got[k] != wantBytes[k] {
+					diff++
+				}
+			}
+			t.Fatalf("%s: %d of %d bytes differ (lengths %d, %d)", name, diff, len(wantBytes), len(got), len(wantBytes))
+		}
 	}
 }

@@ -67,9 +67,13 @@ echo "== bench (benchtime=$benchtime, count=$count)"
 go test -run '^$' -bench 'BenchmarkQuery|BenchmarkEncode|BenchmarkUpdate|BenchmarkLocate' -benchmem \
     -benchtime "$benchtime" -count "$count" ./internal/core/ ./internal/store/ ./internal/server/ ./internal/grid/ | tee "$tmp"
 
-echo "== bench E18 write throughput (WAL gate)"
+# E18 runs 120 iterations whatever BENCHTIME says, as E20 runs its own
+# count: op i writes at ((13i mod 800)+0.25, (29i mod 800)+0.25), so a run
+# of another length writes other cells, and its B/op would move with the
+# iteration count rather than with the code.
+echo "== bench E18 write throughput (WAL gate, 120x)"
 go test -run '^$' -bench 'BenchmarkE18_WriteThroughput/(incremental|wal)/writers=1$' -benchmem \
-    -benchtime "$benchtime" -count "$count" . | tee -a "$tmp"
+    -benchtime 120x -count "$count" . | tee -a "$tmp"
 
 echo "== bench routed read (router hop gate)"
 go test -run '^$' -bench 'BenchmarkRead(Routed|Direct)$' -benchmem \
