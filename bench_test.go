@@ -562,7 +562,8 @@ func BenchmarkE20_ReplicationBytes(b *testing.B) {
 	}
 }
 
-// E12: compact vs flat storage, reported as bytes per representation.
+// E12: interned vs flat storage, reported as bytes per representation; an
+// op is the polyomino merge and the footprint count E12 reports.
 func BenchmarkE12_CompactMemory(b *testing.B) {
 	for _, n := range []int{100, 400} {
 		pts := experiments.GenQuadrant(dataset.Correlated, n, benchSeed)
@@ -573,11 +574,10 @@ func BenchmarkE12_CompactMemory(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			var compact, flat int
 			for i := 0; i < b.N; i++ {
-				c, err := quaddiag.NewCompact(d)
-				if err != nil {
+				if _, err := d.Merge(); err != nil {
 					b.Fatal(err)
 				}
-				compact, flat = c.MemoryFootprint()
+				compact, flat = d.MemoryFootprint()
 			}
 			b.ReportMetric(float64(compact), "compact-bytes")
 			b.ReportMetric(float64(flat), "flat-bytes")

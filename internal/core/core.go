@@ -66,9 +66,10 @@ type Options struct {
 	Metrics *metrics.Registry
 	// Workers selects parallel construction: 0 (the default) builds
 	// sequentially, a negative value uses GOMAXPROCS workers, and a positive
-	// value uses exactly that many. Parallel builds are output-identical to
-	// sequential ones for every algorithm and diagram kind; algorithms with
-	// no parallel form (quadrant "dsg") silently run sequentially.
+	// value uses exactly that many. Only the default scanning constructions
+	// have a parallel form; every other Algorithm builds each diagram
+	// sequentially whatever Workers says. Parallel builds are
+	// output-identical to sequential ones.
 	Workers int
 }
 

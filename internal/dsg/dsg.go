@@ -16,9 +16,7 @@
 package dsg
 
 import (
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/geom"
 	"repro/internal/skyline"
@@ -80,78 +78,6 @@ func Build(pts []geom.Point) *Graph {
 	for i := range g.Children {
 		sortInt32(g.Children[i])
 		sortInt32(g.Parents[i])
-	}
-	return g
-}
-
-// BuildParallel is Build with the per-point direct-parent discovery sharded
-// across workers — the dominator sets of different points are independent,
-// so the O(n^2) graph construction (the dominant cost of the DSG diagram
-// algorithm on small grids, see experiment E2) parallelises cleanly.
-// workers <= 0 selects GOMAXPROCS. Output is identical to Build.
-func BuildParallel(pts []geom.Point, workers int) *Graph {
-	n := len(pts)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	g := &Graph{
-		Points:   pts,
-		Children: make([][]int32, n),
-		Parents:  make([][]int32, n),
-		LayerOf:  make([]int, n),
-	}
-	if n == 0 {
-		return g
-	}
-	g.Layers = skyline.Layers(pts)
-	idx := skyline.LayerIndex(g.Layers)
-	posOf := make(map[int]int, n)
-	for i, p := range pts {
-		posOf[p.ID] = i
-		g.LayerOf[i] = idx[p.ID]
-	}
-	// Each worker fills Parents for its own points; Children are derived
-	// afterwards in one serial pass (contention-free).
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ci := range work {
-				c := pts[ci]
-				var dominators []geom.Point
-				for _, p := range pts {
-					if p.ID != c.ID && geom.Dominates(p, c) {
-						dominators = append(dominators, p)
-					}
-				}
-				if len(dominators) == 0 {
-					continue
-				}
-				direct := maximalPoints(dominators)
-				parents := make([]int32, len(direct))
-				for k, p := range direct {
-					parents[k] = int32(posOf[p.ID])
-				}
-				sortInt32(parents)
-				g.Parents[ci] = parents
-			}
-		}()
-	}
-	for ci := 0; ci < n; ci++ {
-		work <- ci
-	}
-	close(work)
-	wg.Wait()
-	for ci, parents := range g.Parents {
-		for _, pi := range parents {
-			g.Children[pi] = append(g.Children[pi], int32(ci))
-			g.numEdges++
-		}
-	}
-	for i := range g.Children {
-		sortInt32(g.Children[i])
 	}
 	return g
 }

@@ -207,39 +207,3 @@ func TestBuildFullContainsAllDominanceLinks(t *testing.T) {
 		t.Fatal("empty full graph")
 	}
 }
-
-func TestBuildParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 6; trial++ {
-		d := 2 + trial%2
-		pts := randomPoints(rng, 60, d, 0)
-		serial := Build(pts)
-		for _, workers := range []int{0, 1, 4} {
-			par := BuildParallel(pts, workers)
-			if par.NumEdges() != serial.NumEdges() {
-				t.Fatalf("edge count %d vs %d", par.NumEdges(), serial.NumEdges())
-			}
-			for i := range pts {
-				if len(par.Parents[i]) != len(serial.Parents[i]) {
-					t.Fatalf("parents of %d differ", i)
-				}
-				for k := range par.Parents[i] {
-					if par.Parents[i][k] != serial.Parents[i][k] {
-						t.Fatalf("parents of %d differ", i)
-					}
-				}
-				if len(par.Children[i]) != len(serial.Children[i]) {
-					t.Fatalf("children of %d differ", i)
-				}
-				for k := range par.Children[i] {
-					if par.Children[i][k] != serial.Children[i][k] {
-						t.Fatalf("children of %d differ", i)
-					}
-				}
-			}
-		}
-	}
-	if BuildParallel(nil, 2).NumEdges() != 0 {
-		t.Fatal("empty parallel graph")
-	}
-}

@@ -34,8 +34,8 @@ import (
 
 // Diagram is a computed dynamic skyline diagram at subcell granularity.
 // Like quaddiag.Diagram it is built in two phases: constructions fill a
-// scratch [][]int32 (the parallel builders write distinct subcells from
-// several goroutines), then freeze() interns every subcell into the CSR
+// scratch [][]int32 (the parallel scanning builder writes distinct subcells
+// from several goroutines), then freeze() interns every subcell into the CSR
 // table of package resultset, the only representation readers see.
 type Diagram struct {
 	Points []geom.Point
@@ -324,29 +324,6 @@ func Build(pts []geom.Point, alg Algorithm) (*Diagram, error) {
 // instead of the full dataset: O(n^4 · |global skyline|), amortised
 // O(n^4 log n).
 func BuildSubset(pts []geom.Point) (*Diagram, error) {
-	s, err := newSubsetScan(pts)
-	if err != nil {
-		return nil, err
-	}
-	d := newDiagram(pts, s.sg)
-	sc := newDynScratch(pts)
-	for i := 0; i < s.sg.Cols(); i++ {
-		s.column(d, sc, i)
-	}
-	d.freeze()
-	return d, nil
-}
-
-// subsetScan is what Algorithm 6 reads: the global diagram, and the skyline
-// cell containing each subcell column and row.
-type subsetScan struct {
-	gd           *quaddiag.GlobalDiagram
-	sg           *grid.SubGrid
-	posByID      map[int32]int32
-	colOf, rowOf []int
-}
-
-func newSubsetScan(pts []geom.Point) (*subsetScan, error) {
 	if err := require2D(pts); err != nil {
 		return nil, err
 	}
@@ -354,36 +331,36 @@ func newSubsetScan(pts []geom.Point) (*subsetScan, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &subsetScan{gd: gd, sg: grid.NewSubGrid(pts), posByID: make(map[int32]int32, len(pts))}
+	sg := grid.NewSubGrid(pts)
+	posByID := make(map[int32]int32, len(pts))
 	for pos, p := range pts {
-		s.posByID[int32(p.ID)] = int32(pos)
+		posByID[int32(p.ID)] = int32(pos)
 	}
-	s.colOf = make([]int, s.sg.Cols())
-	for i := range s.colOf {
-		s.colOf[i], _ = gd.Grid.Locate(s.sg.RepresentativeQuery(i, 0))
+	// The skyline cell containing each subcell row.
+	rowOf := make([]int, sg.Rows())
+	for j := range rowOf {
+		_, rowOf[j] = gd.Grid.Locate(sg.RepresentativeQuery(0, j))
 	}
-	s.rowOf = make([]int, s.sg.Rows())
-	for j := range s.rowOf {
-		_, s.rowOf[j] = gd.Grid.Locate(s.sg.RepresentativeQuery(0, j))
-	}
-	return s, nil
-}
-
-// column computes subcell column i of d with sc. The candidates of a
-// subcell are read straight from its skyline cell's four quadrant
-// components, whose disjoint union is the cell's global result; their
-// order does not matter, because sc sorts them.
-func (s *subsetScan) column(d *Diagram, sc *dynScratch, i int) {
-	for j := 0; j < s.sg.Rows(); j++ {
-		qx, qy := s.sg.RepXY(i, j)
-		sc.begin()
-		for mask := 0; mask < 4; mask++ {
-			for _, id := range s.gd.QuadrantCell(mask, s.colOf[i], s.rowOf[j]) {
-				sc.add(s.posByID[id], qx, qy)
+	d := newDiagram(pts, sg)
+	sc := newDynScratch(pts)
+	for i := 0; i < sg.Cols(); i++ {
+		col, _ := gd.Grid.Locate(sg.RepresentativeQuery(i, 0))
+		for j := 0; j < sg.Rows(); j++ {
+			// The candidates are read straight from the skyline cell's four
+			// quadrant components, whose disjoint union is the cell's global
+			// result; their order does not matter, because sc sorts them.
+			qx, qy := sg.RepXY(i, j)
+			sc.begin()
+			for mask := 0; mask < 4; mask++ {
+				for _, id := range gd.QuadrantCell(mask, col, rowOf[j]) {
+					sc.add(posByID[id], qx, qy)
+				}
 			}
+			d.setCell(i, j, sc.idsOf(sc.skyline()))
 		}
-		d.setCell(i, j, sc.idsOf(sc.skyline()))
 	}
+	d.freeze()
+	return d, nil
 }
 
 // BuildScanning computes the dynamic skyline diagram with Algorithm 7: the

@@ -195,34 +195,6 @@ func TestEmptyAndSingle(t *testing.T) {
 	}
 }
 
-func TestBuildSubsetParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(88))
-	for trial := 0; trial < 4; trial++ {
-		var pts []geom.Point
-		if trial%2 == 0 {
-			pts = genPts(rng, 2+rng.Intn(10), 16)
-		} else {
-			pts = dataset.GeneralPosition(genPts(rng, 2+rng.Intn(10), 500))
-		}
-		serial, err := BuildSubset(pts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{0, 1, 4} {
-			par, err := BuildSubsetParallel(pts, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !serial.Equal(par) {
-				t.Fatalf("trial %d workers=%d: parallel subset differs", trial, workers)
-			}
-		}
-	}
-	if _, err := BuildSubsetParallel([]geom.Point{geom.Pt(0, 1, 2, 3)}, 2); err == nil {
-		t.Fatal("3-D input must fail")
-	}
-}
-
 func TestBuildScanningParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(89))
 	for trial := 0; trial < 4; trial++ {
@@ -255,26 +227,33 @@ func TestBuildScanningParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestBuildParallelDispatchMatchesSerial: every algorithm built through
+// BuildParallel equals Build, at every worker count, on tied and
+// general-position data.
 func TestBuildParallelDispatchMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(90))
-	pts := genPts(rng, 10, 16)
-	for _, alg := range []Algorithm{AlgBaseline, AlgSubset, AlgScanning} {
-		serial, err := Build(pts, alg)
-		if err != nil {
-			t.Fatal(err)
+	for trial := 0; trial < 4; trial++ {
+		pts := genPts(rng, 2+rng.Intn(9), 16)
+		if trial%2 == 1 {
+			pts = dataset.GeneralPosition(genPts(rng, 2+rng.Intn(9), 500))
 		}
-		par, err := BuildParallel(pts, alg, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !serial.Equal(par) {
-			t.Fatalf("alg=%s: BuildParallel differs from Build", alg)
+		for _, alg := range []Algorithm{AlgBaseline, AlgSubset, AlgScanning} {
+			serial, err := Build(pts, alg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{0, 1, 3, 8} {
+				par, err := BuildParallel(pts, alg, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !serial.Equal(par) {
+					t.Fatalf("trial %d alg=%s workers=%d: BuildParallel differs from Build", trial, alg, workers)
+				}
+			}
 		}
 	}
-	if _, err := BuildParallel(pts, Algorithm("nope"), 4); err == nil {
+	if _, err := BuildParallel(genPts(rng, 10, 16), Algorithm("nope"), 4); err == nil {
 		t.Fatal("unknown algorithm must propagate")
-	}
-	if _, err := BuildBaselineParallel([]geom.Point{geom.Pt(0, 1, 2, 3)}, 2); err == nil {
-		t.Fatal("3-D input must fail")
 	}
 }

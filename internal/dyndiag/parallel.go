@@ -1,7 +1,6 @@
 package dyndiag
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 
@@ -9,62 +8,15 @@ import (
 	"repro/internal/grid"
 )
 
-// BuildParallel dispatches to the parallel variant of the named
-// construction. workers <= 0 selects GOMAXPROCS. Output is identical to
-// Build with the same algorithm.
+// BuildParallel is Build with the scanning construction run in parallel
+// (BuildScanningParallel); every other algorithm has no parallel form and
+// runs sequentially through Build. workers <= 0 selects GOMAXPROCS. Output
+// is identical to Build with the same algorithm.
 func BuildParallel(pts []geom.Point, alg Algorithm, workers int) (*Diagram, error) {
-	switch alg {
-	case AlgBaseline:
-		return BuildBaselineParallel(pts, workers)
-	case AlgSubset:
-		return BuildSubsetParallel(pts, workers)
-	case AlgScanning:
+	if alg == AlgScanning {
 		return BuildScanningParallel(pts, workers)
-	default:
-		return nil, fmt.Errorf("dyndiag: unknown algorithm %q", alg)
 	}
-}
-
-// BuildBaselineParallel is BuildBaseline with the per-subcell work sharded
-// across workers by subcell column — every subcell's dynamic skyline is
-// computed from scratch over the full (immutable) point set, so the
-// construction is embarrassingly parallel. workers <= 0 selects GOMAXPROCS.
-// Output is identical to BuildBaseline.
-func BuildBaselineParallel(pts []geom.Point, workers int) (*Diagram, error) {
-	if err := require2D(pts); err != nil {
-		return nil, err
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	sg := grid.NewSubGrid(pts)
-	d := newDiagram(pts, sg)
-	cols := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := newDynScratch(pts) // per-worker scratch: no contention
-			for i := range cols {
-				for j := 0; j < sg.Rows(); j++ {
-					qx, qy := sg.RepXY(i, j)
-					sc.begin()
-					for pos := range pts {
-						sc.add(int32(pos), qx, qy)
-					}
-					d.setCell(i, j, sc.idsOf(sc.skyline()))
-				}
-			}
-		}()
-	}
-	for i := 0; i < sg.Cols(); i++ {
-		cols <- i
-	}
-	close(cols)
-	wg.Wait()
-	d.freeze()
-	return d, nil
+	return Build(pts, alg)
 }
 
 // BuildScanningParallel is BuildScanning with rows processed concurrently:
@@ -140,41 +92,6 @@ func BuildScanningParallel(pts []geom.Point, workers int) (*Diagram, error) {
 		rows <- j
 	}
 	close(rows)
-	wg.Wait()
-	d.freeze()
-	return d, nil
-}
-
-// BuildSubsetParallel is BuildSubset with the per-subcell work sharded
-// across workers by subcell column — every subcell's computation reads only
-// the (immutable) global diagram and writes its own cell, so the
-// construction is embarrassingly parallel. workers <= 0 selects GOMAXPROCS.
-// Output is identical to BuildSubset.
-func BuildSubsetParallel(pts []geom.Point, workers int) (*Diagram, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	s, err := newSubsetScan(pts)
-	if err != nil {
-		return nil, err
-	}
-	d := newDiagram(pts, s.sg)
-	cols := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := newDynScratch(pts) // per-worker scratch: no contention
-			for i := range cols {
-				s.column(d, sc, i)
-			}
-		}()
-	}
-	for i := 0; i < s.sg.Cols(); i++ {
-		cols <- i
-	}
-	close(cols)
 	wg.Wait()
 	d.freeze()
 	return d, nil

@@ -726,8 +726,9 @@ func E11(c Config) Table {
 	return t
 }
 
-// E12 measures the compact (per-polyomino) representation against the flat
-// per-cell one — the output-space cost the paper's space analysis charges.
+// E12 measures the diagram's interned storage (one stored result per
+// distinct result plus a label per cell) against the flat per-cell one —
+// the output-space cost the paper's space analysis charges.
 func E12(c Config) Table {
 	ns := []int{100, 200, 400}
 	if c.Quick {
@@ -746,14 +747,14 @@ func E12(c Config) Table {
 			if err != nil {
 				panic(err)
 			}
-			comp, err := quaddiag.NewCompact(d)
+			part, err := d.Merge()
 			if err != nil {
 				panic(err)
 			}
-			cBytes, fBytes := comp.MemoryFootprint()
+			cBytes, fBytes := d.MemoryFootprint()
 			t.Rows = append(t.Rows, []string{
 				dist.String(), fmt.Sprint(n), fmt.Sprint(d.Grid.NumCells()),
-				fmt.Sprint(comp.NumPolyominoes()), fmt.Sprint(fBytes), fmt.Sprint(cBytes),
+				fmt.Sprint(part.NumRegions), fmt.Sprint(fBytes), fmt.Sprint(cBytes),
 				fmt.Sprintf("%.1fx", float64(fBytes)/float64(cBytes)),
 			})
 		}

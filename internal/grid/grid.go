@@ -366,16 +366,14 @@ func repCoord(vs []float64, i int) float64 {
 
 // HyperGrid is the d-dimensional skyline (hyper)cell grid of Section IV-E.
 type HyperGrid struct {
-	Axes  [][]float64 // sorted distinct values per axis
-	ranks []*Rank     // per-axis O(1) point location; nil on struct literals
+	Axes [][]float64 // sorted distinct values per axis
 }
 
 // NewHyperGrid builds the hyper-cell grid of pts.
 func NewHyperGrid(pts []geom.Point, dim int) *HyperGrid {
-	hg := &HyperGrid{Axes: make([][]float64, dim), ranks: make([]*Rank, dim)}
+	hg := &HyperGrid{Axes: make([][]float64, dim)}
 	for a := 0; a < dim; a++ {
 		hg.Axes[a] = geom.SortedAxis(pts, a)
-		hg.ranks[a] = NewRank(hg.Axes[a])
 	}
 	return hg
 }
@@ -422,11 +420,7 @@ func (hg *HyperGrid) Locate(q geom.Point) ([]int, error) {
 	}
 	idx := make([]int, hg.Dim())
 	for a := range idx {
-		if hg.ranks != nil {
-			idx[a] = hg.ranks[a].Rank(q.Coords[a])
-		} else {
-			idx[a] = locate(hg.Axes[a], q.Coords[a])
-		}
+		idx[a] = locate(hg.Axes[a], q.Coords[a])
 	}
 	return idx, nil
 }

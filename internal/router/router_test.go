@@ -20,7 +20,7 @@ import (
 )
 
 // fakeReplica is a scriptable backend: its mode decides how the data path
-// answers while /v1/health keeps reporting the configured epoch.
+// answers while /v1/ready keeps reporting the configured epoch.
 type fakeReplica struct {
 	srv   *httptest.Server
 	mode  atomic.Value // "ok", "err", "shed", "healthdown"
@@ -34,14 +34,14 @@ func newFakeReplica(t *testing.T) *fakeReplica {
 	f.mode.Store("ok")
 	f.epoch.Store(1)
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/health", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/ready", func(w http.ResponseWriter, r *http.Request) {
 		if f.mode.Load() == "healthdown" {
 			http.Error(w, "unhealthy", http.StatusInternalServerError)
 			return
 		}
 		w.Header().Set("X-Sky-Epoch", strconv.FormatUint(f.epoch.Load(), 10))
 		w.WriteHeader(http.StatusOK)
-		io.WriteString(w, `{"status":"ok"}`)
+		io.WriteString(w, `{"status":"ready"}`)
 	})
 	data := func(w http.ResponseWriter, r *http.Request) {
 		f.hits.Add(1)
@@ -241,7 +241,7 @@ func TestRouter4xxNoFailover(t *testing.T) {
 	mux.HandleFunc("GET /v1/skyline", func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, `{"error":"bad kind"}`, http.StatusBadRequest)
 	})
-	mux.HandleFunc("GET /v1/health", func(w http.ResponseWriter, r *http.Request) { w.WriteHeader(200) })
+	mux.HandleFunc("GET /v1/ready", func(w http.ResponseWriter, r *http.Request) { w.WriteHeader(200) })
 	bad := httptest.NewServer(mux)
 	t.Cleanup(bad.Close)
 	// The 400-answering replica comes first, so the relay is provable.
@@ -368,10 +368,9 @@ func TestRouterHealthReportsPool(t *testing.T) {
 
 func jsonBody(s string) io.Reader { return strings.NewReader(s) }
 
-// TestProbePrefersReadiness: the health loop probes /v1/ready when a backend
-// exposes it — a replica that is alive but still bootstrapping (503 from the
-// startup gate) must not receive traffic — and falls back to /v1/health for
-// backends predating the readiness split.
+// TestProbePrefersReadiness: the health loop probes /v1/ready, not
+// /v1/health — a replica that is alive but still bootstrapping (503 from the
+// startup gate) must not receive traffic.
 func TestProbePrefersReadiness(t *testing.T) {
 	mk := func(handler http.HandlerFunc) *httptest.Server {
 		srv := httptest.NewServer(handler)
@@ -404,17 +403,8 @@ func TestProbePrefersReadiness(t *testing.T) {
 			http.NotFound(w, r)
 		}
 	})
-	// Pre-readiness replica: only /v1/health exists; the probe falls back.
-	legacy := mk(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/v1/health" {
-			http.NotFound(w, r)
-			return
-		}
-		w.Header().Set("X-Sky-Epoch", "5")
-		io.WriteString(w, `{"status":"ok","epoch":5}`)
-	})
 
-	rt, err := New(Config{Replicas: []string{both.URL, starting.URL, legacy.URL}})
+	rt, err := New(Config{Replicas: []string{both.URL, starting.URL}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +422,6 @@ func TestProbePrefersReadiness(t *testing.T) {
 	}
 	check(0, true, 7)  // both: readiness view wins over liveness
 	check(1, false, 0) // starting: alive but not ready, no traffic
-	check(2, true, 5)  // legacy: the fallback keeps old replicas routable
 }
 
 // A kind the replicas' files do not hold is the caller's mistake, not a

@@ -10,14 +10,15 @@ import (
 
 // Delta snapshot serving. The first time an epoch is streamed through
 // /v1/snapshot (as a full body or as a delta), the page-hash manifest of its
-// canonical bytes is recorded into a bounded ring; a boot, and a relay's
-// swap, record theirs when they publish. A replica that polls with
+// canonical bytes is recorded into a bounded ring; a boot records its
+// epoch's when it publishes. A replica that polls with
 // ?from=<its epoch> is answered with only the pages that changed since that
 // epoch when the ring still holds it and the delta actually saves bytes;
 // every other case falls back to the full stream, individually counted —
-// the protocol never guesses. A write records nothing: an epoch no replica
-// fetches is never hashed, and every epoch a replica can hold was streamed
-// to it. See docs/SCALEOUT.md for the wire format.
+// the protocol never guesses. Neither a builder's write nor a relay's swap
+// records anything: an epoch no replica fetches is never hashed, and every
+// epoch a replica can hold was streamed to it. See docs/SCALEOUT.md for the
+// wire format.
 
 // DefaultDeltaRing is how many epochs of page-hash manifests a handler
 // retains for delta serving. A manifest costs ~0.2% of the snapshot file
@@ -95,7 +96,7 @@ func (st *state) encoder() (*store.Encoder, error) {
 
 // recordState returns the manifest of the state's file, hashing it and
 // recording it in the ring on the first call: at the epoch's first stream,
-// or when a boot or a relay swap publishes the state. Later calls, from
+// or when a boot publishes the state. Later calls, from
 // concurrent first polls too, share that one pass. nil means the hash
 // failed, which only costs delta eligibility (the epoch falls back to full
 // streams), never correctness.

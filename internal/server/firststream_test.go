@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -15,10 +16,11 @@ import (
 	"repro/internal/store"
 )
 
-// First-stream tests: a write neither lays out nor hashes its epoch; the
-// epoch's first stream hashes it once, and every use of the epoch — the
-// manifest, each delta and full body, the checkpoint — streams through the
-// state's one encoder, from any number of goroutines at once.
+// First-stream tests: a write neither lays out nor hashes its epoch, and a
+// relay's swap does not hash it either; the epoch's first stream hashes it
+// once, and every use of the epoch — the manifest, each delta and full
+// body, the checkpoint — streams through the state's one encoder, from any
+// number of goroutines at once.
 
 var encodedUses = []string{"manifest", "delta", "full", "checkpoint"}
 
@@ -79,6 +81,39 @@ func TestUnpolledWritesEncodeNothing(t *testing.T) {
 	}
 	if h.snapshot().enc != nil {
 		t.Error("the unpolled epoch was laid out")
+	}
+}
+
+// TestUnpolledSwapRecordsNothing: a relay records an epoch it swaps in at
+// the epoch's first stream, as a builder records a write's: after a Refresh
+// that nobody polls, the relay's ring holds no manifest for the new epoch;
+// after one /v1/snapshot, it does.
+func TestUnpolledSwapRecordsNothing(t *testing.T) {
+	builder := newBuilder(t)
+	ctx := context.Background()
+	h, rep, err := BootstrapReplica(ctx, ReplicaConfig{
+		Primary: builder.URL,
+		Dir:     t.TempDir(),
+	}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Close()
+	insertPoint(t, builder.URL, 600)
+	if swapped, err := rep.Refresh(ctx); err != nil || !swapped {
+		t.Fatalf("refresh: swapped=%v err=%v", swapped, err)
+	}
+	epoch := h.snapshot().epoch
+	if h.ring.get(epoch) != nil {
+		t.Fatalf("the relay's ring holds a manifest for epoch %d, which nothing streamed", epoch)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/snapshot", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("snapshot from the relay: code %d", rec.Code)
+	}
+	if h.ring.get(epoch) == nil {
+		t.Fatalf("the relay streamed epoch %d without recording it", epoch)
 	}
 }
 

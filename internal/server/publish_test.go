@@ -225,8 +225,9 @@ func (c chunkyWriter) Write(p []byte) (int, error) {
 
 // TestRelayRetiresStoreUnderStreams: a relay answers queries and sends
 // snapshot bodies and deltas straight from its store's mapping, and hashes
-// each new mapping for its manifest ring, while SwapStore and Close retire
-// stores under those readers as fast as they can. No reader may touch an
+// a mapping for its manifest ring when it first streams it, while SwapStore
+// and Close retire stores under those readers as fast as they can. No
+// reader may touch an
 // unmapped page (that would fault the process) — including one that read
 // the published state just before a swap and reaches the store only after
 // its Close began — every read must succeed, and every body must be exactly
@@ -272,13 +273,16 @@ func TestRelayRetiresStoreUnderStreams(t *testing.T) {
 	var queries, deltas, fulls atomic.Int64
 	// Six readers query and two fetch snapshots: queries are short, so
 	// many of them keep landing between a swap and the old store's Close.
+	// One fetcher takes full bodies; the other catches up from the epoch it
+	// last got, as a downstream replica does, so its base is one the relay
+	// streamed and recorded.
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(g)))
 			query := httptest.NewRequest(http.MethodGet,
 				fmt.Sprintf("/v1/skyline?x=%d&y=%d", 10*g+5, 95-10*g), nil)
+			from := uint64(1) // the relay's boot epoch, recorded at boot
 			for {
 				select {
 				case <-stop:
@@ -286,7 +290,6 @@ func TestRelayRetiresStoreUnderStreams(t *testing.T) {
 				default:
 				}
 				req := query
-				from := uint64(rng.Intn(epochs)) + 1
 				switch g {
 				case 5:
 					req = httptest.NewRequest(http.MethodPost, "/v1/skyline/batch",
@@ -325,6 +328,7 @@ func TestRelayRetiresStoreUnderStreams(t *testing.T) {
 				default:
 					fulls.Add(1)
 				}
+				from = epoch
 			}
 		}(g)
 	}

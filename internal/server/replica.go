@@ -55,9 +55,12 @@ type Replica struct {
 	// and record the delays it asked for. Defaults to time.After.
 	after func(time.Duration) <-chan time.Time
 
-	refreshes  interface{ Inc() }
-	fetchErrs  interface{ Inc() }
-	staleSecs  interface{ Set(float64) }
+	refreshes interface{ Inc() }
+	fetchErrs interface{ Inc() }
+	staleSecs interface{ Set(float64) }
+	// lastChange is when a poll last swapped in a newer snapshot or
+	// confirmed the served one current; a failed poll sets staleSecs to
+	// the time since.
 	lastChange time.Time
 }
 
@@ -152,7 +155,7 @@ func BootstrapReplica(ctx context.Context, rc ReplicaConfig, cfg Config) (*Handl
 	r.fetchErrs = reg.Counter("skyserve_replica_fetch_errors_total",
 		"Snapshot polls that failed (network, torn body, bad epoch).")
 	r.staleSecs = reg.Gauge("skyserve_replica_staleness_seconds",
-		"Seconds since the served snapshot last changed (or was confirmed current).")
+		"Seconds from the last poll that swapped in a newer snapshot or confirmed the served one current, to the latest poll.")
 	return h, r, nil
 }
 
@@ -202,8 +205,7 @@ func (r *Replica) Refresh(ctx context.Context) (bool, error) {
 	cur := r.h.snapshot().epoch
 	st, err := r.fetch(ctx, cur)
 	if err != nil {
-		r.fetchErrs.Inc()
-		r.consecFails++
+		r.failed()
 		return false, err
 	}
 	if st == nil { // 304: already current
@@ -215,8 +217,7 @@ func (r *Replica) Refresh(ctx context.Context) (bool, error) {
 	old, err := r.h.SwapStore(st)
 	if err != nil {
 		st.Close()
-		r.fetchErrs.Inc()
-		r.consecFails++
+		r.failed()
 		return false, err
 	}
 	r.lastChange = time.Now()
@@ -227,6 +228,15 @@ func (r *Replica) Refresh(ctx context.Context) (bool, error) {
 	// unmaps it when it finishes.
 	old.Close()
 	return true, nil
+}
+
+// failed counts a poll that neither confirmed the served epoch current nor
+// swapped in a newer one, and sets the staleness gauge to the time since
+// the last poll that did.
+func (r *Replica) failed() {
+	r.fetchErrs.Inc()
+	r.consecFails++
+	r.staleSecs.Set(time.Since(r.lastChange).Seconds())
 }
 
 // Close releases the served store. Callers must stop Run first.

@@ -282,16 +282,20 @@ func TestReplicaCatchUpViaDelta(t *testing.T) {
 	}
 
 	// The replica relays delta-capable snapshots itself. Its ring holds only
-	// the epochs it swapped in, so after a second swap a downstream node at
-	// the first swapped epoch gets a delta of the relayed file; a base the
+	// its boot epoch and the epochs it streamed, so a downstream node first
+	// streams the swapped epoch from the relay, as a real one would; after a
+	// second swap, that node gets a delta of the relayed file. A base the
 	// relay never held is a counted ring miss answered with the full file.
+	rsrv := httptest.NewServer(h)
+	defer rsrv.Close()
+	if code, _, _ := fetchSnapshotMode(t, rsrv.URL, "?epoch=1&from=1"); code != 200 {
+		t.Fatalf("downstream catch-up to epoch 3: code %d", code)
+	}
 	insertPoint(t, builder.URL, 701)
 	deletePoint(t, builder.URL, 701)
 	if swapped, err := rep.Refresh(ctx); err != nil || !swapped {
 		t.Fatalf("second refresh: swapped=%v err=%v", swapped, err)
 	}
-	rsrv := httptest.NewServer(h)
-	defer rsrv.Close()
 	code, body, mode := fetchSnapshotMode(t, rsrv.URL, "?epoch=3&from=3")
 	if code != 200 || mode != "delta" {
 		t.Fatalf("relay delta: code %d mode %s", code, mode)

@@ -306,6 +306,31 @@ func TestReplicaBootstrapAndRefresh(t *testing.T) {
 	}
 }
 
+// TestReplicaStalenessGrowsWhilePrimaryIsDown: a failed poll sets the
+// staleness gauge to the time since the last poll that confirmed the served
+// snapshot current, so a replica whose primary has gone away does not
+// report itself fresh.
+func TestReplicaStalenessGrowsWhilePrimaryIsDown(t *testing.T) {
+	builder := newBuilder(t)
+	ctx := context.Background()
+	h, rep, err := BootstrapReplica(ctx, ReplicaConfig{
+		Primary: builder.URL,
+		Dir:     t.TempDir(),
+	}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Close()
+	builder.Close()
+	rep.lastChange = time.Now().Add(-5 * time.Second)
+	if _, err := rep.Refresh(ctx); err == nil {
+		t.Fatal("refresh against a dead primary must error")
+	}
+	if got := h.Metrics().Gauge("skyserve_replica_staleness_seconds", "").Value(); got < 5 {
+		t.Fatalf("staleness after a failed poll = %.3fs, want >= 5", got)
+	}
+}
+
 func mustGet(t *testing.T, url string) string {
 	t.Helper()
 	resp, err := http.Get(url)

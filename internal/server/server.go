@@ -112,7 +112,9 @@ type Config struct {
 	MaxBatch int
 	// Workers selects parallel diagram construction for the initial build
 	// and every rebuild, as core.Options.Workers: 0 builds sequentially,
-	// negative uses GOMAXPROCS, positive uses exactly that many.
+	// negative uses GOMAXPROCS, positive uses exactly that many. The server
+	// builds with the default scanning constructions, the ones that have a
+	// parallel form.
 	Workers int
 	// MaxInFlight caps concurrently executing requests on the query, batch,
 	// stats, and update endpoints. Requests beyond it wait in a bounded
@@ -221,8 +223,8 @@ type state struct {
 	epochHeader []string
 
 	// A builder state's file is laid out once, by encoder on first use,
-	// and hashed once, by recordState at the epoch's first stream (a
-	// relay's at its swap); both then serve every later use.
+	// and a state's file is hashed once, by recordState at the epoch's
+	// first stream or at boot; both then serve every later use.
 	encOnce sync.Once
 	enc     *store.Encoder
 	encErr  error

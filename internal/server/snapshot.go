@@ -146,9 +146,6 @@ func (h *Handler) SwapStore(st *store.Store) (*store.Store, error) {
 		return nil, fmt.Errorf("server: SwapStore on a non-serve-from handler")
 	}
 	next := serveFromState(st)
-	// Hash the new file into the delta ring before publishing, so this node
-	// can relay deltas to replicas chained behind it.
-	h.recordState(next)
 	h.mu.Lock()
 	prev := h.st
 	if next.epoch <= prev.epoch {

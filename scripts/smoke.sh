@@ -121,7 +121,7 @@ test "$code" = "501"
 kill -TERM "$mem_pid" "$file_pid"
 wait "$mem_pid" "$file_pid" 2>/dev/null || true
 
-echo "== scale-out (builder + 2 replicas + router, replica killed mid-load)"
+echo "== scale-out (builder + 2 replicas + router + a replica of a replica, replica killed mid-load)"
 go build -o "$tmp/skyrouter" ./cmd/skyrouter
 # A 240-point dataset (not the 11-hotel default): big enough that a
 # grid-stable write ships as a page delta instead of a file smaller than the
@@ -135,14 +135,19 @@ rep1_pid=$!
 "$tmp/skyserve" -addr 127.0.0.1:18086 -primary http://127.0.0.1:18084 \
     -snapshot-dir "$tmp/rep2" -refresh 200ms >/dev/null 2>&1 &
 rep2_pid=$!
+# rep3's primary is rep2, not the builder: rep2 relays every epoch to it
+"$tmp/skyserve" -addr 127.0.0.1:18089 -primary http://127.0.0.1:18086 \
+    -snapshot-dir "$tmp/rep3" -refresh 200ms >/dev/null 2>&1 &
+rep3_pid=$!
 "$tmp/skyrouter" -addr 127.0.0.1:18087 \
     -replicas http://127.0.0.1:18085,http://127.0.0.1:18086 \
     -primary http://127.0.0.1:18084 -health-interval 200ms >/dev/null 2>&1 &
 router_pid=$!
-trap 'kill "$serve_pid" "$over_pid" "$mem_pid" "$file_pid" "$builder_pid" "$rep1_pid" "$rep2_pid" "$router_pid" 2>/dev/null || true; rm -rf "$tmp"' EXIT
+trap 'kill "$serve_pid" "$over_pid" "$mem_pid" "$file_pid" "$builder_pid" "$rep1_pid" "$rep2_pid" "$rep3_pid" "$router_pid" 2>/dev/null || true; rm -rf "$tmp"' EXIT
 for i in $(seq 1 100); do
     curl -fsS http://127.0.0.1:18085/healthz >/dev/null 2>&1 &&
     curl -fsS http://127.0.0.1:18086/healthz >/dev/null 2>&1 &&
+    curl -fsS http://127.0.0.1:18089/v1/ready >/dev/null 2>&1 &&
     curl -fsS http://127.0.0.1:18087/v1/health >/dev/null 2>&1 &&
     curl -fsS 'http://127.0.0.1:18087/v1/skyline?kind=quadrant&x=10&y=80' >/dev/null 2>&1 && break
     sleep 0.1
@@ -160,6 +165,28 @@ probe_diff() {
     done
 }
 probe_diff "both replicas up"
+# rep3 must report the builder's epoch on /v1/ready and answer every probe
+# byte-identically to the builder: chain_wait gives it up to 5s to catch up,
+# and fails the smoke if it does not
+chain_same() {
+    for path in v1/ready 'v1/skyline?kind=quadrant&x=10&y=80' 'v1/skyline?kind=quadrant&x=0&y=0' \
+        'v1/skyline?kind=quadrant&x=55.5&y=41.25' 'v1/skyline?kind=quadrant&x=100&y=100' \
+        'v1/skyline?kind=quadrant&x=-5&y=200'; do
+        curl -fsS "http://127.0.0.1:18084/$path" > "$tmp/direct.json" &&
+        curl -fsS "http://127.0.0.1:18089/$path" > "$tmp/chained.json" &&
+        cmp -s "$tmp/direct.json" "$tmp/chained.json" || return 1
+    done
+}
+chain_wait() {
+    for i in $(seq 1 50); do
+        chain_same && return 0
+        sleep 0.1
+    done
+    echo "replica of a replica differs from the builder ($1)" >&2
+    diff "$tmp/direct.json" "$tmp/chained.json" >&2 || true
+    exit 1
+}
+chain_wait "both replicas up"
 # the router attributes the serving replica
 curl -fsSi 'http://127.0.0.1:18087/v1/skyline?kind=quadrant&x=10&y=80' \
     | grep -qi 'X-Sky-Backend:'
@@ -168,6 +195,7 @@ code=$(curl -s -o /dev/null -w '%{http_code}' -d '{"id":9999,"coords":[13.5,85.5
 test "$code" = "201"
 sleep 1
 probe_diff "after routed write propagated"
+chain_wait "after routed write propagated"
 # a trailing-edge write (just past the dataset's max x at an existing y)
 # keeps the grid shape stable, so replicas one epoch behind catch up via a
 # page delta instead of refetching the whole file: the builder must report
@@ -180,6 +208,11 @@ probe_diff "after delta-friendly write propagated"
 hits=$(curl -fsS http://127.0.0.1:18084/metrics | awk '$1 == "skyserve_snapshot_delta_hits_total" {print $2}')
 test "${hits:-0}" -gt 0 || { echo "builder reports no snapshot delta hits" >&2; exit 1; }
 curl -fsS http://127.0.0.1:18084/metrics | grep -q 'skyserve_snapshot_bytes_total{mode="delta"}'
+# the chained replica catches up too, and by a delta from rep2: rep2 records
+# an epoch when it first streams it, so the epoch rep3 holds is in its ring
+chain_wait "after delta-friendly write propagated"
+hits=$(curl -fsS http://127.0.0.1:18086/metrics | awk '$1 == "skyserve_snapshot_delta_hits_total" {print $2}')
+test "${hits:-0}" -gt 0 || { echo "relay rep2 reports no snapshot delta hits" >&2; exit 1; }
 # kill one replica mid-load: every routed read must still succeed and match
 kill -TERM "$rep1_pid"
 wait "$rep1_pid" 2>/dev/null || true
@@ -191,13 +224,13 @@ probe_diff "one replica down"
 # the pool report still answers and the router never went dark
 curl -fsS http://127.0.0.1:18087/v1/health | grep -q '"replicas"'
 curl -fsS http://127.0.0.1:18087/metrics | grep -q 'skyrouter_requests_total'
-kill -TERM "$builder_pid" "$rep2_pid" "$router_pid"
-wait "$builder_pid" "$rep2_pid" "$router_pid" 2>/dev/null || true
+kill -TERM "$builder_pid" "$rep2_pid" "$rep3_pid" "$router_pid"
+wait "$builder_pid" "$rep2_pid" "$rep3_pid" "$router_pid" 2>/dev/null || true
 
 echo "== durability (WAL: ack, kill -9, restart, acked write survives)"
 "$tmp/skyserve" -addr 127.0.0.1:18088 -wal-dir "$tmp/wal" >/dev/null 2>&1 &
 wal_pid=$!
-trap 'kill "$serve_pid" "$over_pid" "$mem_pid" "$file_pid" "$builder_pid" "$rep1_pid" "$rep2_pid" "$router_pid" "$wal_pid" 2>/dev/null || true; rm -rf "$tmp"' EXIT
+trap 'kill "$serve_pid" "$over_pid" "$mem_pid" "$file_pid" "$builder_pid" "$rep1_pid" "$rep2_pid" "$rep3_pid" "$router_pid" "$wal_pid" 2>/dev/null || true; rm -rf "$tmp"' EXIT
 for i in $(seq 1 50); do
     code=$(curl -s -o /dev/null -w '%{http_code}' http://127.0.0.1:18088/v1/ready)
     test "$code" = "200" && break
