@@ -40,7 +40,7 @@ func BenchmarkE1_QuadrantVsN(b *testing.B) {
 				b.Run(fmt.Sprintf("%s/n=%d/%s", dist, n, alg), func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
-						if _, err := quaddiag.Build(pts, alg); err != nil {
+						if _, err := quaddiag.Build(pts, alg, 1); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -68,7 +68,7 @@ func BenchmarkE2_QuadrantVsDomain(b *testing.B) {
 			b.Run(fmt.Sprintf("s=%d/%s", s, alg), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := quaddiag.Build(pts, alg); err != nil {
+					if _, err := quaddiag.Build(pts, alg, 1); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -84,7 +84,7 @@ func BenchmarkE3_GlobalVsN(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d/scanning", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := quaddiag.BuildGlobal(pts, quaddiag.AlgScanning); err != nil {
+				if _, err := quaddiag.BuildGlobal(pts, quaddiag.AlgScanning, 1); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -109,7 +109,7 @@ func BenchmarkE4_DynamicVsN(b *testing.B) {
 			b.Run(fmt.Sprintf("n=%d/%s", sz.n, alg), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := dyndiag.Build(pts, alg); err != nil {
+					if _, err := dyndiag.Build(pts, alg, 1); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -128,7 +128,7 @@ func BenchmarkE5_DynamicVsDomain(b *testing.B) {
 			b.Run(fmt.Sprintf("s=%d/%s", s, alg), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := dyndiag.Build(pts, alg); err != nil {
+					if _, err := dyndiag.Build(pts, alg, 1); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -144,7 +144,7 @@ func BenchmarkE6_DiagramStats(b *testing.B) {
 		b.Run(dist.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				d, err := quaddiag.BuildScanning(pts)
+				d, err := quaddiag.BuildScanning(pts, 1)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -191,7 +191,7 @@ func BenchmarkE7_HighDimVsD(b *testing.B) {
 func BenchmarkE8_QueryVsScratch(b *testing.B) {
 	for _, n := range []int{200, 1000} {
 		pts := experiments.GenQuadrant(dataset.Independent, n, benchSeed)
-		d, err := quaddiag.BuildScanning(pts)
+		d, err := quaddiag.BuildScanning(pts, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -222,7 +222,7 @@ func BenchmarkE9_RealDataset(b *testing.B) {
 		b.Run("quadrant/"+string(alg), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := quaddiag.Build(pts, alg); err != nil {
+				if _, err := quaddiag.Build(pts, alg, 1); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -234,7 +234,7 @@ func BenchmarkE9_RealDataset(b *testing.B) {
 		b.Run("dynamic/"+string(alg), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := dyndiag.Build(small, alg); err != nil {
+				if _, err := dyndiag.Build(small, alg, 1); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -273,7 +273,7 @@ func BenchmarkE10_Ablations(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d/scan-plus-merge", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				d, err := quaddiag.BuildScanning(pts)
+				d, err := quaddiag.BuildScanning(pts, 1)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -289,7 +289,7 @@ func BenchmarkE10_Ablations(b *testing.B) {
 func BenchmarkE11_Maintenance(b *testing.B) {
 	for _, n := range []int{100, 400} {
 		pts := experiments.GenQuadrant(dataset.Independent, n, benchSeed)
-		d, err := quaddiag.BuildScanning(pts)
+		d, err := quaddiag.BuildScanning(pts, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -301,7 +301,7 @@ func BenchmarkE11_Maintenance(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d/rebuild", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := quaddiag.BuildScanning(pts); err != nil {
+				if _, err := quaddiag.BuildScanning(pts, 1); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -567,7 +567,7 @@ func BenchmarkE20_ReplicationBytes(b *testing.B) {
 func BenchmarkE12_CompactMemory(b *testing.B) {
 	for _, n := range []int{100, 400} {
 		pts := experiments.GenQuadrant(dataset.Correlated, n, benchSeed)
-		d, err := quaddiag.BuildScanning(pts)
+		d, err := quaddiag.BuildScanning(pts, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -270,7 +270,7 @@ func cmdSVG(args []string) error {
 	}
 	switch *kind {
 	case "quadrant":
-		d, err := quaddiag.BuildScanning(pts)
+		d, err := quaddiag.BuildScanning(pts, 1)
 		if err != nil {
 			return err
 		}
@@ -280,7 +280,7 @@ func cmdSVG(args []string) error {
 		}
 		return svgplot.WriteQuadrantDiagram(w, pts, d.Grid, part, svgplot.DefaultCanvas())
 	case "dynamic":
-		d, err := dyndiag.BuildScanning(pts)
+		d, err := dyndiag.BuildScanning(pts, 1)
 		if err != nil {
 			return err
 		}
@@ -316,7 +316,7 @@ func cmdSave(args []string) error {
 	if err != nil {
 		return err
 	}
-	d, err := quaddiag.BuildScanning(pts)
+	d, err := quaddiag.BuildScanning(pts, 1)
 	if err != nil {
 		return err
 	}
@@ -368,7 +368,7 @@ func cmdInfluence(args []string) error {
 	if err != nil {
 		return err
 	}
-	d, err := quaddiag.BuildScanning(pts)
+	d, err := quaddiag.BuildScanning(pts, 1)
 	if err != nil {
 		return err
 	}
@@ -401,7 +401,7 @@ func cmdTrajectory(args []string) error {
 	if err != nil {
 		return err
 	}
-	d, err := quaddiag.BuildScanning(pts)
+	d, err := quaddiag.BuildScanning(pts, 1)
 	if err != nil {
 		return err
 	}

@@ -23,9 +23,9 @@
 //
 //	skyserve -primary http://builder:8080 -snapshot-dir /var/sky -addr :8081
 //
-// Diagram builds run the scanning constructions, the ones with a parallel
-// form, with -workers parallel workers (default: all CPUs; 0 forces
-// sequential construction). Inserts and deletes never block queries:
+// Diagram builds run the scanning constructions (the paper's Algorithms 3
+// and 7) on -workers goroutines (default: all CPUs; 0 builds on one), with
+// the same answers for every count. Inserts and deletes never block queries:
 // all three diagrams are maintained incrementally from the previous snapshot
 // (use -full-rebuild to restore from-scratch rebuilds), queued writes are
 // coalesced into batches of up to 64 ops sharing one maintenance pass and
@@ -96,7 +96,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	maxDyn := flag.Int("max-dynamic", 128, "largest dataset for which the dynamic diagram is built")
 	maxBatch := flag.Int("max-batch", 8192, "largest accepted /v1/skyline/batch query count")
-	workers := flag.Int("workers", -1, "parallel diagram construction (the scanning constructions): -1 all CPUs, 0 sequential, n exactly n workers")
+	workers := flag.Int("workers", -1, "goroutines per diagram build: -1 all CPUs, 0 or 1 one, n exactly n")
 	reqTimeout := flag.Duration("request-timeout", 15*time.Second, "per-request deadline for API endpoints (0 disables)")
 	grace := flag.Duration("shutdown-grace", 10*time.Second, "in-flight request drain budget on SIGINT/SIGTERM")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")

@@ -29,7 +29,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	diagram, err := quaddiag.BuildScanning(products)
+	diagram, err := quaddiag.BuildScanning(products, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func main() {
 	}
 	pts = dataset.GeneralPosition(pts)
 
-	diagram, err := quaddiag.BuildScanning(pts)
+	diagram, err := quaddiag.BuildScanning(pts, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

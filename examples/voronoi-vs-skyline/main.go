@@ -48,7 +48,7 @@ func main() {
 	})
 
 	// Skyline diagram via cells + merge (Figure 3/4).
-	d, err := quaddiag.BuildScanning(pts)
+	d, err := quaddiag.BuildScanning(pts, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -64,12 +64,13 @@ type Options struct {
 	// (skydiag_build_cells; subcells for the dynamic diagram), each labelled
 	// with kind=quadrant|global|dynamic.
 	Metrics *metrics.Registry
-	// Workers selects parallel construction: 0 (the default) builds
-	// sequentially, a negative value uses GOMAXPROCS workers, and a positive
-	// value uses exactly that many. Only the default scanning constructions
-	// have a parallel form; every other Algorithm builds each diagram
-	// sequentially whatever Workers says. Parallel builds are
-	// output-identical to sequential ones.
+	// Workers is how many goroutines run a build: 0 (the default) and 1
+	// build on the calling goroutine, a negative value uses GOMAXPROCS, and
+	// a positive value uses exactly that many. It never selects the
+	// algorithm: the scanning constructions (Algorithms 3 and 7) share their
+	// cells among the workers, every other Algorithm runs on one goroutine,
+	// and the global kind builds its reflected components concurrently when
+	// there is more than one worker. The output is the same for every value.
 	Workers int
 }
 
@@ -169,12 +170,7 @@ func BuildQuadrant(pts []Point, opts Options) (*QuadrantDiagram, error) {
 		return nil, err
 	}
 	start := time.Now()
-	var d *quaddiag.Diagram
-	if opts.Workers != 0 {
-		d, err = quaddiag.BuildParallel(pts, alg, opts.Workers)
-	} else {
-		d, err = quaddiag.Build(pts, alg)
-	}
+	d, err := quaddiag.Build(pts, alg, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -239,12 +235,7 @@ func BuildGlobal(pts []Point, opts Options) (*GlobalDiagram, error) {
 		return nil, err
 	}
 	start := time.Now()
-	var d *quaddiag.GlobalDiagram
-	if opts.Workers != 0 {
-		d, err = quaddiag.BuildGlobalParallel(pts, alg, opts.Workers)
-	} else {
-		d, err = quaddiag.BuildGlobal(pts, alg)
-	}
+	d, err := quaddiag.BuildGlobal(pts, alg, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -300,13 +291,7 @@ func BuildDynamic(pts []Point, opts Options) (*DynamicDiagram, error) {
 		return nil, err
 	}
 	start := time.Now()
-	var d *dyndiag.Diagram
-	var err error
-	if opts.Workers != 0 {
-		d, err = dyndiag.BuildParallel(pts, opts.dynamicAlg(), opts.Workers)
-	} else {
-		d, err = dyndiag.Build(pts, opts.dynamicAlg())
-	}
+	d, err := dyndiag.Build(pts, opts.dynamicAlg(), opts.Workers)
 	if err != nil {
 		return nil, err
 	}

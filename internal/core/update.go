@@ -53,7 +53,7 @@ type UpdateOptions struct {
 	// and dropped (nil) otherwise. An update that shrinks the set back under
 	// the threshold rebuilds it.
 	MaxDynamicPoints int
-	// Workers selects parallel construction for any full (re)build this
+	// Workers is how many goroutines run any full (re)build this
 	// maintenance pass needs, as Options.Workers.
 	Workers int
 	// Metrics, when non-nil, receives build instrumentation for full

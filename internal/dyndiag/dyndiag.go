@@ -22,7 +22,9 @@ package dyndiag
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
 
 	"repro/internal/geom"
 	"repro/internal/grid"
@@ -34,9 +36,10 @@ import (
 
 // Diagram is a computed dynamic skyline diagram at subcell granularity.
 // Like quaddiag.Diagram it is built in two phases: constructions fill a
-// scratch [][]int32 (the parallel scanning builder writes distinct subcells
-// from several goroutines), then freeze() interns every subcell into the CSR
-// table of package resultset, the only representation readers see.
+// scratch [][]int32 (the scanning construction's workers write distinct
+// subcells from several goroutines), then freeze() interns every subcell
+// into the CSR table of package resultset, the only representation readers
+// see.
 type Diagram struct {
 	Points []geom.Point
 	Sub    *grid.SubGrid
@@ -303,15 +306,17 @@ const (
 	AlgScanning Algorithm = "scanning"
 )
 
-// Build dispatches to the named construction.
-func Build(pts []geom.Point, alg Algorithm) (*Diagram, error) {
+// Build dispatches to the named construction. workers is the goroutine
+// count of the scanning construction (see BuildScanning); the other
+// constructions run on the calling goroutine.
+func Build(pts []geom.Point, alg Algorithm, workers int) (*Diagram, error) {
 	switch alg {
 	case AlgBaseline:
 		return BuildBaseline(pts)
 	case AlgSubset:
 		return BuildSubset(pts)
 	case AlgScanning:
-		return BuildScanning(pts)
+		return BuildScanning(pts, workers)
 	default:
 		return nil, fmt.Errorf("dyndiag: unknown algorithm %q", alg)
 	}
@@ -327,7 +332,7 @@ func BuildSubset(pts []geom.Point) (*Diagram, error) {
 	if err := require2D(pts); err != nil {
 		return nil, err
 	}
-	gd, err := quaddiag.BuildGlobal(pts, quaddiag.AlgScanning)
+	gd, err := quaddiag.BuildGlobal(pts, quaddiag.AlgScanning, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -369,7 +374,12 @@ func BuildSubset(pts []geom.Point) (*Diagram, error) {
 // can change dominance only between pairs whose bisector lies on the line,
 // so the new dynamic skyline is exactly the dynamic skyline of
 // (previous result ∪ involved points), evaluated at the new subcell.
-func BuildScanning(pts []geom.Point) (*Diagram, error) {
+//
+// The row starts form one chain up the first column; once it is known, each
+// row's left-to-right scan is independent of every other row, so workers
+// goroutines share the rows (< 0 selects GOMAXPROCS; 0 and 1 scan them on
+// the calling goroutine). The output is the same for every worker count.
+func BuildScanning(pts []geom.Point, workers int) (*Diagram, error) {
 	if err := require2D(pts); err != nil {
 		return nil, err
 	}
@@ -380,11 +390,10 @@ func BuildScanning(pts []geom.Point) (*Diagram, error) {
 		d.freeze()
 		return d, nil
 	}
-	sc := newDynScratch(pts)
 
-	// step computes the skyline positions of subcell (i, j) from a
+	// step computes into dst the skyline positions of subcell (i, j) from a
 	// neighbour's result positions and the involved set of the crossed line.
-	step := func(dst, prev []int32, line grid.Line, i, j int) []int32 {
+	step := func(sc *dynScratch, dst, prev []int32, line grid.Line, i, j int) []int32 {
 		qx, qy := sg.RepXY(i, j)
 		sc.begin()
 		for _, pos := range prev {
@@ -393,33 +402,65 @@ func BuildScanning(pts []geom.Point) (*Diagram, error) {
 		for _, pos := range line.Involved {
 			sc.add(pos, qx, qy)
 		}
-		return append(dst[:0], sc.skyline()...)
+		return append(dst, sc.skyline()...)
 	}
 
-	// Lower-left subcell from scratch; then double-buffered incremental
-	// steps so the hot loop allocates only the per-cell output.
+	// The row starts: the lower-left subcell from scratch, then up the first
+	// column.
+	sc := newDynScratch(pts)
 	q0x, q0y := sg.RepXY(0, 0)
 	sc.begin()
 	for pos := range pts {
 		sc.add(int32(pos), q0x, q0y)
 	}
-	rowCur := append([]int32(nil), sc.skyline()...)
-	rowAlt := make([]int32, 0, len(pts))
-	cur := make([]int32, 0, len(pts))
-	alt := make([]int32, 0, len(pts))
-	for j := 0; j < sg.Rows(); j++ {
-		if j > 0 {
-			rowAlt = step(rowAlt, rowCur, sg.YLines[j-1], 0, j)
-			rowCur, rowAlt = rowAlt, rowCur
-		}
-		d.setCell(0, j, sc.idsOf(rowCur))
-		cur = append(cur[:0], rowCur...)
-		for i := 1; i < sg.Cols(); i++ {
-			alt = step(alt, cur, sg.XLines[i-1], i, j)
-			cur, alt = alt, cur
-			d.setCell(i, j, sc.idsOf(cur))
-		}
+	rowStarts := make([][]int32, sg.Rows())
+	rowStarts[0] = append([]int32(nil), sc.skyline()...)
+	for j := 1; j < sg.Rows(); j++ {
+		rowStarts[j] = step(sc, nil, rowStarts[j-1], sg.YLines[j-1], 0, j)
 	}
+
+	// The rows, each scanned left to right with double-buffered steps, so
+	// the hot loop allocates only the per-subcell output.
+	n := min(workerCount(workers), sg.Rows())
+	forWorkers(n, func(w int) {
+		sc := newDynScratch(pts)
+		cur := make([]int32, 0, len(pts))
+		alt := make([]int32, 0, len(pts))
+		for j := w; j < sg.Rows(); j += n {
+			cur = append(cur[:0], rowStarts[j]...)
+			d.setCell(0, j, sc.idsOf(cur))
+			for i := 1; i < sg.Cols(); i++ {
+				alt = step(sc, alt[:0], cur, sg.XLines[i-1], i, j)
+				cur, alt = alt, cur
+				d.setCell(i, j, sc.idsOf(cur))
+			}
+		}
+	})
 	d.freeze()
 	return d, nil
+}
+
+// workerCount resolves a worker count as the constructions take it: < 0
+// selects GOMAXPROCS, and 0 counts as 1.
+func workerCount(workers int) int {
+	if workers < 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return max(workers, 1)
+}
+
+// forWorkers calls fn(w) for every w in [0, n): fn(0) on the calling
+// goroutine and each other on a goroutine of its own. It returns when every
+// call has.
+func forWorkers(n int, fn func(w int)) {
+	var wg sync.WaitGroup
+	for w := 1; w < n; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(w)
+		}()
+	}
+	fn(0)
+	wg.Wait()
 }

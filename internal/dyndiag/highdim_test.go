@@ -74,7 +74,7 @@ func TestHDScanningMatchesBaseline(t *testing.T) {
 func TestHD2DMatchesPlanar(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	pts := genHD(rng, 6, 2, 0)
-	planar, err := BuildScanning(pts)
+	planar, err := BuildScanning(pts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

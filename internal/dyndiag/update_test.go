@@ -11,7 +11,7 @@ func TestDynUpdateMatchesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 4; trial++ {
 		pts := genPts(rng, 2+rng.Intn(6), 16)
-		d, err := BuildScanning(pts)
+		d, err := BuildScanning(pts, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -29,7 +29,7 @@ func TestDynUpdateMatchesRebuild(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := BuildScanning(nd.Points)
+			want, err := BuildScanning(nd.Points, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -47,7 +47,7 @@ func TestDynUpdateDuplicateCoordinates(t *testing.T) {
 		geom.Pt2(1, 3, 3),
 		geom.Pt2(2, 6, 1),
 	}
-	d, err := BuildScanning(pts)
+	d, err := BuildScanning(pts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestDynUpdateDuplicateCoordinates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := BuildScanning(nd.Points)
+	want, err := BuildScanning(nd.Points, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestDynUpdateDuplicateCoordinates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want2, err := BuildScanning(nd2.Points)
+	want2, err := BuildScanning(nd2.Points, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestDynUpdateDuplicateCoordinates(t *testing.T) {
 }
 
 func TestDynUpdateToAndFromEmpty(t *testing.T) {
-	d, err := BuildScanning(nil)
+	d, err := BuildScanning(nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestDynUpdateToAndFromEmpty(t *testing.T) {
 func TestDynUpdateErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	pts := genPts(rng, 5, 12)
-	d, err := BuildScanning(pts)
+	d, err := BuildScanning(pts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

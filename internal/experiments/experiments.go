@@ -184,7 +184,7 @@ func E1(c Config) Table {
 			for _, alg := range []quaddiag.Algorithm{quaddiag.AlgBaseline, quaddiag.AlgDSG, quaddiag.AlgScanning} {
 				alg := alg
 				row = append(row, ms(c.time(func() {
-					if _, err := quaddiag.Build(pts, alg); err != nil {
+					if _, err := quaddiag.Build(pts, alg, 1); err != nil {
 						panic(err)
 					}
 				})))
@@ -225,7 +225,7 @@ func E2(c Config) Table {
 		for _, alg := range []quaddiag.Algorithm{quaddiag.AlgBaseline, quaddiag.AlgDSG, quaddiag.AlgScanning} {
 			alg := alg
 			times = append(times, ms(c.time(func() {
-				d, err := quaddiag.Build(pts, alg)
+				d, err := quaddiag.Build(pts, alg, 1)
 				if err != nil {
 					panic(err)
 				}
@@ -252,12 +252,12 @@ func E3(c Config) Table {
 		for _, n := range c.QuadrantSizes() {
 			pts := GenQuadrant(dist, n, c.seed())
 			quad := c.time(func() {
-				if _, err := quaddiag.BuildScanning(pts); err != nil {
+				if _, err := quaddiag.BuildScanning(pts, 1); err != nil {
 					panic(err)
 				}
 			})
 			glob := c.time(func() {
-				if _, err := quaddiag.BuildGlobal(pts, quaddiag.AlgScanning); err != nil {
+				if _, err := quaddiag.BuildGlobal(pts, quaddiag.AlgScanning, 1); err != nil {
 					panic(err)
 				}
 			})
@@ -320,7 +320,7 @@ func E4(c Config) Table {
 			subcells = d.Sub.NumSubcells()
 		}))
 		scan := ms(c.time(func() {
-			d, err := dyndiag.BuildScanning(pts)
+			d, err := dyndiag.BuildScanning(pts, 1)
 			if err != nil {
 				panic(err)
 			}
@@ -354,7 +354,7 @@ func E5(c Config) Table {
 		for _, alg := range []dyndiag.Algorithm{dyndiag.AlgBaseline, dyndiag.AlgSubset, dyndiag.AlgScanning} {
 			alg := alg
 			times = append(times, ms(c.time(func() {
-				d, err := dyndiag.Build(pts, alg)
+				d, err := dyndiag.Build(pts, alg, 1)
 				if err != nil {
 					panic(err)
 				}
@@ -384,7 +384,7 @@ func E6(c Config) Table {
 	for _, dist := range []dataset.Distribution{dataset.Correlated, dataset.Independent, dataset.AntiCorrelated} {
 		for _, n := range ns {
 			pts := GenQuadrant(dist, n, c.seed())
-			d, err := quaddiag.BuildScanning(pts)
+			d, err := quaddiag.BuildScanning(pts, 1)
 			if err != nil {
 				panic(err)
 			}
@@ -462,7 +462,7 @@ func E8(c Config) Table {
 	}
 	for _, n := range ns {
 		pts := GenQuadrant(dataset.Independent, n, c.seed())
-		d, err := quaddiag.BuildScanning(pts)
+		d, err := quaddiag.BuildScanning(pts, 1)
 		if err != nil {
 			panic(err)
 		}
@@ -505,7 +505,7 @@ func E8(c Config) Table {
 		n = 16
 	}
 	pts := GenQuadrant(dataset.Independent, n, c.seed())
-	dd, err := dyndiag.BuildScanning(pts)
+	dd, err := dyndiag.BuildScanning(pts, 1)
 	if err != nil {
 		panic(err)
 	}
@@ -580,7 +580,7 @@ func E9(c Config) Table {
 	for _, alg := range []quaddiag.Algorithm{quaddiag.AlgBaseline, quaddiag.AlgDSG, quaddiag.AlgScanning} {
 		alg := alg
 		t.Rows = append(t.Rows, []string{"quadrant diagram", string(alg), ms(c.time(func() {
-			if _, err := quaddiag.Build(pts, alg); err != nil {
+			if _, err := quaddiag.Build(pts, alg, 1); err != nil {
 				panic(err)
 			}
 		}))})
@@ -592,7 +592,7 @@ func E9(c Config) Table {
 		}
 	}))})
 	t.Rows = append(t.Rows, []string{"global diagram", "scanning", ms(c.time(func() {
-		if _, err := quaddiag.BuildGlobal(pts, quaddiag.AlgScanning); err != nil {
+		if _, err := quaddiag.BuildGlobal(pts, quaddiag.AlgScanning, 1); err != nil {
 			panic(err)
 		}
 	}))})
@@ -600,7 +600,7 @@ func E9(c Config) Table {
 	for _, alg := range []dyndiag.Algorithm{dyndiag.AlgSubset, dyndiag.AlgScanning} {
 		alg := alg
 		t.Rows = append(t.Rows, []string{"dynamic diagram", string(alg), ms(c.time(func() {
-			if _, err := dyndiag.Build(small, alg); err != nil {
+			if _, err := dyndiag.Build(small, alg, 1); err != nil {
 				panic(err)
 			}
 		}))})
@@ -644,7 +644,7 @@ func E10(c Config) Table {
 			}
 		}))
 		sm := ms(c.time(func() {
-			d, err := quaddiag.BuildScanning(pts)
+			d, err := quaddiag.BuildScanning(pts, 1)
 			if err != nil {
 				panic(err)
 			}
@@ -697,13 +697,13 @@ func E11(c Config) Table {
 	}
 	for _, n := range ns {
 		pts := GenQuadrant(dataset.Independent, n, c.seed())
-		d, err := quaddiag.BuildScanning(pts)
+		d, err := quaddiag.BuildScanning(pts, 1)
 		if err != nil {
 			panic(err)
 		}
 		p := geom.Pt2(1000000, float64(2*n)+0.5, float64(2*n)+0.5) // mid-grid
 		rebuild := c.time(func() {
-			if _, err := quaddiag.BuildScanning(pts); err != nil {
+			if _, err := quaddiag.BuildScanning(pts, 1); err != nil {
 				panic(err)
 			}
 		})
@@ -743,7 +743,7 @@ func E12(c Config) Table {
 	for _, dist := range []dataset.Distribution{dataset.Correlated, dataset.AntiCorrelated} {
 		for _, n := range ns {
 			pts := GenQuadrant(dist, n, c.seed())
-			d, err := quaddiag.BuildScanning(pts)
+			d, err := quaddiag.BuildScanning(pts, 1)
 			if err != nil {
 				panic(err)
 			}

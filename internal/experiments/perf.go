@@ -135,7 +135,7 @@ func E16(c Config) Table {
 
 	// Quadrant, limited domain.
 	qpts := GenDomain(dataset.Independent, qn, qs, c.seed())
-	qd, err := quaddiag.BuildScanning(qpts)
+	qd, err := quaddiag.BuildScanning(qpts, 1)
 	if err != nil {
 		panic(err)
 	}
@@ -164,7 +164,7 @@ func E16(c Config) Table {
 
 	// Dynamic, continuous coordinates.
 	dpts := GenContinuous(dataset.Independent, dynN, c.seed())
-	dd, err := dyndiag.BuildScanning(dpts)
+	dd, err := dyndiag.BuildScanning(dpts, 1)
 	if err != nil {
 		panic(err)
 	}

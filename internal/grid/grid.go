@@ -193,29 +193,6 @@ func locate(vs []float64, v float64) int {
 	return idx
 }
 
-// PointsAtUpperRight returns the input points sitting exactly on the
-// upper-right corner of cell (i,j) — more than one when the dataset contains
-// exact duplicates. This is the exception case of Theorem 1: such a cell's
-// skyline is exactly those points, because they dominate the whole open
-// quadrant and only coincide with each other. byXY must map (x,y) pairs of
-// input points to points, as built by IndexByCoords.
-func (g *Grid) PointsAtUpperRight(i, j int, byXY map[[2]float64][]geom.Point) []geom.Point {
-	if i >= len(g.Xs) || j >= len(g.Ys) {
-		return nil
-	}
-	return byXY[[2]float64{g.Xs[i], g.Ys[j]}]
-}
-
-// IndexByCoords maps each (x, y) location to the points at that location.
-func IndexByCoords(pts []geom.Point) map[[2]float64][]geom.Point {
-	m := make(map[[2]float64][]geom.Point, len(pts))
-	for _, p := range pts {
-		k := [2]float64{p.X(), p.Y()}
-		m[k] = append(m[k], p)
-	}
-	return m
-}
-
 // --- SubGrid ----------------------------------------------------------------
 
 // Line is one subdivision line of a SubGrid axis together with the points

@@ -73,22 +73,6 @@ func TestLocateMatchesCellRect(t *testing.T) {
 	}
 }
 
-func TestPointsAtUpperRight(t *testing.T) {
-	pts := []geom.Point{geom.Pt2(0, 1, 10), geom.Pt2(1, 3, 30), geom.Pt2(2, 1, 10)}
-	g := NewGrid(pts)
-	byXY := IndexByCoords(pts)
-	ps := g.PointsAtUpperRight(0, 0, byXY)
-	if len(ps) != 2 {
-		t.Fatalf("cell (0,0) upper-right should hold the duplicate pair, got %v", ps)
-	}
-	if ps := g.PointsAtUpperRight(0, 1, byXY); len(ps) != 0 {
-		t.Fatal("cell (0,1) has corner (1,30), no point there")
-	}
-	if ps := g.PointsAtUpperRight(2, 2, byXY); len(ps) != 0 {
-		t.Fatal("border cells have no finite upper-right corner")
-	}
-}
-
 func TestSubGridLinesAndInvolved(t *testing.T) {
 	// Two points on an axis: lines at 0, 5 (bisector), 10.
 	pts := []geom.Point{geom.Pt2(0, 0, 0), geom.Pt2(1, 10, 10)}

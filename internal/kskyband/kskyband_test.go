@@ -130,7 +130,7 @@ func TestDiagramK1MatchesSkylineDiagram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sd, err := quaddiag.BuildScanning(pts)
+	sd, err := quaddiag.BuildScanning(pts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 func TestCompactSavesMemory(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	pts := genGP(rng, 150)
-	d, err := BuildScanning(pts)
+	d, err := BuildScanning(pts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,8 @@
 //     proportional to the number of direct dominance links.
 //   - BuildScanning — Algorithm 3, O(n^3) worst case: the Theorem 1 multiset
 //     identity Sky(C[i][j]) = Sky(C[i+1][j]) + Sky(C[i][j+1]) − Sky(C[i+1][j+1]),
-//     evaluated top-right to bottom-left.
+//     evaluated top-right to bottom-left; with several workers, in
+//     anti-diagonal waves of blocks of cells.
 //   - BuildSweeping — Algorithm 4, O(n^2): constructs the skyline polyominoes
 //     directly from the arrangement of half-open rays, without computing any
 //     skyline.
@@ -24,14 +25,14 @@
 // highdim.go.
 //
 // Diagrams are built in two phases. The constructions fill a scratch
-// [][]int32 exactly as the paper's algorithms describe (the parallel scanning
-// builder writes distinct scratch cells from several goroutines, so no shared
-// structure may be touched during this phase); every public Build* then
-// freezes the scratch into the interned CSR form of package resultset — one
-// uint32 label per cell, kept in copy-on-write tiles (tiles.go), plus a
-// shared arena — which is the only representation readers ever see. Queries
-// are point location plus one label indirection returning an arena
-// subslice: zero allocations.
+// [][]int32 exactly as the paper's algorithms describe (the scanning
+// construction's workers write distinct scratch cells from several
+// goroutines, so no shared structure may be touched during this phase);
+// every public Build* then freezes the scratch into the interned CSR form of
+// package resultset — one uint32 label per cell, kept in copy-on-write tiles
+// (tiles.go), plus a shared arena — which is the only representation readers
+// ever see. Queries are point location plus one label indirection returning
+// an arena subslice: zero allocations.
 package quaddiag
 
 import (
@@ -245,17 +246,19 @@ const (
 	AlgScanning Algorithm = "scanning"
 )
 
-// Build dispatches to the named cell-level construction. (The sweeping
-// algorithm is not dispatched here because it produces polyominoes, not
-// per-cell results; see BuildSweeping.)
-func Build(pts []geom.Point, alg Algorithm) (*Diagram, error) {
+// Build dispatches to the named cell-level construction. workers is the
+// goroutine count of the scanning construction (see BuildScanning); the
+// other constructions run on the calling goroutine. (The sweeping algorithm
+// is not dispatched here because it produces polyominoes, not per-cell
+// results; see BuildSweeping.)
+func Build(pts []geom.Point, alg Algorithm, workers int) (*Diagram, error) {
 	switch alg {
 	case AlgBaseline:
 		return BuildBaseline(pts)
 	case AlgDSG:
 		return BuildDSG(pts)
 	case AlgScanning:
-		return BuildScanning(pts)
+		return BuildScanning(pts, workers)
 	default:
 		return nil, fmt.Errorf("quaddiag: unknown algorithm %q", alg)
 	}

@@ -32,7 +32,7 @@ func FuzzScanningMatchesBaseline(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		scan, err := BuildScanning(pts)
+		scan, err := BuildScanning(pts, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func TestInternedMatchesNaiveDistributions(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			d, err := BuildScanning(pts)
+			d, err := BuildScanning(pts, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,7 +124,7 @@ func FuzzInternedMatchesNaive(f *testing.F) {
 		for i := 0; i < n; i++ {
 			pts[i] = geom.Pt2(i, float64(raw[2*i]%20), float64(raw[2*i+1]%20))
 		}
-		d, err := BuildScanning(pts)
+		d, err := BuildScanning(pts, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

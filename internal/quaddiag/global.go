@@ -2,9 +2,7 @@ package quaddiag
 
 import (
 	"math"
-	"runtime"
 	"slices"
-	"sync"
 
 	"repro/internal/geom"
 	"repro/internal/grid"
@@ -35,41 +33,35 @@ type GlobalDiagram struct {
 // BuildGlobal computes the global skyline diagram by running the given
 // quadrant construction on the four reflections of the input (Section IV:
 // "global skyline can be simply computed by taking a union of all quadrant
-// skylines"): the quadrant diagram of pts, then BuildGlobalAround it.
-func BuildGlobal(pts []geom.Point, alg Algorithm) (*GlobalDiagram, error) {
-	quad, err := Build(pts, alg)
+// skylines"): the quadrant diagram of pts, then BuildGlobalAround it, each
+// with workers as Build takes it.
+func BuildGlobal(pts []geom.Point, alg Algorithm, workers int) (*GlobalDiagram, error) {
+	quad, err := Build(pts, alg, workers)
 	if err != nil {
 		return nil, err
 	}
-	return BuildGlobalAround(quad, alg, 0)
+	return BuildGlobalAround(quad, alg, workers)
 }
 
 // BuildGlobalAround computes the global skyline diagram of quad's points
 // with quad as its mask-0 component: only the three reflected quadrant runs
-// (masks 1–3) are built. With workers == 0 the runs are sequential Builds;
-// otherwise they run concurrently, each a BuildParallel sharing workers
-// (< 0 selects GOMAXPROCS). The output is the same either way.
+// (masks 1–3) are built. With one worker (workers as Build takes it) they
+// run one after another; with more, the three run concurrently, each on a
+// third of the workers, rounded up. The output is the same either way.
 func BuildGlobalAround(quad *Diagram, alg Algorithm, workers int) (*GlobalDiagram, error) {
 	gd := &GlobalDiagram{Points: quad.Points, Grid: quad.Grid, rows: quad.rows}
 	gd.reflected[0] = quad
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
+	workers = workerCount(workers)
+	runs := 1
+	if workers > 1 {
+		runs = 3
 	}
-	var wg sync.WaitGroup
 	var errs [4]error
-	for mask := 1; mask < 4; mask++ {
-		rpts := geom.Reflect(quad.Points, mask)
-		if workers == 0 {
-			gd.reflected[mask], errs[mask] = Build(rpts, alg)
-			continue
+	forWorkers(runs, func(w int) {
+		for mask := 1 + w; mask < 4; mask += runs {
+			gd.reflected[mask], errs[mask] = Build(geom.Reflect(quad.Points, mask), alg, (workers+runs-1)/runs)
 		}
-		wg.Add(1)
-		go func(mask int) {
-			defer wg.Done()
-			gd.reflected[mask], errs[mask] = BuildParallel(rpts, alg, (workers+2)/3)
-		}(mask)
-	}
-	wg.Wait()
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

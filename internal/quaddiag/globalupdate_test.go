@@ -11,7 +11,7 @@ func TestGlobalUpdateMatchesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 6; trial++ {
 		pts := genGP(rng, 3+rng.Intn(15))
-		gd, err := BuildGlobal(pts, AlgScanning)
+		gd, err := BuildGlobal(pts, AlgScanning, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,7 +36,7 @@ func TestGlobalUpdateMatchesRebuild(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := BuildGlobal(nd.Points, AlgScanning)
+			want, err := BuildGlobal(nd.Points, AlgScanning, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -56,7 +56,7 @@ func TestGlobalUpdateDuplicateCoordinates(t *testing.T) {
 		geom.Pt2(1, 2, 2),
 		geom.Pt2(2, 5, 1),
 	}
-	gd, err := BuildGlobal(pts, AlgScanning)
+	gd, err := BuildGlobal(pts, AlgScanning, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestGlobalUpdateDuplicateCoordinates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := BuildGlobal(nd.Points, AlgScanning)
+	want, err := BuildGlobal(nd.Points, AlgScanning, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestGlobalUpdateDuplicateCoordinates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want2, err := BuildGlobal(nd2.Points, AlgScanning)
+	want2, err := BuildGlobal(nd2.Points, AlgScanning, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestGlobalUpdateDuplicateCoordinates(t *testing.T) {
 func TestGlobalUpdateErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	pts := genGP(rng, 6)
-	gd, err := BuildGlobal(pts, AlgScanning)
+	gd, err := BuildGlobal(pts, AlgScanning, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

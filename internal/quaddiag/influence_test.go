@@ -10,7 +10,7 @@ import (
 func TestInfluenceMatchesMembership(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	pts := genGP(rng, 25)
-	d, err := BuildScanning(pts)
+	d, err := BuildScanning(pts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestInfluenceEveryPointHasRegion(t *testing.T) {
 	// every point's influence region is non-empty.
 	rng := rand.New(rand.NewSource(62))
 	pts := genGP(rng, 20)
-	d, err := BuildScanning(pts)
+	d, err := BuildScanning(pts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestInfluenceEveryPointHasRegion(t *testing.T) {
 func TestInfluenceRanking(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
 	pts := genGP(rng, 30)
-	d, err := BuildScanning(pts)
+	d, err := BuildScanning(pts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

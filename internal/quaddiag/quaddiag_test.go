@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/geom"
+	"repro/internal/grid"
 	"repro/internal/polyomino"
 	"repro/internal/skyline"
 )
@@ -76,7 +77,7 @@ func TestAllAlgorithmsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		viaScan, err := BuildScanning(pts)
+		viaScan, err := BuildScanning(pts, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +131,7 @@ func TestAlgorithmsAgreeOnTies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		viaScan, err := BuildScanning(pts)
+		viaScan, err := BuildScanning(pts, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,25 +146,25 @@ func TestAlgorithmsAgreeOnTies(t *testing.T) {
 
 func TestRejectWrongDimension(t *testing.T) {
 	pts := []geom.Point{geom.Pt(0, 1, 2, 3)}
-	for _, f := range []func([]geom.Point) (*Diagram, error){BuildBaseline, BuildDSG, BuildScanning} {
-		if _, err := f(pts); err == nil {
+	for _, alg := range []Algorithm{AlgBaseline, AlgDSG, AlgScanning} {
+		if _, err := Build(pts, alg, 1); err == nil {
 			t.Error("3-D input must be rejected by planar constructions")
 		}
 	}
 	if _, err := BuildSweeping(pts); err == nil {
 		t.Error("sweeping must reject 3-D input")
 	}
-	if _, err := BuildGlobal(pts, AlgBaseline); err == nil {
+	if _, err := BuildGlobal(pts, AlgBaseline, 1); err == nil {
 		t.Error("global must reject 3-D input")
 	}
-	if _, err := Build(nil, Algorithm("nope")); err == nil {
+	if _, err := Build(nil, Algorithm("nope"), 1); err == nil {
 		t.Error("unknown algorithm must be rejected")
 	}
 }
 
 func TestEmptyAndSingle(t *testing.T) {
-	for _, build := range []func([]geom.Point) (*Diagram, error){BuildBaseline, BuildDSG, BuildScanning} {
-		d, err := build(nil)
+	for _, alg := range []Algorithm{AlgBaseline, AlgDSG, AlgScanning} {
+		d, err := Build(nil, alg, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +172,7 @@ func TestEmptyAndSingle(t *testing.T) {
 			t.Fatal("empty dataset: one empty cell expected")
 		}
 		one := []geom.Point{geom.Pt2(7, 3, 4)}
-		d, err = build(one)
+		d, err = Build(one, alg, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +192,7 @@ func TestEmptyAndSingle(t *testing.T) {
 func TestDiagramQueryMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	pts := genGP(rng, 35)
-	d, err := BuildScanning(pts)
+	d, err := BuildScanning(pts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +219,7 @@ func TestSweepingPartitionMatchesMerged(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for trial := 0; trial < 12; trial++ {
 		pts := genGP(rng, 1+rng.Intn(30))
-		d, err := BuildScanning(pts)
+		d, err := BuildScanning(pts, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,7 +270,7 @@ func TestSweepingRingAndCornerCount(t *testing.T) {
 		if len(sw.Rings) != len(pts)+pairs {
 			t.Fatalf("rings = %d, want n+pairs = %d", len(sw.Rings), len(pts)+pairs)
 		}
-		d, err := BuildScanning(pts)
+		d, err := BuildScanning(pts, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,7 +289,7 @@ func TestGlobalMatchesOracle(t *testing.T) {
 	chain := rand.New(rand.NewSource(9))
 	for _, alg := range []Algorithm{AlgBaseline, AlgDSG, AlgScanning} {
 		pts := genGP(rng, 25)
-		gd, err := BuildGlobal(pts, alg)
+		gd, err := BuildGlobal(pts, alg, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,7 +326,7 @@ func TestGlobalMergeMatchesMergeCells(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gd, err := BuildGlobal(pts, AlgScanning)
+			gd, err := BuildGlobal(pts, AlgScanning, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -343,7 +344,7 @@ func TestGlobalMergeMatchesMergeCells(t *testing.T) {
 			}
 			relabelled := append([]geom.Point(nil), pts...)
 			relabelled[0].ID += 1000
-			other, err := BuildGlobal(relabelled, AlgScanning)
+			other, err := BuildGlobal(relabelled, AlgScanning, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -385,7 +386,7 @@ func toInt32(ids []int) []int32 {
 
 func TestGlobalQuery(t *testing.T) {
 	hotels := dataset.Hotels()
-	gd, err := BuildGlobal(hotels, AlgScanning)
+	gd, err := BuildGlobal(hotels, AlgScanning, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +399,7 @@ func TestGlobalQuery(t *testing.T) {
 
 func TestHotelQuadrantDiagram(t *testing.T) {
 	hotels := dataset.Hotels()
-	d, err := BuildScanning(hotels)
+	d, err := BuildScanning(hotels, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,6 +447,29 @@ func TestMergeSubtract(t *testing.T) {
 		if !equalIDs(got, c.want) {
 			t.Errorf("mergeSubtract(%v,%v,%v) = %v, want %v", c.a, c.b, c.c, got, c.want)
 		}
+	}
+}
+
+func TestCornerIndexAtUpperRight(t *testing.T) {
+	pts := []geom.Point{geom.Pt2(0, 1, 10), geom.Pt2(1, 3, 30), geom.Pt2(2, 1, 10)}
+	corners := newCornerIndex(grid.NewGrid(pts), pts)
+	if ids := corners.appendAtUpperRight(nil, 0, 0); !equalIDs(ids, []int32{0, 2}) {
+		t.Fatalf("cell (0,0) upper-right should hold the duplicate pair, got %v", ids)
+	}
+	if ids := corners.appendAtUpperRight(nil, 0, 1); len(ids) != 0 {
+		t.Fatalf("cell (0,1) has corner (1,30), no point there, got %v", ids)
+	}
+	if ids := corners.appendAtUpperRight(nil, 1, 1); !equalIDs(ids, []int32{1}) {
+		t.Fatalf("cell (1,1) upper-right holds point 1, got %v", ids)
+	}
+	for _, c := range [][2]int{{2, 2}, {2, 0}, {0, 2}} {
+		if ids := corners.appendAtUpperRight(nil, c[0], c[1]); len(ids) != 0 {
+			t.Fatalf("cell %v on the last column or row has no finite upper-right corner, got %v", c, ids)
+		}
+	}
+	// Appending keeps what dst holds.
+	if ids := corners.appendAtUpperRight([]int32{9}, 0, 0); !equalIDs(ids, []int32{9, 0, 2}) {
+		t.Fatalf("append onto [9]: got %v", ids)
 	}
 }
 

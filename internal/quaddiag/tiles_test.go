@@ -60,7 +60,7 @@ func interiorPoint(rng *rand.Rand, d *Diagram, id int) geom.Point {
 func TestWorkMatchesTileDiff(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	pts := genGP(rng, 100)
-	d, err := BuildScanning(pts)
+	d, err := BuildScanning(pts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestWorkMatchesTileDiff(t *testing.T) {
 		if nd.Work().CellsWritten == 0 {
 			t.Fatalf("step %d %s: wrote no cell", step, op)
 		}
-		fresh, err := BuildScanning(nd.Points)
+		fresh, err := BuildScanning(nd.Points, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +113,7 @@ func TestWorkMatchesTileDiff(t *testing.T) {
 // more than it has lines, and the tile directory does not grow.
 func TestToggleReusesSlots(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	d, err := BuildScanning(genGP(rng, 40))
+	d, err := BuildScanning(genGP(rng, 40), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestToggleReusesSlots(t *testing.T) {
 			}
 		}
 	}
-	fresh, err := BuildScanning(d.Points)
+	fresh, err := BuildScanning(d.Points, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestWriteAllocatesChangedTiles(t *testing.T) {
 		t.Skip("n=400")
 	}
 	rng := rand.New(rand.NewSource(13))
-	d, err := BuildScanning(genGP(rng, 400))
+	d, err := BuildScanning(genGP(rng, 400), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

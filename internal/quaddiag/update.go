@@ -2,11 +2,9 @@ package quaddiag
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"repro/internal/geom"
-	"repro/internal/grid"
 	"repro/internal/resultset"
 )
 
@@ -220,6 +218,9 @@ func (d *Diagram) WithDelete(id int) (*Diagram, error) {
 	jMax := countLT(g.Ys, removed.Y())
 	in := resultset.NewInternerFrom(d.results)
 	rid := int32(id)
+	// corners is built at the first recomputed cell. A delete may recompute
+	// none: when the point's lines go with it and no other cell lists it,
+	// as for a point at the trailing edge.
 	var corners cornerIndex
 	// scratch holds each recomputed cell's result until Intern copies it.
 	var scratch []int32
@@ -234,7 +235,10 @@ func (d *Diagram) WithDelete(id int) (*Diagram, error) {
 			if !containsLabelID(d.results.Result(nd.Label(i, j)), rid) {
 				continue
 			}
-			scratch = corners.appendAtUpperRight(scratch[:0], g, pts, i, j)
+			if corners.g == nil {
+				corners = newCornerIndex(g, pts)
+			}
+			scratch = corners.appendAtUpperRight(scratch[:0], i, j)
 			if len(scratch) == 0 {
 				scratch = appendMergeSubtract(scratch, cellOrNil(i+1, j), cellOrNil(i, j+1), cellOrNil(i+1, j+1))
 			}
@@ -243,41 +247,6 @@ func (d *Diagram) WithDelete(id int) (*Diagram, error) {
 	}
 	nd.results = in.Table()
 	return nd, nil
-}
-
-// cornerIndex finds the points on a cell's upper-right corner — Theorem 1's
-// exception, more than one point when the dataset holds exact duplicates —
-// from each point's column on the grid rather than a coordinate map. A
-// point sits on the lower-left corner of the cell it locates to, so the
-// points on cell (i, j)'s upper-right corner are those locating to
-// (i+1, j+1). The index is built on first use.
-type cornerIndex struct {
-	// head[c] is 1 + the index of a point in column c (0: none), and
-	// next[k] likewise chains the points of point k's column.
-	head, next []int32
-}
-
-// appendAtUpperRight appends to dst the ascending ids of the points of pts
-// on the upper-right corner of g's cell (i, j).
-func (c *cornerIndex) appendAtUpperRight(dst []int32, g *grid.Grid, pts []geom.Point, i, j int) []int32 {
-	if i+1 >= g.Cols() || j+1 >= g.Rows() {
-		return dst
-	}
-	if c.head == nil {
-		c.head, c.next = make([]int32, g.Cols()), make([]int32, len(pts))
-		for k, p := range pts {
-			col, _ := g.LocateXY(p.X(), p.Y())
-			c.next[k], c.head[col] = c.head[col], int32(k+1)
-		}
-	}
-	n := len(dst)
-	for k := c.head[i+1]; k != 0; k = c.next[k-1] {
-		if p := pts[k-1]; p.Y() == g.Ys[j] {
-			dst = append(dst, int32(p.ID))
-		}
-	}
-	slices.Sort(dst[n:])
-	return dst
 }
 
 // containsLabelID reports whether the sorted result contains id.

@@ -79,7 +79,7 @@ func TestWithDeleteMatchesRebuild(t *testing.T) {
 func TestInsertDeleteRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	pts := genGP(rng, 20)
-	d, err := BuildScanning(pts)
+	d, err := BuildScanning(pts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

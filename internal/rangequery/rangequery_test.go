@@ -19,7 +19,7 @@ func TestResultsCoverAllSampledQueries(t *testing.T) {
 		}
 		return ps
 	}())
-	d, err := quaddiag.BuildScanning(pts)
+	d, err := quaddiag.BuildScanning(pts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestResultsAreExactlyAchievable(t *testing.T) {
 		}
 		return ps
 	}())
-	d, err := quaddiag.BuildScanning(pts)
+	d, err := quaddiag.BuildScanning(pts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestResultsAreExactlyAchievable(t *testing.T) {
 
 func TestGlobalAndDynamicRange(t *testing.T) {
 	hotels := dataset.Hotels()
-	gd, err := quaddiag.BuildGlobal(hotels, quaddiag.AlgScanning)
+	gd, err := quaddiag.BuildGlobal(hotels, quaddiag.AlgScanning, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestGlobalAndDynamicRange(t *testing.T) {
 	if !Contains(gres, gd.Query(dataset.HotelQuery())) {
 		t.Fatal("the running-example query lies in the range; its result must appear")
 	}
-	dd, err := dyndiag.BuildScanning(hotels)
+	dd, err := dyndiag.BuildScanning(hotels, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestGlobalAndDynamicRange(t *testing.T) {
 
 func TestRangeValidationAndDegenerate(t *testing.T) {
 	hotels := dataset.Hotels()
-	d, err := quaddiag.BuildScanning(hotels)
+	d, err := quaddiag.BuildScanning(hotels, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -430,7 +430,7 @@ func TestProbePrefersReadiness(t *testing.T) {
 // failure, no failover or backend-error count — so a burst of such reads
 // leaves both replicas serving the kinds they hold.
 func TestRouterUnservedKindKeepsBreakersClosed(t *testing.T) {
-	d, err := quaddiag.BuildScanning(chaosPoints(40))
+	d, err := quaddiag.BuildScanning(chaosPoints(40), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

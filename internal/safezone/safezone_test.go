@@ -74,7 +74,7 @@ func TestQuadrantTimeline(t *testing.T) {
 		}
 		return ps
 	}())
-	d, err := quaddiag.BuildScanning(pts)
+	d, err := quaddiag.BuildScanning(pts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestQuadrantTimeline(t *testing.T) {
 
 func TestGlobalTimeline(t *testing.T) {
 	hotels := dataset.Hotels()
-	gd, err := quaddiag.BuildGlobal(hotels, quaddiag.AlgScanning)
+	gd, err := quaddiag.BuildGlobal(hotels, quaddiag.AlgScanning, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestDynamicTimeline(t *testing.T) {
 	for i := range pts {
 		pts[i] = geom.Pt2(i, float64(rng.Intn(16)), float64(rng.Intn(16)))
 	}
-	d, err := dyndiag.BuildScanning(pts)
+	d, err := dyndiag.BuildScanning(pts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestDynamicTimeline(t *testing.T) {
 
 func TestPathEdgeCases(t *testing.T) {
 	hotels := dataset.Hotels()
-	d, err := quaddiag.BuildScanning(hotels)
+	d, err := quaddiag.BuildScanning(hotels, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestPolylineTimeline(t *testing.T) {
 		}
 		return ps
 	}())
-	d, err := quaddiag.BuildScanning(pts)
+	d, err := quaddiag.BuildScanning(pts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -214,9 +214,6 @@ func (h *Handler) maybeCompact() {
 		return
 	}
 	base := h.snapshot()
-	if base.stored != nil {
-		return
-	}
 	set := base.diagramSet()
 	if set.ArenaGarbageRatio() < h.compactRatio {
 		return

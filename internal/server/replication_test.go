@@ -124,7 +124,7 @@ func TestSnapshotEndpointNegotiation(t *testing.T) {
 // unknown one 400, with neither header.
 func TestSnapshotKindWire(t *testing.T) {
 	builder, _ := newTestServer(t)
-	d, err := quaddiag.BuildScanning(dataset.Hotels())
+	d, err := quaddiag.BuildScanning(dataset.Hotels(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

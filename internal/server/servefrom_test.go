@@ -20,7 +20,7 @@ import (
 // serves it — the no-build serving path end to end.
 func newServeFromServer(t *testing.T) (*httptest.Server, *store.Store) {
 	t.Helper()
-	d, err := quaddiag.BuildScanning(dataset.Hotels())
+	d, err := quaddiag.BuildScanning(dataset.Hotels(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,9 +57,9 @@
 // includes latency percentiles computed from the same histograms.
 //
 // Updates never block readers: the next snapshot is computed entirely
-// outside the read-write lock (the quadrant diagram updates incrementally;
-// the global and dynamic diagrams are rebuilt concurrently, optionally with
-// parallel constructions via Config.Workers), writers are serialized by a
+// outside the read-write lock (all three kinds are maintained incrementally
+// from the previous snapshot, or with Config.FullRebuild the global and
+// dynamic kinds are rebuilt concurrently), writers are serialized by a
 // dedicated update slot so no two derive from the same base, and the
 // read-write lock is taken only for the pointer swap. Readers therefore
 // always see a consistent snapshot and wait at most one pointer assignment,
@@ -110,11 +110,10 @@ type Config struct {
 	// MaxBatch caps the number of queries one /v1/skyline/batch call may
 	// carry. 0 means the default of 8192.
 	MaxBatch int
-	// Workers selects parallel diagram construction for the initial build
-	// and every rebuild, as core.Options.Workers: 0 builds sequentially,
-	// negative uses GOMAXPROCS, positive uses exactly that many. The server
-	// builds with the default scanning constructions, the ones that have a
-	// parallel form.
+	// Workers is how many goroutines run the initial build and every full
+	// rebuild, as core.Options.Workers: 0 and 1 build on one goroutine,
+	// negative uses GOMAXPROCS, positive uses exactly that many. The answers
+	// are the same for every value.
 	Workers int
 	// MaxInFlight caps concurrently executing requests on the query, batch,
 	// stats, and update endpoints. Requests beyond it wait in a bounded

@@ -116,11 +116,9 @@ func (h *Handler) sendSnapshot(w http.ResponseWriter, r *http.Request, snap *sta
 	h.reg.Counter("skyserve_snapshot_fetches_total",
 		"Complete snapshot bodies (full or delta) streamed via /v1/snapshot.").Inc()
 	// A replica just pulled this generation, so its bytes are durable
-	// off-box too — a natural moment to checkpoint the local WAL. Only a
-	// builder has a WAL.
-	if snap.stored == nil {
-		h.checkpointAsync(snap)
-	}
+	// off-box too — a natural moment to checkpoint the local WAL (a no-op
+	// on a relay, which has none).
+	h.checkpointAsync(snap)
 }
 
 // notModified reports whether the client already holds this generation:

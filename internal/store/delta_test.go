@@ -18,7 +18,7 @@ import (
 // /v1/snapshot stream carries.
 func serializeEpoch(t testing.TB, pts []geom.Point, epoch uint64) []byte {
 	t.Helper()
-	d, err := quaddiag.BuildScanning(pts)
+	d, err := quaddiag.BuildScanning(pts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func TestPersistMaintainedByteIdentical(t *testing.T) {
 	if live, total := dm.ArenaLive(); live >= total {
 		t.Fatalf("test premise broken: maintained diagram has no garbage (live %d, total %d)", live, total)
 	}
-	rebuilt, err := quaddiag.BuildScanning(dm.Points)
+	rebuilt, err := quaddiag.BuildScanning(dm.Points, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func buildDiagram(t testing.TB, n int, seed int64) *quaddiag.Diagram {
 		pts[i] = geom.Pt2(i, rng.Float64()*100, rng.Float64()*100)
 	}
 	pts = dataset.GeneralPosition(pts)
-	d, err := quaddiag.BuildScanning(pts)
+	d, err := quaddiag.BuildScanning(pts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

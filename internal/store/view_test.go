@@ -327,7 +327,7 @@ func TestSamePointSetSameBytes(t *testing.T) {
 	for _, p := range buildDiagram(t, 40, 5).Points {
 		pts = append(pts, geom.Pt2(p.ID+100, p.X(), p.Y()))
 	}
-	base, err := quaddiag.BuildScanning(pts)
+	base, err := quaddiag.BuildScanning(pts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +351,7 @@ func TestSamePointSetSameBytes(t *testing.T) {
 	other := apply(insert(low), del, insert(b), insert(a))
 	reversed := slices.Clone(one.Points)
 	slices.Reverse(reversed)
-	fresh, err := quaddiag.BuildScanning(reversed)
+	fresh, err := quaddiag.BuildScanning(reversed, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

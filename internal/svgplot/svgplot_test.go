@@ -13,7 +13,7 @@ import (
 
 func TestWriteQuadrantDiagram(t *testing.T) {
 	hotels := dataset.Hotels()
-	d, err := quaddiag.BuildScanning(hotels)
+	d, err := quaddiag.BuildScanning(hotels, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestWriteVoronoi(t *testing.T) {
 
 func TestWriteDynamicDiagram(t *testing.T) {
 	hotels := dataset.Hotels()
-	d, err := dyndiag.BuildScanning(hotels)
+	d, err := dyndiag.BuildScanning(hotels, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

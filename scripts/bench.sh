@@ -41,6 +41,10 @@
 #     routed read"). These two allocate by design (HTTP on both ends), so
 #     they run on their own line, outside the zero-allocation contract.
 #
+# BenchmarkBuildScanning (internal/quaddiag: Algorithm 3 at n=400 and 1024,
+# on one worker and on GOMAXPROCS) rides on the first line as a build-time
+# ledger row under no gate.
+#
 #   ./scripts/bench.sh              # full run, writes BENCH_serve.json
 #   BENCHTIME=10x ./scripts/bench.sh  # quick smoke (CI uses this)
 set -eu
@@ -64,8 +68,8 @@ header=$(printf '{"commit": "%s", "go": "%s", "goos": "%s", "goarch": "%s", "cpu
 echo "== host $header"
 
 echo "== bench (benchtime=$benchtime, count=$count)"
-go test -run '^$' -bench 'BenchmarkQuery|BenchmarkEncode|BenchmarkUpdate|BenchmarkLocate' -benchmem \
-    -benchtime "$benchtime" -count "$count" ./internal/core/ ./internal/store/ ./internal/server/ ./internal/grid/ | tee "$tmp"
+go test -run '^$' -bench 'BenchmarkQuery|BenchmarkEncode|BenchmarkUpdate|BenchmarkLocate|BenchmarkBuildScanning' -benchmem \
+    -benchtime "$benchtime" -count "$count" ./internal/core/ ./internal/store/ ./internal/server/ ./internal/grid/ ./internal/quaddiag/ | tee "$tmp"
 
 # E18 runs 120 iterations whatever BENCHTIME says, as E20 runs its own
 # count: op i writes at ((13i mod 800)+0.25, (29i mod 800)+0.25), so a run
